@@ -1,12 +1,8 @@
 package ccx_test
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -75,124 +71,6 @@ func BenchmarkPipeline1Workers(b *testing.B) { benchmarkPipeline(b, 1) }
 func BenchmarkPipeline4Workers(b *testing.B) { benchmarkPipeline(b, 4) }
 func BenchmarkPipelineNWorkers(b *testing.B) { benchmarkPipeline(b, runtime.GOMAXPROCS(0)) }
 
-// ---- benchmark-regression artifact ----
-
-// BenchArtifact is the machine-readable result of one pipeline benchmark
-// run, written by `make bench` as BENCH_<sha>.json and compared in CI
-// against bench/baseline.json.
-type BenchArtifact struct {
-	SHA        string `json:"sha"`
-	GoVersion  string `json:"go"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// RefMBs is the throughput of a plain memcpy over the same corpus on
-	// the same machine in the same run. Normalizing against it makes the
-	// regression gate portable: a slower CI runner lowers both numbers,
-	// leaving the ratio stable, so the 15% gate trips on code regressions
-	// rather than hardware lottery.
-	RefMBs  float64      `json:"ref_memcpy_mb_s"`
-	Results []BenchEntry `json:"results"`
-}
-
-// BenchEntry is one worker-count's measurement.
-type BenchEntry struct {
-	Name           string  `json:"name"`
-	Workers        int     `json:"workers"`
-	NsPerBlock     float64 `json:"ns_per_block"`
-	MBs            float64 `json:"mb_s"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	NormThroughput float64 `json:"norm_throughput"` // MBs / RefMBs
-}
-
-// regressionGate is the fraction of normalized throughput a run may lose
-// against the committed baseline before CI fails.
-const regressionGate = 0.15
-
-// TestBenchArtifact drives the pipeline benchmarks programmatically and
-// writes the BENCH_<sha>.json artifact when CCX_BENCH_OUT names a path.
-// When CCX_BENCH_BASELINE also names a committed baseline, the run fails
-// if any worker-count's memcpy-normalized throughput regressed more than
-// 15%. Without CCX_BENCH_OUT the test is a no-op, so `go test ./...`
-// stays fast.
-func TestBenchArtifact(t *testing.T) {
-	out := os.Getenv("CCX_BENCH_OUT")
-	if out == "" {
-		t.Skip("set CCX_BENCH_OUT=<path> to run the benchmark suite and write the artifact")
-	}
-
-	data := pipeCorpus()
-	blocks := (len(data) + pipeBlockSize - 1) / pipeBlockSize
-
-	// memcpy reference: the fastest conceivable "codec" on this machine.
-	ref := testing.Benchmark(func(b *testing.B) {
-		dst := make([]byte, len(data))
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			copy(dst, data)
-		}
-	})
-	refMBs := mbPerSec(ref, len(data))
-
-	art := BenchArtifact{
-		SHA:        benchSHA(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		RefMBs:     refMBs,
-	}
-	for _, workers := range benchWorkerCounts() {
-		workers := workers
-		res := testing.Benchmark(func(b *testing.B) { benchmarkPipeline(b, workers) })
-		mbs := mbPerSec(res, len(data))
-		art.Results = append(art.Results, BenchEntry{
-			Name:           fmt.Sprintf("BenchmarkPipeline/%dworkers", workers),
-			Workers:        workers,
-			NsPerBlock:     float64(res.NsPerOp()) / float64(blocks),
-			MBs:            mbs,
-			AllocsPerOp:    res.AllocsPerOp(),
-			NormThroughput: mbs / refMBs,
-		})
-		t.Logf("workers=%d: %.1f MB/s (%.3f of memcpy), %d allocs/op", workers, mbs, mbs/refMBs, res.AllocsPerOp())
-	}
-
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
-
-	basePath := os.Getenv("CCX_BENCH_BASELINE")
-	if basePath == "" {
-		return
-	}
-	raw, err := os.ReadFile(basePath)
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var base BenchArtifact
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-	for _, cur := range art.Results {
-		for _, old := range base.Results {
-			if old.Workers != cur.Workers {
-				continue
-			}
-			if old.NormThroughput <= 0 {
-				continue
-			}
-			drop := 1 - cur.NormThroughput/old.NormThroughput
-			if drop > regressionGate {
-				t.Errorf("%s regressed %.1f%% vs baseline %s (%.3f -> %.3f of memcpy), gate is %.0f%%",
-					cur.Name, drop*100, base.SHA, old.NormThroughput, cur.NormThroughput, regressionGate*100)
-			} else {
-				t.Logf("%s: %.1f%% vs baseline (gate %.0f%%)", cur.Name, -drop*100, regressionGate*100)
-			}
-		}
-	}
-}
-
 // ---- tracing-overhead gate ----
 
 // tracingGate is the per-block overhead the trace plane may add at the
@@ -237,8 +115,7 @@ func BenchmarkTransmitTracedAlways(b *testing.B) { benchmarkTransmitTraced(b, 1)
 // TestTracingOverheadGate measures the per-block cost of the span plane at
 // 1% sampling against a tracer-off run of the same engine and fails when
 // the overhead exceeds tracingGate. Each side takes the best of three
-// benchmark runs, which cancels one-off scheduler noise the same way the
-// memcpy normalization does for the throughput gate. Set CCX_TRACE_BENCH=1
+// benchmark runs, which cancels one-off scheduler noise. Set CCX_TRACE_BENCH=1
 // to run it (the CI trace-smoke job does); otherwise it skips so
 // `go test ./...` stays fast.
 func TestTracingOverheadGate(t *testing.T) {
@@ -264,34 +141,4 @@ func TestTracingOverheadGate(t *testing.T) {
 		t.Errorf("tracing at 1%% sampling costs %+.2f%%/block, budget is +1%% (gate %.0f%%)",
 			overhead*100, tracingGate*100)
 	}
-}
-
-// benchWorkerCounts covers the sequential loop, the canonical 4-worker
-// pipeline, and the machine's full width (deduplicated).
-func benchWorkerCounts() []int {
-	counts := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-func mbPerSec(r testing.BenchmarkResult, bytesPerOp int) float64 {
-	if r.T <= 0 {
-		return 0
-	}
-	return float64(r.N) * float64(bytesPerOp) / r.T.Seconds() / 1e6
-}
-
-// benchSHA resolves the commit under test: CCX_BENCH_SHA when the harness
-// provides it (CI), otherwise git, otherwise "unknown".
-func benchSHA() string {
-	if sha := os.Getenv("CCX_BENCH_SHA"); sha != "" {
-		return sha
-	}
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }

@@ -5,11 +5,10 @@
 // fast-LAN receiver wants raw blocks while a congested-WAN receiver wants
 // Burrows-Wheeler. The repo's point-to-point tools (ccsend/ccrecv, one
 // echo.Bridge per pair) cannot express that. This broker can: publishers
-// submit events to named channels (internal/echo domains carry the
-// channel namespace), and every subscriber connection keeps its own
-// *selection state* — its own goodput EWMA and method choice — so a slow
-// link independently drifts toward heavier compression while a fast link
-// stays at None/Huffman.
+// submit events to named channels, and every subscriber connection keeps
+// its own *selection state* — its own goodput EWMA and method choice — so a
+// slow link independently drifts toward heavier compression while a fast
+// link stays at None/Huffman.
 //
 // Encoding, by contrast, is shared: subscribers that currently select the
 // same method form a method-equivalence class, and the internal/encplane
@@ -40,14 +39,12 @@ import (
 	"io"
 	"net"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ccx/internal/codec"
 	"ccx/internal/core"
-	"ccx/internal/echo"
 	"ccx/internal/encplane"
 	"ccx/internal/governor"
 	"ccx/internal/metrics"
@@ -214,7 +211,6 @@ type Config struct {
 // Broker accepts publisher and subscriber connections and fans events out.
 type Broker struct {
 	cfg     Config
-	domain  *echo.Domain
 	reg     *codec.Registry
 	met     *metrics.Registry
 	plane   *encplane.Plane
@@ -249,14 +245,13 @@ type Broker struct {
 }
 
 // channelState is the broker-side per-channel session state: the sequence
-// counter and replay window, plus the echo channel events fan out on.
+// counter and replay window, plus the encode-plane channel blocks fan out on.
 // st.mu serializes publishes with resume snapshots, which is what makes a
 // resume atomic: every block is either in the replay snapshot or delivered
 // through the live subscription, never both, never neither.
 type channelState struct {
 	mu    sync.Mutex
 	name  string
-	ch    *echo.EventChannel
 	ring  replayRing
 	plane *encplane.Channel
 	shard *shard // home event loop; fixed for the channel's lifetime
@@ -275,7 +270,6 @@ func (b *Broker) state(name string) *channelState {
 	}
 	st := &channelState{
 		name:        name,
-		ch:          b.domain.OpenChannel(name),
 		plane:       b.plane.Channel(name),
 		shard:       b.shards.forChannel(name, placementClass(b.cfg.Placement)),
 		seqGauge:    b.met.Gauge(fmt.Sprintf("chan.%s.seq", name)),
@@ -289,13 +283,13 @@ func (b *Broker) state(name string) *channelState {
 }
 
 // submit stamps one event with the channel's next sequence number, retains
-// it in the replay window, and hands the fan-out — encode-plane publish
-// (one encode per method class) and the in-process echo channel — to the
-// channel's home event loop. Stamping and the task enqueue both happen
-// under the ring lock, so the shard FIFO sees fan-outs in sequence order
-// and resume snapshots / subscriber joins interleave atomically with
-// publishes (a join task enqueued under the same lock splits the stream
-// exactly: earlier blocks are in the snapshot, later ones arrive live).
+// it in the replay window, and hands the fan-out — the encode-plane publish,
+// one encode per method class — to the channel's home event loop. Stamping
+// and the task enqueue both happen under the ring lock, so the shard FIFO
+// sees fan-outs in sequence order and resume snapshots / subscriber joins
+// interleave atomically with publishes (a join task enqueued under the same
+// lock splits the stream exactly: earlier blocks are in the snapshot, later
+// ones arrive live).
 // The enqueue blocks when the home loop is shardTaskBuf behind — that is
 // the publisher backpressure.
 //
@@ -325,15 +319,7 @@ func (b *Broker) submit(st *channelState, data, anno []byte) error {
 	st.seqGauge.Set(int64(seq))
 	st.depthBlocks.Set(int64(st.ring.len()))
 	st.depthBytes.Set(st.ring.bytes)
-	if !st.shard.do(func() {
-		st.plane.PublishAnno(data, seq, anno)
-		if err := st.ch.Submit(echo.Event{
-			Data:  data,
-			Attrs: echo.Attributes{core.AttrSeq: strconv.FormatUint(seq, 10)},
-		}); err != nil {
-			b.logf("broker: channel %q echo submit: %v", st.name, err)
-		}
-	}) {
+	if !st.shard.do(func() { st.plane.PublishAnno(data, seq, anno) }) {
 		return ErrClosed
 	}
 	return nil
@@ -472,7 +458,6 @@ func New(cfg Config) (*Broker, error) {
 	}
 	b = &Broker{
 		cfg:     cfg,
-		domain:  echo.NewDomain(),
 		reg:     cfg.Engine.Registry,
 		met:     met,
 		plane:   plane,
@@ -490,10 +475,6 @@ func New(cfg Config) (*Broker, error) {
 	}
 	return b, nil
 }
-
-// Domain exposes the broker's channel namespace for in-process publishers
-// and derived channels.
-func (b *Broker) Domain() *echo.Domain { return b.domain }
 
 // Metrics returns the instrumentation registry the broker feeds.
 func (b *Broker) Metrics() *metrics.Registry { return b.met }
@@ -814,11 +795,15 @@ func (b *Broker) handle(conn net.Conn) {
 		} else {
 			err = writeReply(conn, nil)
 		}
+		_ = conn.SetDeadline(time.Time{})
+		live := s.greet()
 		if err != nil {
 			b.removeSub(s, false, "handshake reply failed")
 			return
 		}
-		_ = conn.SetDeadline(time.Time{})
+		if !live {
+			return // evicted while the reply was in flight; greet hung up
+		}
 		if resume {
 			b.logf("broker: subscriber %d resumed %q from seq %d (replaying %d)",
 				s.id, hs.channel, hs.lastSeq, len(s.replay))
@@ -947,6 +932,13 @@ type subscriber struct {
 	// reference can slip into a queue nobody will ever drain.
 	qmu  sync.Mutex
 	dead bool
+	// greeted is set once the handshake reply is on the wire. The member is
+	// evictable from the moment it joins the plane, which is before that; a
+	// teardown that early parks its goodbye-and-close in hangup for the
+	// handshake goroutine to run after the reply, so the client reads OK and
+	// then "evicted: …", never a close frame where its status byte belongs.
+	greeted bool
+	hangup  func()
 
 	// wmu serializes connection writes so the eviction path can interleave
 	// its close-reason frame on whole-frame boundaries. The write loop holds
@@ -960,10 +952,10 @@ type subscriber struct {
 	// (breaker state; write-loop only).
 	slowSince time.Time
 
-	curMethod    codec.Method       // current class method (write-loop only)
-	curPlacement selector.Placement // current class placement (write-loop only)
-	lastDec      selector.Decision  // decision that chose curMethod, for traces
-	blocks       int                // ordinal of the next block, for trace records
+	curMethod    codec.Method        // current class method (write-loop only)
+	curPlacement selector.Placement  // current class placement (write-loop only)
+	lastDec      selector.Decision   // decision that chose curMethod, for traces
+	blocks       int                 // ordinal of the next block, for trace records
 	batchScratch []encplane.Delivery // write-loop scratch for vectored batches
 	// inflight counts frames collected into an in-progress batch write.
 	// They are off the queue but not yet on the wire, so backlog-depth
@@ -1134,6 +1126,20 @@ func (b *Broker) noteResume(s *subscriber, lastSeq, firstSeq uint64, replayed in
 		sp.Err = fmt.Sprintf("gap of %d blocks past replay window", gap)
 	}
 	b.cfg.Tracer.Record(sp)
+}
+
+// greet marks the handshake reply as written and runs the hang-up a
+// concurrent teardown parked meanwhile. It reports whether the session is
+// still live.
+func (s *subscriber) greet() bool {
+	s.qmu.Lock()
+	s.greeted = true
+	hangup := s.hangup
+	s.qmu.Unlock()
+	if hangup != nil {
+		hangup()
+	}
+	return hangup == nil
 }
 
 // deliver runs on the encode plane's sequencer goroutine and must never
@@ -1551,11 +1557,9 @@ func (b *Broker) sendCloseFrame(s *subscriber, code codec.CloseReason, msg strin
 	}
 	defer s.wmu.Unlock()
 	_ = s.conn.SetWriteDeadline(time.Now().Add(closeFrameTimeout))
-	// The handshake epilogue clears conn deadlines; an eviction racing it
-	// (the governor can shed a subscriber the instant it registers) can have
-	// its write deadline wiped and wedge forever on a synchronous transport.
-	// The conn is severed right after this returns anyway, so a watchdog
-	// close bounds the goodbye unconditionally.
+	// A write deadline does not bound every transport (a fault-injected
+	// stall sleeps through it), and the conn is severed right after this
+	// returns anyway, so a watchdog close bounds the goodbye unconditionally.
 	watchdog := time.AfterFunc(2*closeFrameTimeout, func() { s.conn.Close() })
 	defer watchdog.Stop()
 	_, _ = s.conn.Write(frame)
@@ -1591,22 +1595,31 @@ func (s *subscriber) readDrain(b *Broker) {
 func (b *Broker) removeSub(s *subscriber, evicted bool, reason string) {
 	s.once.Do(func() {
 		s.member.Leave()
+		hangup := func() {
+			if evicted {
+				// Say why before hanging up, so the client surfaces "evicted:
+				// overload" (and backs off) instead of a generic read error.
+				code := codec.CloseReason(s.closeCode.Load())
+				if code == 0 {
+					code = codec.CloseOverload
+				}
+				b.sendCloseFrame(s, code, reason)
+			}
+			s.conn.Close()
+		}
 		// Mark dead under qmu so no concurrent deliver can enqueue after the
 		// drain below — the frame references would leak.
 		s.qmu.Lock()
 		s.dead = true
+		parked := !s.greeted
+		if parked {
+			s.hangup = hangup // the handshake goroutine runs it after its reply
+		}
 		s.qmu.Unlock()
 		close(s.quit)
-		if evicted {
-			// Say why before hanging up, so the client surfaces "evicted:
-			// overload" (and backs off) instead of a generic read error.
-			code := codec.CloseReason(s.closeCode.Load())
-			if code == 0 {
-				code = codec.CloseOverload
-			}
-			b.sendCloseFrame(s, code, reason)
+		if !parked {
+			hangup()
 		}
-		s.conn.Close()
 		for {
 			select {
 			case d := <-s.queue:
@@ -1665,8 +1678,8 @@ func (b *Broker) Shutdown(ctx context.Context) error {
 	}
 
 	// Drain the channel event loops: every stamped block's fan-out task
-	// (plane publish + echo submit) runs before the plane flush below, so
-	// no submitted event is lost in a shard queue.
+	// (the plane publish) runs before the plane flush below, so no
+	// submitted event is lost in a shard queue.
 	b.shards.close()
 
 	// Flush the encode plane: every submitted block is encoded and lands in

@@ -312,3 +312,84 @@ func TestChurnStormExactAccounting(t *testing.T) {
 		t.Fatalf("LiveBytes = %d after churn + shutdown, want 0", n)
 	}
 }
+
+// statusGate is a server-side conn that holds the one-byte handshake status
+// back until released — the window in which the new member already sits in
+// the plane but the client has not been answered yet.
+type statusGate struct {
+	net.Conn
+	release chan struct{}
+}
+
+func (g *statusGate) Write(p []byte) (int, error) {
+	if len(p) == 1 {
+		<-g.release
+	}
+	return g.Conn.Write(p)
+}
+
+// TestEvictionDuringHandshakeFollowsReply forces the handshake/eviction
+// interleaving: the subscriber joins, its one-slot queue overflows under
+// the Evict policy, and only then does the status byte go out. The client
+// must read OK and then "evicted: …" — at the seed the goodbye frame hit the
+// wire first and the client misread its 0xEC as a refusal status.
+func TestEvictionDuringHandshakeFollowsReply(t *testing.T) {
+	b := newTestBroker(t, func(c *Config) {
+		c.QueueLen = 1
+		c.Policy = Evict
+	})
+	client, server := net.Pipe()
+	defer client.Close()
+	gate := &statusGate{Conn: server, release: make(chan struct{})}
+	b.HandleConn(gate)
+	hsErr := make(chan error, 1)
+	go func() { hsErr <- HandshakeSubscribe(client, "md") }()
+
+	waitUntil(t, "subscriber registered", func() bool { return b.Subscribers() == 1 })
+	for i := 0; i < 3; i++ {
+		if err := b.Publish("md", []byte("overflow the one-slot queue")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, "eviction", func() bool { return b.Metrics().Counter("broker.evictions").Value() == 1 })
+	close(gate.release)
+
+	select {
+	case err := <-hsErr:
+		if err != nil {
+			t.Fatalf("handshake = %v, want OK ahead of the eviction notice", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handshake never completed")
+	}
+	var ev *EvictedError
+	if err := readUntilError(client, nil); !errors.As(err, &ev) {
+		t.Fatalf("stream ended with %v (%T), want *EvictedError", err, err)
+	}
+	waitUntil(t, "session gone", func() bool { return b.Subscribers() == 0 })
+}
+
+// TestMalformedReplyIsNotARefusal pins the client half: a status byte the
+// protocol does not define, or a refusal whose reason is cut short, is a
+// damaged reply — not a decision by the broker to refuse the session.
+func TestMalformedReplyIsNotARefusal(t *testing.T) {
+	for name, reply := range map[string][]byte{
+		"unknown status":   {0xEC, 0x40, 0x04},
+		"truncated reason": {statusRefuse, 12, 'b', 'u', 's'},
+	} {
+		t.Run(name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			go func() {
+				defer server.Close()
+				if _, err := readHandshake(server); err == nil {
+					_, _ = server.Write(reply)
+				}
+			}()
+			err := HandshakeSubscribe(client, "md")
+			if !errors.Is(err, ErrBadReply) || errors.Is(err, ErrRefused) {
+				t.Fatalf("handshake = %v, want ErrBadReply and not ErrRefused", err)
+			}
+		})
+	}
+}

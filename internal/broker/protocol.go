@@ -32,8 +32,9 @@ import (
 // stream from older-configured brokers. The broker accepts all versions
 // forever.
 //
-// The broker answers with a single status byte: 0 accepts the session, any
-// other value is followed by uvarint-length error text and a close. For an
+// The broker answers with a single status byte: 0 accepts the session, 1
+// and 2 refuse it and are followed by uvarint-length error text and a
+// close (anything else is a malformed reply, ErrBadReply). For an
 // accepted resume the status byte is followed by one uvarint: the sequence
 // number of the first block this session will deliver. A client that asked
 // to resume from lastSeq reads a gap of (firstSeq - lastSeq - 1) blocks
@@ -89,6 +90,11 @@ var (
 	// ErrRefused reports that the broker rejected the session; the reason
 	// from the wire is attached to the returned error text.
 	ErrRefused = errors.New("broker: session refused")
+	// ErrBadReply reports a handshake reply that is not one: an unknown
+	// status byte or a reason cut short. The broker refused nothing — the
+	// reply was damaged or pre-empted on the wire — so it is deliberately
+	// not an ErrRefused.
+	ErrBadReply = errors.New("broker: malformed handshake reply")
 )
 
 // OverloadError is the client-side face of a RETRY-AFTER refusal: the
@@ -220,9 +226,12 @@ func clientHandshake(conn net.Conn, role byte, channel string, lastSeq uint64, p
 		}
 		return firstSeq, nil
 	}
+	if status[0] != statusRefuse && status[0] != statusRetry {
+		return 0, fmt.Errorf("%w: unknown status byte %#x", ErrBadReply, status[0])
+	}
 	reason, err := readShortString(conn)
 	if err != nil {
-		return 0, ErrRefused
+		return 0, fmt.Errorf("%w: refusal reason: %v", ErrBadReply, err)
 	}
 	if status[0] == statusRetry {
 		millis, err := readUvarint(conn)

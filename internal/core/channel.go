@@ -20,13 +20,6 @@ const (
 	// AttrGoodput is the consumer's reported acceptance rate in bytes/s —
 	// the upstream feedback that drives the producer's selector.
 	AttrGoodput = "ccx.goodput"
-	// AttrRequestMethod lets a consumer explicitly request a method change
-	// at the source (the paper's dynamic change instructions).
-	AttrRequestMethod = "ccx.request-method"
-	// AttrSeq carries a block's per-channel sequence number (decimal) on
-	// events flowing through a replay-capable transport such as the fan-out
-	// broker. Consumers use it for dedup and gap accounting across resumes.
-	AttrSeq = "ccx.seq"
 )
 
 // DeriveCompressed derives a new channel from src whose events carry
@@ -39,9 +32,10 @@ const (
 // The producer-side engine listens for AttrGoodput feedback on the derived
 // channel, completing the end-to-end loop across address spaces.
 func DeriveCompressed(src *echo.EventChannel, name string, e *Engine) (*echo.EventChannel, error) {
-	fw := newEventFramer(e)
 	derived, err := src.Derive(name, func(ev echo.Event) (echo.Event, bool) {
-		frame, info, err := fw.encode(ev.Data)
+		// Each event retains its frame, so the encode appends to a fresh one.
+		var res BlockResult
+		frame, err := e.Encode(nil, &Job{Block: ev.Data}, &res)
 		if err != nil {
 			// A handler cannot surface errors to the producer mid-stream;
 			// fall back to transporting the event unmodified but flagged.
@@ -56,8 +50,8 @@ func DeriveCompressed(src *echo.EventChannel, name string, e *Engine) (*echo.Eve
 		if attrs == nil {
 			attrs = echo.Attributes{}
 		}
-		attrs[AttrMethod] = info.Method.String()
-		attrs[AttrOrigLen] = strconv.Itoa(info.OrigLen)
+		attrs[AttrMethod] = res.Info.Method.String()
+		attrs[AttrOrigLen] = strconv.Itoa(res.Info.OrigLen)
 		return echo.Event{Data: frame, Attrs: attrs}, true
 	})
 	if err != nil {
@@ -74,31 +68,6 @@ func DeriveCompressed(src *echo.EventChannel, name string, e *Engine) (*echo.Eve
 		}
 	})
 	return derived, nil
-}
-
-// eventFramer reuses a Session-like encoder for event payloads.
-type eventFramer struct {
-	e   *Engine
-	buf bytes.Buffer
-	fw  *codec.FrameWriter
-}
-
-func newEventFramer(e *Engine) *eventFramer {
-	f := &eventFramer{e: e}
-	f.fw = codec.NewFrameWriter(&f.buf, e.Registry())
-	return f
-}
-
-func (f *eventFramer) encode(payload []byte) ([]byte, codec.BlockInfo, error) {
-	dec := f.e.Decide(payload)
-	f.buf.Reset()
-	info, err := f.fw.WriteBlock(dec.Method, payload)
-	if err != nil {
-		return nil, info, err
-	}
-	out := make([]byte, f.buf.Len())
-	copy(out, f.buf.Bytes())
-	return out, info, nil
 }
 
 // DecodeEvent decompresses an event produced by DeriveCompressed. reg may

@@ -157,14 +157,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // BlockSize returns the configured transmission block size.
 func (e *Engine) BlockSize() int { return e.sel.BlockSize }
 
-// Workers returns the effective encode worker-pool size (1 = sequential).
-func (e *Engine) Workers() int {
-	if e.workers > 1 {
-		return e.workers
-	}
-	return 1
-}
-
 // Monitor exposes the goodput monitor (receivers' acceptance rate feeds it).
 func (e *Engine) Monitor() *bwmon.Monitor { return e.mon }
 
@@ -290,6 +282,92 @@ func NewSession(e *Engine) *Session {
 	return &Session{e: e}
 }
 
+// Job is one block entering the per-block loop, with everything the caller
+// may already know about it. The zero value of every field but Block means
+// "the engine decides".
+type Job struct {
+	// Block is the data to send. It is not copied: the caller must leave it
+	// untouched until the block's result has been reported.
+	Block []byte
+	// Seq, when HasSeq is set, is stamped into the frame as its per-channel
+	// sequence number (wire version 3).
+	Seq    uint64
+	HasSeq bool
+	// Method, when PreDecided is set, is used as is and Engine.Decide does
+	// not run — the encode plane selects once per method class.
+	Method     codec.Method
+	PreDecided bool
+	// Anno is the frame's v4 annotation handed down from an upstream hop
+	// (nil = none) and TC its parsed trace context. A block that arrives
+	// with neither may be head-sampled and stamped by this engine.
+	Anno []byte
+	TC   tracing.Context
+	// Ctx belongs to the caller: a Pipeline hands it back to the sink with
+	// the finished frame and never looks inside.
+	Ctx any
+}
+
+// stamp makes this engine the trace origin of a head-sampled block that
+// nothing upstream annotated and no caller pre-decided: the block gets a
+// fresh trace context in its annotation (and, lacking a sequence number, its
+// ordinal as one — annotated frames always carry the field).
+func (e *Engine) stamp(j *Job, index int) {
+	tr := e.tel.Tracer
+	if len(j.Anno) > 0 || j.PreDecided || !tr.Sample() {
+		return
+	}
+	j.TC = tr.NewContext()
+	if !j.HasSeq {
+		j.Seq, j.HasSeq = uint64(index)+1, true
+	}
+	j.Anno = j.TC.AppendAnno(nil)
+	tr.Record(tracing.Span{Trace: j.TC.Trace, Seq: j.Seq, Stream: e.tel.Stream, Stage: tracing.StageStamp, Start: j.TC.WallNs})
+}
+
+// Encode is the compress half of §2.5's loop body, the one place a block
+// becomes a frame: decide (unless the job brings its method), append the
+// frame to dst, and time it into res. The sequential Session, the pipeline
+// workers, the event-channel handler and the encode plane's inline paths
+// all call it.
+func (e *Engine) Encode(dst []byte, j *Job, res *BlockResult) ([]byte, error) {
+	if j.PreDecided {
+		res.Decision = selector.Decision{Method: j.Method}
+	} else {
+		res.Decision = e.Decide(j.Block)
+	}
+	res.Decision.Trace = j.TC.Trace
+	start := e.now()
+	frame, info, err := codec.AppendFrameOpts(dst, e.reg, res.Decision.Method, j.Block,
+		codec.FrameOpts{Seq: j.Seq, HasSeq: j.HasSeq, Anno: j.Anno})
+	res.Info = info
+	res.CompressTime = e.now().Sub(start)
+	if scale := e.smp.SpeedScale; scale > 0 && scale != 1 {
+		res.CompressTime = time.Duration(float64(res.CompressTime) * scale)
+	}
+	if err != nil {
+		return frame, fmt.Errorf("core: encode block %d: %w", res.Index, err)
+	}
+	res.WireBytes = len(frame)
+	return frame, nil
+}
+
+// transmit is the send half: put the frame on the wire and feed the
+// realized outcome back into the goodput monitor and telemetry — the
+// end-to-end feedback the next Decide consumes.
+func (e *Engine) transmit(frame []byte, send SendFunc, j *Job, res *BlockResult) error {
+	d, err := send(frame)
+	if err != nil {
+		return fmt.Errorf("core: send block %d: %w", res.Index, err)
+	}
+	res.SendTime = d
+	e.mon.Observe(len(frame), d)
+	if j.TC.Valid() {
+		e.recordTxSpans(j.TC, j.Seq, *res, time.Now().UnixNano())
+	}
+	e.ObserveBlock(*res)
+	return nil
+}
+
 // TransmitBlock runs one iteration of §2.5's loop body for block, using
 // send as the network. next is the following block (nil at end of stream);
 // its probe overlaps the send, exactly as the paper forks its sampling
@@ -304,49 +382,18 @@ func (s *Session) TransmitBlock(block, next []byte, send SendFunc) (BlockResult,
 	e := s.e
 	res := BlockResult{Index: s.index, Workers: 1}
 	s.index++
-
-	tr := e.tel.Tracer
-	var tc tracing.Context
-	seqno := uint64(res.Index) + 1
-	if tr.Sample() {
-		tc = tr.NewContext()
-		tr.Record(tracing.Span{Trace: tc.Trace, Seq: seqno, Stream: e.tel.Stream, Stage: tracing.StageStamp, Start: tc.WallNs})
-	}
-
-	res.Decision = e.Decide(block)
-	res.Decision.Trace = tc.Trace
-
-	var opts codec.FrameOpts
-	if tc.Valid() {
-		opts = codec.FrameOpts{Seq: seqno, Anno: tc.AppendAnno(nil)}
-	}
-	start := e.now()
-	frame, info, err := codec.AppendFrameOpts(s.scratch[:0], e.reg, res.Decision.Method, block, opts)
+	job := Job{Block: block}
+	e.stamp(&job, res.Index)
+	frame, err := e.Encode(s.scratch[:0], &job, &res)
 	s.scratch = frame
 	if err != nil {
-		return res, fmt.Errorf("core: encode block %d: %w", res.Index, err)
+		return res, err
 	}
-	res.CompressTime = e.now().Sub(start)
-	if scale := e.smp.SpeedScale; scale > 0 && scale != 1 {
-		res.CompressTime = time.Duration(float64(res.CompressTime) * scale)
-	}
-	res.Info = info
-	res.WireBytes = len(frame)
-
 	if next != nil {
 		e.StartProbe(next)
 	}
-	d, err := send(frame)
-	if err != nil {
-		return res, fmt.Errorf("core: send block %d: %w", res.Index, err)
-	}
-	res.SendTime = d
-	e.mon.Observe(len(frame), d)
-	if tc.Valid() {
-		e.recordTxSpans(tc, seqno, res, time.Now().UnixNano(), 0)
-	}
-	e.ObserveBlock(res)
-	return res, nil
+	err = e.transmit(frame, send, &job, &res)
+	return res, err
 }
 
 // Stream splits data into engine-sized blocks and transmits them all,

@@ -2,23 +2,19 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
-
-	"ccx/internal/codec"
-	"ccx/internal/selector"
-	"ccx/internal/tracing"
 )
 
 // Pipeline runs the engine's per-block loop on a bounded worker pool: each
-// worker executes Engine.Decide plus the frame encode on its own block while
-// a sequencer emits the finished frames strictly in submission order. The
-// wire stream is therefore byte-identical to the sequential Session's output
-// for the same sequence of method decisions — v3 sequence numbers, the
-// broker's replay ring, and resume semantics are all untouched, because
-// nothing downstream can tell the frames were compressed out of order.
+// worker runs the encode step (Engine.Decide plus the frame encode) on its
+// own block while a sequencer hands the finished frames to one sink strictly
+// in submission order. Fed to a transport, the stream is byte-identical to
+// the sequential Session's output for the same sequence of method decisions
+// — v3 sequence numbers, the broker's replay ring, and resume semantics are
+// all untouched, because nothing downstream can tell the frames were
+// compressed out of order.
 //
 // The paper treats compression CPU cost as the bottleneck that forces the
 // selector toward weaker methods; block-structured formats parallelize
@@ -26,15 +22,14 @@ import (
 // senders the pipeline multiplies the available "reducing speed" without
 // changing what crosses the wire.
 //
-// Concurrency contract: Submit/SubmitSeq/Close are single-owner calls — one
+// Concurrency contract: Submit and Close are single-owner calls — one
 // goroutine drives the pipeline, the internal workers provide parallelism
 // (matching io.Writer convention). Err may be called from anywhere.
 //
-// Buffer ownership: Submit does NOT copy the block. The caller must not
-// mutate it until its BlockResult has been emitted (onBlock fired) or Close
-// returned. Frames are encoded into sync.Pool-recycled buffers owned by the
-// pipeline; the send function must not retain the frame slice past its
-// return.
+// Buffer ownership: Submit does NOT copy the block; the caller must not
+// mutate it until the sink has seen it or Close returned. Each frame is
+// encoded into a pooled buffer that the worker hands, through the
+// sequencer, to the sink together with its ownership (see Sink).
 //
 // Probing: workers do not use the paper's probe-ahead overlap (Engine's
 // pending-probe slot is a per-stream scalar, meaningless with several
@@ -42,16 +37,14 @@ import (
 // worker, so probe cost parallelizes along with the encode.
 type Pipeline struct {
 	e       *Engine
-	send    SendFunc
-	onBlock func(BlockResult)
+	sink    Sink
 	workers int
+	bufs    *sync.Pool // *[]byte frame buffers
 
 	jobs  chan pipeJob
 	order chan chan pipeResult
 	done  chan struct{}
 	wg    sync.WaitGroup
-
-	bufs sync.Pool // *[]byte frame scratch, recycled across blocks
 
 	mu     sync.Mutex
 	err    error
@@ -59,62 +52,67 @@ type Pipeline struct {
 	index  int // ordinal of the next submitted block
 }
 
+// Encoded is one finished block on its way to the sink.
+type Encoded struct {
+	// Job is the submission, Ctx included, as Submit received it (plus the
+	// trace context and sequence number stamped when this pipeline is the
+	// trace origin).
+	Job Job
+	// Result is the encode outcome. SendTime is the sink's to fill in.
+	Result BlockResult
+	// Buf is the pooled buffer the frame was encoded into; *Buf is the
+	// complete frame.
+	Buf *[]byte
+}
+
+// Sink consumes finished blocks in submission order, on the sequencer
+// goroutine (so it must not stall the stream for long). The frame buffer
+// arrives with its ownership: the pipeline never touches enc.Buf again.
+// Returning keep=false hands it back for reuse — the sink must then not
+// retain *enc.Buf; keep=true leaves it with the sink, which returns it to the
+// pipeline's pool whenever it is done with the frame. An error latches the
+// pipeline: later blocks are drained without reaching the sink.
+type Sink func(enc Encoded) (keep bool, err error)
+
 type pipeJob struct {
-	index  int
-	block  []byte
-	seq    uint64
-	hasSeq bool
-	hb     bool // heartbeat: empty None frame, no telemetry
-	// preDecided skips Engine.Decide: the caller already selected method
-	// (the encode plane runs one selection per method-equivalence class).
-	preDecided bool
-	method     codec.Method
-	// anno is the frame's v4 annotation (nil = unannotated): stamped at
-	// submit when this pipeline is the trace origin, or handed down by the
-	// encode plane propagating an upstream publisher's context. tc is its
-	// parsed trace context, kept alongside for span linkage.
-	anno []byte
-	tc   tracing.Context
-	out  chan pipeResult
+	Job
+	index int
+	out   chan pipeResult
 }
 
 type pipeResult struct {
-	res   BlockResult
-	frame []byte
-	buf   *[]byte
-	hb    bool
-	tc    tracing.Context
-	seq   uint64
-	err   error
+	enc Encoded
+	err error
 }
 
 // ErrPipelineClosed reports Submit after Close.
 var ErrPipelineClosed = errors.New("core: pipeline is closed")
 
-// NewPipeline starts a pipeline over e that transmits frames through send
-// (in submission order, from a single sequencer goroutine). workers <= 0
-// means GOMAXPROCS. onBlock, when non-nil, observes every emitted block in
-// order; it runs on the sequencer goroutine, so it must not block the
-// stream for long.
-func NewPipeline(e *Engine, send SendFunc, workers int, onBlock func(BlockResult)) *Pipeline {
-	return newPipeline(e, send, workers, 0, onBlock)
+// NewPipeline starts a pipeline over e that delivers finished frames to
+// sink. workers <= 0 means GOMAXPROCS. Frame buffers are drawn from bufs, a
+// pool of *[]byte the caller shares with whatever its sink does with kept
+// buffers; nil gives the pipeline a pool of its own.
+func NewPipeline(e *Engine, workers int, bufs *sync.Pool, sink Sink) *Pipeline {
+	return newPipeline(e, workers, 0, bufs, sink)
 }
 
-func newPipeline(e *Engine, send SendFunc, workers, baseIndex int, onBlock func(BlockResult)) *Pipeline {
+func newPipeline(e *Engine, workers, baseIndex int, bufs *sync.Pool, sink Sink) *Pipeline {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if bufs == nil {
+		bufs = &sync.Pool{New: func() any { return new([]byte) }}
+	}
 	p := &Pipeline{
 		e:       e,
-		send:    send,
-		onBlock: onBlock,
+		sink:    sink,
 		workers: workers,
+		bufs:    bufs,
 		jobs:    make(chan pipeJob),
 		order:   make(chan chan pipeResult, workers*2),
 		done:    make(chan struct{}),
 		index:   baseIndex,
 	}
-	p.bufs.New = func() any { return new([]byte) }
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -123,39 +121,25 @@ func newPipeline(e *Engine, send SendFunc, workers, baseIndex int, onBlock func(
 	return p
 }
 
-// Workers returns the pool size.
-func (p *Pipeline) Workers() int { return p.workers }
-
-// Submit enqueues one block for compression and in-order transmission. An
-// empty (or nil) block is sent as a zero-length None frame — the heartbeat
-// convention — bypassing the selector and telemetry. Submit is asynchronous;
-// errors from earlier blocks surface on later Submits or on Close.
-func (p *Pipeline) Submit(block []byte) error { return p.submit(pipeJob{block: block}) }
-
-// SubmitSeq is Submit with a per-channel block sequence number: the frame
-// is emitted in version-3 format carrying seq (see codec.AppendFrameSeq).
-func (p *Pipeline) SubmitSeq(block []byte, seq uint64) error {
-	return p.submit(pipeJob{block: block, seq: seq, hasSeq: true})
+// sendSink is the Sink of a pipeline that feeds a transport: transmit each
+// frame (timing it into the goodput monitor and telemetry), report the
+// block to onBlock when non-nil, and hand the buffer back.
+func (e *Engine) sendSink(send SendFunc, onBlock func(BlockResult)) Sink {
+	return func(enc Encoded) (bool, error) {
+		if err := e.transmit(*enc.Buf, send, &enc.Job, &enc.Result); err != nil {
+			return false, err
+		}
+		if onBlock != nil {
+			onBlock(enc.Result)
+		}
+		return false, nil
+	}
 }
 
-// SubmitMethod enqueues a non-empty block whose compression method the
-// caller already selected, bypassing Engine.Decide on the worker. The encode
-// plane uses this to run selection once per method-equivalence class while
-// distinct (block, method) pairs still compress concurrently. The frame is
-// emitted in version-3 format carrying seq.
-func (p *Pipeline) SubmitMethod(block []byte, m codec.Method, seq uint64) error {
-	return p.submit(pipeJob{block: block, seq: seq, hasSeq: true, preDecided: true, method: m})
-}
-
-// SubmitMethodAnno is SubmitMethod for a block carrying a frame annotation:
-// anno is copied verbatim into the emitted v4 frame (propagating whatever
-// TLVs an upstream hop stamped), and tc — its parsed trace context — links
-// the encode/write spans this pipeline records to the originating trace.
-func (p *Pipeline) SubmitMethodAnno(block []byte, m codec.Method, seq uint64, anno []byte, tc tracing.Context) error {
-	return p.submit(pipeJob{block: block, seq: seq, hasSeq: true, preDecided: true, method: m, anno: anno, tc: tc})
-}
-
-func (p *Pipeline) submit(job pipeJob) error {
+// Submit enqueues one block for compression and in-order delivery to the
+// sink. Submit is asynchronous; errors from earlier blocks surface on later
+// Submits or on Close.
+func (p *Pipeline) Submit(j Job) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -166,24 +150,11 @@ func (p *Pipeline) submit(job pipeJob) error {
 		p.mu.Unlock()
 		return err
 	}
-	job.hb = len(job.block) == 0
-	job.out = make(chan pipeResult, 1)
-	if !job.hb {
-		job.index = p.index
-		p.index++
-	}
+	job := pipeJob{Job: j, index: p.index, out: make(chan pipeResult, 1)}
+	p.index++
 	p.mu.Unlock()
-	// Origin sampling: when this pipeline starts the trace (nothing
-	// upstream annotated the block), the head-based decision happens here,
-	// before the job races the worker pool.
-	if tr := p.e.tel.Tracer; !job.hb && len(job.anno) == 0 && !job.preDecided && tr.Sample() {
-		job.tc = tr.NewContext()
-		if !job.hasSeq {
-			job.seq, job.hasSeq = uint64(job.index)+1, true
-		}
-		job.anno = job.tc.AppendAnno(nil)
-		tr.Record(tracing.Span{Trace: job.tc.Trace, Seq: job.seq, Stream: p.e.tel.Stream, Stage: tracing.StageStamp, Start: job.tc.WallNs})
-	}
+	// Origin sampling happens here, before the job races the worker pool.
+	p.e.stamp(&job.Job, job.index)
 	if ins := p.e.tx; ins != nil {
 		ins.pipeDepth.Add(1)
 	}
@@ -194,14 +165,14 @@ func (p *Pipeline) submit(job pipeJob) error {
 	return nil
 }
 
-// Err returns the first compression or transmission error, if any.
+// Err returns the first compression or sink error, if any.
 func (p *Pipeline) Err() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.err
 }
 
-// Close waits for every submitted block to be compressed and transmitted,
+// Close waits for every submitted block to be compressed and delivered,
 // stops the workers, and returns the first error encountered. It is
 // idempotent.
 func (p *Pipeline) Close() error {
@@ -222,125 +193,67 @@ func (p *Pipeline) Close() error {
 	return p.err
 }
 
+// worker runs the encode step on one block at a time, into a pooled buffer.
 func (p *Pipeline) worker() {
 	defer p.wg.Done()
 	for job := range p.jobs {
-		job.out <- p.encode(job)
+		enc := Encoded{
+			Job:    job.Job,
+			Result: BlockResult{Index: job.index, Workers: p.workers},
+			Buf:    p.bufs.Get().(*[]byte),
+		}
+		frame, err := p.e.Encode((*enc.Buf)[:0], &enc.Job, &enc.Result)
+		*enc.Buf = frame // keeps the larger array when the encode outgrew the pooled one
+		job.out <- pipeResult{enc: enc, err: err}
 	}
 }
 
-// encode runs one block's Decide + frame encode on the calling worker,
-// into a pooled buffer.
-func (p *Pipeline) encode(job pipeJob) pipeResult {
-	e := p.e
-	bufp := p.bufs.Get().(*[]byte)
-	if job.hb {
-		frame, _, err := codec.AppendFrame((*bufp)[:0], e.reg, codec.None, nil)
-		return pipeResult{frame: frame, buf: bufp, hb: true, err: err}
-	}
-	res := BlockResult{Index: job.index, Workers: p.workers}
-	if job.preDecided {
-		res.Decision = selector.Decision{Method: job.method}
-	} else {
-		res.Decision = e.Decide(job.block)
-	}
-	res.Decision.Trace = job.tc.Trace
-	start := e.now()
-	frame, info, err := codec.AppendFrameOpts((*bufp)[:0], e.reg, res.Decision.Method, job.block,
-		codec.FrameOpts{Seq: job.seq, HasSeq: job.hasSeq, Anno: job.anno})
-	res.Info = info
-	res.CompressTime = e.now().Sub(start)
-	if scale := e.smp.SpeedScale; scale > 0 && scale != 1 {
-		res.CompressTime = time.Duration(float64(res.CompressTime) * scale)
-	}
-	if err != nil {
-		return pipeResult{buf: bufp, err: fmt.Errorf("core: encode block %d: %w", res.Index, err)}
-	}
-	res.WireBytes = len(frame)
-	seq := job.seq
-	if !job.hasSeq {
-		seq = uint64(job.index) + 1
-	}
-	return pipeResult{res: res, frame: frame, buf: bufp, tc: job.tc, seq: seq}
-}
-
-// emit is the sequencer: it drains results strictly in submission order,
-// transmits each frame, and feeds the realized outcome back into the
-// monitor and telemetry — the same end-to-end feedback the sequential loop
-// produces, just decoupled from the encode.
+// emit is the sequencer: it drains results strictly in submission order and
+// hands each to the sink. After the first error the remaining in-flight
+// results are drained without reaching the sink.
 func (p *Pipeline) emit() {
 	defer close(p.done)
 	for out := range p.order {
 		waitStart := time.Now()
 		r := <-out
-		wait := time.Since(waitStart)
+		r.enc.Result.PipelineWait = time.Since(waitStart)
 		if ins := p.e.tx; ins != nil {
 			ins.pipeDepth.Add(-1)
-			ins.pipeWait.ObserveDuration(wait)
+			ins.pipeWait.ObserveDuration(r.enc.Result.PipelineWait)
 		}
 		p.mu.Lock()
-		failed := p.err != nil
-		if !failed && r.err != nil {
+		if p.err == nil {
 			p.err = r.err
-			failed = true
 		}
+		failed := p.err != nil
 		p.mu.Unlock()
-		if failed {
-			p.recycle(r)
-			continue // drain the remaining in-flight results without sending
-		}
-		d, err := p.send(r.frame)
-		if err != nil {
-			p.mu.Lock()
-			if r.hb {
-				p.err = fmt.Errorf("core: send heartbeat: %w", err)
-			} else {
-				p.err = fmt.Errorf("core: send block %d: %w", r.res.Index, err)
-			}
-			p.mu.Unlock()
-			p.recycle(r)
-			continue
-		}
-		if !r.hb {
-			r.res.SendTime = d
-			r.res.PipelineWait = wait
-			p.e.mon.Observe(len(r.frame), d)
-			if r.tc.Valid() {
-				p.e.recordTxSpans(r.tc, r.seq, r.res, time.Now().UnixNano(), wait)
-			}
-			p.e.ObserveBlock(r.res)
-			if p.onBlock != nil {
-				p.onBlock(r.res)
+		keep := false
+		if !failed {
+			var err error
+			if keep, err = p.sink(r.enc); err != nil {
+				p.mu.Lock()
+				p.err = err
+				p.mu.Unlock()
 			}
 		}
-		p.recycle(r)
+		if !keep {
+			p.bufs.Put(r.enc.Buf)
+		}
 	}
-}
-
-// recycle returns a result's frame buffer to the pool, keeping the larger
-// array when the encode outgrew the pooled one.
-func (p *Pipeline) recycle(r pipeResult) {
-	if r.buf == nil {
-		return
-	}
-	if cap(r.frame) > cap(*r.buf) {
-		*r.buf = r.frame[:0]
-	}
-	p.bufs.Put(r.buf)
 }
 
 // streamPipelined is StreamBlocks' parallel path: it feeds the pre-cut
 // blocks through a fresh pipeline and collects the in-order results.
 func (s *Session) streamPipelined(blocks [][]byte, send SendFunc, onBlock func(BlockResult)) ([]BlockResult, error) {
 	results := make([]BlockResult, 0, len(blocks))
-	p := newPipeline(s.e, send, s.e.workers, s.index, func(r BlockResult) {
+	p := newPipeline(s.e, s.e.workers, s.index, nil, s.e.sendSink(send, func(r BlockResult) {
 		results = append(results, r)
 		if onBlock != nil {
 			onBlock(r)
 		}
-	})
+	}))
 	for _, block := range blocks {
-		if err := p.Submit(block); err != nil {
+		if err := p.Submit(Job{Block: block}); err != nil {
 			break // the first error also comes out of Close
 		}
 	}

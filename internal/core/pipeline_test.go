@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,16 +191,16 @@ func TestPipelineShutdownNoLeaks(t *testing.T) {
 		e := pipelineEngine(t, 4, blockSize, Telemetry{})
 		sent := 0
 		boom := errors.New("link down")
-		p := NewPipeline(e, func(frame []byte) (time.Duration, error) {
+		p := NewPipeline(e, 4, nil, e.sendSink(func(frame []byte) (time.Duration, error) {
 			sent++
 			if sent > 2 {
 				return 0, boom
 			}
 			return 0, nil
-		}, 4, nil)
+		}, nil))
 		var submitErr error
 		for i := 0; i < 64; i++ {
-			if submitErr = p.Submit(data[:blockSize]); submitErr != nil {
+			if submitErr = p.Submit(Job{Block: data[:blockSize]}); submitErr != nil {
 				break
 			}
 		}
@@ -229,9 +230,9 @@ func TestPipelineShutdownNoLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPipeline(e, func([]byte) (time.Duration, error) { return 0, nil }, 4, nil)
+		p := NewPipeline(e, 4, nil, e.sendSink(func([]byte) (time.Duration, error) { return 0, nil }, nil))
 		for i := 0; i < 8; i++ {
-			if err := p.Submit(data[:blockSize]); err != nil {
+			if err := p.Submit(Job{Block: data[:blockSize]}); err != nil {
 				break
 			}
 		}
@@ -242,16 +243,16 @@ func TestPipelineShutdownNoLeaks(t *testing.T) {
 
 	t.Run("early-close", func(t *testing.T) {
 		e := pipelineEngine(t, 4, blockSize, Telemetry{})
-		p := NewPipeline(e, func([]byte) (time.Duration, error) { return 0, nil }, 4, nil)
+		p := NewPipeline(e, 4, nil, e.sendSink(func([]byte) (time.Duration, error) { return 0, nil }, nil))
 		for i := 0; i < 6; i++ {
-			if err := p.Submit(data[i*blockSize : (i+1)*blockSize]); err != nil {
+			if err := p.Submit(Job{Block: data[i*blockSize : (i+1)*blockSize]}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Submit(data[:blockSize]); !errors.Is(err, ErrPipelineClosed) {
+		if err := p.Submit(Job{Block: data[:blockSize]}); !errors.Is(err, ErrPipelineClosed) {
 			t.Fatalf("Submit after Close = %v, want ErrPipelineClosed", err)
 		}
 		if err := p.Close(); err != nil {
@@ -336,7 +337,7 @@ func TestPipelineOverlap(t *testing.T) {
 
 // TestPipelineTelemetry checks the pipeline's observability wiring: the
 // in-flight depth gauge and sequencer-wait histogram exist and fill, trace
-// records carry the worker count, and sequence numbers survive SubmitSeq.
+// records carry the worker count, and submitted sequence numbers reach the wire.
 func TestPipelineTelemetry(t *testing.T) {
 	const blockSize = 4 << 10
 	met := metrics.NewRegistry()
@@ -345,14 +346,14 @@ func TestPipelineTelemetry(t *testing.T) {
 	data := pipelineCorpus(t, 12*blockSize)
 
 	var wire bytes.Buffer
-	p := NewPipeline(e, func(frame []byte) (time.Duration, error) {
+	p := NewPipeline(e, 3, nil, e.sendSink(func(frame []byte) (time.Duration, error) {
 		wire.Write(frame)
 		return time.Microsecond, nil
-	}, 3, nil)
+	}, nil))
 	var seq uint64
 	for off := 0; off < len(data); off += blockSize {
 		seq++
-		if err := p.SubmitSeq(data[off:off+blockSize], seq); err != nil {
+		if err := p.Submit(Job{Block: data[off : off+blockSize], Seq: seq, HasSeq: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -401,5 +402,107 @@ func TestPipelineTelemetry(t *testing.T) {
 	}
 	if want != 12 {
 		t.Fatalf("decoded %d sequenced frames, want 12", want)
+	}
+}
+
+// TestPipelineSinkOwnsBuffer is the ownership contract: a buffer the sink
+// keeps is the sink's — the pipeline never writes to it again, however many
+// later blocks its workers encode into the same pool. Every other frame is
+// kept and read by a second goroutine while the stream is still running
+// (under -race a stray write would trip the detector), and all kept frames
+// must still hold the sequential loop's bytes after Close.
+func TestPipelineSinkOwnsBuffer(t *testing.T) {
+	const blockSize = 8 << 10
+	data := pipelineCorpus(t, 40*blockSize)
+	var want [][]byte
+	s := NewSession(pipelineEngine(t, 1, blockSize, Telemetry{}))
+	if _, err := s.Stream(data, func(frame []byte) (time.Duration, error) {
+		want = append(want, bytes.Clone(frame))
+		return 0, nil
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	type kept struct {
+		index int
+		buf   *[]byte
+	}
+	var all []kept
+	watch := make(chan kept, len(want))
+	watched := make(chan error, 1)
+	go func() {
+		for k := range watch {
+			if !bytes.Equal(*k.buf, want[k.index]) {
+				watched <- fmt.Errorf("kept frame %d differs from the sequential frame on arrival", k.index)
+				return
+			}
+		}
+		watched <- nil
+	}()
+	pool := &sync.Pool{New: func() any { return new([]byte) }}
+	p := NewPipeline(pipelineEngine(t, 4, blockSize, Telemetry{}), 4, pool, func(enc Encoded) (bool, error) {
+		i := enc.Result.Index
+		if i%2 == 1 {
+			if !bytes.Equal(*enc.Buf, want[i]) {
+				return false, fmt.Errorf("frame %d differs from the sequential frame", i)
+			}
+			return false, nil // handed back: the pool may reuse it at once
+		}
+		k := kept{i, enc.Buf}
+		all = append(all, k)
+		watch <- k
+		return true, nil
+	})
+	for off := 0; off < len(data); off += blockSize {
+		if err := p.Submit(Job{Block: data[off : off+blockSize]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(watch)
+	if err := <-watched; err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(want)/2 {
+		t.Fatalf("kept %d frames, want %d", len(all), len(want)/2)
+	}
+	for _, k := range all {
+		if !bytes.Equal(*k.buf, want[k.index]) {
+			t.Fatalf("kept frame %d was overwritten after the sink took ownership", k.index)
+		}
+	}
+}
+
+// TestPipelineEmptyBlock: an empty block is a block. It yields the same
+// frame bytes and its own BlockResult whether the sequential loop or the
+// pipeline carries it.
+func TestPipelineEmptyBlock(t *testing.T) {
+	const blockSize = 4 << 10
+	data := pipelineCorpus(t, 2*blockSize)
+	blocks := [][]byte{data[:blockSize], {}, data[blockSize:]}
+	run := func(workers int) ([]byte, []BlockResult) {
+		var wire bytes.Buffer
+		s := NewSession(pipelineEngine(t, workers, blockSize, Telemetry{}))
+		res, err := s.StreamBlocks(blocks, func(frame []byte) (time.Duration, error) {
+			wire.Write(frame)
+			return 0, nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire.Bytes(), res
+	}
+	want, wantRes := run(1)
+	got, gotRes := run(4)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("4-worker stream with an empty block differs from sequential: %d vs %d bytes", len(got), len(want))
+	}
+	if len(wantRes) != len(blocks) || len(gotRes) != len(blocks) {
+		t.Fatalf("results: sequential %d, pipelined %d, want %d each", len(wantRes), len(gotRes), len(blocks))
+	}
+	if gotRes[1].Index != 1 || gotRes[1].Info.OrigLen != 0 || gotRes[1].WireBytes != wantRes[1].WireBytes {
+		t.Fatalf("empty block's result = %+v, sequential reported %+v", gotRes[1], wantRes[1])
 	}
 }

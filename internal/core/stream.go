@@ -39,7 +39,7 @@ func NewWriter(w io.Writer, e *Engine, onBlock func(BlockResult)) *Writer {
 		onBlock: onBlock,
 	}
 	if e.workers > 1 {
-		wr.pipe = NewPipeline(e, wr.send, e.workers, onBlock)
+		wr.pipe = NewPipeline(e, e.workers, nil, e.sendSink(wr.send, onBlock))
 	}
 	return wr
 }
@@ -83,7 +83,7 @@ func (w *Writer) flushBlock() error {
 	if w.pipe != nil {
 		// Ownership of block transfers to the pipeline (a fresh buffer was
 		// just allocated above, so the Writer never mutates it again).
-		return w.pipe.Submit(block)
+		return w.pipe.Submit(Job{Block: block})
 	}
 	// The next block is unknown in streaming mode, so the probe runs at
 	// Decide time for each block (the synchronous fallback).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-
 	"time"
 
 	"ccx/internal/codec"
@@ -143,15 +142,14 @@ func (e *Engine) ObserveBlock(res BlockResult) {
 // recordTxSpans appends the send-side span set for one sampled block. The
 // spans are reconstructed backwards from endNs (the wall clock right after
 // the write returned) using the measured phase durations, so the unsampled
-// hot path takes zero extra timestamps. pipeWait is the sequencer stall
-// (0 on the sequential loop).
-func (e *Engine) recordTxSpans(tc tracing.Context, seq uint64, res BlockResult, endNs int64, pipeWait time.Duration) {
+// hot path takes zero extra timestamps.
+func (e *Engine) recordTxSpans(tc tracing.Context, seq uint64, res BlockResult, endNs int64) {
 	tr := e.tel.Tracer
 	if tr == nil || !tc.Valid() {
 		return
 	}
 	wr := int64(res.SendTime)
-	wait := int64(pipeWait)
+	wait := int64(res.PipelineWait) // sequencer stall; 0 on the sequential loop
 	enc := int64(res.CompressTime)
 	probe := int64(res.Decision.Inputs.ProbeTime)
 	method := res.Info.Method.String()

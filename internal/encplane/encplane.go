@@ -241,20 +241,7 @@ func (p *Plane) Channel(name string) *Channel {
 		queuedHWM:    p.met.Gauge(fmt.Sprintf("chan.%s.queued_bytes_hwm", name)),
 	}
 	c.cache.maxBytes = p.effCache.Load()
-	send := func(frame []byte) (time.Duration, error) {
-		// Copy out of the pipeline's recyclable scratch into a refcounted
-		// buffer; the sequencer's onBlock below fans it out.
-		job := c.peekPending()
-		c.inflight = c.copyFrame(frame, job.seq, job.method, codec.BlockInfo{})
-		return 0, nil
-	}
-	onBlock := func(r core.BlockResult) {
-		f := c.inflight
-		c.inflight = nil
-		f.info = r.Info
-		c.fanOut(f, c.popPending(), r)
-	}
-	c.pipe = core.NewPipeline(p.engine, send, p.workers, onBlock)
+	c.pipe = core.NewPipeline(p.engine, p.workers, &p.bufs, c.sink)
 	p.chans[name] = c
 	return c
 }
@@ -303,19 +290,10 @@ type Channel struct {
 	pipeClosed bool
 	pipe       *core.Pipeline
 
-	// pending is the FIFO of job contexts, appended before each pipeline
-	// submission and consumed by the sequencer in the same order — valid
-	// because the sequencer emits strictly in submission order and an
-	// errored job permanently latches the pipeline (sends stay a prefix of
-	// submissions).
-	pendMu   sync.Mutex
-	pending  []pendingJob
-	inflight *Frame // set by send, consumed by onBlock; sequencer-local
-
 	// jobs counts pipeline encode jobs submitted but not yet fanned out —
 	// incremented per submission, decremented on the sequencer only after
 	// every class delivery for the job has been offered. It fences the raw
-	// fast path: publishRaw may bypass the pipeline only when jobs == 0,
+	// fast path: Publish may bypass the pipeline only when jobs == 0,
 	// because only then is "deliver now" guaranteed to land after every
 	// earlier block in every member queue.
 	jobs atomic.Int64
@@ -345,47 +323,15 @@ type jobMember struct {
 	placement selector.Placement
 }
 
-// pendingJob carries one (block, method) encode's fan-out context.
-type pendingJob struct {
-	seq     uint64
-	method  codec.Method
-	members []jobMember
-	data    []byte
+// publication is what one Publish shares across its per-method encode
+// jobs: the membership snapshot, the block's probe and the publish time. It
+// rides through the pipeline as Job.Ctx (the block, sequence number, method,
+// annotation and trace context are Job fields already) and is read-only once
+// the first job is submitted.
+type publication struct {
+	classes map[codec.Method][]jobMember
 	probe   sampling.ProbeResult
 	at      time.Time
-	// anno is the block's frame annotation (propagated into every class's
-	// encoded frame) and tc its parsed trace context, parsed once per
-	// publish rather than once per class.
-	anno []byte
-	tc   tracing.Context
-}
-
-func (c *Channel) pushPending(j pendingJob) {
-	c.pendMu.Lock()
-	c.pending = append(c.pending, j)
-	c.pendMu.Unlock()
-}
-
-// popPendingTail undoes a pushPending whose submission was refused.
-func (c *Channel) popPendingTail() {
-	c.pendMu.Lock()
-	c.pending = c.pending[:len(c.pending)-1]
-	c.pendMu.Unlock()
-}
-
-func (c *Channel) peekPending() pendingJob {
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	return c.pending[0]
-}
-
-func (c *Channel) popPending() pendingJob {
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	j := c.pending[0]
-	c.pending[0] = pendingJob{}
-	c.pending = c.pending[1:]
-	return j
 }
 
 // Delivery hands one shared frame to a member's queue. The receiver owns
@@ -447,34 +393,10 @@ func (c *Channel) JoinPlaced(m codec.Method, pl selector.Placement, deliver Deli
 	return mb
 }
 
-// Method returns the member's current class method.
-func (m *Member) Method() codec.Method {
-	m.ch.mu.Lock()
-	defer m.ch.mu.Unlock()
-	return m.method
-}
-
-// Placement returns the member's current class placement.
-func (m *Member) Placement() selector.Placement {
-	m.ch.mu.Lock()
-	defer m.ch.mu.Unlock()
-	return m.placement
-}
-
-// Migrate moves the member to a new method class, keeping its placement.
-// The move is atomic with respect to publishes: each publish snapshots
-// membership once, so a migrating member lands in exactly one class per
-// block — no block is duplicated or dropped across the migration.
-func (m *Member) Migrate(to codec.Method) {
-	c := m.ch
-	c.mu.Lock()
-	pl := m.placement
-	c.mu.Unlock()
-	m.MigratePlaced(to, pl)
-}
-
-// MigratePlaced moves the member to the (method, placement) class, with the
-// same atomicity as Migrate.
+// MigratePlaced moves the member to the (method, placement) class. The move
+// is atomic with respect to publishes: each publish snapshots membership
+// once, so a migrating member lands in exactly one class per block — no
+// block is duplicated or dropped across the migration.
 func (m *Member) MigratePlaced(to codec.Method, pl selector.Placement) {
 	c := m.ch
 	c.mu.Lock()
@@ -547,8 +469,8 @@ func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
 	}
 	// rawOnly: every member sits in the (None, receiver) class — the whole
 	// channel ships raw frames for downstream compression, so the encode
-	// pipeline would add a hop (copy into scratch, sequencer handoff) for
-	// an encode that is pure framing.
+	// pipeline would add a worker and a sequencer handoff for an encode that
+	// is pure framing.
 	rawOnly := true
 	classes := make(map[codec.Method][]jobMember, 4)
 	for m := range c.members {
@@ -561,37 +483,41 @@ func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
 
 	// The probe still runs on the fast path: auto-placement members that
 	// currently sit offloaded need it at dequeue to decide a flip back.
-	probe := c.ProbeFor(data, seq)
-	at := time.Now()
-	var tc tracing.Context
+	pub := &publication{classes: classes, probe: c.ProbeFor(data, seq), at: time.Now()}
+	job := core.Job{Block: data, Seq: seq, HasSeq: true, PreDecided: true, Anno: anno, Ctx: pub}
 	if len(anno) > 0 {
-		tc = tracing.ParseAnno(anno)
+		job.TC = tracing.ParseAnno(anno)
 	}
 
-	if rawOnly && c.jobs.Load() == 0 {
-		// Receiver-raw fast path: frame inline and deliver synchronously,
-		// skipping the encode shard entirely. jobs == 0 guarantees every
-		// earlier pipeline block already reached the member queues, so
-		// per-member sequence order survives the bypass; the caller
-		// serializes publishes per channel, so later pipeline submissions
-		// sequence after this delivery too.
-		c.publishRaw(data, seq, anno, classes[codec.None], probe, at, tc)
-		return
-	}
-
+	// pipeMu also orders the inline fast path against close, which purges
+	// the cache only after the frame was parked there.
 	c.pipeMu.Lock()
 	defer c.pipeMu.Unlock()
 	if c.pipeClosed {
 		return
 	}
-	for method, members := range classes {
-		c.pushPending(pendingJob{
-			seq: seq, method: method, members: members,
-			data: data, probe: probe, at: at, anno: anno, tc: tc,
-		})
+	if rawOnly && c.jobs.Load() == 0 {
+		// Receiver-raw fast path: frame inline (job.Method is None) and
+		// deliver synchronously — no pipeline submit, no sequencer handoff.
+		// jobs == 0 guarantees every earlier pipeline block already reached
+		// the member queues, so per-member sequence order survives the
+		// bypass; the caller serializes publishes per channel, so later
+		// pipeline submissions sequence after this delivery too. The frame
+		// still lands in the cache, so resume replays hit it exactly as they
+		// would a pipeline-encoded frame.
+		buf, res, err := c.encodeInline(&job)
+		if err != nil {
+			c.p.logf("encplane: %s: raw frame: %v", c.name, err)
+			return
+		}
+		c.p.rawFast.Inc()
+		c.putCache(c.admit(buf, &job, &res, "raw fan-out (fast path, encode shard skipped)"))
+		return
+	}
+	for method := range classes {
+		job.Method = method
 		c.jobs.Add(1)
-		if err := c.pipe.SubmitMethodAnno(data, method, seq, anno, tc); err != nil {
-			c.popPendingTail()
+		if err := c.pipe.Submit(job); err != nil {
 			c.jobs.Add(-1)
 			c.p.errors.Inc()
 			c.p.logf("encplane: %s: submit %s: %v", c.name, method, err)
@@ -600,144 +526,103 @@ func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
 	}
 }
 
-// publishRaw is the receiver-raw fast path: build the None frame on the
-// publishing goroutine and offer it to every (None, receiver) member
-// immediately — no pipeline submit, no sequencer handoff, no extra copy.
-// The frame still lands in the cache, so resume replays hit it exactly as
-// they would a pipeline-encoded frame. Holding pipeMu keeps the bypass
-// ordered against close (close purges the cache after we park the frame).
-func (c *Channel) publishRaw(data []byte, seq uint64, anno []byte, members []jobMember, probe sampling.ProbeResult, at time.Time, tc tracing.Context) {
-	c.pipeMu.Lock()
-	defer c.pipeMu.Unlock()
-	if c.pipeClosed {
-		return
+// sink receives each pipeline-encoded frame, in submission order, on the
+// sequencer goroutine, and keeps its buffer: the shared Frame is built
+// directly on it and the buffer returns to the plane's pool on the frame's
+// last Release. The jobs decrement comes last — only once every delivery has
+// been offered may the raw fast path consider the pipeline quiescent.
+func (c *Channel) sink(enc core.Encoded) (bool, error) {
+	if c.p.pipeWait != nil {
+		c.p.pipeWait(enc.Result.PipelineWait)
 	}
-	bufp := c.p.bufs.Get().(*[]byte)
-	frame, info, err := codec.AppendFrameOpts((*bufp)[:0], c.p.reg, codec.None, data, codec.FrameOpts{Seq: seq, HasSeq: true, Anno: anno})
-	if err != nil {
-		c.p.bufs.Put(bufp)
-		c.p.errors.Inc()
-		c.p.logf("encplane: %s: raw frame: %v", c.name, err)
-		return
-	}
-	*bufp = frame
-	f := c.newFrame(bufp, frame, seq, codec.None, info)
-	c.p.encodes.Inc()
-	c.p.misses.Inc()
-	c.p.encBytes.Add(int64(len(frame)))
-	c.p.rawFast.Inc()
-
-	delivered := 0
-	for _, jm := range members {
-		f.Retain()
-		if jm.mb.deliver(Delivery{Frame: f, Data: data, Probe: probe, At: at, Anno: anno, TC: tc}) {
-			delivered++
-		} else {
-			f.Release()
-		}
-	}
-	c.p.deliveries.Add(int64(delivered))
-	if delivered > 0 {
-		c.p.placementDel[selector.PlacementReceiver].Add(int64(delivered))
-	}
-	if tr := c.p.tracer; tr != nil && tc.Valid() {
-		tr.Record(tracing.Span{
-			Trace:      tc.Trace,
-			Seq:        seq,
-			Stream:     "encplane",
-			Stage:      tracing.StageEncode,
-			Start:      time.Now().UnixNano(),
-			OriginWall: tc.WallNs,
-			Method:     info.Method.String(),
-			Class:      c.name + "/" + codec.None.String(),
-			Bytes:      len(frame),
-		})
-	}
-	if c.p.trace != nil {
-		c.p.trace.Add(obs.Record{
-			Stream:    "encplane",
-			Block:     int(seq),
-			BlockLen:  len(data),
-			Method:    info.Method.String(),
-			Placement: selector.PlacementReceiver.String(),
-			Reason:    fmt.Sprintf("raw fan-out for %d subscriber(s) (fast path, encode shard skipped)", len(members)),
-			WireBytes: len(frame),
-			Ratio:     info.Ratio(),
-			FrameSeq:  seq,
-			Class:     c.name + "/" + codec.None.String(),
-			ClassSubs: len(members),
-			Workers:   1,
-			Trace:     tc.Trace,
-		})
-	}
-	c.putCache(f) // transfers the creator reference
+	c.putCache(c.admit(enc.Buf, &enc.Job, &enc.Result, "encoded once for the class"))
+	c.jobs.Add(-1)
+	return true, nil
 }
 
-// fanOut runs on the pipeline sequencer: account the fresh frame, deliver
-// it to every class member, and park it in the cache for resume replays.
-// The jobs decrement comes last — only once every delivery has been
-// offered may the raw fast path consider the pipeline quiescent.
-func (c *Channel) fanOut(f *Frame, job pendingJob, r core.BlockResult) {
-	defer c.jobs.Add(-1)
-	c.p.encodes.Inc()
-	c.p.misses.Inc()
-	c.p.encBytes.Add(int64(f.Len()))
-	c.p.encLat.ObserveDuration(r.CompressTime)
-	if c.p.pipeWait != nil {
-		c.p.pipeWait(r.PipelineWait)
+// encodeInline frames j on the calling goroutine into a pooled buffer, for
+// the two paths that bypass the pipeline (raw fast path, EncodeCached miss).
+func (c *Channel) encodeInline(j *core.Job) (*[]byte, core.BlockResult, error) {
+	buf := c.p.bufs.Get().(*[]byte)
+	res := core.BlockResult{Workers: 1}
+	frame, err := c.p.engine.Encode((*buf)[:0], j, &res)
+	*buf = frame
+	if err != nil {
+		c.p.bufs.Put(buf)
+		c.p.errors.Inc()
+		return nil, res, err
 	}
+	return buf, res, nil
+}
 
-	delivered := 0
+// admit turns one freshly encoded buffer into a shared Frame and is the one
+// place such a frame is accounted: encode counters and latency, fan-out to
+// the members its publication snapshotted for the job's method (an on-demand
+// encode has no publication and fans out to nobody), the encode span, and
+// the decision record. The caller holds the returned frame's creator
+// reference.
+func (c *Channel) admit(buf *[]byte, j *core.Job, res *core.BlockResult, reason string) *Frame {
+	p := c.p
+	f := c.newFrame(buf, j.Seq, j.Method, res.Info)
+	p.encodes.Inc()
+	p.misses.Inc()
+	p.encBytes.Add(int64(f.Len()))
+	p.encLat.ObserveDuration(res.CompressTime)
+
+	d := Delivery{Frame: f, Data: j.Block, Anno: j.Anno, TC: j.TC}
+	var members []jobMember
+	if pub, ok := j.Ctx.(*publication); ok {
+		members, d.Probe, d.At = pub.classes[j.Method], pub.probe, pub.at
+	}
 	var byPlacement [selector.NumPlacements]int64
-	for _, jm := range job.members {
+	for _, jm := range members {
 		f.Retain()
-		if jm.mb.deliver(Delivery{Frame: f, Data: job.data, Probe: job.probe, At: job.at, Anno: job.anno, TC: job.tc}) {
-			delivered++
+		if jm.mb.deliver(d) {
 			byPlacement[jm.placement]++
 		} else {
 			f.Release()
 		}
 	}
-	c.p.deliveries.Add(int64(delivered))
 	for pl, n := range byPlacement {
 		if n > 0 {
-			c.p.placementDel[pl].Add(n)
+			p.deliveries.Add(n)
+			p.placementDel[pl].Add(n)
 		}
 	}
-	if tr := c.p.tracer; tr != nil && job.tc.Valid() {
+	if tr := p.tracer; tr != nil && j.TC.Valid() {
 		tr.Record(tracing.Span{
-			Trace:      job.tc.Trace,
-			Seq:        job.seq,
+			Trace:      j.TC.Trace,
+			Seq:        j.Seq,
 			Stream:     "encplane",
 			Stage:      tracing.StageEncode,
-			Start:      time.Now().UnixNano() - r.CompressTime.Nanoseconds(),
-			Dur:        r.CompressTime.Nanoseconds(),
-			OriginWall: job.tc.WallNs,
+			Start:      time.Now().UnixNano() - res.CompressTime.Nanoseconds(),
+			Dur:        res.CompressTime.Nanoseconds(),
+			OriginWall: j.TC.WallNs,
 			Method:     f.info.Method.String(),
-			Class:      c.name + "/" + job.method.String(),
+			Class:      c.name + "/" + j.Method.String(),
 			Bytes:      f.Len(),
 		})
 	}
-	if c.p.trace != nil {
-		c.p.trace.Add(obs.Record{
+	if p.trace != nil {
+		p.trace.Add(obs.Record{
 			Stream:    "encplane",
-			Block:     int(job.seq),
-			BlockLen:  len(job.data),
+			Block:     int(j.Seq),
+			BlockLen:  len(j.Block),
 			Method:    f.info.Method.String(),
 			Placement: placementSpread(byPlacement),
-			Reason:    fmt.Sprintf("encoded once for %d subscriber(s)", len(job.members)),
+			Reason:    reason,
 			WireBytes: f.Len(),
 			Ratio:     f.info.Ratio(),
-			EncodeNs:  r.CompressTime.Nanoseconds(),
+			EncodeNs:  res.CompressTime.Nanoseconds(),
 			Fallback:  f.info.Fallback,
-			FrameSeq:  job.seq,
-			Class:     c.name + "/" + job.method.String(),
-			ClassSubs: len(job.members),
-			Workers:   r.Workers,
-			Trace:     job.tc.Trace,
+			FrameSeq:  j.Seq,
+			Class:     c.name + "/" + j.Method.String(),
+			ClassSubs: len(members),
+			Workers:   res.Workers,
+			Trace:     j.TC.Trace,
 		})
 	}
-	c.putCache(f) // transfers the creator reference
+	return f
 }
 
 // EncodeCached returns the (seq, method) frame, serving from the cache when
@@ -746,23 +631,23 @@ func (c *Channel) fanOut(f *Frame, job pendingJob, r core.BlockResult) {
 // many subscribers need the same (block, method) pair, it is encoded at most
 // once while the frame stays cached.
 func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []byte) (*Frame, error) {
-	var tc tracing.Context
+	job := core.Job{Block: data, Seq: seq, HasSeq: true, Method: m, PreDecided: true, Anno: anno}
 	if len(anno) > 0 {
-		tc = tracing.ParseAnno(anno)
+		job.TC = tracing.ParseAnno(anno)
 	}
 	c.mu.Lock()
 	if f, ok := c.cache.get(seq, m); ok {
 		f.Retain()
 		c.mu.Unlock()
 		c.p.hits.Inc()
-		if tr := c.p.tracer; tr != nil && tc.Valid() {
+		if tr := c.p.tracer; tr != nil && job.TC.Valid() {
 			tr.Record(tracing.Span{
-				Trace:      tc.Trace,
+				Trace:      job.TC.Trace,
 				Seq:        seq,
 				Stream:     "encplane",
 				Stage:      tracing.StageEncode,
 				Start:      time.Now().UnixNano(),
-				OriginWall: tc.WallNs,
+				OriginWall: job.TC.WallNs,
 				Method:     f.info.Method.String(),
 				Class:      c.name + "/" + m.String(),
 				CacheHit:   true,
@@ -783,34 +668,11 @@ func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []b
 	}
 	c.mu.Unlock()
 
-	bufp := c.p.bufs.Get().(*[]byte)
-	start := time.Now()
-	frame, info, err := codec.AppendFrameOpts((*bufp)[:0], c.p.reg, m, data, codec.FrameOpts{Seq: seq, HasSeq: true, Anno: anno})
+	buf, res, err := c.encodeInline(&job)
 	if err != nil {
-		c.p.bufs.Put(bufp)
-		c.p.errors.Inc()
 		return nil, err
 	}
-	*bufp = frame
-	c.p.encodes.Inc()
-	c.p.misses.Inc()
-	c.p.encBytes.Add(int64(len(frame)))
-	c.p.encLat.ObserveDuration(time.Since(start))
-	if tr := c.p.tracer; tr != nil && tc.Valid() {
-		tr.Record(tracing.Span{
-			Trace:      tc.Trace,
-			Seq:        seq,
-			Stream:     "encplane",
-			Stage:      tracing.StageEncode,
-			Start:      start.UnixNano(),
-			Dur:        time.Since(start).Nanoseconds(),
-			OriginWall: tc.WallNs,
-			Method:     info.Method.String(),
-			Class:      c.name + "/" + m.String(),
-			Bytes:      len(frame),
-		})
-	}
-	f := c.newFrame(bufp, frame, seq, m, info)
+	f := c.admit(buf, &job, &res, "encoded on demand (replay or migration)")
 	f.Retain()    // the caller's reference
 	c.putCache(f) // transfers the creator reference
 	return f, nil

@@ -277,7 +277,7 @@ func TestClassesGaugeTracksDistinctMethods(t *testing.T) {
 	if g.Value() != 1 {
 		t.Fatalf("classes = %d after two None joins, want 1", g.Value())
 	}
-	b.Migrate(codec.LempelZiv)
+	b.MigratePlaced(codec.LempelZiv, selector.PlacementPublisher)
 	if g.Value() != 2 {
 		t.Fatalf("classes = %d after migration, want 2", g.Value())
 	}
@@ -304,7 +304,7 @@ func TestMemberSeqMonotonicThroughMigrations(t *testing.T) {
 	data := bytes.Repeat([]byte("sequenced payload "), 64)
 	for seq := uint64(1); seq <= n; seq++ {
 		ch.Publish(data, seq)
-		mb.Migrate(allMethods[int(seq)%len(allMethods)])
+		mb.MigratePlaced(allMethods[int(seq)%len(allMethods)], selector.PlacementPublisher)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestRefcountChurnStorm(t *testing.T) {
 				mb := ch.Join(allMethods[rng.Intn(len(allMethods))], col.deliver)
 				spins := rng.Intn(4) + 1
 				for j := 0; j < spins; j++ {
-					mb.Migrate(allMethods[rng.Intn(len(allMethods))])
+					mb.MigratePlaced(allMethods[rng.Intn(len(allMethods))], selector.PlacementPublisher)
 					time.Sleep(time.Duration(rng.Intn(150)) * time.Microsecond)
 					// Partial drain keeps queues churning between refusal
 					// (full) and acceptance.
@@ -451,5 +451,46 @@ func TestRefcountChurnStorm(t *testing.T) {
 	}
 	if g := met.Gauge("chan.md.queued_bytes").Value(); g != 0 {
 		t.Fatalf("chan.md.queued_bytes = %d after quiesce, want 0", g)
+	}
+}
+
+// TestClosedChannelCachesNothing pins the teardown leak: a write loop that
+// outlives the plane can still encode on demand after the final cache purge,
+// and that frame must not be parked in a cache nobody will purge again.
+func TestClosedChannelCachesNothing(t *testing.T) {
+	p, _ := newTestPlane(t, nil)
+	ch := p.Channel("md")
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ch.EncodeCached([]byte("after the purge"), 1, codec.LempelZiv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	if frames, bytes := p.LiveFrames(), p.LiveBytes(); frames != 0 || bytes != 0 {
+		t.Fatalf("after close + EncodeCached + Release: %d live frames, %d live bytes, want 0/0", frames, bytes)
+	}
+}
+
+// TestPublishAfterCloseQueuesNothing: a publish the closed pipeline refuses
+// leaves no job context, frame or delivery behind.
+func TestPublishAfterCloseQueuesNothing(t *testing.T) {
+	p, met := newTestPlane(t, nil)
+	ch := p.Channel("md")
+	col := newCollector(4)
+	ch.Join(codec.Huffman, col.deliver)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ch.Publish([]byte("too late"), 1)
+	if frames, _ := col.stop(); len(frames) != 0 {
+		t.Fatalf("%d deliveries after close, want 0", len(frames))
+	}
+	if n := met.Counter("encplane.encodes").Value(); n != 0 {
+		t.Fatalf("encodes = %d after close, want 0", n)
+	}
+	if frames, bytes := p.LiveFrames(), p.LiveBytes(); frames != 0 || bytes != 0 {
+		t.Fatalf("after refused publish: %d live frames, %d live bytes, want 0/0", frames, bytes)
 	}
 }

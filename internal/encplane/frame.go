@@ -81,24 +81,14 @@ func (f *Frame) Release() {
 	}
 }
 
-// newFrame wraps an encoded frame held in a pooled buffer the caller owns.
-// The returned frame holds one (creator) reference.
-func (c *Channel) newFrame(bufp *[]byte, b []byte, seq uint64, m codec.Method, info codec.BlockInfo) *Frame {
-	f := &Frame{bufp: bufp, b: b, ch: c, seq: seq, method: m, info: info}
+// newFrame wraps the encoded frame *bufp, a pooled buffer whose ownership
+// the caller hands over. The returned frame holds one (creator) reference.
+func (c *Channel) newFrame(bufp *[]byte, seq uint64, m codec.Method, info codec.BlockInfo) *Frame {
+	f := &Frame{bufp: bufp, b: *bufp, ch: c, seq: seq, method: m, info: info}
 	f.refs.Store(1)
 	c.p.framesLive.Add(1)
-	c.noteBytes(int64(len(b)))
+	c.noteBytes(int64(len(f.b)))
 	return f
-}
-
-// copyFrame is newFrame for a buffer the caller does NOT own (the encode
-// pipeline recycles its scratch right after send returns): the bytes are
-// copied into a pool-backed buffer first.
-func (c *Channel) copyFrame(b []byte, seq uint64, m codec.Method, info codec.BlockInfo) *Frame {
-	bufp := c.p.bufs.Get().(*[]byte)
-	buf := append((*bufp)[:0], b...)
-	*bufp = buf
-	return c.newFrame(bufp, buf, seq, m, info)
 }
 
 // reclaim runs on the final Release: undo byte accounting, poison the
@@ -138,6 +128,10 @@ type frameCache struct {
 	bytes    int64
 	entries  map[cacheKey]*Frame
 	fifo     []cacheKey
+	// closed is set by the final purge: a write loop that outlives the
+	// channel may still encode on demand, and a frame cached after the last
+	// purge would hold its reference forever.
+	closed bool
 }
 
 func (fc *frameCache) get(seq uint64, m codec.Method) (*Frame, bool) {
@@ -147,11 +141,11 @@ func (fc *frameCache) get(seq uint64, m codec.Method) (*Frame, bool) {
 
 // put inserts f, transferring the caller's reference to the cache, and
 // returns the frames evicted to stay within budget. When f cannot be
-// retained (duplicate key, zero budget, or alone over budget) it is
-// returned among the evicted, i.e. the reference comes straight back.
+// retained (closed cache, duplicate key, zero budget, or alone over budget)
+// it is returned among the evicted, i.e. the reference comes straight back.
 func (fc *frameCache) put(f *Frame) (evicted []*Frame) {
 	k := cacheKey{f.seq, f.method}
-	if _, dup := fc.entries[k]; dup || int64(f.Len()) > fc.maxBytes {
+	if _, dup := fc.entries[k]; fc.closed || dup || int64(f.Len()) > fc.maxBytes {
 		return []*Frame{f}
 	}
 	if fc.entries == nil {
@@ -186,13 +180,14 @@ func (fc *frameCache) trimTo(budget int64) (evicted []*Frame) {
 	return evicted
 }
 
-// purge empties the cache, returning every retained frame for release.
+// purge empties and closes the cache, returning every retained frame for
+// release.
 func (fc *frameCache) purge() []*Frame {
 	out := make([]*Frame, 0, len(fc.entries))
 	for _, f := range fc.entries {
 		out = append(out, f)
 	}
-	fc.entries, fc.fifo, fc.bytes = nil, nil, 0
+	fc.entries, fc.fifo, fc.bytes, fc.closed = nil, nil, 0, true
 	return out
 }
 

@@ -110,6 +110,16 @@ func TestMetricNameManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Read only once all three blocks sit with the subscriber: the pipe
+	// blocks its write loop on the first frame, so at least two of them go
+	// out as one vectored batch and the writev counters always register.
+	queued := time.Now().Add(5 * time.Second)
+	for delivered := reg.Counter("encplane.deliveries"); delivered.Value() < 3; {
+		if time.Now().After(queued) {
+			t.Fatal("published blocks never reached the subscriber's queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	fr := codec.NewFrameReader(client, nil)
 	for got := 0; got < 3; {

@@ -159,17 +159,6 @@ func (l *Link) available(t time.Time) float64 {
 	return l.prof.RateBps * (1 - loadFrac) * jitter
 }
 
-// AvailableRate samples the link's instantaneous available rate in bytes/s
-// (after background load, with jitter), without recording a transfer.
-// Bandwidth estimators (internal/bwest) use this as the ground truth their
-// probes experience; repeated calls draw fresh jitter, so measurements see
-// realistic noise.
-func (l *Link) AvailableRate() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.available(l.clock.Now())
-}
-
 // TransferTime computes (and records) the time to push n bytes through the
 // link at the clock's current moment: latency plus serialization at the
 // currently available rate.
