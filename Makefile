@@ -6,7 +6,7 @@ SOAK_SUBS ?= 1000
 SOAK_OUT ?= soak-metrics.jsonl
 SOAK_GOMEMLIMIT ?= 512MiB
 
-.PHONY: all build test race vet benchmark-check swarm swarm-gate swarm-baseline breakeven soak clean
+.PHONY: all build test race vet loc benchmark-check swarm swarm-gate swarm-baseline breakeven soak clean
 
 all: build test
 
@@ -21,6 +21,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the two size figures ROADMAP and CHANGES.md track: non-test Go
+# lines outside benchmark/ (comments and blanks included) and the number of
+# packages.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "packages: $$($(GO) list ./... | wc -l)"
 
 # benchmark-check builds, vets and tests the benchmark (its own module under
 # benchmark/, which tier-1 does not compile) against this tree's internal/

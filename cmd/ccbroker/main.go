@@ -72,7 +72,7 @@ func run(args []string, stop chan struct{}) error {
 		channels = fs.String("channels", "events", "comma-separated channel names to serve")
 		queueLen = fs.Int("queue", broker.DefaultQueueLen, "bounded outbound queue per subscriber, in events")
 		policy   = fs.String("policy", "drop", "slow-subscriber policy: drop (oldest) | evict")
-		placemnt = fs.String("placement", "publisher", "default compression placement for subscriber paths: publisher (broker-side encode, the default), receiver (ship raw, consumers decompress nothing), auto (per-path break-even); a version-3 subscriber hello overrides this per session")
+		placemnt = fs.String("placement", "publisher", "default compression placement for subscriber paths: publisher (broker-side encode, the default), receiver (ship raw, consumers decompress nothing), auto (per-path break-even); a subscriber hello that names a placement overrides this per session")
 		block    = fs.Int("block", 64<<10, "block size hint for per-subscriber selection engines")
 		workers  = fs.Int("workers", 0, "encode worker goroutines in the shared encode plane, per channel; distinct (block, method) pairs compress in parallel but hit the wire in order (0 = GOMAXPROCS, 1 = sequential)")
 		shards   = fs.Int("shards", 0, "channel event-loop shards, rounded up to a power of two (0 = GOMAXPROCS-aligned, 1 = single-loop reference)")
@@ -84,7 +84,6 @@ func run(args []string, stop chan struct{}) error {
 		wto      = fs.Duration("wtimeout", 0, "per-write deadline on subscriber links (0 = none)")
 		speed    = fs.Float64("speedscale", 0, "divide measured reducing speeds by this factor (0 = off)")
 		interval = fs.Duration("metrics-interval", 0, "dump a metrics JSON snapshot to stderr at this interval (0 disables)")
-		stats    = fs.Duration("stats", 0, "deprecated alias for -metrics-interval")
 		debug    = fs.String("debug", "", "serve /metrics, /debug/vars, /debug/decisions, and /debug/pprof on this HTTP address (empty disables)")
 		traceLen = fs.Int("trace", obs.DefaultLogSize, "decision-trace ring capacity in records (served at /debug/decisions)")
 		trRate   = fs.Float64("trace-sample", 0, "distributed-trace head-sampling rate for unannotated blocks (0..1); annotated blocks always trace through, as do anomalies")
@@ -198,11 +197,7 @@ func run(args []string, stop chan struct{}) error {
 		defer dbg.Close()
 		fmt.Fprintf(os.Stderr, "ccbroker: debug plane on http://%s/\n", dbg.Addr())
 	}
-	dumpEvery := *interval
-	if dumpEvery <= 0 {
-		dumpEvery = *stats
-	}
-	stopDump := obs.DumpEvery(b.Metrics(), dumpEvery, os.Stderr)
+	stopDump := obs.DumpEvery(b.Metrics(), *interval, os.Stderr)
 	defer stopDump()
 
 	sig := make(chan os.Signal, 1)

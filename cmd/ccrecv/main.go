@@ -78,7 +78,7 @@ func run(args []string) error {
 		resync    = fs.Bool("resync", false, "skip frames that fail their checksum and realign on the next frame boundary")
 		reconnect = fs.Int("reconnect", 0, "broker mode: redial up to N times after a transport error (0 = give up)")
 		resume    = fs.Bool("resume", false, "broker mode: resume across reconnects — present the last delivered sequence so the broker replays missed blocks and duplicates are suppressed")
-		placement = fs.String("placement", "", "broker mode: advertise a compression placement for this subscription (publisher | broker | receiver | auto; empty keeps the broker's default and a legacy handshake)")
+		placement = fs.String("placement", "", "broker mode: advertise a compression placement for this subscription (publisher | broker | receiver | auto; empty keeps the broker's default)")
 		watchdog  = fs.Duration("watchdog", 0, "broker mode: treat a connection that delivers no bytes for this long as dead and reconnect (0 disables)")
 		debug     = fs.String("debug", "", "serve /metrics, /debug/vars, /debug/decisions, and /debug/pprof on this HTTP address (empty disables)")
 		interval  = fs.Duration("metrics-interval", 0, "dump a metrics JSON snapshot to stderr at this interval (0 disables)")
@@ -101,15 +101,16 @@ func run(args []string) error {
 	if *watchdog > 0 && *addr == "" {
 		return fmt.Errorf("-watchdog only applies to broker mode (-addr/-channel)")
 	}
-	var pl selector.Placement
+	var advert *selector.Placement
 	if *placement != "" {
 		if *addr == "" {
 			return fmt.Errorf("-placement only applies to broker mode (-addr/-channel)")
 		}
-		var err error
-		if pl, err = selector.ParsePlacement(*placement); err != nil {
+		pl, err := selector.ParsePlacement(*placement)
+		if err != nil {
 			return err
 		}
+		advert = &pl
 	}
 	var dst io.Writer = os.Stdout
 	if *out != "" {
@@ -168,8 +169,7 @@ func run(args []string) error {
 			reconnect: *reconnect,
 			track:     track,
 			tel:       tel,
-			placement: pl,
-			advertise: *placement != "",
+			placement: advert,
 		})
 	} else {
 		err = listenOnce(dst, stats, *listen, *timeout, *resync, *verbose, tel)
@@ -217,8 +217,7 @@ type subOpts struct {
 	reconnect         int
 	track             *core.DeliveryTracker // non-nil: -resume session state
 	tel               core.Telemetry
-	placement         selector.Placement // advertised placement (version-3 hello)
-	advertise         bool               // false: legacy handshake, broker default
+	placement         *selector.Placement // advertised in the hello; nil asks for the broker's default
 }
 
 // subscribeLoop dials the broker and receives, redialing with capped
@@ -278,8 +277,8 @@ func subscribeOnce(dst io.Writer, stats *recvStats, o subOpts) error {
 		if last, started := o.track.LastDelivered(); started {
 			var firstSeq uint64
 			var err error
-			if o.advertise {
-				firstSeq, err = broker.HandshakeResumePlacement(hsConn, o.channel, last, o.placement)
+			if o.placement != nil {
+				firstSeq, err = broker.HandshakeResumePlacement(hsConn, o.channel, last, *o.placement)
 			} else {
 				firstSeq, err = broker.HandshakeResume(hsConn, o.channel, last)
 			}
@@ -299,8 +298,8 @@ func subscribeOnce(dst io.Writer, stats *recvStats, o subOpts) error {
 	}
 	if !resumed {
 		var err error
-		if o.advertise {
-			err = broker.HandshakeSubscribePlacement(hsConn, o.channel, o.placement)
+		if o.placement != nil {
+			err = broker.HandshakeSubscribePlacement(hsConn, o.channel, *o.placement)
 		} else {
 			err = broker.HandshakeSubscribe(hsConn, o.channel)
 		}
@@ -314,7 +313,7 @@ func subscribeOnce(dst io.Writer, stats *recvStats, o subOpts) error {
 	pingDone := make(chan struct{})
 	defer close(pingDone)
 	go func() {
-		ping, _, err := codec.AppendFrame(nil, nil, codec.None, nil)
+		ping, _, err := codec.AppendFrameOpts(nil, nil, codec.None, nil, codec.FrameOpts{})
 		if err != nil {
 			return
 		}

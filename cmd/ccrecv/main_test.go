@@ -203,25 +203,26 @@ func newScriptedBroker(t *testing.T, scripts ...func(t *testing.T, conn net.Conn
 	return sb
 }
 
-// readSubscribeHandshake consumes a plain v1 subscribe hello for channel
-// "md" and accepts it.
+// readSubscribeHandshake consumes a no-preference subscribe hello for
+// channel "md" and accepts it.
 func readSubscribeHandshake(t *testing.T, conn net.Conn) {
 	t.Helper()
-	hello := make([]byte, 8) // "CCB" ver role len "md"
+	hello := make([]byte, 9) // "CCB" ver role len "md" placement
 	if _, err := io.ReadFull(conn, hello); err != nil {
 		t.Errorf("handshake read: %v", err)
 		return
 	}
-	if hello[4] != 'S' {
-		t.Errorf("handshake role = %q, want 'S'", hello[4])
+	if hello[3] != broker.ProtocolVersion || hello[4] != 'S' || hello[8] != '-' {
+		t.Errorf("hello version/role/placement = %d/%q/%q, want %d/'S'/'-'",
+			hello[3], hello[4], hello[8], broker.ProtocolVersion)
 	}
 	if _, err := conn.Write([]byte{0}); err != nil {
 		t.Errorf("handshake reply: %v", err)
 	}
 }
 
-// readResumeHandshake consumes a v2 resume hello for channel "md", checks
-// the presented lastSeq, and accepts with firstSeq.
+// readResumeHandshake consumes a resume hello for channel "md", checks the
+// presented lastSeq, and accepts with firstSeq.
 func readResumeHandshake(t *testing.T, conn net.Conn, wantLast, firstSeq uint64) {
 	t.Helper()
 	hello := make([]byte, 8)
@@ -229,13 +230,16 @@ func readResumeHandshake(t *testing.T, conn net.Conn, wantLast, firstSeq uint64)
 		t.Errorf("resume handshake read: %v", err)
 		return
 	}
-	if hello[3] != 2 || hello[4] != 'R' {
-		t.Errorf("resume hello version/role = %d/%q, want 2/'R'", hello[3], hello[4])
+	if hello[3] != broker.ProtocolVersion || hello[4] != 'R' {
+		t.Errorf("resume hello version/role = %d/%q, want %d/'R'", hello[3], hello[4], broker.ProtocolVersion)
 	}
 	last, err := binary.ReadUvarint(oneByteReader{conn})
 	if err != nil {
 		t.Errorf("resume lastSeq: %v", err)
 		return
+	}
+	if pl, err := (oneByteReader{conn}).ReadByte(); err != nil || pl != '-' {
+		t.Errorf("resume placement byte = %q (%v), want '-'", pl, err)
 	}
 	if last != wantLast {
 		t.Errorf("resume lastSeq = %d, want %d", last, wantLast)
@@ -254,10 +258,10 @@ func (o oneByteReader) ReadByte() (byte, error) {
 	return b[0], err
 }
 
-// seqFrame builds one sequenced (v3) frame holding payload.
+// seqFrame builds one sequenced frame holding payload.
 func seqFrame(t *testing.T, payload []byte, seq uint64) []byte {
 	t.Helper()
-	frame, _, err := codec.AppendFrameSeq(nil, nil, codec.None, payload, seq)
+	frame, _, err := codec.AppendFrameOpts(nil, nil, codec.None, payload, codec.FrameOpts{Seq: seq, HasSeq: true})
 	if err != nil {
 		t.Fatal(err)
 	}

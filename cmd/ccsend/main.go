@@ -143,14 +143,7 @@ func run(args []string) error {
 	defer conn.Close()
 	wire := netutil.WithTimeout(conn, *timeout)
 	if *channel != "" {
-		if pl != selector.PlacementPublisher {
-			err = broker.HandshakePublishPlacement(wire, *channel, pl)
-		} else {
-			// Legacy (version-1) hello: works against brokers that predate
-			// the placement dimension.
-			err = broker.HandshakePublish(wire, *channel)
-		}
-		if err != nil {
+		if err := broker.HandshakePublishPlacement(wire, *channel, pl); err != nil {
 			return fmt.Errorf("publish to %q: %w", *channel, err)
 		}
 	}

@@ -123,9 +123,9 @@ type Config struct {
 	QueueLen int
 	// Shards sets how many channel event loops the broker fans out on (the
 	// sharded channel core, see shard.go and DESIGN.md §15). Each channel
-	// is homed on one loop keyed by (channel, placement-class), so
-	// per-channel ordering is untouched while distinct channels publish
-	// concurrently. 0 aligns to GOMAXPROCS; explicit counts round up to a
+	// is homed on one loop by a hash of its name, so per-channel ordering
+	// is untouched while distinct channels publish concurrently. 0 aligns
+	// to GOMAXPROCS; explicit counts round up to a
 	// power of two; 1 is the degenerate single-loop broker (the
 	// byte-identity reference in tests); capped at MaxShards.
 	Shards int
@@ -158,8 +158,8 @@ type Config struct {
 	// broker *is* the publishing hop. PlacementReceiver ships raw frames and
 	// lets consumers compress (or not) themselves; PlacementAuto lets each
 	// subscriber's own goodput/reducing-speed balance decide per block. A
-	// version-3 handshake that advertises a placement overrides this default
-	// for that session only.
+	// hello that advertises a placement overrides this default for that
+	// session only.
 	Placement selector.Placement
 	// HandshakeTimeout bounds the initial handshake exchange
 	// (DefaultHandshakeTimeout if 0).
@@ -240,6 +240,9 @@ type Broker struct {
 	chmu  sync.Mutex
 	chans map[string]*channelState
 
+	dropsOnce sync.Once
+	dropsC    *metrics.Counter // broker.drops; see drops()
+
 	pubWG  sync.WaitGroup // publisher frame loops
 	connWG sync.WaitGroup // every connection goroutine
 }
@@ -271,7 +274,7 @@ func (b *Broker) state(name string) *channelState {
 	st := &channelState{
 		name:        name,
 		plane:       b.plane.Channel(name),
-		shard:       b.shards.forChannel(name, placementClass(b.cfg.Placement)),
+		shard:       b.shards.forChannel(name),
 		seqGauge:    b.met.Gauge(fmt.Sprintf("chan.%s.seq", name)),
 		depthBlocks: b.met.Gauge(fmt.Sprintf("chan.%s.replay_blocks", name)),
 		depthBytes:  b.met.Gauge(fmt.Sprintf("chan.%s.replay_bytes", name)),
@@ -452,7 +455,7 @@ func New(cfg Config) (*Broker, error) {
 	}
 	// Heartbeats are zero-length None frames — constant bytes, so one
 	// buffer serves every subscriber forever.
-	hb, _, err := codec.AppendFrame(nil, cfg.Engine.Registry, codec.None, nil)
+	hb, _, err := codec.AppendFrameOpts(nil, cfg.Engine.Registry, codec.None, nil, codec.FrameOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("broker: heartbeat frame: %w", err)
 	}
@@ -616,10 +619,6 @@ func (b *Broker) shedSlowest() {
 	}
 }
 
-// Decisions returns the per-block decision trace, nil unless Config.Trace
-// was set.
-func (b *Broker) Decisions() *obs.DecisionLog { return b.cfg.Trace }
-
 // Subscribers reports the number of live subscriber connections.
 func (b *Broker) Subscribers() int {
 	n := 0
@@ -726,19 +725,7 @@ func (b *Broker) handle(conn net.Conn) {
 		return
 	}
 
-	// Placement resolution: an advertised (version-3) placement overrides
-	// the broker's configured default for this session. An unknown wire byte
-	// was already degraded to publisher by the parser; count it so operators
-	// can see version skew instead of silently-inline sessions.
-	pl := b.cfg.Placement
-	if hs.hasPlacement {
-		pl = hs.placement
-		if hs.placementDegraded {
-			b.met.Counter("broker.placement_degraded").Inc()
-			b.logf("broker: %c on %q advertised unknown placement byte, degrading to %s",
-				hs.role, hs.channel, pl)
-		}
-	}
+	pl, advertised := b.resolvePlacement(hs)
 
 	switch hs.role {
 	case RolePublish:
@@ -759,7 +746,7 @@ func (b *Broker) handle(conn net.Conn) {
 			return
 		}
 		_ = conn.SetDeadline(time.Time{})
-		if hs.hasPlacement {
+		if advertised {
 			// Informational only: the publisher enforces its half by shipping
 			// raw frames when it offloads; the broker decodes either way.
 			b.met.Counter(fmt.Sprintf("broker.pub_placement.%s", pl)).Inc()
@@ -814,6 +801,24 @@ func (b *Broker) handle(conn net.Conn) {
 		go s.readDrain(b)
 		s.run(b)
 	}
+}
+
+// resolvePlacement turns the hello's placement byte into this session's
+// placement: no preference is the broker's configured default, an advert
+// overrides it (advertised reports that), and a byte this broker does not
+// know degrades to publisher — counted, so operators see the skew instead
+// of silently-inline sessions.
+func (b *Broker) resolvePlacement(hs handshake) (pl selector.Placement, advertised bool) {
+	if hs.placement == placementDefault {
+		return b.cfg.Placement, false
+	}
+	pl, known := selector.PlacementFromWire(hs.placement)
+	if !known {
+		b.met.Counter("broker.placement_degraded").Inc()
+		b.logf("broker: %c on %q advertised unknown placement byte %#x, degrading to %s",
+			hs.role, hs.channel, hs.placement, pl)
+	}
+	return pl, true
 }
 
 func (b *Broker) finishPublisher(conn net.Conn) {
@@ -966,6 +971,7 @@ type subscriber struct {
 	bytesIn   *metrics.Counter
 	bytesOut  *metrics.Counter
 	drops     *metrics.Counter
+	methods   [256]*metrics.Counter // sub.<id>.method.<m>, resolved on first use (write-loop only)
 	depth     *metrics.Gauge
 	depthHWM  *metrics.Gauge
 	ratio     *metrics.EWMA
@@ -1164,7 +1170,7 @@ func (s *subscriber) deliver(b *Broker, d encplane.Delivery) bool {
 		case old := <-s.queue:
 			old.Frame.Release()
 			s.drops.Inc()
-			b.met.Counter("broker.drops").Inc()
+			b.drops().Inc()
 		default:
 		}
 		accepted := true
@@ -1175,7 +1181,7 @@ func (s *subscriber) deliver(b *Broker, d encplane.Delivery) bool {
 			// delivery is the drop.
 			accepted = false
 			s.drops.Inc()
-			b.met.Counter("broker.drops").Inc()
+			b.drops().Inc()
 		}
 		s.noteDepth()
 		s.qmu.Unlock()
@@ -1187,6 +1193,14 @@ func (s *subscriber) deliver(b *Broker, d encplane.Delivery) bool {
 	}
 	s.qmu.Unlock()
 	return false
+}
+
+// drops returns the broker.drops counter, registered by the first drop (an
+// idle broker's metric surface does not list it) and resolved only once, so
+// a dropping subscriber stays off the registry lock.
+func (b *Broker) drops() *metrics.Counter {
+	b.dropsOnce.Do(func() { b.dropsC = b.met.Counter("broker.drops") })
+	return b.dropsC
 }
 
 // backlog is the shedding view of this subscriber's depth: frames still
@@ -1221,15 +1235,25 @@ func (s *subscriber) run(b *Broker) {
 		hb = t.C
 	}
 	// Resume backlog first: replayed blocks all precede any live delivery
-	// in sequence order (the snapshot was atomic with the plane join), and
-	// are served from the shared frame cache where possible.
+	// in sequence order (the snapshot was atomic with the plane join). Each
+	// goes out as a delivery without a frame — sendBatch fetches it from the
+	// shared frame cache at the method the path has selected by then — and
+	// alone in its batch: a batch is decided whole before any of it is
+	// written, and a path that resumes unmeasured would ship its whole first
+	// batch raw for want of the goodput sample its first write provides.
 	for _, e := range s.replay {
 		select {
 		case <-s.quit:
 			return
 		default:
 		}
-		if !s.sendReplay(b, e) {
+		if !s.sendBatch(b, append(s.batchScratch[:0], encplane.Delivery{
+			Seq:   e.seq,
+			Data:  e.data,
+			Probe: s.st.plane.ProbeFor(e.data, e.seq),
+			Anno:  e.anno,
+			TC:    tracing.ParseAnno(e.anno),
+		})) {
 			return
 		}
 	}
@@ -1293,60 +1317,69 @@ func (s *subscriber) collectBatch(first encplane.Delivery) []encplane.Delivery {
 	return batch
 }
 
-// sendBatch writes a run of queued deliveries as one vectored write
-// (net.Buffers, writev on TCP-backed conns), releasing every frame
-// reference exactly once. All per-delivery work is unchanged from the
-// one-frame path — queue wait is attributed once per class (first
-// dequeuer, so the histogram measures distinct frames, not fan-out
-// width), the slow-consumer breaker runs per delivery, and selection runs
-// at dequeue with this block's shared probe and the path's live goodput,
-// the same instant a per-subscriber encode loop would decide. When a
-// decision differs from the class a frame was encoded for at publish
-// time, the frame is swapped through the shared (seq, method) cache:
-// however many subscribers migrated the same way, the block is re-encoded
-// at most once. Only the wire write is coalesced; its measured duration
-// is attributed evenly across the batch for spans and the goodput
-// monitor. It reports false when the subscriber was torn down (breaker
-// trip or write failure).
+// sendBatch writes a run of deliveries as one vectored write (net.Buffers,
+// writev on TCP-backed conns), releasing every frame reference exactly
+// once — the one path from a subscriber's backlog to its wire, for queued
+// deliveries and resume-backlog entries alike. Per delivery: queue wait is
+// attributed once per class (first dequeuer, so the histogram measures
+// distinct frames, not fan-out width), the slow-consumer breaker runs, and
+// selection runs at dequeue with this block's shared probe and the path's
+// live goodput, the same instant a per-subscriber encode loop would
+// decide. When a decision differs from the class a frame was encoded for
+// at publish time, the frame is swapped through the shared (seq, method)
+// cache: however many subscribers migrated the same way, the block is
+// re-encoded at most once. A resume-backlog entry arrives with no frame
+// and takes its first from that cache; it never sat in the queue, so it
+// skips the wait and breaker accounting. Only the wire write is coalesced;
+// its measured duration is attributed evenly across the batch for spans
+// and the goodput monitor. It reports false when the subscriber was torn
+// down (breaker trip, encode or write failure).
 func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	s.inflight.Store(int32(len(batch)))
 	defer s.inflight.Store(0)
 	tr := b.cfg.Tracer
 	frames := make([]*encplane.Frame, 0, len(batch))
 	bufs := make(net.Buffers, 0, len(batch))
+	// abandon releases what the batch still holds from delivery i on:
+	// removeSub drains the queue, but these are already off it.
+	abandon := func(i int) bool {
+		for _, f := range frames {
+			f.Release()
+		}
+		for _, d := range batch[i:] {
+			if d.Frame != nil {
+				d.Frame.Release()
+			}
+		}
+		return false
+	}
 	for i, d := range batch {
 		f := d.Frame
-		if f.FirstWait() {
-			s.queueWait.Observe(time.Since(d.At).Seconds())
-		}
-		if b.cfg.BreakerWait > 0 && s.checkBreaker(b, time.Since(d.At)) {
-			// removeSub drained the queue, but the deliveries in our hands
-			// are already off-queue and still hold their references.
-			for _, pf := range frames {
-				pf.Release()
+		if f != nil {
+			if f.FirstWait() {
+				s.queueWait.Observe(time.Since(d.At).Seconds())
 			}
-			for _, rest := range batch[i:] {
-				rest.Frame.Release()
+			if b.cfg.BreakerWait > 0 && s.checkBreaker(b, time.Since(d.At)) {
+				return abandon(i)
 			}
-			return false
-		}
-		if tr != nil && d.TC.Valid() {
-			tr.Record(tracing.Span{
-				Trace:      d.TC.Trace,
-				Seq:        f.Seq(),
-				Stream:     fmt.Sprintf("sub.%d", s.id),
-				Stage:      tracing.StageQueue,
-				Start:      d.At.UnixNano(),
-				Dur:        time.Since(d.At).Nanoseconds(),
-				OriginWall: d.TC.WallNs,
-			})
+			if tr != nil && d.TC.Valid() {
+				tr.Record(tracing.Span{
+					Trace:      d.TC.Trace,
+					Seq:        d.Seq,
+					Stream:     fmt.Sprintf("sub.%d", s.id),
+					Stage:      tracing.StageQueue,
+					Start:      d.At.UnixNano(),
+					Dur:        time.Since(d.At).Nanoseconds(),
+					OriginWall: d.TC.WallNs,
+				})
+			}
 		}
 		if s.adapt(len(d.Data), d.Probe) && tr != nil {
 			// Class migrations are always-on traced: they are exactly the
 			// adaptation events the paper's Figure 8 plots.
 			tr.Record(tracing.Span{
 				Trace:      d.TC.Trace,
-				Seq:        f.Seq(),
+				Seq:        d.Seq,
 				Stream:     fmt.Sprintf("sub.%d", s.id),
 				Stage:      tracing.StageMigrate,
 				Start:      time.Now().UnixNano(),
@@ -1356,14 +1389,20 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				Anomaly:    true,
 			})
 		}
-		if f.RequestedMethod() != s.curMethod {
-			nf, err := s.st.plane.EncodeCached(d.Data, f.Seq(), s.curMethod, d.Anno)
-			if err != nil {
+		if f == nil || f.RequestedMethod() != s.curMethod {
+			nf, err := s.st.plane.EncodeCached(d.Data, d.Seq, s.curMethod, d.Anno)
+			switch {
+			case err == nil:
+				if f != nil {
+					f.Release()
+				}
+				f = nf
+			case f != nil:
 				// Fall back to the delivered frame: stale method, correct bytes.
 				b.logf("broker: subscriber %d re-encode: %v", s.id, err)
-			} else {
-				f.Release()
-				f = nf
+			default:
+				b.logf("broker: subscriber %d replay encode: %v", s.id, err)
+				return abandon(i)
 			}
 		}
 		bufs = append(bufs, f.Bytes())
@@ -1375,12 +1414,9 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	s.wmu.Unlock()
 	batchDur := time.Since(start)
 	if err != nil {
-		for _, f := range frames {
-			f.Release()
-		}
 		b.logf("broker: subscriber %d write: %v", s.id, err)
 		b.removeSub(s, true, "write failed or timed out")
-		return false
+		return abandon(len(batch))
 	}
 	if len(frames) > 1 {
 		b.met.Counter("broker.writev_batches").Inc()
@@ -1393,7 +1429,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 		if tr != nil && d.TC.Valid() {
 			tr.Record(tracing.Span{
 				Trace:      d.TC.Trace,
-				Seq:        f.Seq(),
+				Seq:        d.Seq,
 				Stream:     fmt.Sprintf("sub.%d", s.id),
 				Stage:      tracing.StageWrite,
 				Start:      start.Add(time.Duration(k) * share).UnixNano(),
@@ -1410,45 +1446,6 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	return true
 }
 
-// sendReplay encodes (or cache-fetches) one resume-backlog block at the
-// subscriber's current method and writes it.
-func (s *subscriber) sendReplay(b *Broker, e ringEntry) bool {
-	s.adapt(len(e.data), s.st.plane.ProbeFor(e.data, e.seq))
-	f, err := s.st.plane.EncodeCached(e.data, e.seq, s.curMethod, e.anno)
-	if err != nil {
-		b.logf("broker: subscriber %d replay encode: %v", s.id, err)
-		return false
-	}
-	defer f.Release()
-	frame := f.Bytes()
-	start := time.Now()
-	s.wmu.Lock()
-	_, werr := s.wc.Write(frame)
-	s.wmu.Unlock()
-	if werr != nil {
-		b.logf("broker: subscriber %d write: %v", s.id, werr)
-		b.removeSub(s, true, "write failed or timed out")
-		return false
-	}
-	if tr := b.cfg.Tracer; tr != nil && len(e.anno) > 0 {
-		if tc := tracing.ParseAnno(e.anno); tc.Valid() {
-			tr.Record(tracing.Span{
-				Trace:      tc.Trace,
-				Seq:        e.seq,
-				Stream:     fmt.Sprintf("sub.%d", s.id),
-				Stage:      tracing.StageWrite,
-				Start:      start.UnixNano(),
-				Dur:        time.Since(start).Nanoseconds(),
-				OriginWall: tc.WallNs,
-				Method:     f.Info().Method.String(),
-				Bytes:      len(frame),
-			})
-		}
-	}
-	s.observeBlock(b, f.Info(), time.Since(start), len(frame), len(e.data))
-	return true
-}
-
 // observeBlock feeds one delivered block into this path's monitor, metrics,
 // and decision trace. The trace's Method is the wire truth (the class frame
 // that was sent); Decision is the selection that placed the subscriber in
@@ -1460,7 +1457,12 @@ func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time
 	s.bytesIn.Add(int64(origLen))
 	s.bytesOut.Add(int64(wire))
 	s.ratio.Observe(info.Ratio())
-	b.met.Counter(fmt.Sprintf("sub.%d.method.%s", s.id, info.Method)).Inc()
+	c := s.methods[info.Method]
+	if c == nil {
+		c = b.met.Counter(fmt.Sprintf("sub.%d.method.%s", s.id, info.Method))
+		s.methods[info.Method] = c
+	}
+	c.Inc()
 	s.engine.ObserveBlock(core.BlockResult{
 		Index:     s.blocks,
 		Decision:  s.lastDec,
@@ -1529,30 +1531,17 @@ func (b *Broker) evictSub(s *subscriber, code codec.CloseReason, reason string) 
 	b.removeSub(s, true, reason)
 }
 
-// closeFrame builds the explicit close-reason frame: a zero-length
-// annotated frame carrying the reason TLV. Clients that predate it see an
-// empty frame with an unknown annotation — a heartbeat — and then EOF,
-// which is exactly the old behaviour.
-func (b *Broker) closeFrame(code codec.CloseReason, msg string) []byte {
-	anno := codec.AppendCloseAnno(nil, code, msg)
-	frame, _, err := codec.AppendFrameOpts(nil, b.reg, codec.None, nil, codec.FrameOpts{Anno: anno})
-	if err != nil {
-		return nil
-	}
-	return frame
-}
-
 // sendCloseFrame best-effort-writes the eviction goodbye before the
-// connection is severed. TryLock keeps it safe against the write loop: if a
-// writer is mid-frame (or wedged on a dead peer), the frame is skipped
+// connection is severed: a zero-length unsequenced frame carrying the
+// reason TLV (a client with no close handler sees an empty frame — a
+// heartbeat — and then EOF). TryLock keeps it safe against the write loop:
+// if a writer is mid-frame (or wedged on a dead peer), the frame is skipped
 // rather than interleaved or waited for — the client then sees the generic
 // teardown it would have seen anyway.
 func (b *Broker) sendCloseFrame(s *subscriber, code codec.CloseReason, msg string) {
-	frame := b.closeFrame(code, msg)
-	if frame == nil {
-		return
-	}
-	if !s.wmu.TryLock() {
+	frame, _, err := codec.AppendFrameOpts(nil, b.reg, codec.None, nil,
+		codec.FrameOpts{Anno: codec.AppendCloseAnno(nil, code, msg)})
+	if err != nil || !s.wmu.TryLock() {
 		return
 	}
 	defer s.wmu.Unlock()

@@ -3,8 +3,11 @@ package broker
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,21 +89,66 @@ func TestHandshakeRefusesUnknownChannel(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsGarbage: a peer that does not speak the hello — an
+// HTTP request, or the retired version-1 and version-2 hellos — is a bad
+// handshake, and the broker hangs up without a reply byte.
 func TestHandshakeRejectsGarbage(t *testing.T) {
-	b := newTestBroker(t, nil)
-	client, server := net.Pipe()
-	defer client.Close()
-	b.HandleConn(server)
-	// The write may itself fail once the broker hangs up mid-message — both
-	// outcomes are fine; what matters is that the broker disconnects.
-	_, _ = client.Write([]byte("GET / HTTP/1.1\r\n\r\n"))
-	// The broker must refuse and hang up, not wedge.
-	client.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 64)
-	for {
-		if _, err := client.Read(buf); err != nil {
-			return // closed: good
-		}
+	for name, hello := range map[string]string{
+		"http":         "GET / HTTP/1.1\r\n\r\n",
+		"v1 subscribe": "CCB\x01S\x02md",
+		"v2 resume":    "CCB\x02R\x02md\x2a",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := readHandshake(strings.NewReader(hello)); !errors.Is(err, ErrBadHandshake) {
+				t.Fatalf("readHandshake = %v, want ErrBadHandshake", err)
+			}
+			b := newTestBroker(t, nil)
+			client, server := net.Pipe()
+			defer client.Close()
+			b.HandleConn(server)
+			// The write may itself fail once the broker hangs up mid-message —
+			// both outcomes are fine; what matters is that the broker
+			// disconnects, not wedges, and says nothing first.
+			_, _ = client.Write([]byte(hello))
+			client.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := client.Read(make([]byte, 64)); n != 0 || err == nil {
+				t.Fatalf("read %d reply bytes (err %v), want a bare hang-up", n, err)
+			}
+		})
+	}
+}
+
+// TestHandshakeUvarintOverflow: a uvarint that does not fit 64 bits is an
+// error on both halves of the handshake, never a silently truncated value.
+func TestHandshakeUvarintOverflow(t *testing.T) {
+	rep := func(b byte, n int, last ...byte) []byte { return append(bytes.Repeat([]byte{b}, n), last...) }
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want uint64
+		ok   bool
+	}{
+		{"one byte", []byte{0x2A}, 42, true},
+		{"max uint64", rep(0xFF, 9, 0x01), math.MaxUint64, true},
+		{"tenth byte too large", rep(0x80, 9, 0x7E), 0, false},
+		{"all ones then 7e", rep(0xFF, 9, 0x7E), 0, false},
+		{"eleven bytes", rep(0xFF, 10, 0x01), 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := readUvarint(bytes.NewReader(tc.in))
+			if (err == nil) != tc.ok || (tc.ok && v != tc.want) {
+				t.Fatalf("readUvarint = %d, %v; want %d, ok=%v", v, err, tc.want, tc.ok)
+			}
+			// The same bytes as a resume hello's lastSeq.
+			hello := append([]byte("CCB\x03R\x02md"), tc.in...)
+			hs, err := readHandshake(bytes.NewReader(append(hello, placementDefault)))
+			if tc.ok && (err != nil || hs.lastSeq != tc.want) {
+				t.Fatalf("hello lastSeq = %d, %v; want %d", hs.lastSeq, err, tc.want)
+			}
+			if !tc.ok && !errors.Is(err, ErrBadHandshake) {
+				t.Fatalf("hello with overflowing lastSeq: %v, want ErrBadHandshake", err)
+			}
+		})
 	}
 }
 
@@ -158,7 +206,7 @@ func TestPublishViaNetworkPublisher(t *testing.T) {
 	}
 	want := [][]byte{[]byte("first event"), bytes.Repeat([]byte("xyz"), 500)}
 	for _, ev := range want {
-		frame, _, err := codec.AppendFrame(nil, nil, codec.LempelZiv, ev)
+		frame, _, err := codec.AppendFrameOpts(nil, nil, codec.LempelZiv, ev, codec.FrameOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +215,7 @@ func TestPublishViaNetworkPublisher(t *testing.T) {
 		}
 	}
 	// A keepalive frame must not become an event.
-	hb, _, err := codec.AppendFrame(nil, nil, codec.None, nil)
+	hb, _, err := codec.AppendFrameOpts(nil, nil, codec.None, nil, codec.FrameOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +449,7 @@ func TestPanicInConnectionIsIsolated(t *testing.T) {
 	if err := HandshakePublish(pubClient, "md"); err != nil {
 		t.Fatal(err)
 	}
-	frame, _, err := codec.AppendFrame(nil, reg, codec.FirstCustom, bytes.Repeat([]byte("x"), 256))
+	frame, _, err := codec.AppendFrameOpts(nil, reg, codec.FirstCustom, bytes.Repeat([]byte("x"), 256), codec.FrameOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

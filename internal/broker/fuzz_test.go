@@ -2,39 +2,38 @@ package broker
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
-
-	"ccx/internal/selector"
 )
 
-// FuzzHandshake throws arbitrary bytes at the server-side handshake/RESUME
-// parser. Invariants: no panic, no unbounded read (the parser consumes at
-// most the handshake's own bytes), and every accepted hello is internally
-// consistent and survives a canonical re-encode/re-parse roundtrip.
+// FuzzHandshake throws arbitrary bytes at the server-side hello parser.
+// Invariants: no panic, no unbounded read (the parser consumes at most the
+// hello's own bytes), and every accepted hello is internally consistent
+// and survives a canonical re-encode/re-parse roundtrip.
 //
 // The seed corpus under testdata/fuzz/FuzzHandshake covers well-formed
-// hellos of every role and version, truncations at each field boundary,
-// bad magic, refused roles, and absurd resume sequence numbers; the seeds
-// run as part of the ordinary test suite, and
+// hellos of every role and placement byte, truncations at each field
+// boundary, bad magic, unknown roles, absurd and overflowing resume
+// sequence numbers, and the retired v1/v2 hellos (now the version-reject
+// path); the seeds run as part of the ordinary test suite, and
 // `go test -fuzz=FuzzHandshake ./internal/broker` explores further.
 func FuzzHandshake(f *testing.F) {
-	f.Add([]byte("CCB\x01S\x02md"))
-	f.Add([]byte("CCB\x01P\x02md"))
-	f.Add([]byte("CCB\x02R\x02md\x2a"))
-	f.Add([]byte("CCB\x03S\x02mdB"))       // v3 subscribe, broker placement
-	f.Add([]byte("CCB\x03P\x02mdR"))       // v3 publish, receiver placement
-	f.Add([]byte("CCB\x03R\x02md\x2aA"))   // v3 resume, auto placement
-	f.Add([]byte("CCB\x03S\x02md\x00"))    // v3 with unknown placement byte
-	f.Add([]byte("CCB\x03S\x02mdZ"))       // v3 with unknown placement byte
-	f.Add([]byte("CCB\x03S\x02md"))        // v3 truncated before placement
+	f.Add(appendHello(nil, RoleSubscribe, "md", 0, placementDefault))
+	f.Add(appendHello(nil, RolePublish, "md", 0, placementDefault))
+	f.Add(appendHello(nil, RoleResume, "md", 42, placementDefault))
+	f.Add(appendHello(nil, RoleSubscribe, "md", 0, 'B'))
+	f.Add(appendHello(nil, RolePublish, "md", 0, 'R'))
+	f.Add(appendHello(nil, RoleResume, "md", 42, 'A'))
+	f.Add(appendHello(nil, RoleSubscribe, "md", 0, 0))                       // unknown placement byte
+	f.Add(appendHello(nil, RoleSubscribe, "md", 0, 'Z'))                     // unknown placement byte
+	f.Add([]byte("CCB\x03S\x02md"))                                          // truncated before placement
+	f.Add([]byte("CCB\x03R\x02md\x80\x80\x80\x80\x80\x80\x80\x80\x80\x7e-")) // lastSeq overflows at the tenth byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		hs, err := readHandshake(r)
 		if err != nil {
 			return
 		}
-		// The parser must never consume bytes past the handshake: the frame
+		// The parser must never consume bytes past the hello: the frame
 		// stream begins immediately after it. The longest legal hello is
 		// magic+version+role (5) + channel length uvarint (2 for <=255) +
 		// channel (255) + lastSeq uvarint (10) + placement (1).
@@ -52,38 +51,8 @@ func FuzzHandshake(f *testing.F) {
 		if hs.role != RoleResume && hs.lastSeq != 0 {
 			t.Fatalf("non-resume hello carries lastSeq %d", hs.lastSeq)
 		}
-		if hs.hasPlacement && !hs.placement.Valid() {
-			t.Fatalf("accepted invalid placement %d", hs.placement)
-		}
-		if !hs.hasPlacement && (hs.placement != selector.PlacementPublisher || hs.placementDegraded) {
-			t.Fatalf("pre-placement hello carries placement state: %+v", hs)
-		}
-		// An unknown placement byte must degrade to publisher, never error.
-		if hs.placementDegraded && hs.placement != selector.PlacementPublisher {
-			t.Fatalf("degraded placement is %s, want publisher", hs.placement)
-		}
-		// Canonical re-encode must parse back to the same hello. A degraded
-		// placement re-encodes canonically (the 'P' wire byte), so the parse
-		// back is non-degraded by construction: clear the flag first.
-		ver := byte(ProtocolVersion)
-		if hs.role == RoleResume {
-			ver = ProtocolVersionResume
-		}
-		if hs.hasPlacement {
-			ver = ProtocolVersionPlacement
-		}
-		msg := append([]byte{}, handshakeMagic[:]...)
-		msg = append(msg, ver, hs.role)
-		msg = binary.AppendUvarint(msg, uint64(len(hs.channel)))
-		msg = append(msg, hs.channel...)
-		if hs.role == RoleResume {
-			msg = binary.AppendUvarint(msg, hs.lastSeq)
-		}
-		if hs.hasPlacement {
-			msg = append(msg, hs.placement.WireByte())
-		}
-		hs.placementDegraded = false
-		hs2, err := readHandshake(bytes.NewReader(msg))
+		// Canonical re-encode must parse back to the same hello.
+		hs2, err := readHandshake(bytes.NewReader(appendHello(nil, hs.role, hs.channel, hs.lastSeq, hs.placement)))
 		if err != nil {
 			t.Fatalf("canonical re-encode rejected: %v", err)
 		}
@@ -94,42 +63,26 @@ func FuzzHandshake(f *testing.F) {
 }
 
 // FuzzHandshakeRoundtrip drives the parser through the structured space:
-// any role byte, channel, resume sequence, and (when advertised) placement
-// byte, encoded exactly as the client side does. Valid inputs must parse to
-// the same fields; invalid ones must be rejected, never mangled — with one
-// deliberate exception: an unknown placement byte in an otherwise valid v3
-// hello degrades to publisher-side compression rather than refusing the
-// session (forward compatibility for placements we haven't invented yet).
+// any role byte, channel, resume sequence and placement byte, encoded
+// exactly as the client side does. Valid inputs must parse to the same
+// fields; invalid ones must be rejected, never mangled. The placement byte
+// is never a reason to reject: the broker resolves it after the parse, and
+// there an unknown byte degrades to publisher-side compression rather than
+// refusing the session (forward compatibility for placements we haven't
+// invented yet).
 func FuzzHandshakeRoundtrip(f *testing.F) {
-	f.Add(uint8('S'), "md", uint64(0), false, uint8(0))
-	f.Add(uint8('P'), "audit", uint64(0), false, uint8(0))
-	f.Add(uint8('R'), "md", uint64(1<<40), false, uint8(0))
-	f.Add(uint8('X'), "md", uint64(7), false, uint8(0))
-	f.Add(uint8('R'), "", uint64(3), false, uint8(0))
-	f.Add(uint8('S'), "md", uint64(0), true, uint8('B'))
-	f.Add(uint8('P'), "md", uint64(0), true, uint8('R'))
-	f.Add(uint8('R'), "md", uint64(9), true, uint8('A'))
-	f.Add(uint8('S'), "md", uint64(0), true, uint8('z')) // unknown placement
-	f.Add(uint8('S'), "md", uint64(0), true, uint8(0))   // unknown placement
-	f.Fuzz(func(t *testing.T, role uint8, channel string, lastSeq uint64, advertise bool, plByte uint8) {
-		ver := byte(ProtocolVersion)
-		if role == RoleResume {
-			ver = ProtocolVersionResume
-		}
-		if advertise {
-			ver = ProtocolVersionPlacement
-		}
-		msg := append([]byte{}, handshakeMagic[:]...)
-		msg = append(msg, ver, role)
-		msg = binary.AppendUvarint(msg, uint64(len(channel)))
-		msg = append(msg, channel...)
-		if role == RoleResume {
-			msg = binary.AppendUvarint(msg, lastSeq)
-		}
-		if advertise {
-			msg = append(msg, plByte)
-		}
-		hs, err := readHandshake(bytes.NewReader(msg))
+	f.Add(uint8('S'), "md", uint64(0), uint8('-'))
+	f.Add(uint8('P'), "audit", uint64(0), uint8('-'))
+	f.Add(uint8('R'), "md", uint64(1<<40), uint8('-'))
+	f.Add(uint8('X'), "md", uint64(7), uint8('-'))
+	f.Add(uint8('R'), "", uint64(3), uint8('-'))
+	f.Add(uint8('S'), "md", uint64(0), uint8('B'))
+	f.Add(uint8('P'), "md", uint64(0), uint8('R'))
+	f.Add(uint8('R'), "md", uint64(9), uint8('A'))
+	f.Add(uint8('S'), "md", uint64(0), uint8('z')) // unknown placement
+	f.Add(uint8('S'), "md", uint64(0), uint8(0))   // unknown placement
+	f.Fuzz(func(t *testing.T, role uint8, channel string, lastSeq uint64, plByte uint8) {
+		hs, err := readHandshake(bytes.NewReader(appendHello(nil, role, channel, lastSeq, plByte)))
 		valid := (role == RolePublish || role == RoleSubscribe || role == RoleResume) &&
 			channel != "" && len(channel) <= MaxChannelName
 		if valid != (err == nil) {
@@ -138,21 +91,11 @@ func FuzzHandshakeRoundtrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if hs.role != role || hs.channel != channel {
-			t.Fatalf("parsed %+v from role %q channel %q", hs, role, channel)
+		if hs.role != role || hs.channel != channel || hs.placement != plByte {
+			t.Fatalf("parsed %+v from role %q channel %q placement %q", hs, role, channel, plByte)
 		}
 		if role == RoleResume && hs.lastSeq != lastSeq {
 			t.Fatalf("lastSeq = %d, want %d", hs.lastSeq, lastSeq)
-		}
-		if hs.hasPlacement != advertise {
-			t.Fatalf("hasPlacement = %v, want %v", hs.hasPlacement, advertise)
-		}
-		if advertise {
-			want, known := selector.PlacementFromWire(plByte)
-			if hs.placement != want || hs.placementDegraded != !known {
-				t.Fatalf("placement byte %q parsed to (%s, degraded=%v), want (%s, degraded=%v)",
-					plByte, hs.placement, hs.placementDegraded, want, !known)
-			}
 		}
 	})
 }

@@ -253,10 +253,11 @@ func TestChurnStormExactAccounting(t *testing.T) {
 			client, server := net.Pipe()
 			b.HandleConn(server)
 			if err := HandshakeSubscribe(client, "md"); err != nil {
-				// The governor may be shedding this instant; overload
-				// refusals are churn too.
-				var ov *OverloadError
-				if errors.As(err, &ov) {
+				// Refusals are churn too: the governor may be shedding this
+				// instant, or the Evict policy cut the session because the
+				// publish storm overflowed its queue before the handshake
+				// finished (seen under CPU load).
+				if errors.Is(err, ErrRefused) {
 					client.Close()
 					continue
 				}

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ccx/internal/codec"
 	"ccx/internal/selector"
+	"ccx/internal/testx"
 )
 
 // readAllFrames drains event frames from conn until EOF/close, skipping
@@ -29,7 +32,7 @@ func readAllFrames(conn net.Conn) (events [][]byte, methods []codec.Method) {
 }
 
 // TestPlacementReceiverShipsRaw pins receiver-side placement as the broker
-// default: every frame toward a (legacy, non-advertising) subscriber must be
+// default: every frame toward a non-advertising subscriber must be
 // Method None with byte-identical payloads, even for data the method
 // selector would otherwise love to compress.
 func TestPlacementReceiverShipsRaw(t *testing.T) {
@@ -72,9 +75,9 @@ func TestPlacementReceiverShipsRaw(t *testing.T) {
 	}
 }
 
-// TestPlacementAdvertOverridesDefault lets a version-3 subscriber advertise
-// receiver placement against a publisher-default broker; its session must
-// run raw while a legacy subscriber on the same channel keeps the default.
+// TestPlacementAdvertOverridesDefault lets a subscriber advertise receiver
+// placement against a publisher-default broker; its session must run raw
+// while a non-advertising subscriber on the same channel keeps the default.
 func TestPlacementAdvertOverridesDefault(t *testing.T) {
 	b := newTestBroker(t, nil) // default placement: publisher (broker encodes)
 	client, server := net.Pipe()
@@ -118,8 +121,8 @@ func TestPlacementAdvertOverridesDefault(t *testing.T) {
 	}
 }
 
-// TestPlacementUnknownByteDegrades sends a hand-crafted version-3 hello with
-// a placement byte the broker has never heard of. The regression contract
+// TestPlacementUnknownByteDegrades sends a hand-crafted hello with a
+// placement byte the broker has never heard of. The regression contract
 // (see readHandshake) is degrade-don't-refuse: the session is accepted as
 // publisher-side, events flow byte-identically, and the degradation is
 // counted so operators can see the version skew.
@@ -128,8 +131,7 @@ func TestPlacementUnknownByteDegrades(t *testing.T) {
 	client, server := net.Pipe()
 	b.HandleConn(server)
 	t.Cleanup(func() { client.Close() })
-	// magic + v3 + subscribe + channel "md" + unknown placement byte 'Q'.
-	hello := []byte("CCB\x03S\x02mdQ")
+	hello := appendHello(nil, RoleSubscribe, "md", 0, 'Q') // unknown placement byte
 	if _, err := client.Write(hello); err != nil {
 		t.Fatalf("hello write: %v", err)
 	}
@@ -163,6 +165,48 @@ func TestPlacementUnknownByteDegrades(t *testing.T) {
 	}
 	if n := b.Metrics().Counter("broker.placement_degraded").Value(); n != 1 {
 		t.Fatalf("placement_degraded = %d, want 1", n)
+	}
+}
+
+// TestPlacementHelloAccounting pins which hellos the placement counters
+// see: the short-name calls state no preference, so they neither degrade
+// nor count as a publisher advert; only an explicit advert registers
+// broker.pub_placement.*, and only an unknown byte counts as degraded.
+func TestPlacementHelloAccounting(t *testing.T) {
+	var attached atomic.Int32 // publishers past the point where an advert is counted
+	b := newTestBroker(t, func(c *Config) {
+		c.Placement = selector.PlacementAuto
+		c.Logf = func(format string, _ ...any) {
+			if strings.Contains(format, "publisher attached") {
+				attached.Add(1)
+			}
+		}
+	})
+	dial := func(hello func(net.Conn) error) {
+		t.Helper()
+		client, server := net.Pipe()
+		t.Cleanup(func() { client.Close() })
+		b.HandleConn(server)
+		if err := hello(client); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dial(func(c net.Conn) error { return HandshakeSubscribe(c, "md") })
+	dial(func(c net.Conn) error { _, err := HandshakeResume(c, "md", 0); return err })
+	dial(func(c net.Conn) error { return HandshakePublish(c, "md") })
+	dial(func(c net.Conn) error { return HandshakePublishPlacement(c, "md", selector.PlacementBroker) })
+	testx.WaitUntil(t, "both publishers attached", func() bool { return attached.Load() == 2 })
+	var adverts []string
+	for _, v := range b.Metrics().Views() {
+		if strings.HasPrefix(v.Name, "broker.pub_placement.") {
+			adverts = append(adverts, v.Name)
+		}
+	}
+	if len(adverts) != 1 || adverts[0] != "broker.pub_placement.broker" || b.Metrics().Counter(adverts[0]).Value() != 1 {
+		t.Fatalf("publisher adverts counted: %v, want broker.pub_placement.broker once", adverts)
+	}
+	if n := b.Metrics().Counter("broker.placement_degraded").Value(); n != 0 {
+		t.Fatalf("placement_degraded = %d with no unknown byte sent", n)
 	}
 }
 

@@ -14,23 +14,21 @@ import (
 
 // Wire protocol.
 //
-// A client opens a TCP connection and sends one handshake:
+// A client opens a TCP connection and sends one hello:
 //
 //	magic "CCB" + version(1)
 //	role(1)              'P' = publish, 'S' = subscribe, 'R' = resume
 //	channelLen(uvarint) channelName
 //	[lastSeq(uvarint)]   role 'R' only: last contiguously delivered seq
-//	[placement(1)]       version 3 only: 'P'/'B'/'R'/'A'
+//	placement(1)         'P'/'B'/'R'/'A', or '-' for no preference
 //
-// Version 1 handshakes carry roles 'P' and 'S'; version 2 adds role 'R'
-// (resume), a subscription that also presents the last sequence number the
-// client delivered contiguously. Version 3 appends one compression-placement
-// byte to every role: where this peer wants compression to run (publisher,
-// broker, receiver, or auto — see selector.Placement). An unknown placement
-// byte degrades to publisher-side compression rather than refusing the
-// session, so newer clients always get a working (if inline-compressed)
-// stream from older-configured brokers. The broker accepts all versions
-// forever.
+// Role 'R' (resume) is a subscription that also presents the last sequence
+// number the client delivered contiguously. The placement byte says where
+// this peer wants compression to run (publisher, broker, receiver, or auto
+// — see selector.Placement); '-' leaves it to the broker's configured
+// default. Any other byte degrades to publisher-side compression rather
+// than refusing the session, so a client naming a placement this broker
+// does not know still gets a working (if inline-compressed) stream.
 //
 // The broker answers with a single status byte: 0 accepts the session, 1
 // and 2 refuse it and are followed by uvarint-length error text and a
@@ -48,27 +46,24 @@ import (
 //     publisher's own engine decided; the broker decodes to recover the
 //     original event bytes before fan-out);
 //   - subscribers receive frames from the broker, each compressed by that
-//     subscriber's private adaptation loop. Blocks published through the
-//     broker carry per-channel sequence numbers in version-3 frames.
+//     subscriber's private adaptation loop and stamped with its
+//     per-channel sequence number.
 //
 // Zero-length frames are keepalives in both directions and never carry
 // data. Subscribers may additionally write arbitrary bytes at any time;
 // the broker discards them but counts them as liveness (pings) against its
 // read timeout.
 const (
-	// ProtocolVersion is the baseline handshake version byte.
-	ProtocolVersion = 1
-	// ProtocolVersionResume is the handshake version that introduces the
-	// resume role.
-	ProtocolVersionResume = 2
-	// ProtocolVersionPlacement is the handshake version that appends a
-	// trailing compression-placement byte to every role.
-	ProtocolVersionPlacement = 3
-	// RolePublish and RoleSubscribe are the handshake role bytes; RoleResume
-	// is a subscribe that presents resume state (version 2 handshakes only).
+	// ProtocolVersion is the hello's version byte; the broker hangs up on
+	// any other.
+	ProtocolVersion = 3
+	// RolePublish, RoleSubscribe and RoleResume are the hello's role bytes.
 	RolePublish   = 'P'
 	RoleSubscribe = 'S'
 	RoleResume    = 'R'
+	// placementDefault is the hello's "no preference" placement byte: the
+	// session runs at the broker's Config.Placement.
+	placementDefault = '-'
 	// MaxChannelName bounds the handshake channel-name length.
 	MaxChannelName = 255
 
@@ -76,9 +71,7 @@ const (
 	statusRefuse = 1
 	// statusRetry is the admission-control reply: refuse-with-RETRY-AFTER.
 	// The wire is the refusal layout (uvarint-length reason text) followed by
-	// one uvarint of suggested retry delay in milliseconds. Clients predating
-	// it parse the prefix as a plain refusal and never read the trailing
-	// uvarint — harmless, since the connection closes right after.
+	// one uvarint of suggested retry delay in milliseconds.
 	statusRetry = 2
 )
 
@@ -134,15 +127,16 @@ func (e *EvictedError) Error() string {
 // conn. On return the caller owns a frame stream to the broker: every
 // internal/codec frame written becomes one event on the named channel.
 func HandshakePublish(conn net.Conn, channel string) error {
-	_, err := clientHandshake(conn, RolePublish, channel, 0, 0, false)
+	_, err := clientHandshake(conn, RolePublish, channel, 0, placementDefault)
 	return err
 }
 
 // HandshakeSubscribe performs the client half of a subscriber handshake on
-// conn. On return the broker streams internal/codec frames, one event per
-// frame; zero-length frames are heartbeats to be skipped.
+// conn, at the broker's default placement. On return the broker streams
+// internal/codec frames, one event per frame; zero-length frames are
+// heartbeats to be skipped.
 func HandshakeSubscribe(conn net.Conn, channel string) error {
-	_, err := clientHandshake(conn, RoleSubscribe, channel, 0, 0, false)
+	_, err := clientHandshake(conn, RoleSubscribe, channel, 0, placementDefault)
 	return err
 }
 
@@ -154,61 +148,58 @@ func HandshakeSubscribe(conn net.Conn, channel string) error {
 // blocks are irrecoverably gone — the caller should surface that gap, not
 // hide it.
 func HandshakeResume(conn net.Conn, channel string, lastSeq uint64) (firstSeq uint64, err error) {
-	return clientHandshake(conn, RoleResume, channel, lastSeq, 0, false)
+	return clientHandshake(conn, RoleResume, channel, lastSeq, placementDefault)
 }
 
 // HandshakePublishPlacement is HandshakePublish with an advertised
-// compression placement (version-3 handshake): where this publisher wants
-// compression to run for the channel's consumers. The advert is
-// informational for the broker's accounting — the publisher enforces its
-// own half by shipping raw frames when placement offloads downstream.
+// compression placement: where this publisher wants compression to run for
+// the channel's consumers. The advert is informational for the broker's
+// accounting — the publisher enforces its own half by shipping raw frames
+// when placement offloads downstream.
 func HandshakePublishPlacement(conn net.Conn, channel string, pl selector.Placement) error {
-	_, err := clientHandshake(conn, RolePublish, channel, 0, pl, true)
+	_, err := advertHandshake(conn, RolePublish, channel, 0, pl)
 	return err
 }
 
 // HandshakeSubscribePlacement is HandshakeSubscribe with an advertised
-// compression placement: the subscriber's placement overrides the broker's
-// configured default for this session. Brokers that predate placement
-// refuse version-3 handshakes; callers that must interoperate should retry
-// with HandshakeSubscribe.
+// compression placement, which overrides the broker's configured default
+// for this session.
 func HandshakeSubscribePlacement(conn net.Conn, channel string, pl selector.Placement) error {
-	_, err := clientHandshake(conn, RoleSubscribe, channel, 0, pl, true)
+	_, err := advertHandshake(conn, RoleSubscribe, channel, 0, pl)
 	return err
 }
 
 // HandshakeResumePlacement is HandshakeResume with an advertised
 // compression placement.
 func HandshakeResumePlacement(conn net.Conn, channel string, lastSeq uint64, pl selector.Placement) (firstSeq uint64, err error) {
-	return clientHandshake(conn, RoleResume, channel, lastSeq, pl, true)
+	return advertHandshake(conn, RoleResume, channel, lastSeq, pl)
 }
 
-func clientHandshake(conn net.Conn, role byte, channel string, lastSeq uint64, pl selector.Placement, advertise bool) (uint64, error) {
+func advertHandshake(conn net.Conn, role byte, channel string, lastSeq uint64, pl selector.Placement) (uint64, error) {
+	if !pl.Valid() {
+		return 0, fmt.Errorf("%w: invalid placement %s", ErrBadHandshake, pl)
+	}
+	return clientHandshake(conn, role, channel, lastSeq, pl.WireByte())
+}
+
+// appendHello appends the one hello layout to dst.
+func appendHello(dst []byte, role byte, channel string, lastSeq uint64, placement byte) []byte {
+	dst = append(dst, handshakeMagic[:]...)
+	dst = append(dst, ProtocolVersion, role)
+	dst = binary.AppendUvarint(dst, uint64(len(channel)))
+	dst = append(dst, channel...)
+	if role == RoleResume {
+		dst = binary.AppendUvarint(dst, lastSeq)
+	}
+	return append(dst, placement)
+}
+
+func clientHandshake(conn net.Conn, role byte, channel string, lastSeq uint64, placement byte) (uint64, error) {
 	if channel == "" || len(channel) > MaxChannelName {
 		return 0, fmt.Errorf("%w: channel name length %d out of [1,%d]",
 			ErrBadHandshake, len(channel), MaxChannelName)
 	}
-	if advertise && !pl.Valid() {
-		return 0, fmt.Errorf("%w: invalid placement %s", ErrBadHandshake, pl)
-	}
-	version := byte(ProtocolVersion)
-	if role == RoleResume {
-		version = ProtocolVersionResume
-	}
-	if advertise {
-		version = ProtocolVersionPlacement
-	}
-	msg := make([]byte, 0, 16+len(channel))
-	msg = append(msg, handshakeMagic[:]...)
-	msg = append(msg, version, role)
-	msg = binary.AppendUvarint(msg, uint64(len(channel)))
-	msg = append(msg, channel...)
-	if role == RoleResume {
-		msg = binary.AppendUvarint(msg, lastSeq)
-	}
-	if advertise {
-		msg = append(msg, pl.WireByte())
-	}
+	msg := appendHello(make([]byte, 0, 16+len(channel)), role, channel, lastSeq, placement)
 	if _, err := conn.Write(msg); err != nil {
 		return 0, fmt.Errorf("broker: handshake write: %w", err)
 	}
@@ -252,13 +243,10 @@ type handshake struct {
 	// lastSeq is the resume point presented by a RoleResume client: the last
 	// sequence number it delivered contiguously (0 = none).
 	lastSeq uint64
-	// hasPlacement marks a version-3 hello; placement is then the peer's
-	// advertised compression placement, already degraded to publisher when
-	// the wire byte was unknown (placementDegraded reports that, so the
-	// broker can count it).
-	hasPlacement      bool
-	placement         selector.Placement
-	placementDegraded bool
+	// placement is the hello's placement byte as it arrived: an advert,
+	// placementDefault, or a byte this broker does not know
+	// (Broker.resolvePlacement turns it into a selector.Placement).
+	placement byte
 }
 
 // readHandshake parses the server half. It reads byte-at-a-time so no
@@ -272,19 +260,12 @@ func readHandshake(r io.Reader) (handshake, error) {
 	if fixed[0] != handshakeMagic[0] || fixed[1] != handshakeMagic[1] || fixed[2] != handshakeMagic[2] {
 		return hs, fmt.Errorf("%w: bad magic", ErrBadHandshake)
 	}
-	version := fixed[3]
-	if version != ProtocolVersion && version != ProtocolVersionResume &&
-		version != ProtocolVersionPlacement {
-		return hs, fmt.Errorf("%w: unsupported version %d", ErrBadHandshake, version)
+	if fixed[3] != ProtocolVersion {
+		return hs, fmt.Errorf("%w: unsupported version %d", ErrBadHandshake, fixed[3])
 	}
 	hs.role = fixed[4]
 	switch hs.role {
-	case RolePublish, RoleSubscribe:
-	case RoleResume:
-		if version < ProtocolVersionResume {
-			return hs, fmt.Errorf("%w: role %q needs version %d",
-				ErrBadHandshake, hs.role, ProtocolVersionResume)
-		}
+	case RolePublish, RoleSubscribe, RoleResume:
 	default:
 		return hs, fmt.Errorf("%w: unknown role %q", ErrBadHandshake, hs.role)
 	}
@@ -303,16 +284,11 @@ func readHandshake(r io.Reader) (handshake, error) {
 		}
 		hs.lastSeq = lastSeq
 	}
-	if version >= ProtocolVersionPlacement {
-		var one [1]byte
-		if _, err := io.ReadFull(r, one[:]); err != nil {
-			return hs, fmt.Errorf("%w: placement: %v", ErrBadHandshake, err)
-		}
-		hs.hasPlacement = true
-		pl, known := selector.PlacementFromWire(one[0])
-		hs.placement = pl
-		hs.placementDegraded = !known
+	var one [1]byte
+	if _, err := io.ReadFull(r, one[:]); err != nil {
+		return hs, fmt.Errorf("%w: placement: %v", ErrBadHandshake, err)
 	}
+	hs.placement = one[0]
 	return hs, nil
 }
 
@@ -381,19 +357,18 @@ func readShortString(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// readUvarint decodes a uvarint with single-byte reads (no buffering).
-func readUvarint(r io.Reader) (uint64, error) {
+// byteReader adapts r to io.ByteReader with single-byte reads (no
+// buffering).
+type byteReader struct{ r io.Reader }
+
+func (b byteReader) ReadByte() (byte, error) {
 	var one [1]byte
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		if _, err := io.ReadFull(r, one[:]); err != nil {
-			return 0, err
-		}
-		b := one[0]
-		v |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("uvarint overflow")
+	_, err := io.ReadFull(b.r, one[:])
+	return one[0], err
+}
+
+// readUvarint decodes a uvarint from r without reading past it; a value
+// that overflows 64 bits is an error.
+func readUvarint(r io.Reader) (uint64, error) {
+	return binary.ReadUvarint(byteReader{r})
 }

@@ -7,30 +7,23 @@ import (
 	"sync"
 
 	"ccx/internal/metrics"
-	"ccx/internal/selector"
 )
 
 // The sharded channel core (DESIGN.md §15). One broker-wide mutex and one
-// inline PublishAnno per publish made the channel path the scaling
+// inline plane publish per block made the channel path the scaling
 // bottleneck once encode itself went parallel: every publisher serialized
 // behind every other publisher's probe + pipeline submit, and every
 // subscriber join/leave fought the same registry lock. The shard set
 // splits that state across GOMAXPROCS-aligned event loops:
 //
-//   - each channel is homed on exactly one shard, keyed by (channel,
-//     placement-class): the hash mixes the channel name with whether the
-//     channel's configured placement makes it receiver-raw, so raw fan-out
-//     channels (which skip the encode pipeline entirely — see
-//     encplane.publishRaw) land on loops of their own class and never
-//     queue behind encode-bound channels;
-//   - the fan-out half of a publish (probe, pipeline submit, echo submit)
-//     runs as a task on the channel's home loop, so a publisher's read
-//     loop overlaps the previous block's fan-out instead of waiting for
-//     it. Per-channel order is preserved because one channel always runs
-//     on one loop; the encode plane's per-channel mu/pipeMu remain the
-//     shard-level locks below it (broker lock order: channelState.mu →
-//     shard dispatch → plane locks; tasks themselves take no broker
-//     locks);
+//   - each channel is homed on exactly one shard, by a hash of its name;
+//   - the fan-out half of a publish (probe, pipeline submit) runs as a
+//     task on the channel's home loop, so a publisher's read loop overlaps
+//     the previous block's fan-out instead of waiting for it. Per-channel
+//     order is preserved because one channel always runs on one loop; the
+//     encode plane's per-channel mu/pipeMu remain the shard-level locks
+//     below it (broker lock order: channelState.mu → shard dispatch →
+//     plane locks; tasks themselves take no broker locks);
 //   - the subscriber registry is sharded the same way: a subscriber
 //     registers on its channel's home shard, so attach/detach storms
 //     update per-shard maps instead of one global one, and the governor's
@@ -128,23 +121,12 @@ func newShardSet(n int, met *metrics.Registry) *shardSet {
 	return ss
 }
 
-// placementClass folds a placement into the shard key's class bit:
-// receiver placement means the channel's default path ships raw and skips
-// the encode pipeline, everything else encodes on the home loop.
-func placementClass(pl selector.Placement) byte {
-	if pl == selector.PlacementReceiver {
-		return 1
-	}
-	return 0
-}
-
-// forChannel homes a channel: hash of (channel name, placement class),
-// masked onto the loop array. Deterministic, so a channel keeps its home
-// for the broker's lifetime — the ordering guarantee rests on that.
-func (ss *shardSet) forChannel(name string, class byte) *shard {
+// forChannel homes a channel: FNV-1a of its name, masked onto the loop
+// array. Deterministic, so a channel keeps its home for the broker's
+// lifetime — the ordering guarantee rests on that.
+func (ss *shardSet) forChannel(name string) *shard {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(name))
-	_, _ = h.Write([]byte{class})
 	return ss.shards[h.Sum32()&ss.mask]
 }
 

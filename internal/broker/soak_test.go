@@ -88,8 +88,11 @@ func TestSoakOverloadGovernor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Every publish must also be through the encode pipeline: each notes its
+	// own (tiny) pipeline wait, and one landing among the saturated waits
+	// noted below would pull the CPU signal back under critical.
 	testx.WaitUntil(t, "queued bytes past the critical fraction", func() bool {
-		return b.queuedBytes() >= budget*9/10
+		return b.queuedBytes() >= budget*9/10 && met.Counter("encplane.encodes").Value() >= 40
 	})
 
 	// Phase 3: overload. One sample flips the governor critical.

@@ -116,7 +116,7 @@ func TestFrameReaderScratchReuse(t *testing.T) {
 	var err error
 	for _, m := range reg.Methods() {
 		for _, b := range [][]byte{blockA, blockB} {
-			wire, _, err = AppendFrame(wire, reg, m, b)
+			wire, _, err = AppendFrameOpts(wire, reg, m, b, FrameOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

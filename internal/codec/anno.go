@@ -5,20 +5,48 @@ import (
 	"fmt"
 )
 
-// Annotation TLV kind registry. A frame v4 annotation block is a sequence
-// of records — kind(1) length(uvarint) payload — and readers skip kinds
-// they do not understand, so new kinds never need a frame version bump.
-// Kind 0x01 is the distributed-trace context (internal/tracing); kinds
-// defined here must stay clear of it.
+// Annotation TLV kinds — the one table. A frame's annotation block is a
+// sequence of records, kind(1) length(uvarint) body(length), and readers
+// skip kinds they do not understand, so a new fact is a new kind here, not
+// a new frame layout.
 const (
-	// annoKindClose carries a session-close reason: one CloseReason byte
+	// AnnoKindTrace carries a distributed-trace context (internal/tracing
+	// owns the body: trace id, origin wall clock, origin monotonic clock,
+	// all uvarints).
+	AnnoKindTrace = 0x01
+	// AnnoKindClose carries a session-close reason: one CloseReason byte
 	// followed by optional human-readable text. The broker stamps it into a
 	// zero-length frame written right before it severs an evicted
 	// subscriber, so the client can tell "evicted: overload" apart from a
-	// generic transport error (and back off accordingly). Old readers see
-	// an unknown TLV inside an empty frame — a heartbeat — and carry on.
-	annoKindClose = 0x02
+	// generic transport error (and back off accordingly).
+	AnnoKindClose = 0x02
 )
+
+// AppendAnnoRecord appends one TLV record to the annotation block dst.
+func AppendAnnoRecord(dst []byte, kind byte, body []byte) []byte {
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	return append(dst, body...)
+}
+
+// AnnoRecord walks the annotation block anno and returns the body of its
+// first record of the given kind, skipping other kinds. ok is false when
+// the block holds none or is malformed (the frame CRC already covered the
+// bytes, so malformed means an incompatible writer, not line damage).
+func AnnoRecord(anno []byte, kind byte) (body []byte, ok bool) {
+	for len(anno) >= 2 {
+		k := anno[0]
+		l, n := binary.Uvarint(anno[1:])
+		if n <= 0 || uint64(len(anno)-1-n) < l {
+			return nil, false
+		}
+		body, anno = anno[1+n:1+n+int(l)], anno[1+n+int(l):]
+		if k == kind {
+			return body, true
+		}
+	}
+	return nil, false
+}
 
 // CloseReason codes the broker's motive for severing a session.
 type CloseReason byte
@@ -51,10 +79,7 @@ func AppendCloseAnno(dst []byte, reason CloseReason, msg string) []byte {
 	if len(msg) > maxMsg {
 		msg = msg[:maxMsg]
 	}
-	dst = append(dst, annoKindClose)
-	dst = binary.AppendUvarint(dst, uint64(1+len(msg)))
-	dst = append(dst, byte(reason))
-	return append(dst, msg...)
+	return AppendAnnoRecord(dst, AnnoKindClose, append([]byte{byte(reason)}, msg...))
 }
 
 // ParseCloseAnno scans a frame annotation block for a close-reason record,
@@ -62,18 +87,9 @@ func AppendCloseAnno(dst []byte, reason CloseReason, msg string) []byte {
 // is malformed (the frame CRC already covered the bytes, so malformed here
 // means an incompatible writer — treat the frame as a plain heartbeat).
 func ParseCloseAnno(anno []byte) (reason CloseReason, msg string, ok bool) {
-	for len(anno) >= 2 {
-		kind := anno[0]
-		l, n := binary.Uvarint(anno[1:])
-		if n <= 0 || uint64(len(anno)-1-n) < l {
-			return 0, "", false
-		}
-		body := anno[1+n : 1+n+int(l)]
-		anno = anno[1+n+int(l):]
-		if kind != annoKindClose || len(body) < 1 {
-			continue
-		}
-		return CloseReason(body[0]), string(body[1:]), true
+	body, ok := AnnoRecord(anno, AnnoKindClose)
+	if !ok || len(body) < 1 {
+		return 0, "", false
 	}
-	return 0, "", false
+	return CloseReason(body[0]), string(body[1:]), true
 }

@@ -16,7 +16,7 @@ func TestFrameAnnoRoundtrip(t *testing.T) {
 	data := bytes.Repeat([]byte("annotated frame payload "), 16)
 	for _, m := range []Method{None, LempelZiv, Huffman} {
 		var buf bytes.Buffer
-		frame, info, err := AppendFrameOpts(nil, nil, m, data, FrameOpts{Seq: 42, Anno: anno})
+		frame, info, err := AppendFrameOpts(nil, nil, m, data, FrameOpts{Seq: 42, HasSeq: true, Anno: anno})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -40,26 +40,6 @@ func TestFrameAnnoRoundtrip(t *testing.T) {
 	}
 }
 
-// An empty annotation must not bump the wire version: FrameOpts{HasSeq}
-// with no Anno is exactly AppendFrameSeq.
-func TestFrameOptsEmptyAnnoStaysV3(t *testing.T) {
-	data := []byte("same bytes either way")
-	a, _, err := AppendFrameOpts(nil, nil, None, data, FrameOpts{Seq: 7, HasSeq: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := AppendFrameSeq(nil, nil, None, data, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("empty-anno FrameOpts frame differs from AppendFrameSeq")
-	}
-	if a[2] != FrameVersionSeq {
-		t.Fatalf("version byte = %d, want v3", a[2])
-	}
-}
-
 func TestFrameAnnoTooLong(t *testing.T) {
 	_, _, err := AppendFrameOpts(nil, nil, None, []byte("x"), FrameOpts{Anno: make([]byte, MaxAnnoLen+1)})
 	if err == nil {
@@ -71,7 +51,7 @@ func TestFrameAnnoTooLong(t *testing.T) {
 // surface as ErrCorruptFrame, never as a silently different annotation.
 func TestFrameAnnoCRCCoverage(t *testing.T) {
 	anno := []byte{0x01, 4, 1, 2, 3, 4}
-	frame, _, err := AppendFrameOpts(nil, nil, None, []byte("payload"), FrameOpts{Seq: 5, Anno: anno})
+	frame, _, err := AppendFrameOpts(nil, nil, None, []byte("payload"), FrameOpts{Seq: 5, HasSeq: true, Anno: anno})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +68,11 @@ func TestFrameAnnoCRCCoverage(t *testing.T) {
 	}
 }
 
-// Truncating a v4 frame at any boundary must yield io.ErrUnexpectedEOF (or
+// Truncating a frame at any boundary must yield io.ErrUnexpectedEOF (or
 // clean io.EOF at offset zero), never a panic or a bogus success.
 func TestFrameAnnoTruncation(t *testing.T) {
 	anno := []byte{0x01, 8, 1, 2, 3, 4, 5, 6, 7, 8}
-	frame, _, err := AppendFrameOpts(nil, nil, LempelZiv, bytes.Repeat([]byte("truncate me "), 12), FrameOpts{Seq: 9, Anno: anno})
+	frame, _, err := AppendFrameOpts(nil, nil, LempelZiv, bytes.Repeat([]byte("truncate me "), 12), FrameOpts{Seq: 9, HasSeq: true, Anno: anno})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +89,7 @@ func TestFrameAnnoTruncation(t *testing.T) {
 
 // A hostile annoLen varint must be rejected before allocation.
 func TestFrameAnnoHostileLength(t *testing.T) {
-	frame, _, err := AppendFrameOpts(nil, nil, None, []byte("x"), FrameOpts{Seq: 1, Anno: []byte{0x01, 1, 7}})
+	frame, _, err := AppendFrameOpts(nil, nil, None, []byte("x"), FrameOpts{Seq: 1, HasSeq: true, Anno: []byte{0x01, 1, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +112,7 @@ func TestFrameAnnoOutlivesNextRead(t *testing.T) {
 	annoB := []byte{0x01, 2, 0xBB, 0xBC}
 	var buf bytes.Buffer
 	for _, anno := range [][]byte{annoA, annoB} {
-		frame, _, err := AppendFrameOpts(nil, nil, None, []byte("block"), FrameOpts{Seq: 1, Anno: anno})
+		frame, _, err := AppendFrameOpts(nil, nil, None, []byte("block"), FrameOpts{Seq: 1, HasSeq: true, Anno: anno})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +131,10 @@ func TestFrameAnnoOutlivesNextRead(t *testing.T) {
 	}
 }
 
-// A corrupt v4 frame must resync like any other version, and v4 boundaries
-// must count as plausible resync targets.
+// A corrupt annotated frame must resync like any other.
 func TestFrameAnnoResync(t *testing.T) {
 	anno := []byte{0x01, 2, 1, 2}
-	good, _, err := AppendFrameOpts(nil, nil, None, []byte("survivor"), FrameOpts{Seq: 2, Anno: anno})
+	good, _, err := AppendFrameOpts(nil, nil, None, []byte("survivor"), FrameOpts{Seq: 2, HasSeq: true, Anno: anno})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +161,37 @@ func TestFrameAnnoResync(t *testing.T) {
 		t.Fatalf("read: %v", err)
 	}
 	if !recovered {
-		t.Fatal("never recovered the healthy v4 frame")
+		t.Fatal("never recovered the healthy frame")
+	}
+}
+
+// The one TLV walk: a record is found behind records of other kinds, a
+// block without it or with a lying length yields nothing, and a close
+// record must carry at least its reason byte.
+func TestAnnoRecordWalk(t *testing.T) {
+	block := AppendAnnoRecord(nil, AnnoKindTrace, []byte{1, 2, 3})
+	block = AppendAnnoRecord(block, 0x7F, nil)
+	block = AppendCloseAnno(block, CloseSlowConsumer, "too slow")
+	if body, ok := AnnoRecord(block, AnnoKindTrace); !ok || !bytes.Equal(body, []byte{1, 2, 3}) {
+		t.Fatalf("trace record = %x, %v", body, ok)
+	}
+	if body, ok := AnnoRecord(block, 0x7F); !ok || len(body) != 0 {
+		t.Fatalf("empty record = %x, %v", body, ok)
+	}
+	if reason, msg, ok := ParseCloseAnno(block); !ok || reason != CloseSlowConsumer || msg != "too slow" {
+		t.Fatalf("close record = %v %q %v", reason, msg, ok)
+	}
+	for _, bad := range [][]byte{
+		nil,
+		{AnnoKindClose},         // kind with no length
+		{AnnoKindClose, 200, 1}, // length overruns the block
+		{0x7F, 5, 1, 2},         // unknown kind overrunning
+		AppendAnnoRecord(nil, AnnoKindTrace, []byte{9}), // no close record at all
+		AppendAnnoRecord(nil, AnnoKindClose, nil),       // close record without a reason byte
+		bytes.Repeat([]byte{0x80}, 16),                  // varint garbage
+	} {
+		if reason, msg, ok := ParseCloseAnno(bad); ok {
+			t.Fatalf("ParseCloseAnno(%x) = %v %q, want none", bad, reason, msg)
+		}
 	}
 }

@@ -9,50 +9,30 @@ import (
 	"time"
 )
 
-// Frame header layout (see DESIGN.md §5):
+// Frame layout (see DESIGN.md §5) — the only one written or read:
 //
-//	magic(2) version(1) method(1) flags(1)
-//	origLen(uvarint) compLen(uvarint) [seq(uvarint)] crc32(4) payload(compLen)
+//	magic(2) version(1)=4 method(1) flags(1)
+//	origLen(uvarint) compLen(uvarint) seq(uvarint)
+//	annoLen(uvarint) anno(annoLen) crc32c(4) payload(compLen)
 //
-// The CRC (Castagnoli) coverage depends on the version byte:
+// The CRC (Castagnoli) covers every header byte before it and the payload,
+// so a flipped method byte, length varint, flag, sequence number or
+// annotation byte is caught exactly like a flipped payload byte.
 //
-//   - version 1 (legacy): CRC over the payload only. Header corruption
-//     surfaces as magic/length errors or, worse, as a silently misparsed
-//     frame whose payload CRC happens to line up.
-//   - version 2 (current): CRC over the header bytes preceding the CRC
-//     field *and* the payload, so a flipped method byte, length varint, or
-//     flag is caught exactly like a flipped payload byte.
-//   - version 3 (sequenced): identical to version 2 plus one uvarint
-//     sequence number between compLen and the CRC, stamped by transports
-//     that offer replay/resume (the fan-out broker). The seq varint is
-//     inside the CRC coverage.
-//   - version 4 (annotated): a version-3 frame carrying an opaque
-//     annotation block between the sequence number and the CRC:
-//     annoLen(uvarint) followed by annoLen annotation bytes, all inside
-//     the CRC coverage. Annotations are TLV-structured (see the tracing
-//     package for the trace-context kind); readers surface the raw bytes
-//     as BlockInfo.Anno and skip kinds they do not understand, so the
-//     format extends without another version bump.
+// seq is the per-channel block sequence number stamped by transports that
+// offer replay/resume (the fan-out broker). Sequence numbers start at 1; an
+// unsequenced frame carries 0 and reads back as HasSeq=false.
 //
-// Writers emit version 2 (3 via AppendFrameSeq, 4 via AppendFrameOpts
-// with a non-empty annotation); readers accept all four, so
-// pre-CRC-extension frames (and recorded streams) still decode.
+// anno is an opaque annotation block of TLV records (see anno.go for the
+// kind table); readers surface the raw bytes as BlockInfo.Anno and skip
+// kinds they do not understand. The format extends by method identifier
+// and by annotation kind, never by another layout.
 const (
 	magic0 = 0xEC // "ECho"-flavoured magic
 	magic1 = 0x40
-	// FrameVersion is the current unsequenced wire version (header+payload
-	// CRC).
-	FrameVersion = 2
-	// FrameVersionV1 is the legacy wire version (payload-only CRC); readers
-	// still accept it.
-	FrameVersionV1 = 1
-	// FrameVersionSeq is the sequenced wire version: a v2 frame carrying a
-	// per-channel block sequence number for replay/resume transports.
-	FrameVersionSeq = 3
-	// FrameVersionAnno is the annotated wire version: a v3 frame carrying
-	// an opaque, CRC-covered annotation block (trace context today; TLV
-	// kinds unknown to a reader are skipped).
-	FrameVersionAnno = 4
+	// FrameVersion is the wire version byte. Any other value is
+	// ErrBadVersion, and Resync does not stop on it.
+	FrameVersion = 4
 	// MaxAnnoLen bounds a frame's annotation block. Annotations are
 	// metadata (a stamped trace context is ~30 bytes), so the cap exists
 	// only to keep a hostile annoLen varint from driving allocations.
@@ -104,16 +84,14 @@ type BlockInfo struct {
 	// Fallback reports whether the block fell back to raw transport because
 	// compression expanded it.
 	Fallback bool
-	// Seq is the per-channel block sequence number carried by sequenced
-	// (version-3) frames; HasSeq reports whether the frame carried one.
-	// Sequence numbers start at 1, so a zero Seq with HasSeq set never
-	// appears on a healthy stream.
+	// Seq is the frame's per-channel block sequence number; HasSeq reports
+	// whether it carried one (sequence numbers start at 1, the wire's 0
+	// means unsequenced).
 	Seq    uint64
 	HasSeq bool
-	// Anno holds the raw annotation bytes carried by an annotated
-	// (version-4) frame, nil otherwise. The slice is a copy owned by the
-	// caller: it stays valid after the next ReadBlock. Parse it with the
-	// tracing package (or any TLV consumer); unknown kinds are skipped.
+	// Anno holds the frame's raw annotation bytes, nil when it carried
+	// none. The slice is a copy owned by the caller: it stays valid after
+	// the next ReadBlock. Look records up with AnnoRecord.
 	Anno []byte
 	// DecodeTime is the CPU time FrameReader.ReadBlock spent decompressing
 	// the payload (network wait excluded) — the decode-latency sample the
@@ -146,46 +124,41 @@ func NewFrameWriter(w io.Writer, reg *Registry) *FrameWriter {
 	return &FrameWriter{w: w, reg: reg, hdr: make([]byte, 0, 32)}
 }
 
-// AppendFrame compresses data with the requested method from reg (nil =
-// default registry) and appends one complete version-2 frame to dst. If the
-// compressed payload is not smaller than the original, the block is sent
-// raw and flagged (the paper's selector already avoids such blocks, but
-// the wire format guarantees we never expand traffic).
-func AppendFrame(dst []byte, reg *Registry, m Method, data []byte) ([]byte, BlockInfo, error) {
-	return AppendFrameOpts(dst, reg, m, data, FrameOpts{})
-}
-
-// AppendFrameSeq is AppendFrame with a per-channel block sequence number:
-// it emits a version-3 frame whose header carries seq inside the CRC
-// coverage. Receivers surface it as BlockInfo.Seq/HasSeq, which feeds the
-// delivery tracker's dedup and gap accounting on resumed streams.
-func AppendFrameSeq(dst []byte, reg *Registry, m Method, data []byte, seq uint64) ([]byte, BlockInfo, error) {
-	return AppendFrameOpts(dst, reg, m, data, FrameOpts{Seq: seq, HasSeq: true})
-}
-
-// FrameOpts selects the optional frame-header extensions. The zero value
-// emits a plain version-2 frame; HasSeq upgrades to version 3; a non-empty
-// Anno upgrades to version 4 (which always carries the sequence field, so
-// Anno implies HasSeq).
+// FrameOpts carries a frame's optional header fields; the zero value is an
+// unsequenced frame with no annotation.
 type FrameOpts struct {
+	// Seq is the block's sequence number, written when HasSeq is set (and
+	// then at least 1: the wire's 0 means unsequenced).
 	Seq    uint64
 	HasSeq bool
 	// Anno is an opaque annotation block (at most MaxAnnoLen bytes),
 	// CRC-covered like the rest of the header. Writers stamp TLV records
-	// here — today the tracing package's trace context.
+	// here (AppendAnnoRecord).
 	Anno []byte
 }
 
-// AppendFrameOpts is AppendFrame with explicit header extensions; the
-// emitted wire version is the lowest one that can carry opts.
+// AppendFrameOpts compresses data with the requested method from reg (nil =
+// default registry) and appends one complete frame to dst — the one function
+// that writes the wire format. If the compressed payload is not smaller
+// than the original, the block is sent raw and flagged (the paper's
+// selector already avoids such blocks, but the wire format guarantees we
+// never expand traffic).
 func AppendFrameOpts(dst []byte, reg *Registry, m Method, data []byte, opts FrameOpts) ([]byte, BlockInfo, error) {
 	if reg == nil {
 		reg = defaultRegistry
 	}
-	hasSeq := opts.HasSeq || len(opts.Anno) > 0
-	info := BlockInfo{Method: m, Requested: m, OrigLen: len(data), Seq: opts.Seq, HasSeq: hasSeq}
+	info := BlockInfo{Method: m, Requested: m, OrigLen: len(data)}
+	if opts.HasSeq {
+		if opts.Seq == 0 {
+			return dst, info, errors.New("codec: sequence numbers start at 1")
+		}
+		info.Seq, info.HasSeq = opts.Seq, true
+	}
 	if len(opts.Anno) > MaxAnnoLen {
 		return dst, info, fmt.Errorf("codec: annotation too long (%d > %d)", len(opts.Anno), MaxAnnoLen)
+	}
+	if len(opts.Anno) > 0 {
+		info.Anno = opts.Anno
 	}
 	c, err := reg.Get(m)
 	if err != nil {
@@ -213,25 +186,13 @@ func AppendFrameOpts(dst []byte, reg *Registry, m Method, data []byte, opts Fram
 	}
 	info.CompLen = len(payload)
 
-	version := byte(FrameVersion)
-	switch {
-	case len(opts.Anno) > 0:
-		version = FrameVersionAnno
-		info.Anno = opts.Anno
-	case hasSeq:
-		version = FrameVersionSeq
-	}
 	base := len(dst)
-	dst = append(dst, magic0, magic1, version, byte(info.Method), flags)
+	dst = append(dst, magic0, magic1, FrameVersion, byte(info.Method), flags)
 	dst = binary.AppendUvarint(dst, uint64(len(data)))
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	if hasSeq {
-		dst = binary.AppendUvarint(dst, opts.Seq)
-	}
-	if version == FrameVersionAnno {
-		dst = binary.AppendUvarint(dst, uint64(len(opts.Anno)))
-		dst = append(dst, opts.Anno...)
-	}
+	dst = binary.AppendUvarint(dst, info.Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(opts.Anno)))
+	dst = append(dst, opts.Anno...)
 	crc := crc32.Update(0, castagnoli, dst[base:]) // header…
 	crc = crc32.Update(crc, castagnoli, payload)   // …then payload
 	dst = binary.LittleEndian.AppendUint32(dst, crc)
@@ -239,9 +200,9 @@ func AppendFrameOpts(dst []byte, reg *Registry, m Method, data []byte, opts Fram
 }
 
 // WriteBlock compresses data with the requested method and writes one
-// frame (see AppendFrame for fallback semantics).
+// unsequenced frame (see AppendFrameOpts for fallback semantics).
 func (fw *FrameWriter) WriteBlock(m Method, data []byte) (BlockInfo, error) {
-	frame, info, err := AppendFrame(fw.hdr[:0], fw.reg, m, data)
+	frame, info, err := AppendFrameOpts(fw.hdr[:0], fw.reg, m, data, FrameOpts{})
 	fw.hdr = frame[:0]
 	if err != nil {
 		return info, err
@@ -259,10 +220,11 @@ func (fw *FrameWriter) WriteBlock(m Method, data []byte) (BlockInfo, error) {
 type FrameReader struct {
 	r       io.Reader
 	reg     *Registry
-	buf     []byte // payload scratch, reused across frames
-	pending []byte // bytes pushed back by Resync, consumed before r
-	hdr     []byte // raw header bytes of the frame attempt in progress
-	payLen  int    // payload bytes of a failed attempt retained in buf
+	buf     []byte  // payload scratch, reused across frames
+	pending []byte  // bytes pushed back by Resync, consumed before r
+	hdr     []byte  // raw header bytes of the frame attempt in progress
+	payLen  int     // payload bytes of a failed attempt retained in buf
+	one     [1]byte // single-byte read scratch (a local would escape on every byte)
 }
 
 // NewFrameReader returns a FrameReader using the default registry; pass a
@@ -294,21 +256,27 @@ func (fr *FrameReader) readFull(p []byte) error {
 	return nil
 }
 
-func (fr *FrameReader) readUvarint() (uint64, error) {
-	var one [1]byte
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		if err := fr.readFull(one[:]); err != nil {
-			return 0, err
-		}
-		b := one[0]
-		fr.hdr = append(fr.hdr, b)
-		v |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			return v, nil
-		}
+// hdrBytes feeds binary.ReadUvarint one header byte at a time, keeping each
+// in fr.hdr for the CRC and for Resync.
+type hdrBytes struct{ fr *FrameReader }
+
+func (h hdrBytes) ReadByte() (byte, error) {
+	fr := h.fr
+	if err := fr.readFull(fr.one[:]); err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("%w: uvarint overflow", ErrCorruptFrame)
+	fr.hdr = append(fr.hdr, fr.one[0])
+	return fr.one[0], nil
+}
+
+func (fr *FrameReader) readUvarint() (uint64, error) {
+	start := len(fr.hdr)
+	v, err := binary.ReadUvarint(hdrBytes{fr})
+	if err != nil && len(fr.hdr)-start == binary.MaxVarintLen64 {
+		// Every byte arrived, so the value is at fault, not the stream.
+		return 0, fmt.Errorf("%w: uvarint overflow", ErrCorruptFrame)
+	}
+	return v, err
 }
 
 // ReadBlock reads and decodes the next frame. It returns io.EOF cleanly at
@@ -319,20 +287,15 @@ func (fr *FrameReader) ReadBlock() ([]byte, BlockInfo, error) {
 	fr.hdr = fr.hdr[:0]
 	fr.payLen = 0
 	var fixed [5]byte
-	if err := fr.readFull(fixed[:1]); err != nil {
-		return nil, info, err // io.EOF at a frame boundary is clean
+	if err := fr.readFull(fixed[:]); err != nil {
+		return nil, info, err // io.EOF only at a frame boundary; cut short is io.ErrUnexpectedEOF
 	}
-	fr.hdr = append(fr.hdr, fixed[0])
-	if err := fr.readFull(fixed[1:]); err != nil {
-		return nil, info, unexpectedEOF(err)
-	}
-	fr.hdr = append(fr.hdr, fixed[1:]...)
+	fr.hdr = append(fr.hdr, fixed[:]...)
 	if fixed[0] != magic0 || fixed[1] != magic1 {
 		return nil, info, ErrBadMagic
 	}
-	version := fixed[2]
-	if !plausibleBoundary(version) {
-		return nil, info, fmt.Errorf("%w: %d", ErrBadVersion, version)
+	if fixed[2] != FrameVersion {
+		return nil, info, fmt.Errorf("%w: %d", ErrBadVersion, fixed[2])
 	}
 	info.Method = Method(fixed[3])
 	info.Requested = info.Method
@@ -352,33 +315,29 @@ func (fr *FrameReader) ReadBlock() ([]byte, BlockInfo, error) {
 		return nil, info, ErrFrameSize
 	}
 	info.OrigLen, info.CompLen = int(origLen), int(compLen)
-	if version >= FrameVersionSeq {
-		seq, err := fr.readUvarint()
-		if err != nil {
+	seq, err := fr.readUvarint()
+	if err != nil {
+		return nil, info, unexpectedEOF(err)
+	}
+	info.Seq, info.HasSeq = seq, seq != 0
+	annoLen, err := fr.readUvarint()
+	if err != nil {
+		return nil, info, unexpectedEOF(err)
+	}
+	if annoLen > MaxAnnoLen {
+		return nil, info, ErrFrameSize
+	}
+	if annoLen > 0 {
+		// Copied out: fr.hdr is scratch reused by the next ReadBlock,
+		// but BlockInfo.Anno must outlive it.
+		anno := make([]byte, annoLen)
+		if err := fr.readFull(anno); err != nil {
 			return nil, info, unexpectedEOF(err)
 		}
-		info.Seq, info.HasSeq = seq, true
+		fr.hdr = append(fr.hdr, anno...) // CRC + Resync cover the annotation
+		info.Anno = anno
 	}
-	if version == FrameVersionAnno {
-		annoLen, err := fr.readUvarint()
-		if err != nil {
-			return nil, info, unexpectedEOF(err)
-		}
-		if annoLen > MaxAnnoLen {
-			return nil, info, ErrFrameSize
-		}
-		if annoLen > 0 {
-			// Copied out: fr.hdr is scratch reused by the next ReadBlock,
-			// but BlockInfo.Anno must outlive it.
-			anno := make([]byte, annoLen)
-			if err := fr.readFull(anno); err != nil {
-				return nil, info, unexpectedEOF(err)
-			}
-			fr.hdr = append(fr.hdr, anno...) // CRC + Resync cover the annotation
-			info.Anno = anno
-		}
-	}
-	// The v2 CRC covers exactly the header bytes consumed so far.
+	// The CRC covers exactly the header bytes consumed so far…
 	hdrCRC := crc32.Update(0, castagnoli, fr.hdr)
 	var crcBuf [4]byte
 	if err := fr.readFull(crcBuf[:]); err != nil {
@@ -394,11 +353,7 @@ func (fr *FrameReader) ReadBlock() ([]byte, BlockInfo, error) {
 		return nil, info, unexpectedEOF(err)
 	}
 	fr.payLen = info.CompLen
-	gotCRC := crc32.Checksum(payload, castagnoli)
-	if version >= FrameVersion {
-		gotCRC = crc32.Update(hdrCRC, castagnoli, payload)
-	}
-	if gotCRC != wantCRC {
+	if crc32.Update(hdrCRC, castagnoli, payload) != wantCRC { // …then the payload
 		return nil, info, ErrChecksum
 	}
 	c, err := fr.reg.Get(info.Method)
@@ -418,56 +373,36 @@ func (fr *FrameReader) ReadBlock() ([]byte, BlockInfo, error) {
 	return data, info, nil
 }
 
-// plausibleBoundary reports whether a magic pair followed by ver looks like
-// the start of a real frame. Checking the version byte cuts most false
-// matches inside compressed payloads; a false positive just yields another
-// ErrCorruptFrame and another Resync, each advancing past the bogus match.
-func plausibleBoundary(ver byte) bool {
-	return ver >= FrameVersionV1 && ver <= FrameVersionAnno
-}
-
 // Resync abandons the current (corrupt) frame and scans forward for the
 // next plausible frame boundary — first through the bytes the failed
 // attempt already consumed (a bogus compLen routinely swallows the start of
-// the next healthy frame), then byte-by-byte through the live stream. On
-// success the next ReadBlock starts at the recovered boundary. It returns
-// io.EOF when the stream ends without another boundary.
+// the next healthy frame), then through the live stream. A boundary is the
+// magic pair followed by FrameVersion: checking the version byte cuts most
+// false matches inside compressed payloads, and a false positive just
+// yields another ErrCorruptFrame and another Resync, each advancing past
+// the bogus match. On success the next ReadBlock starts at the recovered
+// boundary. It returns io.EOF when the stream ends without another one.
 func (fr *FrameReader) Resync() error {
 	// Everything consumed by the failed attempt, minus its first magic byte
-	// (rescanning from index 0 would re-sync onto the same corrupt frame).
-	scan := make([]byte, 0, len(fr.hdr)+fr.payLen+len(fr.pending))
+	// (rescanning from index 0 would re-sync onto the same corrupt frame),
+	// goes back in front of the stream.
+	back := make([]byte, 0, len(fr.hdr)+fr.payLen+len(fr.pending))
 	if len(fr.hdr) > 1 {
-		scan = append(scan, fr.hdr[1:]...)
+		back = append(back, fr.hdr[1:]...)
 	}
-	scan = append(scan, fr.buf[:fr.payLen]...)
-	scan = append(scan, fr.pending...)
+	back = append(back, fr.buf[:fr.payLen]...)
+	fr.pending = append(back, fr.pending...)
 	fr.hdr = fr.hdr[:0]
 	fr.payLen = 0
-	fr.pending = nil
 
-	for i := 0; i+2 < len(scan); i++ {
-		if scan[i] == magic0 && scan[i+1] == magic1 && plausibleBoundary(scan[i+2]) {
-			fr.pending = append([]byte(nil), scan[i:]...)
-			return nil
-		}
-	}
-	// A boundary may straddle the retained bytes and the live stream: seed
-	// a 3-byte rolling window with the tail and keep scanning.
-	var win [3]byte
-	n := copy(win[:], scan[max(0, len(scan)-2):])
+	var win [3]byte // the zero bytes it starts with match no boundary
 	for {
-		var one [1]byte
-		if _, err := io.ReadFull(fr.r, one[:]); err != nil {
+		if err := fr.readFull(fr.one[:]); err != nil {
 			return err
 		}
-		if n < 3 {
-			win[n] = one[0]
-			n++
-		} else {
-			win[0], win[1], win[2] = win[1], win[2], one[0]
-		}
-		if n == 3 && win[0] == magic0 && win[1] == magic1 && plausibleBoundary(win[2]) {
-			fr.pending = append([]byte(nil), win[:]...)
+		win[0], win[1], win[2] = win[1], win[2], fr.one[0]
+		if win == [3]byte{magic0, magic1, FrameVersion} {
+			fr.pending = append(win[:len(win):len(win)], fr.pending...)
 			return nil
 		}
 	}

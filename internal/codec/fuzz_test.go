@@ -16,17 +16,18 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte("abcabcabcabc"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 300))
 	f.Add(bytes.Repeat([]byte("low entropy low entropy "), 40))
-	f.Add([]byte{0xEC, 0x40, 1, 0, 0, 0, 0, 0, 0, 0, 0}) // frame-ish bytes
-	// Annotated (v4) frame shapes: a healthy-looking header with an
+	f.Add([]byte{0xEC, 0x40, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // frame-ish bytes
+	// Annotated frame shapes: a healthy-looking header with an
 	// annotation, a truncated one cut inside the annotation region, and
 	// one whose annotation carries an unknown TLV kind with a lying
 	// length — the reader must error cleanly, never panic.
-	if v4, _, err := AppendFrameOpts(nil, nil, None, []byte("seed"), FrameOpts{Seq: 3, Anno: []byte{0x01, 2, 7, 8}}); err == nil {
+	if v4, _, err := AppendFrameOpts(nil, nil, None, []byte("seed"), FrameOpts{Seq: 3, HasSeq: true, Anno: []byte{0x01, 2, 7, 8}}); err == nil {
 		f.Add(v4)
 		f.Add(v4[:len(v4)-6])
 	}
-	f.Add([]byte{0xEC, 0x40, 4, 0, 0, 4, 4, 1, 3, 0x7F, 0xFF, 0x02})          // unknown kind, hostile TLV length
-	f.Add([]byte{0xEC, 0x40, 4, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // hostile annoLen varint
+	f.Add([]byte{0xEC, 0x40, 4, 0, 0, 4, 4, 1, 3, 0x7F, 0xFF, 0x02})                                       // unknown kind, hostile TLV length
+	f.Add([]byte{0xEC, 0x40, 4, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})                              // hostile annoLen varint
+	f.Add(append([]byte{0xEC, 0x40, 4, 0, 0}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7E)) // overflowing origLen varint
 }
 
 func FuzzRoundtripAllMethods(f *testing.F) {
@@ -99,7 +100,7 @@ func FuzzFrameRoundtrip(f *testing.F) {
 	})
 }
 
-// FuzzFrameAnnoRoundtrip drives arbitrary annotation bytes through the v4
+// FuzzFrameAnnoRoundtrip drives arbitrary annotation bytes through the
 // writer and reader: whatever TLV soup the annotation holds, the frame must
 // round-trip it verbatim (the frame layer treats it as opaque).
 func FuzzFrameAnnoRoundtrip(f *testing.F) {
@@ -110,7 +111,8 @@ func FuzzFrameAnnoRoundtrip(f *testing.F) {
 		if len(anno) > MaxAnnoLen {
 			anno = anno[:MaxAnnoLen]
 		}
-		frame, _, err := AppendFrameOpts(nil, nil, LempelZiv, data, FrameOpts{Seq: seq, Anno: anno})
+		// Sequence numbers start at 1: a drawn 0 is the unsequenced frame.
+		frame, _, err := AppendFrameOpts(nil, nil, LempelZiv, data, FrameOpts{Seq: seq, HasSeq: seq != 0, Anno: anno})
 		if err != nil {
 			t.Fatalf("append: %v", err)
 		}
@@ -121,13 +123,11 @@ func FuzzFrameAnnoRoundtrip(f *testing.F) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("payload mismatch")
 		}
-		if len(anno) > 0 {
-			if !bytes.Equal(info.Anno, anno) {
-				t.Fatalf("anno mismatch: %x != %x", info.Anno, anno)
-			}
-			if info.Seq != seq || !info.HasSeq {
-				t.Fatalf("seq = (%d, %v)", info.Seq, info.HasSeq)
-			}
+		if !bytes.Equal(info.Anno, anno) {
+			t.Fatalf("anno mismatch: %x != %x", info.Anno, anno)
+		}
+		if info.Seq != seq || info.HasSeq != (seq != 0) {
+			t.Fatalf("seq = (%d, %v), want %d", info.Seq, info.HasSeq, seq)
 		}
 	})
 }

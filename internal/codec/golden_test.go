@@ -1,14 +1,17 @@
-package codec
+package codec_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"ccx/internal/codec"
 	"ccx/internal/tracing"
 )
 
@@ -20,152 +23,165 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden wire-fo
 var goldenPayload = bytes.Repeat(
 	[]byte("configurable compression exchanges data efficiently across heterogeneous links. "), 8)
 
-var goldenMethods = []Method{None, Huffman, Arithmetic, LempelZiv, BurrowsWheeler}
+var goldenMethods = []codec.Method{codec.None, codec.Huffman, codec.Arithmetic, codec.LempelZiv, codec.BurrowsWheeler}
 
-// goldenSeq is the sequence number stamped into the v3 vectors: large
-// enough to need a two-byte varint, so the seq field's wire width is pinned
-// too.
+// goldenSeq is the sequence number stamped into the vectors: large enough
+// to need a two-byte varint, so the seq field's wire width is pinned too.
 const goldenSeq = 300
 
-// goldenAnno is the annotation stamped into the v4 vectors: a trace
-// context with fixed fields, pinning the TLV layout (kind, uvarint length,
-// uvarint-encoded id and clocks) alongside the frame header itself.
-var goldenAnno = tracing.Context{Trace: 0xABCD1234, WallNs: 1700000000000000000, MonoNs: 123456789}.AppendAnno(nil)
+// goldenTC is the trace context stamped into the vectors' annotation,
+// pinning the TLV layout (kind, uvarint length, uvarint-encoded id and
+// clocks) alongside the frame header itself.
+var (
+	goldenTC   = tracing.Context{Trace: 0xABCD1234, WallNs: 1700000000000000000, MonoNs: 123456789}
+	goldenAnno = goldenTC.AppendAnno(nil)
+	goldenOpts = codec.FrameOpts{Seq: goldenSeq, HasSeq: true, Anno: goldenAnno}
+)
 
-func goldenName(version int, m Method) string {
+func goldenName(version int, m codec.Method) string {
 	name := m.String()
 	switch m {
-	case LempelZiv:
+	case codec.LempelZiv:
 		name = "lempelziv"
-	case BurrowsWheeler:
+	case codec.BurrowsWheeler:
 		name = "burrowswheeler"
 	}
 	return fmt.Sprintf("v%d_%s.frame", version, name)
 }
 
-// TestGoldenWireVectors pins the wire format: the checked-in frames (one
-// per method, in the legacy v1, current v2, and sequenced v3 header
-// versions) must decode byte-for-byte to goldenPayload forever. A refactor
+// retiredFrame hand-builds goldenPayload in one of the layouts ccx no longer
+// speaks: version 1 (no seq, CRC over the payload only), 2 (CRC over header
+// and payload) or 3 (version 2 plus a seq uvarint).
+func retiredFrame(t *testing.T, version int, m codec.Method) []byte {
+	t.Helper()
+	payload, err := codec.Compress(m, goldenPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	frame := []byte{0xEC, 0x40, byte(version), byte(m), 0}
+	frame = binary.AppendUvarint(frame, uint64(len(goldenPayload)))
+	frame = binary.AppendUvarint(frame, uint64(len(payload)))
+	if version == 3 {
+		frame = binary.AppendUvarint(frame, goldenSeq)
+	}
+	crc := crc32.Checksum(payload, castagnoli)
+	if version >= 2 {
+		crc = crc32.Update(crc32.Checksum(frame, castagnoli), castagnoli, payload)
+	}
+	frame = binary.LittleEndian.AppendUint32(frame, crc)
+	return append(frame, payload...)
+}
+
+// TestGoldenWireVectors pins the wire format from both sides. The
+// checked-in frames (one per method) must decode byte-for-byte to
+// goldenPayload forever and AppendFrameOpts must still emit them: a refactor
 // that changes header layout, CRC coverage, varint encoding, or any
-// decoder's view of a valid stream fails here before it silently breaks
-// cross-version peers.
+// decoder's view of a valid stream fails here. The v1–v3 arms pin the other
+// side: the same payload in a retired layout is refused as ErrBadVersion
+// and Resync steps past it onto the golden frame that follows.
 func TestGoldenWireVectors(t *testing.T) {
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range goldenMethods {
-			v1 := appendFrameV1(t, nil, m, goldenPayload)
-			v2, info, err := AppendFrame(nil, nil, m, goldenPayload)
+			frame, info, err := codec.AppendFrameOpts(nil, nil, m, goldenPayload, goldenOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if info.Fallback {
 				t.Fatalf("%v fell back to raw; pick a more compressible golden payload", m)
 			}
-			v3, _, err := AppendFrameSeq(nil, nil, m, goldenPayload, goldenSeq)
-			if err != nil {
+			if err := os.WriteFile(filepath.Join("testdata", goldenName(codec.FrameVersion, m)), frame, 0o644); err != nil {
 				t.Fatal(err)
-			}
-			v4, _, err := AppendFrameOpts(nil, nil, m, goldenPayload, FrameOpts{Seq: goldenSeq, Anno: goldenAnno})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for version, frame := range map[int][]byte{1: v1, 2: v2, 3: v3, 4: v4} {
-				path := filepath.Join("testdata", goldenName(version, m))
-				if err := os.WriteFile(path, frame, 0o644); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		t.Log("golden vectors rewritten")
 	}
 
+	// checkGolden asserts one decoded block is the golden frame's.
+	checkGolden := func(t *testing.T, m codec.Method, data []byte, info codec.BlockInfo) {
+		t.Helper()
+		if !bytes.Equal(data, goldenPayload) {
+			t.Fatal("decoded payload differs from canonical plaintext")
+		}
+		if info.Method != m || info.Fallback {
+			t.Fatalf("info = %+v, want method %v without fallback", info, m)
+		}
+		if info.OrigLen != len(goldenPayload) {
+			t.Fatalf("OrigLen = %d", info.OrigLen)
+		}
+		if m != codec.None && info.CompLen >= info.OrigLen {
+			t.Fatalf("golden %v frame is not actually compressed", m)
+		}
+		if !info.HasSeq || info.Seq != goldenSeq {
+			t.Fatalf("seq = (%d, %v), want (%d, true)", info.Seq, info.HasSeq, goldenSeq)
+		}
+		if !bytes.Equal(info.Anno, goldenAnno) {
+			t.Fatalf("anno = %x, want %x", info.Anno, goldenAnno)
+		}
+		if tc := tracing.ParseAnno(info.Anno); tc != goldenTC {
+			t.Fatalf("trace context = %+v", tc)
+		}
+	}
+
 	for _, m := range goldenMethods {
-		for _, version := range []int{1, 2, 3, 4} {
-			name := goldenName(version, m)
-			t.Run(name, func(t *testing.T) {
-				frame, err := os.ReadFile(filepath.Join("testdata", name))
-				if err != nil {
-					t.Fatalf("missing golden vector (regenerate with -update-golden): %v", err)
+		golden, err := os.ReadFile(filepath.Join("testdata", goldenName(codec.FrameVersion, m)))
+		if err != nil {
+			t.Fatalf("missing golden vector (regenerate with -update-golden): %v", err)
+		}
+		for _, version := range []int{1, 2, 3} {
+			t.Run(goldenName(version, m), func(t *testing.T) {
+				stream := append(retiredFrame(t, version, m), golden...)
+				fr := codec.NewFrameReader(bytes.NewReader(stream), nil)
+				_, _, err := fr.ReadBlock()
+				if !errors.Is(err, codec.ErrBadVersion) || !errors.Is(err, codec.ErrCorruptFrame) {
+					t.Fatalf("v%d frame: got %v, want ErrBadVersion", version, err)
 				}
-				fr := NewFrameReader(bytes.NewReader(frame), nil)
-				data, info, err := fr.ReadBlock()
-				if err != nil {
-					t.Fatalf("decode: %v", err)
-				}
-				if !bytes.Equal(data, goldenPayload) {
-					t.Fatal("decoded payload differs from canonical plaintext")
-				}
-				if info.Method != m || info.Fallback {
-					t.Fatalf("info = %+v, want method %v without fallback", info, m)
-				}
-				if info.OrigLen != len(goldenPayload) {
-					t.Fatalf("OrigLen = %d", info.OrigLen)
-				}
-				if m != None && info.CompLen >= info.OrigLen {
-					t.Fatalf("golden %v frame is not actually compressed", m)
-				}
-				if version >= 3 {
-					if !info.HasSeq || info.Seq != goldenSeq {
-						t.Fatalf("v%d seq = (%d, %v), want (%d, true)", version, info.Seq, info.HasSeq, goldenSeq)
+				// The retired frame's payload may hold a false boundary or
+				// two; each costs one more corrupt read, never the stream.
+				for tries := 0; tries < 64; tries++ {
+					if err := fr.Resync(); err != nil {
+						t.Fatalf("resync: %v", err)
 					}
-				} else if info.HasSeq {
-					t.Fatalf("v%d frame decoded with a sequence number", version)
-				}
-				if version == 4 {
-					if !bytes.Equal(info.Anno, goldenAnno) {
-						t.Fatalf("v4 anno = %x, want %x", info.Anno, goldenAnno)
+					data, info, err := fr.ReadBlock()
+					if err == nil {
+						checkGolden(t, m, data, info)
+						return
 					}
-					if tc := tracing.ParseAnno(info.Anno); tc != (tracing.Context{Trace: 0xABCD1234, WallNs: 1700000000000000000, MonoNs: 123456789}) {
-						t.Fatalf("v4 trace context = %+v", tc)
-					}
-				} else if info.Anno != nil {
-					t.Fatalf("v%d frame decoded with an annotation", version)
-				}
-
-				// The current writers must still emit the v2/v3 vectors
-				// byte-for-byte (encoder wire stability).
-				switch version {
-				case 2:
-					enc, _, err := AppendFrame(nil, nil, m, goldenPayload)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(enc, frame) {
-						t.Fatal("AppendFrame no longer reproduces the golden v2 frame")
-					}
-				case 3:
-					enc, _, err := AppendFrameSeq(nil, nil, m, goldenPayload, goldenSeq)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(enc, frame) {
-						t.Fatal("AppendFrameSeq no longer reproduces the golden v3 frame")
-					}
-				case 4:
-					enc, _, err := AppendFrameOpts(nil, nil, m, goldenPayload, FrameOpts{Seq: goldenSeq, Anno: goldenAnno})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(enc, frame) {
-						t.Fatal("AppendFrameOpts no longer reproduces the golden v4 frame")
+					if !errors.Is(err, codec.ErrCorruptFrame) {
+						t.Fatalf("read after resync: %v", err)
 					}
 				}
-
-				// Integrity: for v2+ vectors every byte before the payload end
-				// is CRC-protected; flip a header byte and a payload byte (for
-				// v3 the header flip lands inside the seq region's coverage).
-				if version >= 2 {
-					for _, at := range []int{3, len(frame) - 1} {
-						mut := append([]byte(nil), frame...)
-						mut[at] ^= 0x08
-						if _, _, err := NewFrameReader(bytes.NewReader(mut), nil).ReadBlock(); !errors.Is(err, ErrCorruptFrame) {
-							t.Fatalf("flip at %d: got %v, want ErrCorruptFrame", at, err)
-						}
-					}
-				}
+				t.Fatal("never reached the golden frame behind the retired one")
 			})
 		}
+		t.Run(goldenName(codec.FrameVersion, m), func(t *testing.T) {
+			data, info, err := codec.NewFrameReader(bytes.NewReader(golden), nil).ReadBlock()
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			checkGolden(t, m, data, info)
+
+			// Encoder wire stability.
+			enc, _, err := codec.AppendFrameOpts(nil, nil, m, goldenPayload, goldenOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, golden) {
+				t.Fatal("AppendFrameOpts no longer reproduces the golden frame")
+			}
+
+			// Integrity: every byte before the payload end is CRC-protected;
+			// flip a header byte and a payload byte.
+			for _, at := range []int{3, len(golden) - 1} {
+				mut := append([]byte(nil), golden...)
+				mut[at] ^= 0x08
+				if _, _, err := codec.NewFrameReader(bytes.NewReader(mut), nil).ReadBlock(); !errors.Is(err, codec.ErrCorruptFrame) {
+					t.Fatalf("flip at %d: got %v, want ErrCorruptFrame", at, err)
+				}
+			}
+		})
 	}
 }

@@ -137,7 +137,7 @@ func TestRoundTripThroughFrames(t *testing.T) {
 				src := propertyShapes(size)["text"]
 				blocks = append(blocks, src)
 				var err error
-				wire, _, err = AppendFrame(wire, reg, m, src)
+				wire, _, err = AppendFrameOpts(wire, reg, m, src, FrameOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,40 +2,15 @@ package codec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"testing"
 )
 
-// appendFrameV1 builds a legacy version-1 frame (payload-only CRC), exactly
-// as the pre-extension writer did. It exists so compatibility tests and the
-// golden vectors can exercise the v1 decode path forever.
-func appendFrameV1(t *testing.T, dst []byte, m Method, data []byte) []byte {
-	t.Helper()
-	payload, err := Compress(m, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flags := byte(0)
-	method := m
-	if m != None && len(payload) >= len(data) {
-		payload = data
-		method = None
-		flags |= FlagFallback
-	}
-	dst = append(dst, magic0, magic1, FrameVersionV1, byte(method), flags)
-	dst = binary.AppendUvarint(dst, uint64(len(data)))
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
-
 // mustFrame appends one frame of data compressed with m.
 func mustFrame(t *testing.T, dst []byte, m Method, data []byte) []byte {
 	t.Helper()
-	out, _, err := AppendFrame(dst, nil, m, data)
+	out, _, err := AppendFrameOpts(dst, nil, m, data, FrameOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +20,7 @@ func mustFrame(t *testing.T, dst []byte, m Method, data []byte) []byte {
 func TestCorruptErrorsAreTyped(t *testing.T) {
 	payload := bytes.Repeat([]byte("typed errors "), 100)
 	frame := mustFrame(t, nil, LempelZiv, payload)
+	crcAt := len(frame) - len(payloadOf(t, frame)) - 4
 
 	mutate := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), frame...)
@@ -61,7 +37,8 @@ func TestCorruptErrorsAreTyped(t *testing.T) {
 		{"flags byte", mutate(func(b []byte) { b[4] ^= 0x02 })},
 		{"length varint", mutate(func(b []byte) { b[5] ^= 0x01 })},
 		{"payload", mutate(func(b []byte) { b[len(b)-1] ^= 0x10 })},
-		{"crc field", mutate(func(b []byte) { b[9] ^= 0x01 })},
+		{"seq varint", mutate(func(b []byte) { b[crcAt-2] ^= 0x01 })},
+		{"crc field", mutate(func(b []byte) { b[crcAt] ^= 0x01 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,9 +61,8 @@ func TestCorruptErrorsAreTyped(t *testing.T) {
 	}
 }
 
-// TestHeaderCorruptionDetected is the v2 upgrade's point: v1 only covered
-// the payload, so a flipped header byte could misparse silently; v2 catches
-// every header bit.
+// TestHeaderCorruptionDetected: the CRC covers the header, so no flipped
+// header bit can misparse silently into different data.
 func TestHeaderCorruptionDetected(t *testing.T) {
 	payload := bytes.Repeat([]byte("header coverage "), 64)
 	frame := mustFrame(t, nil, Huffman, payload)
@@ -255,30 +231,5 @@ func TestResyncAtEOFReturnsEOF(t *testing.T) {
 	}
 	if err := fr.Resync(); err != io.EOF {
 		t.Fatalf("resync on exhausted stream: got %v want io.EOF", err)
-	}
-}
-
-// TestV1FramesStillDecode hand-builds a legacy (payload-only CRC) frame and
-// checks the reader accepts it.
-func TestV1FramesStillDecode(t *testing.T) {
-	for _, m := range []Method{None, Huffman, Arithmetic, LempelZiv, BurrowsWheeler} {
-		payload := bytes.Repeat([]byte("legacy wire compatibility "), 40)
-		frame := appendFrameV1(t, nil, m, payload)
-		data, info, err := NewFrameReader(bytes.NewReader(frame), nil).ReadBlock()
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if !bytes.Equal(data, payload) {
-			t.Fatalf("%v: payload mismatch", m)
-		}
-		if info.Method != m {
-			t.Fatalf("%v: decoded method %v", m, info.Method)
-		}
-		// And a flipped v1 payload byte still fails its (payload) CRC.
-		mut := append([]byte(nil), frame...)
-		mut[len(mut)-1] ^= 0x04
-		if _, _, err := NewFrameReader(bytes.NewReader(mut), nil).ReadBlock(); !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("%v: corrupt v1 frame decoded (err=%v)", m, err)
-		}
 	}
 }

@@ -3,8 +3,7 @@ package core
 import "sync"
 
 // DeliveryTracker enforces exactly-once, in-order delivery over sequenced
-// frame streams (codec version-3 frames carrying per-channel sequence
-// numbers). It survives reconnects: a Reader consults it per block, and the
+// frame streams (codec frames carrying per-channel sequence numbers). It survives reconnects: a Reader consults it per block, and the
 // resume handshake consults it for the last contiguously delivered
 // sequence to present to the broker.
 //

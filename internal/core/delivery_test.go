@@ -107,16 +107,16 @@ func TestDeliveryTrackerLastDelivered(t *testing.T) {
 	}
 }
 
-// seqStream frames each payload as a sequenced (v3) frame with the given
+// seqStream frames each payload as a sequenced frame with the given
 // sequence numbers.
 func seqStream(t *testing.T, payloads [][]byte, seqs []uint64) []byte {
 	t.Helper()
 	var buf []byte
 	for i, p := range payloads {
 		var err error
-		buf, _, err = codec.AppendFrameSeq(buf, nil, codec.None, p, seqs[i])
+		buf, _, err = codec.AppendFrameOpts(buf, nil, codec.None, p, codec.FrameOpts{Seq: seqs[i], HasSeq: true})
 		if err != nil {
-			t.Fatalf("AppendFrameSeq: %v", err)
+			t.Fatalf("AppendFrameOpts: %v", err)
 		}
 	}
 	return buf
@@ -204,9 +204,9 @@ func TestReaderAccountsGaps(t *testing.T) {
 func TestReaderUnsequencedFramesBypassTracker(t *testing.T) {
 	var buf []byte
 	var err error
-	buf, _, err = codec.AppendFrame(buf, nil, codec.None, []byte("plain"))
+	buf, _, err = codec.AppendFrameOpts(buf, nil, codec.None, []byte("plain"), codec.FrameOpts{})
 	if err != nil {
-		t.Fatalf("AppendFrame: %v", err)
+		t.Fatalf("AppendFrameOpts: %v", err)
 	}
 	var tr DeliveryTracker
 	r := NewReader(bytes.NewReader(buf), nil, nil)

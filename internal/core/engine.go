@@ -290,14 +290,14 @@ type Job struct {
 	// untouched until the block's result has been reported.
 	Block []byte
 	// Seq, when HasSeq is set, is stamped into the frame as its per-channel
-	// sequence number (wire version 3).
+	// sequence number.
 	Seq    uint64
 	HasSeq bool
 	// Method, when PreDecided is set, is used as is and Engine.Decide does
 	// not run — the encode plane selects once per method class.
 	Method     codec.Method
 	PreDecided bool
-	// Anno is the frame's v4 annotation handed down from an upstream hop
+	// Anno is the frame's annotation handed down from an upstream hop
 	// (nil = none) and TC its parsed trace context. A block that arrives
 	// with neither may be head-sampled and stamped by this engine.
 	Anno []byte
@@ -310,7 +310,8 @@ type Job struct {
 // stamp makes this engine the trace origin of a head-sampled block that
 // nothing upstream annotated and no caller pre-decided: the block gets a
 // fresh trace context in its annotation (and, lacking a sequence number, its
-// ordinal as one — annotated frames always carry the field).
+// ordinal as one, which is what this hop's and the receiver's spans of the
+// block are matched by).
 func (e *Engine) stamp(j *Job, index int) {
 	tr := e.tel.Tracer
 	if len(j.Anno) > 0 || j.PreDecided || !tr.Sample() {
@@ -374,10 +375,10 @@ func (e *Engine) transmit(frame []byte, send SendFunc, j *Job, res *BlockResult)
 // process before sending and joins it after.
 //
 // When the engine's telemetry carries a Tracer and the block is head-
-// sampled, a trace context is stamped into the frame's v4 annotation (the
+// sampled, a trace context is stamped into the frame's annotation (the
 // frame then also carries the block's ordinal as its sequence number) and
-// the probe/encode/write spans are recorded. Unsampled blocks emit exactly
-// the pre-tracing v2 frame bytes.
+// the probe/encode/write spans are recorded. Unsampled blocks carry
+// neither.
 func (s *Session) TransmitBlock(block, next []byte, send SendFunc) (BlockResult, error) {
 	e := s.e
 	res := BlockResult{Index: s.index, Workers: 1}

@@ -12,7 +12,7 @@ import (
 // own block while a sequencer hands the finished frames to one sink strictly
 // in submission order. Fed to a transport, the stream is byte-identical to
 // the sequential Session's output for the same sequence of method decisions
-// — v3 sequence numbers, the broker's replay ring, and resume semantics are
+// — sequence numbers, the broker's replay ring, and resume semantics are
 // all untouched, because nothing downstream can tell the frames were
 // compressed out of order.
 //

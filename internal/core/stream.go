@@ -148,22 +148,21 @@ func NewReader(r io.Reader, reg *codec.Registry, onBlock func(codec.BlockInfo)) 
 // resync onto.
 func (r *Reader) SetCorruptHandler(h func(error) bool) { r.onCorrupt = h }
 
-// SetDeliveryTracker installs t, consulted for every sequenced (v3) frame:
+// SetDeliveryTracker installs t, consulted for every sequenced frame:
 // replayed duplicates are suppressed (counted, not delivered) and sequence
 // discontinuities are accounted as explicit gaps — both surfaced through
 // the telemetry instruments and trace. The tracker outlives the Reader, so
 // a reconnecting consumer hands the same tracker to each new Reader and
-// gets exactly-once delivery across the whole session. Unsequenced (v1/v2)
-// frames pass through untouched.
+// gets exactly-once delivery across the whole session. Unsequenced frames
+// pass through untouched.
 func (r *Reader) SetDeliveryTracker(t *DeliveryTracker) { r.track = t }
 
 // SetCloseHandler installs h, called for zero-length annotated control
 // frames (the broker's explicit-close protocol: a close-reason TLV stamped
-// into an empty v4 frame right before the connection is severed). A non-nil
+// into an empty frame right before the connection is severed). A non-nil
 // return becomes the Reader's terminal error, letting clients surface
 // "evicted: overload" instead of whatever the torn transport produces; a
-// nil return skips the frame like a heartbeat. Control frames bypass the
-// delivery tracker — their sequence numbers are not data sequences.
+// nil return skips the frame like a heartbeat.
 func (r *Reader) SetCloseHandler(h func(anno []byte) error) { r.onClose = h }
 
 // Read implements io.Reader.
@@ -192,9 +191,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		if len(data) == 0 && len(info.Anno) > 0 && r.onClose != nil {
-			// Control frame: empty payload with an annotation. Handle before
-			// the delivery tracker — its seq is not a data sequence and must
-			// not be suppressed as a duplicate or counted as a gap.
+			// Control frame: empty payload with an annotation.
 			if cerr := r.onClose(info.Anno); cerr != nil {
 				r.err = cerr
 				return 0, cerr

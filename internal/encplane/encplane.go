@@ -8,7 +8,7 @@
 // realization runs the whole engine — probe, selection, encode — once per
 // subscriber. But the expensive parts don't depend on the subscriber at
 // all: the 4 KB sampling probe depends only on the block, and the encoded
-// v3 frame depends only on (block, method, sequence), because sequence
+// frame depends only on (block, method, sequence), because sequence
 // numbers are per channel. Only the *selection* is per path (it consumes
 // the subscriber's own goodput EWMA), and selection is a handful of float
 // comparisons. So the plane splits the loop:
@@ -344,7 +344,13 @@ type publication struct {
 // EncodeCached — so selection timing is identical to a per-subscriber
 // encode loop, while the steady state still encodes once per class.
 type Delivery struct {
+	// Frame is the shared encoded frame, holding one reference for the
+	// consumer. A consumer may also run blocks of its own through the same
+	// path with Frame nil and fetch each from EncodeCached (the broker's
+	// resume backlog does).
 	Frame *Frame
+	// Seq is the block's channel sequence number.
+	Seq uint64
 	// Data is the original block, shared read-only with the replay ring;
 	// it feeds EncodeCached when the consumer migrated after publish.
 	Data []byte
@@ -484,10 +490,7 @@ func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
 	// The probe still runs on the fast path: auto-placement members that
 	// currently sit offloaded need it at dequeue to decide a flip back.
 	pub := &publication{classes: classes, probe: c.ProbeFor(data, seq), at: time.Now()}
-	job := core.Job{Block: data, Seq: seq, HasSeq: true, PreDecided: true, Anno: anno, Ctx: pub}
-	if len(anno) > 0 {
-		job.TC = tracing.ParseAnno(anno)
-	}
+	job := core.Job{Block: data, Seq: seq, HasSeq: true, PreDecided: true, Anno: anno, TC: tracing.ParseAnno(anno), Ctx: pub}
 
 	// pipeMu also orders the inline fast path against close, which purges
 	// the cache only after the frame was parked there.
@@ -569,7 +572,7 @@ func (c *Channel) admit(buf *[]byte, j *core.Job, res *core.BlockResult, reason 
 	p.encBytes.Add(int64(f.Len()))
 	p.encLat.ObserveDuration(res.CompressTime)
 
-	d := Delivery{Frame: f, Data: j.Block, Anno: j.Anno, TC: j.TC}
+	d := Delivery{Frame: f, Seq: j.Seq, Data: j.Block, Anno: j.Anno, TC: j.TC}
 	var members []jobMember
 	if pub, ok := j.Ctx.(*publication); ok {
 		members, d.Probe, d.At = pub.classes[j.Method], pub.probe, pub.at
@@ -631,10 +634,7 @@ func (c *Channel) admit(buf *[]byte, j *core.Job, res *core.BlockResult, reason 
 // many subscribers need the same (block, method) pair, it is encoded at most
 // once while the frame stays cached.
 func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []byte) (*Frame, error) {
-	job := core.Job{Block: data, Seq: seq, HasSeq: true, Method: m, PreDecided: true, Anno: anno}
-	if len(anno) > 0 {
-		job.TC = tracing.ParseAnno(anno)
-	}
+	job := core.Job{Block: data, Seq: seq, HasSeq: true, Method: m, PreDecided: true, Anno: anno, TC: tracing.ParseAnno(anno)}
 	c.mu.Lock()
 	if f, ok := c.cache.get(seq, m); ok {
 		f.Retain()

@@ -68,7 +68,7 @@ func (c *collector) stop() (frames [][]byte, seqs []uint64) {
 		select {
 		case d := <-c.queue:
 			frames = append(frames, append([]byte(nil), d.Frame.Bytes()...))
-			seqs = append(seqs, d.Frame.Seq())
+			seqs = append(seqs, d.Seq)
 			d.Frame.Release()
 		default:
 			return frames, seqs
@@ -79,7 +79,7 @@ func (c *collector) stop() (frames [][]byte, seqs []uint64) {
 // TestByteIdentityAllMethods proves the shared plane emits the exact bytes a
 // per-subscriber encode loop would: for every method, frames fanned out by
 // Publish and frames served by EncodeCached both equal a direct
-// codec.AppendFrameSeq of the same (block, method, seq) — including the
+// codec.AppendFrameOpts of the same (block, method, seq) — including the
 // expansion-fallback path on incompressible data.
 func TestByteIdentityAllMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -108,7 +108,7 @@ func TestByteIdentityAllMethods(t *testing.T) {
 			t.Fatalf("%v: got %d frames, want %d", m, len(frames), len(blocks))
 		}
 		for i, b := range blocks {
-			want, _, err := codec.AppendFrameSeq(nil, reg, m, b, uint64(i+1))
+			want, _, err := codec.AppendFrameOpts(nil, reg, m, b, codec.FrameOpts{Seq: uint64(i + 1), HasSeq: true})
 			if err != nil {
 				t.Fatalf("%v: direct encode: %v", m, err)
 			}
@@ -141,7 +141,7 @@ func TestEncodeCachedIdentityAndDedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := codec.AppendFrameSeq(nil, reg, m, data, 42)
+		want, _, err := codec.AppendFrameOpts(nil, reg, m, data, codec.FrameOpts{Seq: 42, HasSeq: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestRawFastPathByteIdentity(t *testing.T) {
 		if len(frames) != n {
 			t.Fatalf("delivered %d frames, want %d", len(frames), n)
 		}
-		want, _, err := codec.AppendFrameSeq(nil, reg, codec.None, data, 1)
+		want, _, err := codec.AppendFrameOpts(nil, reg, codec.None, data, codec.FrameOpts{Seq: 1, HasSeq: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestRawFastPathByteIdentity(t *testing.T) {
 			if seqs[i] != uint64(i+1) {
 				t.Fatalf("seqs[%d] = %d: fast path broke publish order", i, seqs[i])
 			}
-			want, _, _ = codec.AppendFrameSeq(want[:0], reg, codec.None, data, seqs[i])
+			want, _, _ = codec.AppendFrameOpts(want[:0], reg, codec.None, data, codec.FrameOpts{Seq: seqs[i], HasSeq: true})
 			if !bytes.Equal(fb, want) {
 				t.Fatalf("block %d: fast-path frame differs from direct encode", i)
 			}

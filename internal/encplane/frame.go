@@ -9,7 +9,7 @@ import (
 
 // Frame is one immutable encoded wire frame shared across subscriber
 // queues. Because the broker stamps a channel's sequence number before
-// fan-out, the complete version-3 frame — header, sequence, CRC, payload —
+// fan-out, the complete frame — header, sequence, CRC, payload —
 // is identical for every subscriber in a (channel, method) class, so one
 // encode serves them all.
 //
@@ -47,9 +47,6 @@ func (f *Frame) Bytes() []byte { return f.b }
 
 // Len returns the wire size of the frame.
 func (f *Frame) Len() int { return len(f.b) }
-
-// Seq returns the channel sequence number stamped into the frame.
-func (f *Frame) Seq() uint64 { return f.seq }
 
 // Info returns the encode outcome (method after any expansion fallback,
 // payload sizes, sequence).

@@ -236,14 +236,6 @@ func (e *Encoder) Encode(w *bitio.Writer, sym int) error {
 	return w.WriteBits(c.Bits, uint(c.Len))
 }
 
-// CodeLen reports the code length for sym in bits (0 if sym has no code).
-func (e *Encoder) CodeLen(sym int) int {
-	if sym < 0 || sym >= len(e.codes) {
-		return 0
-	}
-	return int(e.codes[sym].Len)
-}
-
 // tableBits sizes the one-level fast decode table: codes up to this long
 // resolve with a single peek, longer ones fall back to the canonical walk.
 const tableBits = 10
@@ -357,9 +349,6 @@ func (d *Decoder) Decode(r *bitio.Reader) (int, error) {
 	}
 	return 0, ErrInvalidLengths
 }
-
-// MaxLen reports the longest code length in the book.
-func (d *Decoder) MaxLen() int { return int(d.maxLen) }
 
 // WriteLengths serializes a code-length table compactly: each entry is 6
 // bits; a zero entry is followed by an 8-bit extra giving how many additional

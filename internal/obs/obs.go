@@ -74,7 +74,7 @@ type Record struct {
 	Err     string `json:"err,omitempty"`
 
 	// Session/resume records. FrameSeq is the per-channel block sequence
-	// number stamped into sequenced (v3) frames. Resume marks a resume
+	// number stamped into sequenced frames. Resume marks a resume
 	// handshake (broker side: replay decision; receiver side: reconnect
 	// outcome). Dup marks a replayed duplicate the delivery tracker
 	// suppressed. GapBlocks counts blocks known lost at this point — evicted

@@ -2,21 +2,11 @@ package tracing
 
 import (
 	"encoding/binary"
-	"time"
+
+	"ccx/internal/codec"
 )
 
-// Annotation TLV kinds. A frame v4 annotation block is a sequence of
-// records: kind(1 byte) length(uvarint) payload(length bytes). Consumers
-// skip kinds they do not understand, so new kinds never need a frame
-// version bump.
-const (
-	// annoKindTrace carries a trace context: trace id, origin wall clock
-	// (Unix nanoseconds), origin monotonic reading (nanoseconds since the
-	// origin tracer started) — all uvarint-encoded.
-	annoKindTrace = 0x01
-)
-
-// Context is the trace context a publisher stamps into a frame v4
+// Context is the trace context a publisher stamps into a frame
 // annotation and every downstream hop copies forward: the trace id plus
 // the origin's wall and monotonic clocks at stamp time. The zero Context
 // means "unsampled".
@@ -36,58 +26,40 @@ type Context struct {
 func (c Context) Valid() bool { return c.Trace != 0 }
 
 // AppendAnno appends the context as one TLV record to dst, returning the
-// extended slice — the bytes that go inside a frame v4 annotation block.
+// extended slice — the bytes that go inside a frame's annotation block.
 func (c Context) AppendAnno(dst []byte) []byte {
 	var body [3 * binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(body[:], c.Trace)
 	n += binary.PutUvarint(body[n:], uint64(c.WallNs))
 	n += binary.PutUvarint(body[n:], uint64(c.MonoNs))
-	dst = append(dst, annoKindTrace)
-	dst = binary.AppendUvarint(dst, uint64(n))
-	return append(dst, body[:n]...)
+	return codec.AppendAnnoRecord(dst, codec.AnnoKindTrace, body[:n])
 }
 
-// ParseAnno scans a frame v4 annotation block for a trace context,
+// ParseAnno scans a frame annotation block for a trace context,
 // skipping unknown TLV kinds. It returns the zero Context (Valid() false)
 // when the block carries none or is malformed — annotation damage is
 // already caught by the frame CRC, so a parse failure here means an
 // incompatible writer, and the block simply goes untraced.
 func ParseAnno(anno []byte) Context {
-	for len(anno) >= 2 {
-		kind := anno[0]
-		l, n := binary.Uvarint(anno[1:])
-		if n <= 0 || uint64(len(anno)-1-n) < l {
-			return Context{}
-		}
-		body := anno[1+n : 1+n+int(l)]
-		anno = anno[1+n+int(l):]
-		if kind != annoKindTrace {
-			continue
-		}
-		var c Context
-		var k int
-		if c.Trace, k = binary.Uvarint(body); k <= 0 {
-			return Context{}
-		}
-		body = body[k:]
-		wall, k := binary.Uvarint(body)
-		if k <= 0 {
-			return Context{}
-		}
-		body = body[k:]
-		mono, k := binary.Uvarint(body)
-		if k <= 0 {
-			return Context{}
-		}
-		c.WallNs, c.MonoNs = int64(wall), int64(mono)
-		return c
+	body, ok := codec.AnnoRecord(anno, codec.AnnoKindTrace)
+	if !ok {
+		return Context{}
 	}
-	return Context{}
-}
-
-// Age returns the elapsed time since the context was stamped, measured
-// against the local wall clock at now. Only meaningful on the origin hop
-// or after skew correction.
-func (c Context) Age(now time.Time) time.Duration {
-	return time.Duration(now.UnixNano() - c.WallNs)
+	var c Context
+	var k int
+	if c.Trace, k = binary.Uvarint(body); k <= 0 {
+		return Context{}
+	}
+	body = body[k:]
+	wall, k := binary.Uvarint(body)
+	if k <= 0 {
+		return Context{}
+	}
+	body = body[k:]
+	mono, k := binary.Uvarint(body)
+	if k <= 0 {
+		return Context{}
+	}
+	c.WallNs, c.MonoNs = int64(wall), int64(mono)
+	return c
 }

@@ -1,6 +1,6 @@
 // Package tracing is the cross-hop, per-block distributed trace for ccx
 // streams. The publisher stamps a compact trace context (trace id + origin
-// wall/monotonic timestamps) into a frame v4 annotation for a head-sampled
+// wall/monotonic timestamps) into a frame annotation for a head-sampled
 // subset of blocks; every hop that handles an annotated block appends local
 // span records — probe, decide, encode, queue wait, write, decode — to a
 // lock-free ring modeled on the obs decision ring, exported as JSONL over

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ccx/internal/codec"
 )
 
 func TestContextAnnoRoundtrip(t *testing.T) {
@@ -34,9 +36,9 @@ func TestParseAnnoSkipsUnknownKinds(t *testing.T) {
 func TestParseAnnoMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{annoKindTrace},                // kind with no length
-		{annoKindTrace, 200, 1},        // length overruns buffer
-		{annoKindTrace, 1, 0x80},       // truncated uvarint body
+		{codec.AnnoKindTrace},          // kind with no length
+		{codec.AnnoKindTrace, 200, 1},  // length overruns buffer
+		{codec.AnnoKindTrace, 1, 0x80}, // truncated uvarint body
 		{0x7F, 5, 1, 2},                // unknown kind overrunning
 		bytes.Repeat([]byte{0x80}, 16), // varint garbage
 	}

@@ -121,7 +121,7 @@ func TestFaultMatrix(t *testing.T) {
 			pub := faultnet.Wrap(pubConn, tc.plan)
 			var pubErr error
 			for _, block := range blocks {
-				frame, _, err := codec.AppendFrame(nil, nil, codec.None, block)
+				frame, _, err := codec.AppendFrameOpts(nil, nil, codec.None, block, codec.FrameOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -171,7 +171,7 @@ func TestPlacementEquivalence(t *testing.T) {
 				pub := faultnet.Wrap(pubConn, tc.plan)
 				var pubErr error
 				for _, block := range blocks {
-					frame, _, err := codec.AppendFrame(nil, nil, pubMethod, block)
+					frame, _, err := codec.AppendFrameOpts(nil, nil, pubMethod, block, codec.FrameOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -306,7 +306,7 @@ func TestPlacementResumeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			// The version-3 resume hello advertises this session's placement;
+			// The resume hello advertises this session's placement;
 			// the whole replay backlog must honor it.
 			firstSeq, err := broker.HandshakeResumePlacement(conn, "md", 0, pl)
 			if err != nil {

@@ -108,7 +108,7 @@ func runShardCell(t *testing.T, shards int, m codec.Method, pl selector.Placemen
 	}
 	pub := faultnet.Wrap(pubConn, plan)
 	for _, block := range blocks {
-		frame, _, err := codec.AppendFrame(nil, nil, pubMethod, block)
+		frame, _, err := codec.AppendFrameOpts(nil, nil, pubMethod, block, codec.FrameOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
