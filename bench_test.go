@@ -8,11 +8,17 @@ package ccx_test
 import (
 	"fmt"
 	"io"
+	"net"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"ccx/internal/core"
+	"ccx/internal/datagen"
 	"ccx/internal/experiments"
+	"ccx/internal/selector"
 )
 
 // benchOptions uses a mid-size scale: full MBone scenario, K=16.
@@ -63,3 +69,51 @@ func BenchmarkAblationThresholds(b *testing.B) { runExperiment(b, "ablation-thre
 func BenchmarkAblationBlockSize(b *testing.B)  { runExperiment(b, "ablation-blocksize") }
 func BenchmarkAblationProbeSize(b *testing.B)  { runExperiment(b, "ablation-probe") }
 func BenchmarkAblationPolicies(b *testing.B)   { runExperiment(b, "ablation-policy") }
+
+// BenchmarkFastLineBlock is the per-block fixed cost when the line outruns
+// the codec — the benchmark's p2p_fastlink_16k in miniature: core.Writer
+// (workers = GOMAXPROCS, as ccsend runs it) over an in-memory conn to
+// core.Reader, 16 KiB blocks. probes/block is the share of blocks whose
+// decision paid for a fresh sampling probe instead of reusing one.
+func BenchmarkFastLineBlock(b *testing.B) {
+	const blockSize = 16 << 10
+	sel := selector.DefaultConfig()
+	sel.BlockSize = blockSize
+	e, err := core.NewEngine(core.Config{Selector: sel, Workers: runtime.GOMAXPROCS(0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	send, recv := net.Pipe()
+	defer send.Close()
+	var probed atomic.Int64 // onBlock runs on the pipeline's sequencer goroutine
+	w := core.NewWriter(send, e, func(r core.BlockResult) {
+		if r.Decision.Inputs.ProbeAge == 0 {
+			probed.Add(1)
+		}
+	})
+	received := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, core.NewReader(recv, nil, nil))
+		received <- err
+	}()
+	corpus := datagen.OISTransactions(64*blockSize, 0.9, 1)
+
+	b.SetBytes(blockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i % 64) * blockSize
+		if _, err := w.Write(corpus[off : off+blockSize]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	send.Close()
+	if err := <-received; err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(probed.Load())/float64(b.N), "probes/block")
+}

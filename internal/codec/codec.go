@@ -132,9 +132,18 @@ func (rawCodec) Compress(src []byte) ([]byte, error) {
 	return out, nil
 }
 
+// rawLenCheck is the one integrity check a raw payload admits: it must be
+// exactly as long as the header says the block was.
+func rawLenCheck(n, origLen int) error {
+	if n != origLen {
+		return fmt.Errorf("codec: raw block length %d != declared %d", n, origLen)
+	}
+	return nil
+}
+
 func (rawCodec) Decompress(src []byte, origLen int) ([]byte, error) {
-	if len(src) != origLen {
-		return nil, fmt.Errorf("codec: raw block length %d != declared %d", len(src), origLen)
+	if err := rawLenCheck(len(src), origLen); err != nil {
+		return nil, err
 	}
 	// src is the FrameReader's scratch buffer, overwritten by the next
 	// frame: the copy is what makes the returned block the caller's own.

@@ -281,8 +281,23 @@ func (fr *FrameReader) readUvarint() (uint64, error) {
 
 // ReadBlock reads and decodes the next frame. It returns io.EOF cleanly at
 // a frame boundary, io.ErrUnexpectedEOF on mid-frame truncation, and an
-// error satisfying errors.Is(err, ErrCorruptFrame) on in-frame damage.
+// error satisfying errors.Is(err, ErrCorruptFrame) on in-frame damage. The
+// returned block is the caller's own and stays valid across later calls.
 func (fr *FrameReader) ReadBlock() ([]byte, BlockInfo, error) {
+	return fr.readBlock(false)
+}
+
+// ReadBlockBorrowed is ReadBlock for a caller that is done with each block
+// before it asks for the next (core.Reader copies into its caller's buffer):
+// the block of a genuine raw frame is the reader's payload scratch itself,
+// valid only until the next ReadBlock, ReadBlockBorrowed or Resync, which
+// saves the block-sized copy per frame that dominates the receive path while
+// the selector sends raw. Every other frame decodes exactly as in ReadBlock.
+func (fr *FrameReader) ReadBlockBorrowed() ([]byte, BlockInfo, error) {
+	return fr.readBlock(true)
+}
+
+func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	var info BlockInfo
 	fr.hdr = fr.hdr[:0]
 	fr.payLen = 0
@@ -363,7 +378,12 @@ func (fr *FrameReader) ReadBlock() ([]byte, BlockInfo, error) {
 		return nil, info, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
 	}
 	start := time.Now()
-	data, err := c.Decompress(payload, info.OrigLen)
+	var data []byte
+	if _, raw := c.(rawCodec); raw && borrow {
+		data, err = payload, rawLenCheck(len(payload), info.OrigLen)
+	} else {
+		data, err = c.Decompress(payload, info.OrigLen)
+	}
 	info.DecodeTime = time.Since(start)
 	if err != nil {
 		return nil, info, fmt.Errorf("%w: decompress %v: %w", ErrCorruptFrame, info.Method, err)

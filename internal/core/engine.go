@@ -103,6 +103,44 @@ type Engine struct {
 
 	mu      sync.Mutex
 	pending chan sampling.ProbeResult
+
+	gate probeGate
+}
+
+// The probe gate: §2.5 asks "is the line faster than any method's reducing
+// speed?" before it needs the sample, and so does the engine. The predicted
+// Lempel-Ziv reduce time of a block is its length times the probe's time per
+// sampled byte (the sample's ratio cancels out of expected-reduction /
+// reducing-speed), so the fastest time per byte any probe has shown bounds
+// from below what a fresh probe could predict. While the predicted send time
+// times gateMargin is still under SendVsReduce times that bound, the block is
+// decided from the remembered probe instead of a measured one.
+const (
+	// gateMargin is how many times faster than the break-even the line must
+	// be: a fresh probe would have to beat the fastest one on record by this
+	// factor to change a send-vs-reduce answer.
+	gateMargin = 4
+	// gateMaxEvery caps the re-measure cadence at one block in 64, which also
+	// bounds a reused probe's age (plus the few blocks that pass concurrent
+	// workers while the next measurement runs).
+	gateMaxEvery = 64
+)
+
+// probeGate is the remembered measurement and the cadence it is refreshed
+// on. Blocks are numbered as the gate sees them.
+type probeGate struct {
+	// off disables reuse: the policy samples every block. Set at build.
+	off bool
+
+	mu     sync.Mutex           // guards the fields below
+	last   sampling.ProbeResult // the newest measured probe
+	lastAt uint64               // ordinal of the block it was measured on
+	// floor is the fastest Lempel-Ziv time per sampled byte seen, in
+	// nanoseconds with SpeedScale applied; 0 until a probe has been timed.
+	floor  float64
+	seen   uint64 // ordinal of the newest block decided
+	nextAt uint64 // ordinal at which the next measurement is due
+	every  uint64 // blocks between measurements: doubles from 1 to gateMaxEvery while the line stays fast
 }
 
 // NewEngine validates cfg and builds an Engine.
@@ -148,6 +186,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		workers: cfg.Workers,
 		lim:     cfg.Limiter,
 	}
+	e.gate.every = 1
+	if p, ok := policy.(selector.PerBlockSampler); ok {
+		e.gate.off = p.SamplesEveryBlock()
+	}
 	if cfg.Telemetry.Metrics != nil {
 		e.tx = newTxInstruments(cfg.Telemetry.Metrics, reg)
 	}
@@ -163,21 +205,101 @@ func (e *Engine) Monitor() *bwmon.Monitor { return e.mon }
 // Registry exposes the codec registry, for runtime method deployment.
 func (e *Engine) Registry() *codec.Registry { return e.reg }
 
+// reuseProbe reports whether the next block, n bytes long, is decided from
+// the remembered probe, and returns it aged and with no time spent. That
+// needs the line to outrun the codec by gateMargin at the current goodput
+// (never before the first goodput sample or the first timed probe) and the
+// cadence not to ask for a measurement. Otherwise the caller owes the gate a
+// measure for the returned ordinal. A line that slows is therefore measured
+// on the very block the margin stops holding for and on every block until it
+// holds again; the cadence is left where it was, because the floor it ramped
+// up to establish still stands.
+//
+// peek asks without consuming the block: StartProbe uses it to decide
+// whether to fork, and leaves the block to the Decide that follows.
+func (e *Engine) reuseProbe(n int, peek bool) (p sampling.ProbeResult, ordinal uint64, ok bool) {
+	g := &e.gate
+	if g.off || n == 0 {
+		// Nothing to remember — the policy wants every sample, or there is
+		// none (probing an empty block is free): measure with ordinal 0
+		// leaves the gate as it was.
+		return p, 0, false
+	}
+	send := float64(e.mon.SendTime(n))
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	k := g.seen + 1
+	fast := g.floor > 0 && send > 0 &&
+		send*gateMargin < e.sel.SendVsReduce*g.floor*float64(n)
+	if fast && k < g.nextAt {
+		if !peek {
+			g.seen = k
+			if e.tx != nil {
+				e.tx.probesReused.Inc()
+			}
+		}
+		p = g.last
+		p.Duration, p.Age = 0, int(k-g.lastAt)
+		return p, 0, true
+	}
+	g.seen = k
+	if fast && g.every < gateMaxEvery {
+		g.every *= 2
+	}
+	g.nextAt = k + g.every
+	return p, k, false
+}
+
+// measure probes block, the gate's ordinal-th, and remembers the result
+// (ordinal 0: a block the gate passed over, nothing is remembered).
+func (e *Engine) measure(block []byte, ordinal uint64) sampling.ProbeResult {
+	p := e.smp.Probe(block)
+	if e.tx != nil {
+		e.tx.probesMeasured.Inc()
+	}
+	if ordinal == 0 {
+		return p
+	}
+	g := &e.gate
+	g.mu.Lock()
+	if ordinal > g.lastAt { // concurrent workers can finish out of order
+		g.last, g.lastAt = p, ordinal
+	}
+	if p.Duration > 0 {
+		perByte := float64(p.Duration) / float64(p.SampleLen)
+		if scale := e.smp.SpeedScale; scale > 0 {
+			perByte *= scale
+		}
+		if g.floor == 0 || perByte < g.floor {
+			g.floor = perByte
+		}
+	}
+	g.mu.Unlock()
+	return p
+}
+
 // StartProbe forks the paper's sampling child for the next block: a
 // goroutine compresses its first 4 KB with Lempel-Ziv. The result is
-// consumed by the next Decide call.
+// consumed by the next Decide call. While the line outruns the codec nothing
+// is forked, and that Decide reuses the remembered probe (or measures, if
+// the send in between slowed the line).
 func (e *Engine) StartProbe(next []byte) {
+	_, ordinal, reuse := e.reuseProbe(len(next), true)
+	if reuse {
+		return
+	}
 	ch := make(chan sampling.ProbeResult, 1)
 	e.mu.Lock()
 	e.pending = ch
 	e.mu.Unlock()
 	go func() {
-		ch <- e.smp.Probe(next)
+		ch <- e.measure(next, ordinal)
 	}()
 }
 
 // takeProbe joins the pending probe if one exists ("wait for child
-// process"), otherwise probes block synchronously.
+// process"); otherwise it reuses the remembered probe or measures block
+// synchronously, as the gate decides.
 func (e *Engine) takeProbe(block []byte) sampling.ProbeResult {
 	e.mu.Lock()
 	ch := e.pending
@@ -186,7 +308,11 @@ func (e *Engine) takeProbe(block []byte) sampling.ProbeResult {
 	if ch != nil {
 		return <-ch
 	}
-	return e.smp.Probe(block)
+	p, ordinal, reuse := e.reuseProbe(len(block), false)
+	if !reuse {
+		p = e.measure(block, ordinal)
+	}
+	return p
 }
 
 // Decide selects the compression method for block, consuming the pending
@@ -214,6 +340,7 @@ func (e *Engine) DecideProbed(blockLen int, probe sampling.ProbeResult) selector
 		Entropy:       probe.Entropy,
 		Repetition:    probe.Repetition,
 		ProbeTime:     probe.Duration,
+		ProbeAge:      probe.Age,
 	}
 	pl := e.plc.Decide(in)
 	if !e.plc.Encodes(pl) {

@@ -33,8 +33,11 @@ import (
 //
 // Probing: workers do not use the paper's probe-ahead overlap (Engine's
 // pending-probe slot is a per-stream scalar, meaningless with several
-// blocks in flight). Each Decide probes its own block synchronously on the
-// worker, so probe cost parallelizes along with the encode.
+// blocks in flight). Each Decide takes its probe synchronously on the worker
+// — a fresh measurement of its own block, or, while the line outruns the
+// codec, the engine's remembered one (see the probe gate in engine.go; its
+// state is shared by all workers) — so probe cost parallelizes along with the
+// encode.
 type Pipeline struct {
 	e       *Engine
 	sink    Sink

@@ -29,6 +29,10 @@ type spreadPolicy struct{}
 
 func (spreadPolicy) Name() string { return "spread" }
 
+// SamplesEveryBlock opts out of probe reuse (selector.PerBlockSampler): the
+// choice is a function of each block's own sample and nothing else.
+func (spreadPolicy) SamplesEveryBlock() bool { return true }
+
 func (spreadPolicy) Select(in selector.Inputs) selector.Decision {
 	methods := []codec.Method{codec.None, codec.Huffman, codec.Arithmetic, codec.LempelZiv, codec.BurrowsWheeler}
 	k := in.BlockLen + int(in.Entropy*4096) + int(in.Repetition*4096) + int(in.ProbeRatio*4096)

@@ -171,7 +171,9 @@ func (r *Reader) Read(p []byte) (int, error) {
 		if r.err != nil {
 			return 0, r.err
 		}
-		data, info, err := r.fr.ReadBlock()
+		// Borrowed: every byte of the block is copied into a caller's p
+		// before the loop comes back here for the next frame.
+		data, info, err := r.fr.ReadBlockBorrowed()
 		if err != nil {
 			if r.onCorrupt != nil && errors.Is(err, codec.ErrCorruptFrame) && r.onCorrupt(err) {
 				r.observeCorrupt(err)

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 
 	"ccx/internal/codec"
@@ -171,5 +174,94 @@ func TestWriterReaderOverTCP(t *testing.T) {
 	got := <-recvDone
 	if !bytes.Equal(got, data) {
 		t.Fatalf("TCP roundtrip mismatch: %d vs %d bytes", len(got), len(data))
+	}
+}
+
+// TestReaderMixedStream: the Reader borrows raw payloads from the frame
+// reader's scratch, so every kind of frame around a raw one — fallback to
+// raw, compressed, empty, and the annotated close frame — must still come out
+// byte-identical whether the caller drains blocks in slivers or whole.
+func TestReaderMixedStream(t *testing.T) {
+	noise := make([]byte, 5000)
+	rand.New(rand.NewSource(9)).Read(noise)
+	text := datagen.OISTransactions(20<<10, 0.9, 4)
+	closeAnno := codec.AppendAnnoRecord(nil, codec.AnnoKindClose, []byte("\x01done"))
+	var wire, want []byte
+	for _, f := range []struct {
+		m    codec.Method
+		data []byte
+		anno []byte
+	}{
+		{codec.None, text, nil},
+		{codec.None, noise, nil},
+		{codec.LempelZiv, noise, nil}, // expands: falls back to raw
+		{codec.LempelZiv, text, nil},
+		{codec.None, nil, nil}, // heartbeat
+		{codec.None, text[:100], nil},
+		{codec.BurrowsWheeler, text, nil},
+		{codec.None, noise[:1], nil},
+		{codec.None, nil, closeAnno},
+	} {
+		var err error
+		if wire, _, err = codec.AppendFrameOpts(wire, nil, f.m, f.data, codec.FrameOpts{Anno: f.anno}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f.data...)
+	}
+	errClosed := errors.New("closed by peer")
+	for _, size := range []int{1, 7, 4096, 1 << 20} {
+		r := NewReader(bytes.NewReader(wire), nil, nil)
+		r.SetCloseHandler(func([]byte) error { return errClosed })
+		var got []byte
+		p := make([]byte, size)
+		var err error
+		for err == nil {
+			var n int
+			n, err = r.Read(p)
+			got = append(got, p[:n]...)
+		}
+		if err != errClosed {
+			t.Fatalf("p of %d bytes: stream ended with %v, want the close handler's error", size, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("p of %d bytes: %d bytes decoded, want %d, or content differs", size, len(got), len(want))
+		}
+	}
+}
+
+// TestReaderRawFrameAllocs is the receive path's ceiling while the selector
+// sends raw: a 16 KiB raw frame through the Reader costs the frame reader's
+// small header allocations and nothing that scales with the payload.
+func TestReaderRawFrameAllocs(t *testing.T) {
+	const frames = 64
+	block := datagen.OISTransactions(16<<10, 0.9, 2)
+	var wire []byte
+	for i := 0; i < frames+1; i++ {
+		var err error
+		if wire, _, err = codec.AppendFrameOpts(wire, nil, codec.None, block, codec.FrameOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewReader(bytes.NewReader(wire), nil, nil)
+	p := make([]byte, len(block))
+	if _, err := io.ReadFull(r, p); err != nil { // sizes the payload scratch
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		if _, err := io.ReadFull(r, p); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(p, block) {
+		t.Fatal("last block differs")
+	}
+	if n := float64(after.Mallocs-before.Mallocs) / frames; n > 3 {
+		t.Errorf("%.1f allocations per raw frame, want at most 3", n)
+	}
+	if b := float64(after.TotalAlloc-before.TotalAlloc) / frames; b >= 256 {
+		t.Errorf("%.0f bytes allocated per raw 16 KiB frame, want < 256", b)
 	}
 }

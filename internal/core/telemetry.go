@@ -37,16 +37,18 @@ func (t Telemetry) enabled() bool { return t.Metrics != nil || t.Trace != nil ||
 // txInstruments are the send-side metrics, resolved once at engine build
 // so the per-block path touches only atomics.
 type txInstruments struct {
-	encodeLat *metrics.Histogram      // ccx.encode_seconds
-	sendLat   *metrics.Histogram      // ccx.send_seconds
-	blockIn   *metrics.Histogram      // ccx.tx_block_bytes (original)
-	wireOut   *metrics.Histogram      // ccx.tx_wire_bytes (frame)
-	blocks    *metrics.Counter        // ccx.tx_blocks
-	fallbacks *metrics.Counter        // ccx.tx_fallbacks
-	pipeDepth *metrics.Gauge          // ccx.pipeline_depth (blocks in flight)
-	pipeWait  *metrics.Histogram      // ccx.pipeline_wait_seconds
-	ratio     [256]*metrics.Histogram // ccx.ratio.<method>
-	methods   [256]*metrics.Counter   // ccx.tx_method.<method>
+	encodeLat      *metrics.Histogram      // ccx.encode_seconds
+	sendLat        *metrics.Histogram      // ccx.send_seconds
+	blockIn        *metrics.Histogram      // ccx.tx_block_bytes (original)
+	wireOut        *metrics.Histogram      // ccx.tx_wire_bytes (frame)
+	blocks         *metrics.Counter        // ccx.tx_blocks
+	fallbacks      *metrics.Counter        // ccx.tx_fallbacks
+	probesMeasured *metrics.Counter        // ccx.tx_probes_measured
+	probesReused   *metrics.Counter        // ccx.tx_probes_reused
+	pipeDepth      *metrics.Gauge          // ccx.pipeline_depth (blocks in flight)
+	pipeWait       *metrics.Histogram      // ccx.pipeline_wait_seconds
+	ratio          [256]*metrics.Histogram // ccx.ratio.<method>
+	methods        [256]*metrics.Counter   // ccx.tx_method.<method>
 
 	placements [selector.NumPlacements]*metrics.Counter // ccx.tx_placement.<name>
 }
@@ -57,14 +59,16 @@ type txInstruments struct {
 // per-method views.
 func newTxInstruments(reg *metrics.Registry, codecs *codec.Registry) *txInstruments {
 	ins := &txInstruments{
-		encodeLat: reg.Histogram("ccx.encode_seconds", metrics.LatencyBuckets),
-		sendLat:   reg.Histogram("ccx.send_seconds", metrics.LatencyBuckets),
-		blockIn:   reg.Histogram("ccx.tx_block_bytes", metrics.SizeBuckets),
-		wireOut:   reg.Histogram("ccx.tx_wire_bytes", metrics.SizeBuckets),
-		blocks:    reg.Counter("ccx.tx_blocks"),
-		fallbacks: reg.Counter("ccx.tx_fallbacks"),
-		pipeDepth: reg.Gauge("ccx.pipeline_depth"),
-		pipeWait:  reg.Histogram("ccx.pipeline_wait_seconds", metrics.LatencyBuckets),
+		encodeLat:      reg.Histogram("ccx.encode_seconds", metrics.LatencyBuckets),
+		sendLat:        reg.Histogram("ccx.send_seconds", metrics.LatencyBuckets),
+		blockIn:        reg.Histogram("ccx.tx_block_bytes", metrics.SizeBuckets),
+		wireOut:        reg.Histogram("ccx.tx_wire_bytes", metrics.SizeBuckets),
+		blocks:         reg.Counter("ccx.tx_blocks"),
+		fallbacks:      reg.Counter("ccx.tx_fallbacks"),
+		probesMeasured: reg.Counter("ccx.tx_probes_measured"),
+		probesReused:   reg.Counter("ccx.tx_probes_reused"),
+		pipeDepth:      reg.Gauge("ccx.pipeline_depth"),
+		pipeWait:       reg.Histogram("ccx.pipeline_wait_seconds", metrics.LatencyBuckets),
 	}
 	for _, m := range codecs.Methods() {
 		ins.ratio[m] = reg.Histogram(fmt.Sprintf("ccx.ratio.%s", m), metrics.RatioBuckets)
@@ -120,6 +124,7 @@ func (e *Engine) ObserveBlock(res BlockResult) {
 			GoodputBps:   e.mon.Goodput(),
 			ProbeRatio:   in.ProbeRatio,
 			ReduceSpeed:  in.ReducingSpeed,
+			ProbeAge:     in.ProbeAge,
 			Entropy:      in.Entropy,
 			Repetition:   in.Repetition,
 			PredSendNs:   int64(in.SendTime),
@@ -157,9 +162,11 @@ func (e *Engine) recordTxSpans(tc tracing.Context, seq uint64, res BlockResult, 
 	base := tracing.Span{Trace: tc.Trace, Seq: seq, Stream: e.tel.Stream, Method: method, Placement: placement}
 
 	s := base
-	s.Stage, s.Start, s.Dur = tracing.StageProbe, endNs-wr-wait-enc-probe, probe
-	tr.Record(s)
-	s = base
+	if probe > 0 { // a reused (or pre-decided) block spent no time probing
+		s.Stage, s.Start, s.Dur = tracing.StageProbe, endNs-wr-wait-enc-probe, probe
+		tr.Record(s)
+		s = base
+	}
 	s.Stage, s.Start, s.Dur, s.Bytes = tracing.StageEncode, endNs-wr-wait-enc, enc, res.WireBytes
 	tr.Record(s)
 	if wait > 0 {

@@ -42,10 +42,13 @@ type Record struct {
 
 	// Selector inputs (§2.5): end-to-end goodput in bytes/sec, the probe's
 	// compressed fraction, its reducing speed in bytes/sec, and the sampled
-	// data characteristics.
+	// data characteristics. ProbeAge says how many blocks ago the probe
+	// fields were measured (0 = on this block): on a line that outruns the
+	// codec the engine carries a measurement over instead of repeating it.
 	GoodputBps   float64 `json:"goodput_bps"`
 	ProbeRatio   float64 `json:"probe_ratio"`
 	ReduceSpeed  float64 `json:"reduce_speed_bps"`
+	ProbeAge     int     `json:"probe_age"`
 	Entropy      float64 `json:"entropy_bits"`
 	Repetition   float64 `json:"repetition"`
 	PredSendNs   int64   `json:"pred_send_ns"`

@@ -94,10 +94,16 @@ func TestDecisionLogConcurrent(t *testing.T) {
 func TestWriteJSONL(t *testing.T) {
 	l := NewDecisionLog(8)
 	l.Add(Record{Stream: "send", Block: 0, Method: "none", GoodputBps: 1e6})
-	l.Add(Record{Stream: "send", Block: 1, Method: "lempel-ziv", Ratio: 0.4})
+	l.Add(Record{Stream: "send", Block: 1, Method: "lempel-ziv", Ratio: 0.4, ProbeAge: 17})
 	var buf bytes.Buffer
 	if err := l.WriteJSONL(&buf, 0); err != nil {
 		t.Fatal(err)
+	}
+	// probe_age is always present: 0 says "measured for this block".
+	for _, want := range []string{`"probe_age":0`, `"probe_age":17`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("dump lacks %s:\n%s", want, buf.String())
+		}
 	}
 	sc := bufio.NewScanner(&buf)
 	var lines int

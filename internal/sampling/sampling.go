@@ -12,6 +12,7 @@
 package sampling
 
 import (
+	"encoding/binary"
 	"math"
 	"time"
 
@@ -43,22 +44,51 @@ func Entropy(data []byte) float64 {
 	return h
 }
 
+// repTableBits sizes RepetitionScore's on-stack gram table: 8192 slots keep
+// the 4 KB default sample (4093 grams) at or below half load.
+const repTableBits = 13
+
 // RepetitionScore estimates string repetitiveness as the fraction of
 // positions whose 4-byte gram already occurred earlier in data. Values near
 // 1 indicate LZ-friendly data; values near 0 indicate novel content.
+//
+// The set of grams seen so far is an open-addressing table of the full
+// 4-byte grams (so two grams never collide into one, and the count is exact),
+// on the stack for samples up to the default probe size.
 func RepetitionScore(data []byte) float64 {
 	if len(data) < 8 {
 		return 0
 	}
-	seen := make(map[uint32]struct{}, len(data))
-	repeats := 0
 	total := len(data) - 3
+	var stack [1 << repTableBits]uint32
+	table, bits := stack[:], uint(repTableBits)
+	for total > (1<<bits)/2 {
+		bits++
+	}
+	if bits > repTableBits { // oversized sample (ProbeSize override): same load bound, on the heap
+		table = make([]uint32, 1<<bits)
+	}
+	mask := uint32(len(table) - 1)
+	// A zero slot is empty, so the all-zero gram is tracked beside the table.
+	zeroSeen := false
+	repeats := 0
 	for i := 0; i < total; i++ {
-		g := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
-		if _, ok := seen[g]; ok {
+		g := binary.LittleEndian.Uint32(data[i:])
+		if g == 0 {
+			if zeroSeen {
+				repeats++
+			}
+			zeroSeen = true
+			continue
+		}
+		slot := (g * 2654435761) >> (32 - bits) // Knuth's multiplicative hash
+		for table[slot] != 0 && table[slot] != g {
+			slot = (slot + 1) & mask
+		}
+		if table[slot] == g {
 			repeats++
 		} else {
-			seen[g] = struct{}{}
+			table[slot] = g
 		}
 	}
 	return float64(repeats) / float64(total)
@@ -81,6 +111,12 @@ type ProbeResult struct {
 	// Entropy and Repetition characterize the sample (Figure 6 criteria).
 	Entropy    float64
 	Repetition float64
+	// Age is how many blocks ago the result was measured: Probe always
+	// reports 0, and a caller that decides a later block from a remembered
+	// result (core.Engine on a line that outruns the codec) sets it to that
+	// block's distance from the measured one and zeroes Duration, since no
+	// probe time was spent on the block.
+	Age int
 }
 
 // Sampler runs LZ probes. The zero value is usable: DefaultProbeSize and

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"ccx/internal/datagen"
 )
 
 func TestEntropyBounds(t *testing.T) {
@@ -43,6 +45,50 @@ func TestRepetitionScore(t *testing.T) {
 	rng.Read(random)
 	if r := RepetitionScore(random); r > 0.05 {
 		t.Fatalf("random score = %.3f, want ≈ 0", r)
+	}
+}
+
+// repetitionScoreMap is the map-backed RepetitionScore the open-addressing
+// table replaced, kept as the reference the table must match bit for bit.
+func repetitionScoreMap(data []byte) float64 {
+	if len(data) < 8 {
+		return 0
+	}
+	seen := make(map[uint32]struct{}, len(data))
+	repeats := 0
+	total := len(data) - 3
+	for i := 0; i < total; i++ {
+		g := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
+		if _, ok := seen[g]; ok {
+			repeats++
+		} else {
+			seen[g] = struct{}{}
+		}
+	}
+	return float64(repeats) / float64(total)
+}
+
+func TestRepetitionScoreMatchesMapReference(t *testing.T) {
+	const max = 20000 // past the on-stack table: the heap fallback is covered too
+	random := make([]byte, max)
+	rand.New(rand.NewSource(3)).Read(random)
+	sources := map[string][]byte{
+		"random":    random,
+		"all-equal": bytes.Repeat([]byte{0x5a}, max),
+		"all-zero":  make([]byte, max), // the gram the table cannot store
+		"ois":       datagen.OISTransactions(max, 0.9, 5),
+		"xml":       datagen.XMLDocuments(max, 5),
+	}
+	for name, src := range sources {
+		for _, n := range []int{0, 7, 8, 9, 4095, 4096, 4097, max} {
+			got, want := RepetitionScore(src[:n]), repetitionScoreMap(src[:n])
+			if got != want {
+				t.Errorf("%s[:%d]: score %v, map reference %v", name, n, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { RepetitionScore(random[:DefaultProbeSize]) }); n != 0 {
+		t.Errorf("RepetitionScore of a default-size sample allocates %v times", n)
 	}
 }
 

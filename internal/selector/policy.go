@@ -8,11 +8,32 @@ import "ccx/internal/codec"
 // data has low entropy, string repetitions, or both" and choosing by those
 // characteristics. Policies are pluggable into the engine so deployments
 // (and our ablations) can compare them.
+//
+// What Select may assume about Inputs: BlockLen and SendTime always describe
+// the block being decided. ProbeRatio, ReducingSpeed, Entropy and Repetition
+// describe that block's own sample when ProbeAge is 0. While the predicted
+// send time is several times below what the fastest Lempel-Ziv probe seen so
+// far predicts for reducing the block, core.Engine skips the measurement and
+// passes the sample fields of a block up to 64 blocks older (ProbeAge says
+// how many, ProbeTime is 0): a policy that weighs send time against the
+// probe's reduce time answers "none" from either sample, so nothing is lost.
+// The engine cannot tell that from the outside — a policy wrapped for timing
+// or logging has another concrete type — so every policy gets remembered
+// samples on such a line unless it implements PerBlockSampler, and a wrapper
+// around one that does must forward the method.
 type Policy interface {
 	// Name labels the policy in reports.
 	Name() string
 	// Select picks a method for one block.
 	Select(Inputs) Decision
+}
+
+// PerBlockSampler is the optional interface of a Policy whose choice depends
+// on each block's own sample even when the line outruns the codec (it reads
+// Entropy or Repetition, or keys on the sample alone). When SamplesEveryBlock
+// reports true the engine probes every block and ProbeAge is always 0.
+type PerBlockSampler interface {
+	SamplesEveryBlock() bool
 }
 
 // RatioPolicy is the paper's published decision algorithm: the 4 KB probe's
@@ -51,10 +72,18 @@ type CharacteristicPolicy struct {
 	Config Config
 }
 
-var _ Policy = CharacteristicPolicy{}
+var (
+	_ Policy          = CharacteristicPolicy{}
+	_ PerBlockSampler = CharacteristicPolicy{}
+)
 
 // Name implements Policy.
 func (CharacteristicPolicy) Name() string { return "characteristic" }
+
+// SamplesEveryBlock implements PerBlockSampler: the low-entropy branch
+// weighs send time against an entropy-derived estimate, not the Lempel-Ziv
+// reduce time the engine's fast-line test is built on.
+func (CharacteristicPolicy) SamplesEveryBlock() bool { return true }
 
 // Select implements Policy.
 func (p CharacteristicPolicy) Select(in Inputs) Decision {

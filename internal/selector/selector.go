@@ -103,6 +103,11 @@ type Inputs struct {
 	// tracing layer can attribute probe cost on sampled blocks without a
 	// second timestamp plumbing path.
 	ProbeTime time.Duration
+	// ProbeAge is how many blocks ago the probe fields above were measured:
+	// 0 means on this very block. The engine reuses a measurement (ProbeAge
+	// > 0, ProbeTime 0) only while the line outruns Lempel-Ziv by a margin
+	// no sample could close — see Policy for what a policy may then assume.
+	ProbeAge int
 }
 
 // LZReduceTime predicts how long Lempel-Ziv needs to reduce the block: the
@@ -155,6 +160,9 @@ type Decision struct {
 // not a parseable format.
 func (d Decision) Reason() string {
 	base := d.baseReason()
+	if age := d.Inputs.ProbeAge; age > 0 {
+		base = fmt.Sprintf("%s; probe reused, age %d", base, age)
+	}
 	if d.Demoted {
 		return fmt.Sprintf("%s; governor demoted %s->%s (%s)",
 			base, d.DemotedFrom, d.Method, d.DemoteCause)

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,5 +220,24 @@ func TestRatingString(t *testing.T) {
 	}
 	if Rating(99).String() != "Unknown" {
 		t.Fatal("unknown rating label")
+	}
+}
+
+// TestReasonMarksReusedProbe: a decision made from a carried-over probe says
+// so, with its age, whatever branch fired — and a measured one does not.
+func TestReasonMarksReusedProbe(t *testing.T) {
+	cfg := DefaultConfig()
+	in := Inputs{BlockLen: 16 << 10, SendTime: 10 * time.Microsecond, ProbeRatio: 0.3, ReducingSpeed: 20e6}
+	if r := cfg.Select(in).Reason(); !strings.Contains(r, "line fast") || strings.Contains(r, "reused") {
+		t.Fatalf("measured probe: %q", r)
+	}
+	in.ProbeAge = 12
+	if r := cfg.Select(in).Reason(); !strings.Contains(r, "line fast") || !strings.HasSuffix(r, "probe reused, age 12") {
+		t.Fatalf("reused probe: %q", r)
+	}
+	d := cfg.Select(in)
+	d.Demoted, d.DemotedFrom, d.DemoteCause = true, d.Method, "cpu elevated"
+	if r := d.Reason(); !strings.Contains(r, "probe reused, age 12; governor demoted") {
+		t.Fatalf("reused and demoted: %q", r)
 	}
 }
