@@ -29,7 +29,7 @@
 //	ccbroker -listen :9981 -channels md -debug 127.0.0.1:9984
 //	curl -s http://127.0.0.1:9984/metrics           # Prometheus exposition
 //	curl -s http://127.0.0.1:9984/debug/vars        # JSON snapshot
-//	curl -s http://127.0.0.1:9984/debug/decisions   # recent per-block decisions
+//	curl -s http://127.0.0.1:9984/debug/spans       # recent spans: timing and decisions
 //	ccstat -addr 127.0.0.1:9984                     # one-line/s operator view
 //
 // net/http/pprof is mounted under /debug/pprof/ on the same listener.
@@ -83,11 +83,8 @@ func run(args []string, stop chan struct{}) error {
 		rto      = fs.Duration("rtimeout", 0, "per-read idle deadline on connections (0 = none)")
 		wto      = fs.Duration("wtimeout", 0, "per-write deadline on subscriber links (0 = none)")
 		speed    = fs.Float64("speedscale", 0, "divide measured reducing speeds by this factor (0 = off)")
-		interval = fs.Duration("metrics-interval", 0, "dump a metrics JSON snapshot to stderr at this interval (0 disables)")
-		debug    = fs.String("debug", "", "serve /metrics, /debug/vars, /debug/decisions, and /debug/pprof on this HTTP address (empty disables)")
-		traceLen = fs.Int("trace", obs.DefaultLogSize, "decision-trace ring capacity in records (served at /debug/decisions)")
-		trRate   = fs.Float64("trace-sample", 0, "distributed-trace head-sampling rate for unannotated blocks (0..1); annotated blocks always trace through, as do anomalies")
-		trOut    = fs.String("trace-out", "", "append spans as JSONL to this file (cctrace's input)")
+		obsFlags = obs.AddFlags(fs)
+		traceLen = fs.Int("trace", tracing.DefaultRingSize, "span ring capacity (served at /debug/spans)")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		fault    = fs.String("fault", "", `inject faults on every accepted connection for chaos testing, e.g. "flip=65536,seed=7" (see internal/faultnet)`)
 		govern   = fs.Bool("governor", false, "enable the overload governor: sample memory/CPU pressure, degrade compression, shed load, and refuse new subscribers under critical memory pressure (implied by the -mem-budget/-bytes-budget/-governor-interval flags)")
@@ -124,17 +121,11 @@ func run(args []string, stop chan struct{}) error {
 		return err
 	}
 
-	trace := obs.NewDecisionLog(*traceLen)
-	var tracer *tracing.Tracer
-	if *trRate > 0 || *trOut != "" {
-		tracer = tracing.New("ccbroker", *trRate, 0)
-		if *trOut != "" {
-			if err := tracer.OpenOutput(*trOut); err != nil {
-				return fmt.Errorf("trace output: %w", err)
-			}
-		}
-		defer tracer.Close()
+	plane, err := obsFlags.Start("ccbroker", metrics.NewRegistry(), *traceLen)
+	if err != nil {
+		return err
 	}
+	defer plane.Close()
 	cfg := broker.Config{
 		Channels:     names,
 		QueueLen:     *queueLen,
@@ -147,9 +138,8 @@ func run(args []string, stop chan struct{}) error {
 		ReplayBytes:  *rbytes,
 		ReadTimeout:  *rto,
 		WriteTimeout: *wto,
-		Metrics:      metrics.NewRegistry(),
-		Trace:        trace,
-		Tracer:       tracer,
+		Metrics:      plane.Metrics,
+		Tracer:       plane.Tracer,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "ccbroker: "+format+"\n", args...)
 		},
@@ -188,17 +178,6 @@ func run(args []string, stop chan struct{}) error {
 		strings.Join(names, ","), ln.Addr(), pol, *queueLen)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- b.Serve(ln) }()
-
-	if *debug != "" {
-		dbg, err := obs.Serve(*debug, b.Metrics(), trace, tracer.Ring())
-		if err != nil {
-			return fmt.Errorf("debug server: %w", err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "ccbroker: debug plane on http://%s/\n", dbg.Addr())
-	}
-	stopDump := obs.DumpEvery(b.Metrics(), *interval, os.Stderr)
-	defer stopDump()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -11,6 +12,8 @@ import (
 	"ccx/internal/core"
 	"ccx/internal/datagen"
 	"ccx/internal/selector"
+	"ccx/internal/testx"
+	"ccx/internal/tracing"
 )
 
 func TestBadFlags(t *testing.T) {
@@ -43,26 +46,26 @@ func freeAddr(t *testing.T) string {
 // dialBroker retries until the daemon under test is accepting.
 func dialBroker(t *testing.T, addr string) net.Conn {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		conn, err := net.Dial("tcp", addr)
-		if err == nil {
-			return conn
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dial %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	var conn net.Conn
+	testx.WaitUntil(t, "the daemon to accept on "+addr, func() (ok bool) {
+		c, err := net.Dial("tcp", addr)
+		conn = c
+		return err == nil
+	})
+	return conn
 }
 
+// The daemon runs with -debug and no -trace-* flag: that alone must build the
+// span ring, so a path's first decision — recorded at any sampling rate — is
+// there to read at /debug/spans.
 func TestPublishFanOutSession(t *testing.T) {
-	addr := freeAddr(t)
+	addr, dbgAddr := freeAddr(t), freeAddr(t)
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
 			"-listen", addr,
+			"-debug", dbgAddr,
 			"-channels", "md, audit",
 			"-policy", "evict",
 			"-hb", "-1s",
@@ -126,6 +129,28 @@ func TestPublishFanOutSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub.Close()
+
+	// Sampling is off, so what the ring holds is the always-on spans: each
+	// subscriber path's first decision, worded.
+	firstDecisions := func() map[string]string {
+		out := make(map[string]string)
+		resp, err := http.Get("http://" + dbgAddr + "/debug/spans")
+		if err != nil {
+			return out
+		}
+		defer resp.Body.Close()
+		spans, _ := tracing.ReadJSONL(resp.Body)
+		for _, s := range spans {
+			if s.Stage == tracing.StageDecide && s.Anomaly && s.Trace == 0 && s.Decision != nil {
+				out[s.Stream] = s.Decision.Reason
+			}
+		}
+		return out
+	}
+	testx.WaitUntil(t, "both paths' first decide span at /debug/spans", func() bool {
+		got := firstDecisions()
+		return got["sub.1"] != "" && got["sub.2"] != ""
+	})
 
 	// Graceful stop drains both subscriber queues before closing.
 	close(stop)

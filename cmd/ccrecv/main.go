@@ -19,7 +19,7 @@
 // the broker stamps into frames and, on redial, presents the last sequence
 // it delivered contiguously. The broker replays everything newer from its
 // bounded replay window; if the window no longer reaches back far enough
-// the gap is reported explicitly (stderr, metrics, decision trace) — never
+// the gap is reported explicitly (stderr, metrics, a gap span) — never
 // silently skipped. -watchdog D treats a connection that delivers no bytes
 // for D as dead, turning a stalled-but-open link into a reconnect instead
 // of an indefinite hang:
@@ -28,10 +28,10 @@
 //	    -reconnect 10 -resume -watchdog 30s
 //
 // Observability: -debug serves Prometheus /metrics, the JSON /debug/vars
-// snapshot, the /debug/decisions per-block trace (including skipped
-// corrupt frames), and /debug/pprof over HTTP; -metrics-interval dumps
-// JSON snapshots to stderr. Both are off by default and cost nothing when
-// off.
+// snapshot, the /debug/spans ring (decode spans of traced blocks, and
+// always every skipped corrupt frame, gap and duplicate) and /debug/pprof
+// over HTTP; -metrics-interval dumps JSON snapshots to stderr. Both are off
+// by default and cost nothing when off.
 package main
 
 import (
@@ -46,11 +46,9 @@ import (
 	"ccx/internal/broker"
 	"ccx/internal/codec"
 	"ccx/internal/core"
-	"ccx/internal/metrics"
 	"ccx/internal/netutil"
 	"ccx/internal/obs"
 	"ccx/internal/selector"
-	"ccx/internal/tracing"
 )
 
 func main() {
@@ -80,10 +78,7 @@ func run(args []string) error {
 		resume    = fs.Bool("resume", false, "broker mode: resume across reconnects — present the last delivered sequence so the broker replays missed blocks and duplicates are suppressed")
 		placement = fs.String("placement", "", "broker mode: advertise a compression placement for this subscription (publisher | broker | receiver | auto; empty keeps the broker's default)")
 		watchdog  = fs.Duration("watchdog", 0, "broker mode: treat a connection that delivers no bytes for this long as dead and reconnect (0 disables)")
-		debug     = fs.String("debug", "", "serve /metrics, /debug/vars, /debug/decisions, and /debug/pprof on this HTTP address (empty disables)")
-		interval  = fs.Duration("metrics-interval", 0, "dump a metrics JSON snapshot to stderr at this interval (0 disables)")
-		traceRate = fs.Float64("trace-sample", 0, "distributed-trace head-sampling rate — receivers trace whatever arrives annotated, so this only gates local anomaly sampling bookkeeping (0 disables nothing here; any trace flag enables the span ring)")
-		traceOut  = fs.String("trace-out", "", "append spans as JSONL to this file (cctrace's input)")
+		obsFlags  = obs.AddFlags(fs)
 		verbose   = fs.Bool("v", false, "log every received block")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -124,40 +119,18 @@ func run(args []string) error {
 
 	// Telemetry stays nil (zero cost) unless an observability flag asks
 	// for it.
-	var tel core.Telemetry
-	if *debug != "" || *interval > 0 {
-		tel = core.Telemetry{
-			Metrics: metrics.NewRegistry(),
-			Trace:   obs.NewDecisionLog(obs.DefaultLogSize),
-			Stream:  "recv",
-		}
+	plane, err := obsFlags.Start("ccrecv", nil, 0)
+	if err != nil {
+		return err
 	}
-	if *traceRate > 0 || *traceOut != "" {
-		tel.Tracer = tracing.New("ccrecv", *traceRate, 0)
-		if *traceOut != "" {
-			if err := tel.Tracer.OpenOutput(*traceOut); err != nil {
-				return fmt.Errorf("trace output: %w", err)
-			}
-		}
-		defer tel.Tracer.Close()
-	}
-	if *debug != "" {
-		dbg, err := obs.Serve(*debug, tel.Metrics, tel.Trace, tel.Tracer.Ring())
-		if err != nil {
-			return fmt.Errorf("debug server: %w", err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "ccrecv: debug plane on http://%s/\n", dbg.Addr())
-	}
-	stopDump := obs.DumpEvery(tel.Metrics, *interval, os.Stderr)
-	defer stopDump()
+	defer plane.Close()
+	tel := core.Telemetry{Metrics: plane.Metrics, Tracer: plane.Tracer, Stream: "recv"}
 
 	stats := &recvStats{methods: make(map[codec.Method]int64)}
 	var track *core.DeliveryTracker
 	if *resume {
 		track = new(core.DeliveryTracker)
 	}
-	var err error
 	if *addr != "" {
 		err = subscribeLoop(dst, stats, subOpts{
 			addr:      *addr,

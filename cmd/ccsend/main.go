@@ -12,9 +12,11 @@
 //	ccsend -addr host:9981 -channel md big.dat   # into a broker channel
 //
 // Observability: -debug serves Prometheus /metrics, the JSON /debug/vars
-// snapshot, the /debug/decisions per-block trace, and /debug/pprof over
-// HTTP for the lifetime of the transfer; -metrics-interval dumps JSON
-// snapshots to stderr. Both are off by default and cost nothing when off.
+// snapshot, the /debug/spans ring (block timing, and every method switch
+// with its reason) and /debug/pprof over HTTP for the lifetime of the
+// transfer; -metrics-interval dumps JSON snapshots to stderr; -trace-sample
+// and -trace-out trace a share of blocks end to end. All are off by default
+// and cost nothing when off.
 package main
 
 import (
@@ -30,11 +32,9 @@ import (
 	"ccx/internal/codec"
 	"ccx/internal/core"
 	"ccx/internal/faultnet"
-	"ccx/internal/metrics"
 	"ccx/internal/netutil"
 	"ccx/internal/obs"
 	"ccx/internal/selector"
-	"ccx/internal/tracing"
 )
 
 func main() {
@@ -54,10 +54,7 @@ func run(args []string) error {
 		workers   = fs.Int("workers", 0, "encode worker goroutines; blocks are compressed in parallel but framed in order (0 = GOMAXPROCS, 1 = the sequential loop)")
 		timeout   = fs.Duration("timeout", 0, "dial timeout and per-operation I/O deadline (0 = none)")
 		fault     = fs.String("fault", "", `inject faults on the outbound stream for chaos testing, e.g. "flip=65536,seed=7" (see internal/faultnet)`)
-		debug     = fs.String("debug", "", "serve /metrics, /debug/vars, /debug/decisions, and /debug/pprof on this HTTP address (empty disables)")
-		interval  = fs.Duration("metrics-interval", 0, "dump a metrics JSON snapshot to stderr at this interval (0 disables)")
-		traceRate = fs.Float64("trace-sample", 0, "distributed-trace head-sampling rate (0..1; 0 disables, anomalies always trace)")
-		traceOut  = fs.String("trace-out", "", "append sampled spans as JSONL to this file (cctrace's input)")
+		obsFlags  = obs.AddFlags(fs)
 		verbose   = fs.Bool("v", false, "log every block's decision")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -86,23 +83,12 @@ func run(args []string) error {
 	cfg.BlockSize = *blockSize
 	// Telemetry stays nil (zero cost) unless an observability flag asks
 	// for it.
-	var tel core.Telemetry
-	if *debug != "" || *interval > 0 {
-		tel = core.Telemetry{
-			Metrics: metrics.NewRegistry(),
-			Trace:   obs.NewDecisionLog(obs.DefaultLogSize),
-			Stream:  "send",
-		}
+	plane, err := obsFlags.Start("ccsend", nil, 0)
+	if err != nil {
+		return err
 	}
-	if *traceRate > 0 || *traceOut != "" {
-		tel.Tracer = tracing.New("ccsend", *traceRate, 0)
-		if *traceOut != "" {
-			if err := tel.Tracer.OpenOutput(*traceOut); err != nil {
-				return fmt.Errorf("trace output: %w", err)
-			}
-		}
-		defer tel.Tracer.Close()
-	}
+	defer plane.Close()
+	tel := core.Telemetry{Metrics: plane.Metrics, Tracer: plane.Tracer, Stream: "send"}
 	nw := *workers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
@@ -126,16 +112,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *debug != "" {
-		dbg, err := obs.Serve(*debug, tel.Metrics, tel.Trace, tel.Tracer.Ring())
-		if err != nil {
-			return fmt.Errorf("debug server: %w", err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "ccsend: debug plane on http://%s/\n", dbg.Addr())
-	}
-	stopDump := obs.DumpEvery(tel.Metrics, *interval, os.Stderr)
-	defer stopDump()
 	conn, err := dial(*addr, *timeout)
 	if err != nil {
 		return err

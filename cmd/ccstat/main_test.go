@@ -15,7 +15,7 @@ import (
 // and check the rendered line carries the deltas.
 func TestFetchAndRender(t *testing.T) {
 	reg := metrics.NewRegistry()
-	srv, err := obs.Serve("127.0.0.1:0", reg, nil, nil)
+	srv, err := obs.Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFetchVarsErrors(t *testing.T) {
 	if _, err := fetchVars(client, "http://127.0.0.1:1/debug/vars"); err == nil {
 		t.Error("want error when nothing is listening")
 	}
-	srv, err := obs.Serve("127.0.0.1:0", metrics.NewRegistry(), nil, nil)
+	srv, err := obs.Serve("127.0.0.1:0", metrics.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

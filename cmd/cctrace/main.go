@@ -14,12 +14,13 @@
 // every trace's end-to-end latency into (hop, stage) rows — probe, encode,
 // queue, write, decode, plus the "wire" and "idle" pseudo-stages — that
 // sum exactly to the trace duration, and prints p50/p99 exemplar
-// waterfalls.
+// waterfalls. A decide or migrate row carries the selector's worded reason,
+// so the same dump says why the block went out the way it did.
 //
 // CI smoke tests assert on the same stitching via -min-hops and -require:
 // exit status 1 when fewer than -require traces span at least -min-hops
-// distinct hops (and, with -require-anomaly, when no anomaly span — a
-// resync, gap, or migration — was captured at all).
+// distinct hops (and, with -require-anomaly, when no always-on span — a
+// resync, gap, migration or other method switch — was captured at all).
 package main
 
 import (
@@ -48,7 +49,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		minHops    = fs.Int("min-hops", 2, "count a trace as complete when it spans at least this many distinct hops")
 		require    = fs.Int("require", 0, "fail (exit 1) unless at least this many complete traces were stitched")
-		reqAnomaly = fs.Bool("require-anomaly", false, "fail (exit 1) unless at least one anomaly span (resync, gap, dup, migrate, resume) was captured")
+		reqAnomaly = fs.Bool("require-anomaly", false, "fail (exit 1) unless at least one always-on span (resync, gap, dup, resume, migrate or another method switch) was captured")
 		waterfalls = fs.Int("waterfalls", 2, "render this many exemplar waterfalls (the p50 and p99 traces first)")
 		jsonOut    = fs.Bool("json", false, "emit the stitched report as JSON instead of text")
 		timeout    = fs.Duration("timeout", 5*time.Second, "per-URL fetch timeout")
@@ -237,8 +238,8 @@ func writeAnomalies(w io.Writer, anomalies []tracing.Span) {
 		if s.Err != "" {
 			fmt.Fprintf(w, " %s", s.Err)
 		}
-		if s.Stage == tracing.StageMigrate {
-			fmt.Fprintf(w, " -> %s/%s", s.Method, s.Placement)
+		if s.Decision != nil {
+			fmt.Fprintf(w, " -> %s/%s: %s", s.Method, s.Placement, s.Decision.Reason)
 		}
 		fmt.Fprintln(w)
 	}
@@ -353,6 +354,9 @@ func waterfall(w io.Writer, t *tracing.Trace) {
 		}
 		if s.CacheHit {
 			detail += " (cache)"
+		}
+		if s.Decision != nil && s.Decision.Reason != "" {
+			detail += ": " + s.Decision.Reason
 		}
 		fmt.Fprintf(w, "  %-10s %-10s |%s| %10s @ %-10s%s\n",
 			s.Hop, s.Stage, lane, time.Duration(s.Dur), time.Duration(s.Start-start), detail)

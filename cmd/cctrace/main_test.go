@@ -41,6 +41,8 @@ func dumps(t *testing.T) (pub, brk, rcv string) {
 		jitter := int64(i) * 700
 		pubS = append(pubS,
 			tracing.Span{Trace: id, Seq: uint64(i + 1), Hop: "ccsend", Stage: tracing.StageStamp, Start: base},
+			tracing.Span{Trace: id, Seq: uint64(i + 1), Hop: "ccsend", Stage: tracing.StageDecide, Start: base + 100, Method: "lz",
+				Decision: &tracing.Decision{Reason: "line slow: dictionary coding"}},
 			tracing.Span{Trace: id, Seq: uint64(i + 1), Hop: "ccsend", Stage: tracing.StageEncode, Start: base + 100, Dur: 400, Method: "lz"},
 			tracing.Span{Trace: id, Seq: uint64(i + 1), Hop: "ccsend", Stage: tracing.StageWrite, Start: base + 500, Dur: 200},
 		)
@@ -53,7 +55,10 @@ func dumps(t *testing.T) (pub, brk, rcv string) {
 			tracing.Span{Trace: id, Seq: uint64(i + 1), Hop: "ccrecv", Stage: tracing.StageDecode, Start: base + 9400 + 2*jitter, Dur: 250, Method: "lz"},
 		)
 	}
-	brkS = append(brkS, tracing.Span{Hop: "ccbroker", Stage: tracing.StageResync, Start: 999, Err: "checksum mismatch", Anomaly: true})
+	brkS = append(brkS,
+		tracing.Span{Hop: "ccbroker", Stage: tracing.StageResync, Start: 999, Err: "checksum mismatch", Anomaly: true},
+		tracing.Span{Hop: "ccbroker", Stream: "sub.2", Stage: tracing.StageMigrate, Start: 1999, Method: "huffman", Placement: "publisher", Anomaly: true,
+			Decision: &tracing.Decision{Reason: "line slow but probe ratio above cutoff"}})
 	return writeDump(t, "pub.jsonl", pubS), writeDump(t, "brk.jsonl", brkS), writeDump(t, "rcv.jsonl", rcvS)
 }
 
@@ -65,7 +70,10 @@ func TestStitchThreeDumps(t *testing.T) {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	text := out.String()
-	for _, want := range []string{"2 complete", "origin ccsend", "critical path", "wire", "waterfall", "resync", "checksum mismatch"} {
+	for _, want := range []string{"2 complete", "origin ccsend", "critical path", "wire", "waterfall", "resync", "checksum mismatch",
+		// The reason rides beside the decide row of a waterfall and the
+		// migrate row of the always-on roll-up.
+		"lz: line slow: dictionary coding", "-> huffman/publisher: line slow but probe ratio above cutoff"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}
@@ -98,7 +106,7 @@ func TestJSONReportSharesSumToDuration(t *testing.T) {
 	if sum <= 0 {
 		t.Fatalf("critical path sums to %d", sum)
 	}
-	if len(jr.Anomalies) != 1 {
+	if len(jr.Anomalies) != 2 {
 		t.Fatalf("anomalies = %d", len(jr.Anomalies))
 	}
 }

@@ -49,7 +49,6 @@ import (
 	"ccx/internal/governor"
 	"ccx/internal/metrics"
 	"ccx/internal/netutil"
-	"ccx/internal/obs"
 	"ccx/internal/sampling"
 	"ccx/internal/selector"
 	"ccx/internal/tracing"
@@ -177,15 +176,16 @@ type Config struct {
 	// Metrics receives instrumentation (nil = a private registry,
 	// retrievable via Broker.Metrics).
 	Metrics *metrics.Registry
-	// Trace receives one decision record per block sent to any subscriber
-	// (stream "sub.<id>"), served over the -debug plane's
-	// /debug/decisions. nil disables tracing entirely.
-	Trace *obs.DecisionLog
-	// Tracer records this hop's distributed-trace spans: ingest decode,
-	// per-subscriber queue wait and write, and anomaly spans (resume,
-	// migration). Blocks arriving with a trace-context annotation are
-	// traced through; unannotated blocks are head-sampled here, making the
-	// broker a trace origin for in-process publishers. nil disables.
+	// Trace is no longer read: the decision ring it fed is gone (a decision
+	// is a decide or migrate span in Tracer's ring). The field stays only
+	// because benchmark/ still sets it — see ROADMAP.
+	Trace *tracing.Ring
+	// Tracer records this hop's spans: ingest decode, per-subscriber queue
+	// wait, decision and write (stream "sub.<id>"), and the always-on spans
+	// (a path's first decision, every migration, resume, resync). Blocks
+	// arriving with a trace-context annotation are traced through;
+	// unannotated blocks are head-sampled here, making the broker a trace
+	// origin for in-process publishers. nil disables.
 	Tracer *tracing.Tracer
 	// Logf logs connection lifecycle events (nil = silent).
 	Logf func(format string, args ...any)
@@ -442,7 +442,6 @@ func New(cfg Config) (*Broker, error) {
 		Workers:    cfg.Engine.Workers,
 		CacheBytes: cfg.CacheBytes,
 		Metrics:    met,
-		Trace:      cfg.Trace,
 		Tracer:     cfg.Tracer,
 		Logf:       logf,
 	}
@@ -959,8 +958,8 @@ type subscriber struct {
 
 	curMethod    codec.Method        // current class method (write-loop only)
 	curPlacement selector.Placement  // current class placement (write-loop only)
-	lastDec      selector.Decision   // decision that chose curMethod, for traces
-	blocks       int                 // ordinal of the next block, for trace records
+	lastDec      selector.Decision   // decision that chose curMethod, for decide spans
+	blocks       int                 // blocks written so far; 0 marks the path's first decision
 	batchScratch []encplane.Delivery // write-loop scratch for vectored batches
 	// inflight counts frames collected into an in-progress batch write.
 	// They are off the queue but not yet on the wire, so backlog-depth
@@ -999,7 +998,6 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 	ecfg := b.cfg.Engine
 	ecfg.Telemetry = core.Telemetry{
 		Metrics: b.met,
-		Trace:   b.cfg.Trace,
 		Stream:  fmt.Sprintf("sub.%d", id),
 	}
 	// The broker is the deciding node on every subscriber path: "publisher"
@@ -1093,8 +1091,8 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 	return s, firstSeq, nil
 }
 
-// noteResume records one resume handshake in the metrics registry and the
-// decision trace. Caller holds the channel-state lock.
+// noteResume records one resume handshake in the metrics registry and as a
+// span. Caller holds the channel-state lock.
 func (b *Broker) noteResume(s *subscriber, lastSeq, firstSeq uint64, replayed int) {
 	b.met.Counter("broker.resumes").Inc()
 	b.met.Counter("broker.resume_replayed_blocks").Add(int64(replayed))
@@ -1108,20 +1106,10 @@ func (b *Broker) noteResume(s *subscriber, lastSeq, firstSeq uint64, replayed in
 		b.met.Counter("broker.resume_gaps").Inc()
 		b.met.Counter("broker.resume_gap_blocks").Add(int64(gap))
 	}
-	if b.cfg.Trace != nil {
-		b.cfg.Trace.Add(obs.Record{
-			Stream:    fmt.Sprintf("sub.%d", s.id),
-			Resume:    true,
-			FrameSeq:  firstSeq,
-			GapBlocks: gap,
-			Reason: fmt.Sprintf("resume %q from seq %d: replaying %d, first live seq %d, gap %d",
-				s.channel, lastSeq, replayed, firstSeq, gap),
-		})
-	}
 	// Resume handshakes are always-on traced anomalies: Bytes carries the
 	// replayed block count, Err the gap (blocks lost past the window).
 	sp := tracing.Span{
-		Stream:  fmt.Sprintf("sub.%d", s.id),
+		Stream:  s.engine.Telemetry().Stream,
 		Seq:     firstSeq,
 		Stage:   tracing.StageResume,
 		Start:   time.Now().UnixNano(),
@@ -1338,6 +1326,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	s.inflight.Store(int32(len(batch)))
 	defer s.inflight.Store(0)
 	tr := b.cfg.Tracer
+	stream := s.engine.Telemetry().Stream
 	frames := make([]*encplane.Frame, 0, len(batch))
 	bufs := make(net.Buffers, 0, len(batch))
 	// abandon releases what the batch still holds from delivery i on:
@@ -1366,7 +1355,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				tr.Record(tracing.Span{
 					Trace:      d.TC.Trace,
 					Seq:        d.Seq,
-					Stream:     fmt.Sprintf("sub.%d", s.id),
+					Stream:     stream,
 					Stage:      tracing.StageQueue,
 					Start:      d.At.UnixNano(),
 					Dur:        time.Since(d.At).Nanoseconds(),
@@ -1374,21 +1363,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				})
 			}
 		}
-		if s.adapt(len(d.Data), d.Probe) && tr != nil {
-			// Class migrations are always-on traced: they are exactly the
-			// adaptation events the paper's Figure 8 plots.
-			tr.Record(tracing.Span{
-				Trace:      d.TC.Trace,
-				Seq:        d.Seq,
-				Stream:     fmt.Sprintf("sub.%d", s.id),
-				Stage:      tracing.StageMigrate,
-				Start:      time.Now().UnixNano(),
-				OriginWall: d.TC.WallNs,
-				Method:     s.curMethod.String(),
-				Placement:  s.curPlacement.String(),
-				Anomaly:    true,
-			})
-		}
+		migrated := s.adapt(len(d.Data), d.Probe)
 		if f == nil || f.RequestedMethod() != s.curMethod {
 			nf, err := s.st.plane.EncodeCached(d.Data, d.Seq, s.curMethod, d.Anno)
 			switch {
@@ -1404,6 +1379,27 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				b.logf("broker: subscriber %d replay encode: %v", s.id, err)
 				return abandon(i)
 			}
+		}
+		// The decision is a span when the block is head-sampled and, always,
+		// when it is the path's first or migrated it: class migrations are
+		// exactly the adaptation events the paper's Figure 8 plots.
+		if switched := migrated || s.blocks+i == 0; tr != nil && (switched || d.TC.Valid()) {
+			stage := tracing.StageDecide
+			if migrated {
+				stage = tracing.StageMigrate
+			}
+			tr.Record(tracing.Span{
+				Trace:      d.TC.Trace,
+				Seq:        d.Seq,
+				Stream:     stream,
+				Stage:      stage,
+				Start:      time.Now().UnixNano(),
+				OriginWall: d.TC.WallNs,
+				Method:     f.Info().Method.String(),
+				Placement:  s.curPlacement.String(),
+				Anomaly:    switched,
+				Decision:   s.engine.DecisionAttrs(&core.BlockResult{Decision: s.lastDec, Info: f.Info(), Workers: 1}),
+			})
 		}
 		bufs = append(bufs, f.Bytes())
 		frames = append(frames, f)
@@ -1430,7 +1426,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 			tr.Record(tracing.Span{
 				Trace:      d.TC.Trace,
 				Seq:        d.Seq,
-				Stream:     fmt.Sprintf("sub.%d", s.id),
+				Stream:     stream,
 				Stage:      tracing.StageWrite,
 				Start:      start.Add(time.Duration(k) * share).UnixNano(),
 				Dur:        share.Nanoseconds(),
@@ -1446,10 +1442,9 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	return true
 }
 
-// observeBlock feeds one delivered block into this path's monitor, metrics,
-// and decision trace. The trace's Method is the wire truth (the class frame
-// that was sent); Decision is the selection that placed the subscriber in
-// its current class.
+// observeBlock feeds one delivered block into this path's monitor and
+// metrics. Info is the wire truth (the class frame that was sent); Decision
+// is the selection that placed the subscriber in its current class.
 func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time.Duration, wire, origLen int) {
 	// End-to-end feedback: the write stalls under receiver backpressure,
 	// which is exactly the acceptance-rate signal the selector wants.
@@ -1464,12 +1459,10 @@ func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time
 	}
 	c.Inc()
 	s.engine.ObserveBlock(core.BlockResult{
-		Index:     s.blocks,
 		Decision:  s.lastDec,
 		Info:      info,
 		SendTime:  sendTime,
 		WireBytes: wire,
-		Workers:   1,
 	})
 	s.blocks++
 }
@@ -1481,8 +1474,8 @@ func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time
 // Placement runs inside the same decision: a path whose link outruns its
 // codec flips to receiver-side placement, which surfaces here as Method
 // None with Decision.Offloaded set, and the member migrates to the raw
-// (None, receiver) class. It reports whether the path migrated, so callers
-// can trace the event.
+// (None, receiver) class. It reports whether the path migrated, so the
+// caller records the decision as a migrate span.
 func (s *subscriber) adapt(blockLen int, probe sampling.ProbeResult) bool {
 	dec := s.engine.DecideProbed(blockLen, probe)
 	s.lastDec = dec

@@ -15,8 +15,8 @@ import (
 	"ccx/internal/datagen"
 	"ccx/internal/metrics"
 	"ccx/internal/netsim"
-	"ccx/internal/obs"
 	"ccx/internal/selector"
+	"ccx/internal/tracing"
 )
 
 // TestFanOutAdaptsPerLink is the subsystem's acceptance test: one published
@@ -31,14 +31,16 @@ func TestFanOutAdaptsPerLink(t *testing.T) {
 		numEvents = 48
 	)
 	met := metrics.NewRegistry()
-	trace := obs.NewDecisionLog(1024)
+	// In-process publishes arrive unannotated, so at rate 1 the broker
+	// samples every block and every delivery's decision is a span.
+	tracer := tracing.New("ccbroker", 1, 4096)
 	cfg := Config{
 		QueueLen:     256,
 		Policy:       Evict,
 		WriteTimeout: 400 * time.Millisecond,
 		Heartbeat:    -1,
 		Metrics:      met,
-		Trace:        trace,
+		Tracer:       tracer,
 	}
 	// SpeedScale emulates a CPU slow enough relative to the simulated links
 	// that the selector faces the paper's actual trade-off (native reducing
@@ -206,27 +208,33 @@ func TestFanOutAdaptsPerLink(t *testing.T) {
 		t.Errorf("time-in-queue observations = %.0f, want >= %d", waits, numEvents)
 	}
 
-	// (e) The decision trace carries one record per delivered block, and
-	// its per-stream method mix agrees with the wire-level histograms each
+	// (e) The span ring carries one decision (a decide span, or a migrate
+	// span where the path changed class) per delivered block, and its
+	// per-stream method mix agrees with the wire-level histograms each
 	// subscriber decoded in (b).
-	recs := trace.Recent(0)
 	traceMethods := make(map[string]map[string]int)
-	for _, rec := range recs {
-		if rec.Stream == "" || rec.Method == "" || rec.Reason == "" {
-			t.Fatalf("incomplete trace record: %+v", rec)
+	for _, sp := range tracer.Ring().Recent(0) {
+		if sp.Stage != tracing.StageDecide && sp.Stage != tracing.StageMigrate {
+			continue
 		}
-		mm := traceMethods[rec.Stream]
+		if sp.Stream == "" || sp.Method == "" || sp.Decision == nil || sp.Decision.Reason == "" {
+			t.Fatalf("incomplete decision span: %+v", sp)
+		}
+		if sp.Stage == tracing.StageMigrate && !sp.Anomaly {
+			t.Fatalf("migrate span not always-on: %+v", sp)
+		}
+		mm := traceMethods[sp.Stream]
 		if mm == nil {
 			mm = make(map[string]int)
-			traceMethods[rec.Stream] = mm
+			traceMethods[sp.Stream] = mm
 		}
-		mm[rec.Method]++
+		mm[sp.Method]++
 	}
 	for i := range links {
 		stream := fmt.Sprintf("sub.%d", i+1)
 		for m, n := range results[i].methods {
 			if got := traceMethods[stream][m.String()]; got != n {
-				t.Errorf("%s trace records %d %s blocks, wire shows %d",
+				t.Errorf("%s has %d %s decisions, wire shows %d",
 					stream, got, m, n)
 			}
 		}

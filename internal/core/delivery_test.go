@@ -7,7 +7,7 @@ import (
 
 	"ccx/internal/codec"
 	"ccx/internal/metrics"
-	"ccx/internal/obs"
+	"ccx/internal/tracing"
 )
 
 func TestDeliveryTrackerContiguous(t *testing.T) {
@@ -130,10 +130,10 @@ func TestReaderSuppressesDuplicates(t *testing.T) {
 
 	var tr DeliveryTracker
 	reg := metrics.NewRegistry()
-	trace := obs.NewDecisionLog(16)
+	tracer := tracing.New("test", 0, 16)
 	r := NewReader(bytes.NewReader(stream), nil, nil)
 	r.SetDeliveryTracker(&tr)
-	r.SetTelemetry(Telemetry{Metrics: reg, Trace: trace})
+	r.SetTelemetry(Telemetry{Metrics: reg, Tracer: tracer})
 
 	got, err := io.ReadAll(r)
 	if err != nil {
@@ -148,17 +148,10 @@ func TestReaderSuppressesDuplicates(t *testing.T) {
 	if v := reg.Counter("ccx.rx_dup_frames").Value(); v != 1 {
 		t.Fatalf("rx_dup_frames = %d, want 1", v)
 	}
-	var dupRecs int
-	for _, rec := range trace.Recent(0) {
-		if rec.Dup {
-			dupRecs++
-			if rec.FrameSeq != 2 {
-				t.Fatalf("dup record FrameSeq = %d, want 2", rec.FrameSeq)
-			}
-		}
-	}
-	if dupRecs != 1 {
-		t.Fatalf("dup trace records = %d, want 1", dupRecs)
+	// Nothing here is sampled: the one span is the always-on dup.
+	spans := tracer.Ring().Recent(0)
+	if len(spans) != 1 || spans[0].Stage != tracing.StageDup || spans[0].Seq != 2 || !spans[0].Anomaly {
+		t.Fatalf("ring = %+v, want one dup span at seq 2", spans)
 	}
 }
 
@@ -168,10 +161,10 @@ func TestReaderAccountsGaps(t *testing.T) {
 
 	var tr DeliveryTracker
 	reg := metrics.NewRegistry()
-	trace := obs.NewDecisionLog(16)
+	tracer := tracing.New("test", 0, 16)
 	r := NewReader(bytes.NewReader(stream), nil, nil)
 	r.SetDeliveryTracker(&tr)
-	r.SetTelemetry(Telemetry{Metrics: reg, Trace: trace})
+	r.SetTelemetry(Telemetry{Metrics: reg, Tracer: tracer})
 
 	got, err := io.ReadAll(r)
 	if err != nil {
@@ -187,17 +180,10 @@ func TestReaderAccountsGaps(t *testing.T) {
 	if v := reg.Counter("ccx.rx_gap_blocks").Value(); v != 3 {
 		t.Fatalf("rx_gap_blocks = %d, want 3", v)
 	}
-	var gapRecs int
-	for _, rec := range trace.Recent(0) {
-		if rec.GapBlocks > 0 {
-			gapRecs++
-			if rec.GapBlocks != 3 || rec.FrameSeq != 5 {
-				t.Fatalf("gap record = %+v", rec)
-			}
-		}
-	}
-	if gapRecs != 1 {
-		t.Fatalf("gap trace records = %d, want 1", gapRecs)
+	// The gap span's Bytes is the count of blocks lost before seq 5.
+	spans := tracer.Ring().Recent(0)
+	if len(spans) != 1 || spans[0].Stage != tracing.StageGap || spans[0].Seq != 5 || spans[0].Bytes != 3 || !spans[0].Anomaly {
+		t.Fatalf("ring = %+v, want one gap span: 3 blocks before seq 5", spans)
 	}
 }
 

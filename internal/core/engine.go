@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ccx/internal/bwmon"
@@ -64,8 +65,8 @@ type Config struct {
 	// Negative is invalid.
 	Workers int
 	// Telemetry wires the engine into the observability plane (histograms
-	// and per-block decision traces). The zero value disables all
-	// instrumentation at no hot-path cost.
+	// and spans). The zero value disables all instrumentation at no
+	// hot-path cost.
 	Telemetry Telemetry
 	// Limiter, when set, constrains the selector's method ladder under
 	// resource pressure (the overload governor implements it). The policy
@@ -100,6 +101,9 @@ type Engine struct {
 	lim    MethodLimiter  // nil = ungoverned
 
 	workers int
+	// lastChoice is the previous block's (method, placement) as the tracer
+	// saw it, 0 before the first: a change is recorded at any sampling rate.
+	lastChoice atomic.Uint32
 
 	mu      sync.Mutex
 	pending chan sampling.ProbeResult
@@ -463,7 +467,6 @@ func (e *Engine) Encode(dst []byte, j *Job, res *BlockResult) ([]byte, error) {
 	} else {
 		res.Decision = e.Decide(j.Block)
 	}
-	res.Decision.Trace = j.TC.Trace
 	start := e.now()
 	frame, info, err := codec.AppendFrameOpts(dst, e.reg, res.Decision.Method, j.Block,
 		codec.FrameOpts{Seq: j.Seq, HasSeq: j.HasSeq, Anno: j.Anno})
@@ -489,9 +492,7 @@ func (e *Engine) transmit(frame []byte, send SendFunc, j *Job, res *BlockResult)
 	}
 	res.SendTime = d
 	e.mon.Observe(len(frame), d)
-	if j.TC.Valid() {
-		e.recordTxSpans(j.TC, j.Seq, *res, time.Now().UnixNano())
-	}
+	e.recordTxSpans(j, res)
 	e.ObserveBlock(*res)
 	return nil
 }
@@ -504,8 +505,9 @@ func (e *Engine) transmit(frame []byte, send SendFunc, j *Job, res *BlockResult)
 // When the engine's telemetry carries a Tracer and the block is head-
 // sampled, a trace context is stamped into the frame's annotation (the
 // frame then also carries the block's ordinal as its sequence number) and
-// the probe/encode/write spans are recorded. Unsampled blocks carry
-// neither.
+// the probe/decide/encode/write spans are recorded. Unsampled blocks carry
+// neither; one whose method or placement differs from the block before
+// still records its decide span.
 func (s *Session) TransmitBlock(block, next []byte, send SendFunc) (BlockResult, error) {
 	e := s.e
 	res := BlockResult{Index: s.index, Workers: 1}

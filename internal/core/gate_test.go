@@ -10,7 +10,6 @@ import (
 	"ccx/internal/codec"
 	"ccx/internal/datagen"
 	"ccx/internal/metrics"
-	"ccx/internal/obs"
 	"ccx/internal/selector"
 	"ccx/internal/tracing"
 )
@@ -278,36 +277,40 @@ func TestGateKeepsPlacement(t *testing.T) {
 	}
 }
 
-// TestGateTelemetry: a reused probe must not look measured — the decision
-// record carries its age and says so, the two counters split the blocks, and
+// TestGateTelemetry: a reused probe must not look measured — the decide
+// span carries its age and says so, the two counters split the blocks, and
 // a sampled block records no zero-length probe span.
 func TestGateTelemetry(t *testing.T) {
 	const n = 64
 	reg := metrics.NewRegistry()
-	log := obs.NewDecisionLog(n)
 	tracer := tracing.New("test", 1, 8*n)
 	e := gateEngine(t, Config{
 		Now:       virtualNow(gateTick),
-		Telemetry: Telemetry{Metrics: reg, Trace: log, Tracer: tracer, Stream: "send"},
+		Telemetry: Telemetry{Metrics: reg, Tracer: tracer, Stream: "send"},
 	})
 	fastSend := func([]byte) (time.Duration, error) { return time.Microsecond, nil }
 	if _, err := NewSession(e).StreamBlocks(gateBlocks(n), fastSend, nil); err != nil {
 		t.Fatal(err)
 	}
 
+	decides := stageSpans(tracer, tracing.StageDecide)
+	if len(decides) != n {
+		t.Fatalf("%d decide spans for %d sampled blocks", len(decides), n)
+	}
 	reused := 0
-	for _, rec := range log.Recent(0) {
-		said := strings.Contains(rec.Reason, fmt.Sprintf("probe reused, age %d", rec.ProbeAge))
-		if (rec.ProbeAge > 0) != said {
-			t.Fatalf("block %d: probe_age %d, reason %q", rec.Block, rec.ProbeAge, rec.Reason)
+	for _, sp := range decides {
+		d := sp.Decision
+		said := strings.Contains(d.Reason, fmt.Sprintf("probe reused, age %d", d.ProbeAge))
+		if (d.ProbeAge > 0) != said {
+			t.Fatalf("block %d: probe_age %d, reason %q", sp.Seq, d.ProbeAge, d.Reason)
 		}
-		if rec.ProbeAge > 0 {
+		if d.ProbeAge > 0 {
 			reused++
 		}
 	}
 	snap := reg.Snapshot()
 	if got := snap["ccx.tx_probes_reused"]; got != float64(reused) || reused == 0 {
-		t.Fatalf("tx_probes_reused = %v, decision records say %d", got, reused)
+		t.Fatalf("tx_probes_reused = %v, decide spans say %d", got, reused)
 	}
 	if got := snap["ccx.tx_probes_measured"]; got != float64(n-reused) {
 		t.Fatalf("tx_probes_measured = %v, want %d", got, n-reused)

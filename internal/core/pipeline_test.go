@@ -16,8 +16,9 @@ import (
 	"ccx/internal/datagen"
 	"ccx/internal/faultnet"
 	"ccx/internal/metrics"
-	"ccx/internal/obs"
 	"ccx/internal/selector"
+	"ccx/internal/testx"
+	"ccx/internal/tracing"
 )
 
 // spreadPolicy keys the method choice on content-derived probe inputs only
@@ -172,15 +173,8 @@ func TestPipelineStallIdentity(t *testing.T) {
 // waitGoroutines polls until the goroutine count falls back to base.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 64<<10)
-			t.Fatalf("goroutine leak: %d > baseline %d\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testx.WaitUntil(t, fmt.Sprintf("goroutines to fall back to the baseline of %d", base),
+		func() bool { return runtime.NumGoroutine() <= base })
 }
 
 // TestPipelineShutdownNoLeaks kills the pipeline in the three unhappy ways
@@ -340,13 +334,14 @@ func TestPipelineOverlap(t *testing.T) {
 }
 
 // TestPipelineTelemetry checks the pipeline's observability wiring: the
-// in-flight depth gauge and sequencer-wait histogram exist and fill, trace
-// records carry the worker count, and submitted sequence numbers reach the wire.
+// in-flight depth gauge and sequencer-wait histogram exist and fill, decide
+// spans carry the worker count, every sequencer stall is a pipe-wait span,
+// and submitted sequence numbers reach the wire.
 func TestPipelineTelemetry(t *testing.T) {
 	const blockSize = 4 << 10
 	met := metrics.NewRegistry()
-	trace := obs.NewDecisionLog(256)
-	e := pipelineEngine(t, 3, blockSize, Telemetry{Metrics: met, Trace: trace, Stream: "pipe"})
+	tracer := tracing.New("test", 1, 256)
+	e := pipelineEngine(t, 3, blockSize, Telemetry{Metrics: met, Tracer: tracer, Stream: "pipe"})
 	data := pipelineCorpus(t, 12*blockSize)
 
 	var wire bytes.Buffer
@@ -375,16 +370,21 @@ func TestPipelineTelemetry(t *testing.T) {
 	if got := snap["ccx.pipeline_wait_seconds.count"]; got != 12 {
 		t.Fatalf("pipeline_wait_seconds.count = %v, want 12", got)
 	}
-	recs := trace.Recent(0)
+	recs := stageSpans(tracer, tracing.StageDecide)
 	if len(recs) != 12 {
-		t.Fatalf("got %d trace records, want 12", len(recs))
+		t.Fatalf("got %d decide spans, want 12", len(recs))
 	}
 	for i, r := range recs {
-		if r.Workers != 3 {
-			t.Fatalf("record %d workers = %d, want 3", i, r.Workers)
+		if r.Decision.Workers != 3 {
+			t.Fatalf("decide span %d workers = %d, want 3", i, r.Decision.Workers)
 		}
-		if r.Stream != "pipe" {
-			t.Fatalf("record %d stream = %q", i, r.Stream)
+		if r.Stream != "pipe" || r.Seq != uint64(i)+1 {
+			t.Fatalf("decide span %d stream = %q seq = %d", i, r.Stream, r.Seq)
+		}
+	}
+	for _, w := range stageSpans(tracer, tracing.StagePipeWait) {
+		if w.Dur <= 0 || w.Stream != "pipe" {
+			t.Fatalf("pipe-wait span = %+v", w)
 		}
 	}
 

@@ -6,13 +6,12 @@ import (
 
 	"ccx/internal/codec"
 	"ccx/internal/metrics"
-	"ccx/internal/obs"
 	"ccx/internal/selector"
 	"ccx/internal/tracing"
 )
 
 // Telemetry wires an adaptation loop into the observability plane. Both
-// fields are optional and nil by default: a zero Telemetry disables all
+// sinks are optional and nil by default: a zero Telemetry disables all
 // instrumentation, and every hot-path hook is gated on a single nil check,
 // so un-instrumented engines pay nothing.
 type Telemetry struct {
@@ -20,19 +19,18 @@ type Telemetry struct {
 	// counters under "ccx.*" names (shared across engines on the same
 	// registry, so distributions aggregate per process).
 	Metrics *metrics.Registry
-	// Trace receives one obs.Record per transmitted (or received) block.
-	Trace *obs.DecisionLog
-	// Stream labels this loop's trace records ("send", "sub.3", ...).
+	// Stream labels this loop's spans ("send", "sub.3", ...).
 	Stream string
-	// Tracer records distributed-trace spans for head-sampled blocks (and
-	// always for anomalies). On a sending engine it also owns the sampling
-	// decision: sampled blocks get a trace context stamped into their frame
-	// annotation. nil disables tracing entirely.
+	// Tracer records spans: the timing spans and the decide span of every
+	// head-sampled block, and always a stream's first decision, every
+	// change of method or placement, and anomalies. On a sending engine it
+	// also owns the sampling decision: sampled blocks get a trace context
+	// stamped into their frame annotation. nil disables tracing entirely.
 	Tracer *tracing.Tracer
 }
 
 // enabled reports whether any sink is configured.
-func (t Telemetry) enabled() bool { return t.Metrics != nil || t.Trace != nil || t.Tracer != nil }
+func (t Telemetry) enabled() bool { return t.Metrics != nil || t.Tracer != nil }
 
 // txInstruments are the send-side metrics, resolved once at engine build
 // so the per-block path touches only atomics.
@@ -83,76 +81,81 @@ func newTxInstruments(reg *metrics.Registry, codecs *codec.Registry) *txInstrume
 // Telemetry returns the engine's telemetry wiring (zero value when none).
 func (e *Engine) Telemetry() Telemetry { return e.tel }
 
-// ObserveBlock feeds one transmitted block into the engine's telemetry:
+// ObserveBlock feeds one transmitted block into the engine's metrics:
 // histograms for encode/send latency, block and wire sizes, per-method
-// realized ratio; and a decision-trace record carrying the selector's
-// inputs alongside the realized outcome. No-op without telemetry.
+// realized ratio. No-op without a registry.
 //
 // Session.TransmitBlock calls this for every block; transports that frame
 // blocks themselves (the broker's per-subscriber loop) call it directly.
 func (e *Engine) ObserveBlock(res BlockResult) {
-	if !e.tel.enabled() {
+	ins := e.tx
+	if ins == nil {
 		return
 	}
-	if ins := e.tx; ins != nil {
-		ins.blocks.Inc()
-		ins.encodeLat.ObserveDuration(res.CompressTime)
-		if res.SendTime > 0 {
-			ins.sendLat.ObserveDuration(res.SendTime)
-		}
-		ins.blockIn.Observe(float64(res.Info.OrigLen))
-		ins.wireOut.Observe(float64(res.WireBytes))
-		if res.Info.Fallback {
-			ins.fallbacks.Inc()
-		}
-		if h := ins.ratio[res.Info.Method]; h != nil {
-			h.Observe(res.Info.Ratio())
-		}
-		if c := ins.methods[res.Info.Method]; c != nil {
-			c.Inc()
-		}
-		if pl := res.Decision.Placement; pl.Valid() {
-			ins.placements[pl].Inc()
-		}
+	ins.blocks.Inc()
+	ins.encodeLat.ObserveDuration(res.CompressTime)
+	if res.SendTime > 0 {
+		ins.sendLat.ObserveDuration(res.SendTime)
 	}
-	if e.tel.Trace != nil {
-		in := res.Decision.Inputs
-		e.tel.Trace.Add(obs.Record{
-			Stream:       e.tel.Stream,
-			Block:        res.Index,
-			BlockLen:     in.BlockLen,
-			GoodputBps:   e.mon.Goodput(),
-			ProbeRatio:   in.ProbeRatio,
-			ReduceSpeed:  in.ReducingSpeed,
-			ProbeAge:     in.ProbeAge,
-			Entropy:      in.Entropy,
-			Repetition:   in.Repetition,
-			PredSendNs:   int64(in.SendTime),
-			PredReduceNs: int64(res.Decision.LZReduceTime),
-			Method:       res.Info.Method.String(),
-			Placement:    res.Decision.Placement.String(),
-			Reason:       res.Decision.Reason(),
-			WireBytes:    res.WireBytes,
-			Ratio:        res.Info.Ratio(),
-			EncodeNs:     int64(res.CompressTime),
-			SendNs:       int64(res.SendTime),
-			Fallback:     res.Info.Fallback,
-			Workers:      res.Workers,
-			PipeWaitNs:   int64(res.PipelineWait),
-			Trace:        res.Decision.Trace,
-		})
+	ins.blockIn.Observe(float64(res.Info.OrigLen))
+	ins.wireOut.Observe(float64(res.WireBytes))
+	if res.Info.Fallback {
+		ins.fallbacks.Inc()
+	}
+	if h := ins.ratio[res.Info.Method]; h != nil {
+		h.Observe(res.Info.Ratio())
+	}
+	if c := ins.methods[res.Info.Method]; c != nil {
+		c.Inc()
+	}
+	if pl := res.Decision.Placement; pl.Valid() {
+		ins.placements[pl].Inc()
 	}
 }
 
-// recordTxSpans appends the send-side span set for one sampled block. The
-// spans are reconstructed backwards from endNs (the wall clock right after
-// the write returned) using the measured phase durations, so the unsampled
-// hot path takes zero extra timestamps.
-func (e *Engine) recordTxSpans(tc tracing.Context, seq uint64, res BlockResult, endNs int64) {
+// DecisionAttrs words one block's decision for a decide or migrate span:
+// the inputs the selector saw beside the realized outcome.
+func (e *Engine) DecisionAttrs(res *BlockResult) *tracing.Decision {
+	in := res.Decision.Inputs
+	return &tracing.Decision{
+		BlockLen:     in.BlockLen,
+		GoodputBps:   e.mon.Goodput(),
+		ProbeRatio:   in.ProbeRatio,
+		ProbeAge:     in.ProbeAge,
+		ReduceSpeed:  in.ReducingSpeed,
+		Entropy:      in.Entropy,
+		Repetition:   in.Repetition,
+		PredSendNs:   int64(in.SendTime),
+		PredReduceNs: int64(res.Decision.LZReduceTime),
+		Reason:       res.Decision.Reason(),
+		Ratio:        res.Info.Ratio(),
+		Fallback:     res.Info.Fallback,
+		Workers:      res.Workers,
+	}
+}
+
+// recordTxSpans appends one sent block's spans. A head-sampled block gets
+// the whole set — probe, decide, encode, pipe-wait, write — reconstructed
+// backwards from the wall clock right after the write returned using the
+// measured phase durations, so the unsampled hot path takes no timestamp.
+// An unsampled block gets its decide span alone, and only when it is the
+// stream's first or its method or placement differs from the block before:
+// a switch is recorded at any sampling rate.
+func (e *Engine) recordTxSpans(j *Job, res *BlockResult) {
 	tr := e.tel.Tracer
-	if tr == nil || !tc.Valid() {
+	if tr == nil {
 		return
 	}
+	tc, seq := j.TC, j.Seq
+	if !j.HasSeq {
+		seq = uint64(res.Index) + 1 // what stamp gives a sampled block
+	}
+	choice := 1<<16 | uint32(res.Decision.Method)<<8 | uint32(res.Decision.Placement)
+	switched := e.lastChoice.Swap(choice) != choice
+	if !tc.Valid() && !switched {
+		return
+	}
+	endNs := time.Now().UnixNano()
 	wr := int64(res.SendTime)
 	wait := int64(res.PipelineWait) // sequencer stall; 0 on the sequential loop
 	enc := int64(res.CompressTime)
@@ -162,11 +165,20 @@ func (e *Engine) recordTxSpans(tc tracing.Context, seq uint64, res BlockResult, 
 	base := tracing.Span{Trace: tc.Trace, Seq: seq, Stream: e.tel.Stream, Method: method, Placement: placement}
 
 	s := base
-	if probe > 0 { // a reused (or pre-decided) block spent no time probing
+	if tc.Valid() && probe > 0 { // a reused (or pre-decided) block spent no time probing
 		s.Stage, s.Start, s.Dur = tracing.StageProbe, endNs-wr-wait-enc-probe, probe
 		tr.Record(s)
 		s = base
 	}
+	// The decision sits where the probe ends and the encode starts, with no
+	// length of its own: the critical path reads as it did without it.
+	s.Stage, s.Start, s.Anomaly = tracing.StageDecide, endNs-wr-wait-enc, switched
+	s.Decision = e.DecisionAttrs(res)
+	tr.Record(s)
+	if !tc.Valid() {
+		return
+	}
+	s = base
 	s.Stage, s.Start, s.Dur, s.Bytes = tracing.StageEncode, endNs-wr-wait-enc, enc, res.WireBytes
 	tr.Record(s)
 	if wait > 0 {
@@ -195,10 +207,10 @@ type rxInstruments struct {
 }
 
 // SetTelemetry instruments the Reader: every decoded block observes the
-// decode-latency and size histograms and appends a trace record; every
-// corrupt frame offered to the corrupt handler bumps ccx.rx_corrupt_frames
-// and appends a Corrupt trace record documenting the skipped block. Call
-// before the first Read; pass a zero Telemetry to disable.
+// decode-latency and size histograms (and, arriving annotated, records a
+// decode span); every corrupt frame offered to the corrupt handler bumps
+// ccx.rx_corrupt_frames and records a resync span documenting the skipped
+// block. Call before the first Read; pass a zero Telemetry to disable.
 func (r *Reader) SetTelemetry(t Telemetry) {
 	r.tel = t
 	if t.Metrics == nil {
@@ -231,19 +243,6 @@ func (r *Reader) observeBlock(info codec.BlockInfo) {
 		}
 		c.Inc()
 	}
-	if r.tel.Trace != nil {
-		r.tel.Trace.Add(obs.Record{
-			Stream:    r.tel.Stream,
-			Block:     r.seq,
-			BlockLen:  info.OrigLen,
-			Method:    info.Method.String(),
-			WireBytes: info.CompLen,
-			Ratio:     info.Ratio(),
-			Fallback:  info.Fallback,
-			DecodeNs:  int64(info.DecodeTime),
-			FrameSeq:  info.Seq,
-		})
-	}
 	if tr := r.tel.Tracer; tr != nil && len(info.Anno) > 0 {
 		if tc := tracing.ParseAnno(info.Anno); tc.Valid() {
 			now := time.Now().UnixNano()
@@ -263,19 +262,10 @@ func (r *Reader) observeBlock(info codec.BlockInfo) {
 }
 
 // observeDup records one replayed duplicate the delivery tracker
-// suppressed: counted and traced, never delivered.
+// suppressed: counted and traced (always on), never delivered.
 func (r *Reader) observeDup(info codec.BlockInfo) {
 	if r.rx != nil {
 		r.rx.dups.Inc()
-	}
-	if r.tel.Trace != nil {
-		r.tel.Trace.Add(obs.Record{
-			Stream:   r.tel.Stream,
-			Block:    r.seq,
-			Method:   info.Method.String(),
-			FrameSeq: info.Seq,
-			Dup:      true,
-		})
 	}
 	if tr := r.tel.Tracer; tr != nil {
 		tr.Record(tracing.Span{
@@ -296,14 +286,6 @@ func (r *Reader) observeGap(seq, blocks uint64) {
 		r.rx.gapEvents.Inc()
 		r.rx.gapBlocks.Add(int64(blocks))
 	}
-	if r.tel.Trace != nil {
-		r.tel.Trace.Add(obs.Record{
-			Stream:    r.tel.Stream,
-			Block:     r.seq,
-			FrameSeq:  seq,
-			GapBlocks: blocks,
-		})
-	}
 	if tr := r.tel.Tracer; tr != nil {
 		tr.Record(tracing.Span{
 			Seq:     seq,
@@ -321,16 +303,9 @@ func (r *Reader) observeCorrupt(err error) {
 	if r.rx != nil {
 		r.rx.corrupt.Inc()
 	}
-	if r.tel.Trace != nil {
-		r.tel.Trace.Add(obs.Record{
-			Stream:  r.tel.Stream,
-			Block:   r.seq,
-			Corrupt: true,
-			Err:     err.Error(),
-		})
-	}
 	if tr := r.tel.Tracer; tr != nil {
 		tr.Record(tracing.Span{
+			Seq:     uint64(r.seq) + 1, // the damaged frame's ordinal on this stream
 			Stream:  r.tel.Stream,
 			Stage:   tracing.StageResync,
 			Start:   time.Now().UnixNano(),

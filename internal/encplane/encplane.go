@@ -40,7 +40,6 @@ import (
 	"ccx/internal/codec"
 	"ccx/internal/core"
 	"ccx/internal/metrics"
-	"ccx/internal/obs"
 	"ccx/internal/sampling"
 	"ccx/internal/selector"
 	"ccx/internal/tracing"
@@ -65,12 +64,11 @@ type Config struct {
 	// Metrics receives encplane.* and chan.<name>.* instrumentation
 	// (nil = a private registry).
 	Metrics *metrics.Registry
-	// Trace receives one record per encoded frame (stream "encplane"),
-	// carrying the class label and fan-out width. nil disables.
-	Trace *obs.DecisionLog
-	// Tracer records distributed-trace encode spans for blocks whose frame
-	// annotation carries a trace context (and cache-hit spans when a
-	// replay or migration is served from the frame cache). nil disables.
+	// Tracer records an encode span (stream "encplane") for each block
+	// whose frame annotation carries a trace context — with the class
+	// label, why the class was encoded and how many subscribers shared it —
+	// and a cache-hit span when a replay or migration is served from the
+	// frame cache. nil disables.
 	Tracer *tracing.Tracer
 	// Logf logs encode failures (nil = silent).
 	Logf func(format string, args ...any)
@@ -85,7 +83,6 @@ type Plane struct {
 	reg    *codec.Registry
 	smp    *sampling.Sampler
 	met    *metrics.Registry
-	trace  *obs.DecisionLog
 	tracer *tracing.Tracer
 	logf   func(string, ...any)
 
@@ -149,7 +146,6 @@ func New(cfg Config) (*Plane, error) {
 			Now:        ecfg.Now,
 		},
 		met:        met,
-		trace:      cfg.Trace,
 		tracer:     cfg.Tracer,
 		logf:       logf,
 		engine:     engine,
@@ -561,9 +557,9 @@ func (c *Channel) encodeInline(j *core.Job) (*[]byte, core.BlockResult, error) {
 // admit turns one freshly encoded buffer into a shared Frame and is the one
 // place such a frame is accounted: encode counters and latency, fan-out to
 // the members its publication snapshotted for the job's method (an on-demand
-// encode has no publication and fans out to nobody), the encode span, and
-// the decision record. The caller holds the returned frame's creator
-// reference.
+// encode has no publication and fans out to nobody), and the encode span,
+// which says why the class was encoded. The caller holds the returned
+// frame's creator reference.
 func (c *Channel) admit(buf *[]byte, j *core.Job, res *core.BlockResult, reason string) *Frame {
 	p := c.p
 	f := c.newFrame(buf, j.Seq, j.Method, res.Info)
@@ -604,25 +600,14 @@ func (c *Channel) admit(buf *[]byte, j *core.Job, res *core.BlockResult, reason 
 			Method:     f.info.Method.String(),
 			Class:      c.name + "/" + j.Method.String(),
 			Bytes:      f.Len(),
-		})
-	}
-	if p.trace != nil {
-		p.trace.Add(obs.Record{
-			Stream:    "encplane",
-			Block:     int(j.Seq),
-			BlockLen:  len(j.Block),
-			Method:    f.info.Method.String(),
-			Placement: placementSpread(byPlacement),
-			Reason:    reason,
-			WireBytes: f.Len(),
-			Ratio:     f.info.Ratio(),
-			EncodeNs:  res.CompressTime.Nanoseconds(),
-			Fallback:  f.info.Fallback,
-			FrameSeq:  j.Seq,
-			Class:     c.name + "/" + j.Method.String(),
-			ClassSubs: len(members),
-			Workers:   res.Workers,
-			Trace:     j.TC.Trace,
+			Decision: &tracing.Decision{
+				BlockLen:  len(j.Block),
+				Reason:    reason,
+				Ratio:     f.info.Ratio(),
+				Fallback:  f.info.Fallback,
+				Workers:   res.Workers,
+				ClassSubs: len(members),
+			},
 		})
 	}
 	return f
@@ -652,16 +637,6 @@ func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []b
 				Class:      c.name + "/" + m.String(),
 				CacheHit:   true,
 				Bytes:      f.Len(),
-			})
-		}
-		if c.p.trace != nil {
-			c.p.trace.Add(obs.Record{
-				Stream:   "encplane",
-				Method:   f.info.Method.String(),
-				Reason:   "replay served from frame cache",
-				FrameSeq: seq,
-				Class:    c.name + "/" + m.String(),
-				CacheHit: true,
 			})
 		}
 		return f, nil
@@ -698,26 +673,6 @@ func (c *Channel) ProbeFor(data []byte, seq uint64) sampling.ProbeResult {
 	c.probes.put(seq, p)
 	c.mu.Unlock()
 	return p
-}
-
-// placementSpread labels one fan-out's placement mix for trace records: the
-// single placement every delivery shared, or "mixed" when one encode served
-// classes of more than one placement.
-func placementSpread(byPlacement [selector.NumPlacements]int64) string {
-	sole := -1
-	for pl, n := range byPlacement {
-		if n == 0 {
-			continue
-		}
-		if sole >= 0 {
-			return "mixed"
-		}
-		sole = pl
-	}
-	if sole < 0 {
-		return ""
-	}
-	return selector.Placement(sole).String()
 }
 
 // putCache hands the caller's frame reference to the cache (or straight

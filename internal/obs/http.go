@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -11,27 +9,17 @@ import (
 	"time"
 
 	"ccx/internal/metrics"
+	"ccx/internal/tracing"
 )
 
-// SpanDumper is the slice of internal/tracing the debug plane needs: a
-// JSONL dump of recent distributed-trace spans. Declared here (rather than
-// importing tracing) so obs stays a leaf that any package may depend on.
-// tracing.Ring implements it; its methods are nil-receiver-safe, so a
-// disabled tracer's nil ring can be passed straight through.
-type SpanDumper interface {
-	WriteJSONL(w io.Writer, max int) error
-}
-
-// MaxDumpRecords is the hard ceiling on records one /debug/decisions or
-// /debug/spans response may carry. Ring sizes are operator-configurable
-// (and "no n parameter" used to mean "the whole ring"), so without a cap a
-// casual curl against a loaded broker with a large ring dumps unbounded
-// JSONL from inside the serving process. Requests asking for more — or for
-// a non-positive/absent n — get exactly this many of the newest records.
+// MaxDumpRecords is the hard ceiling on spans one /debug/spans response may
+// carry. The ring size is operator-configurable, so without a cap a casual
+// curl against a loaded broker with a large ring dumps unbounded JSONL from
+// inside the serving process. Requests asking for more — or for a
+// non-positive/absent n — get exactly this many of the newest spans.
 const MaxDumpRecords = 4096
 
-// clampDump applies MaxDumpRecords to a raw ?n= value (0 or negative used
-// to mean "everything"; now it means "the maximum").
+// clampDump applies MaxDumpRecords to a raw ?n= value.
 func clampDump(n int) int {
 	if n <= 0 || n > MaxDumpRecords {
 		return MaxDumpRecords
@@ -39,26 +27,20 @@ func clampDump(n int) int {
 	return n
 }
 
-func atoiQuery(r *http.Request, key string) int {
-	n, _ := strconv.Atoi(r.URL.Query().Get(key))
-	return n
-}
-
 // Handler returns the debug plane as an http.Handler:
 //
 //	GET /metrics           Prometheus text exposition of reg
 //	GET /debug/vars        flat JSON snapshot of reg (ccstat's feed)
-//	GET /debug/decisions   recent decision-trace records as a JSON array
-//	                       (?n=N caps the count, ?format=jsonl streams
-//	                       one object per line)
-//	GET /debug/spans       recent distributed-trace spans as JSONL
-//	                       (?n=N caps the count) — cmd/cctrace's feed
+//	GET /debug/spans       recent spans as JSONL (?n=N caps the count):
+//	                       timing spans and decide spans alike —
+//	                       cmd/cctrace's feed
 //	GET /debug/pprof/...   the standard runtime profiles
 //	GET /                  a plain-text index of the above
 //
-// reg, log, and spans may each be nil; the corresponding endpoints then
-// serve empty documents, so one mux shape fits every daemon.
-func Handler(reg *metrics.Registry, log *DecisionLog, spans SpanDumper) http.Handler {
+// reg and spans may each be nil (a disabled tracer's nil ring passes
+// straight through); the corresponding endpoints then serve empty
+// documents, so one mux shape fits every daemon.
+func Handler(reg *metrics.Registry, spans *tracing.Ring) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -74,26 +56,10 @@ func Handler(reg *metrics.Registry, log *DecisionLog, spans SpanDumper) http.Han
 		}
 		_ = reg.WriteJSON(w)
 	})
-	mux.HandleFunc("/debug/decisions", func(w http.ResponseWriter, r *http.Request) {
-		n := clampDump(atoiQuery(r, "n"))
-		if r.URL.Query().Get("format") == "jsonl" {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = log.WriteJSONL(w, n)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		recs := log.Recent(n)
-		if recs == nil {
-			recs = []Record{}
-		}
-		_ = json.NewEncoder(w).Encode(recs)
-	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if spans == nil {
-			return
-		}
-		_ = spans.WriteJSONL(w, clampDump(atoiQuery(r, "n")))
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		_ = spans.WriteJSONL(w, clampDump(n))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -109,8 +75,7 @@ func Handler(reg *metrics.Registry, log *DecisionLog, spans SpanDumper) http.Han
 		fmt.Fprint(w, "ccx debug plane\n\n"+
 			"  /metrics          Prometheus text exposition\n"+
 			"  /debug/vars       JSON metrics snapshot\n"+
-			"  /debug/decisions  recent per-block selector decisions (?n=N, ?format=jsonl)\n"+
-			"  /debug/spans      recent distributed-trace spans as JSONL (?n=N)\n"+
+			"  /debug/spans      recent spans as JSONL: block timing and selector decisions (?n=N)\n"+
 			"  /debug/pprof/     runtime profiles\n")
 	})
 	return mux
@@ -126,13 +91,13 @@ type Server struct {
 // Serve starts the debug plane on addr (e.g. ":6060" or "127.0.0.1:0")
 // and serves it in the background until Close. The bound address is
 // available via Addr, so ":0" works in tests.
-func Serve(addr string, reg *metrics.Registry, log *DecisionLog, spans SpanDumper) (*Server, error) {
+func Serve(addr string, reg *metrics.Registry, spans *tracing.Ring) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listener: %w", err)
 	}
 	srv := &http.Server{
-		Handler:           Handler(reg, log, spans),
+		Handler:           Handler(reg, spans),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() { _ = srv.Serve(ln) }()

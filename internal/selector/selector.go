@@ -124,8 +124,8 @@ func (in Inputs) LZReduceTime() time.Duration {
 }
 
 // Decision records a selection and the reasoning inputs, for the audit
-// trails the experiments plot (Figures 8 and 11) and the decision traces
-// internal/obs serves over /debug/decisions.
+// trails the experiments plot (Figures 8 and 11) and the decide spans the
+// debug plane serves over /debug/spans.
 type Decision struct {
 	Method       codec.Method
 	Inputs       Inputs
@@ -137,17 +137,11 @@ type Decision struct {
 	// downstream hop owns compression under Placement; Method is then None
 	// regardless of what the method selector would have chosen.
 	Offloaded bool
-	// Trace links the decision to its distributed-trace spans: the trace id
-	// stamped into the block's frame annotation when the block was head-
-	// sampled, 0 otherwise. The selector itself never sets or reads it —
-	// the engine fills it in so the decision ring and the span ring can be
-	// joined on (trace, block).
-	Trace uint64
 	// Demoted marks a decision the engine stepped down the method ladder
 	// after selection because the overload governor capped CPU spend;
 	// DemotedFrom is what the policy originally chose and DemoteCause the
 	// governor's one-word justification (e.g. "cpu elevated"). The selector
-	// never sets these — they exist so Reason() and the decision traces show
+	// never sets these — they exist so Reason() and the decide spans show
 	// governed decisions honestly.
 	Demoted     bool
 	DemotedFrom codec.Method
@@ -156,7 +150,7 @@ type Decision struct {
 
 // Reason summarizes in one line why the decision came out the way it did,
 // in terms of the §2.5 comparisons: which branch fired and the send/reduce
-// ratio that drove it. The string is stable enough for decision traces but
+// ratio that drove it. The string is stable enough for decide spans but
 // not a parseable format.
 func (d Decision) Reason() string {
 	base := d.baseReason()

@@ -30,14 +30,18 @@ type Tracer struct {
 	idSeed uint64
 	idCtr  atomic.Uint64
 
-	mu sync.Mutex // guards the optional file sink
-	fw *bufio.Writer
-	fc io.Closer
+	// The optional file sink. sink is set while one is attached, so Record
+	// on a ring-only tracer never touches mu — it would serialise every
+	// subscriber write loop that records.
+	sink atomic.Bool
+	mu   sync.Mutex // guards fw and fc
+	fw   *bufio.Writer
+	fc   io.Closer
 }
 
 // New returns a Tracer for the named hop sampling the given rate (0..1;
-// 0 disables origin sampling but anomaly spans still record) with a ring
-// retaining ringSize spans.
+// 0 disables origin sampling but anomaly and switch spans still record)
+// with a ring retaining ringSize spans (<= 0: DefaultRingSize).
 func New(hop string, rate float64, ringSize int) *Tracer {
 	t := &Tracer{
 		hop:    hop,
@@ -65,6 +69,7 @@ func (t *Tracer) SetOutput(w io.WriteCloser) {
 	defer t.mu.Unlock()
 	t.fw = bufio.NewWriter(w)
 	t.fc = w
+	t.sink.Store(true)
 }
 
 // OpenOutput is SetOutput for a file path.
@@ -90,6 +95,7 @@ func (t *Tracer) Close() error {
 	if t.fw == nil {
 		return nil
 	}
+	t.sink.Store(false)
 	err := t.fw.Flush()
 	if cerr := t.fc.Close(); err == nil {
 		err = cerr
@@ -146,6 +152,9 @@ func (t *Tracer) Record(s Span) {
 	}
 	s.Hop = t.hop
 	t.ring.Add(s)
+	if !t.sink.Load() {
+		return
+	}
 	t.mu.Lock()
 	if t.fw != nil {
 		// Encoding under the lock keeps file lines whole; the file sink is

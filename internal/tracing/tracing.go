@@ -3,12 +3,16 @@
 // wall/monotonic timestamps) into a frame annotation for a head-sampled
 // subset of blocks; every hop that handles an annotated block appends local
 // span records — probe, decide, encode, queue wait, write, decode — to a
-// lock-free ring modeled on the obs decision ring, exported as JSONL over
-// the debug HTTP plane (/debug/spans) and optionally to a file. Anomalies
-// (corrupt frames, resyncs, gaps, migrations, resumes) are recorded
-// regardless of the sampling decision so the rare events that motivate
-// tracing are never lost. cmd/cctrace stitches dumps from N hops into
-// per-block waterfalls with critical-path attribution (see stitch.go).
+// lock-free ring, exported as JSONL over the debug HTTP plane (/debug/spans)
+// and optionally to a file. It is the one observability record: a selector
+// decision is a decide (or, on the broker, migrate) span whose Decision
+// attributes carry the inputs the selector saw and its worded reason, so one
+// dump answers both "where did this block's time go?" and "why this
+// method?". Anomalies and switches (corrupt frames, resyncs, gaps, resumes,
+// a stream's first decision and every change of method or placement) are
+// recorded regardless of the sampling decision so the rare events that
+// motivate tracing are never lost. cmd/cctrace stitches dumps from N hops
+// into per-block waterfalls with critical-path attribution (see stitch.go).
 package tracing
 
 import (
@@ -29,8 +33,11 @@ const (
 	// StageProbe is the sampling probe (paper §2.5): compressing the probe
 	// prefix to estimate ratio and reducing speed.
 	StageProbe = "probe"
-	// StageDecide is selector evaluation — probe join wait included on the
-	// pipelined path.
+	// StageDecide is the selector's decision for one block, with the
+	// Decision attributes. Recorded for head-sampled blocks and, always, for
+	// a stream's first block and every block whose method or placement
+	// differs from the one before it. Zero duration: the decide time is not
+	// measured apart from the probe, so the critical path is unchanged.
 	StageDecide = "decide"
 	// StageEncode is payload compression plus frame construction.
 	StageEncode = "encode"
@@ -55,7 +62,8 @@ const (
 	// recorded (anomaly).
 	StageDup = "dup"
 	// StageMigrate is a subscriber's class migration on the broker (the
-	// adaptation loop changed method or placement). Always recorded.
+	// adaptation loop changed method or placement): the broker's decide
+	// span for a switch, Decision attributes included. Always recorded.
 	StageMigrate = "migrate"
 	// StageResume is a RESUME handshake replaying a subscriber's tail.
 	// Always recorded (anomaly).
@@ -100,14 +108,49 @@ type Span struct {
 	// encode/write, compressed payload for decode).
 	Bytes int    `json:"bytes,omitempty"`
 	Err   string `json:"err,omitempty"`
-	// Anomaly marks spans recorded outside the head sampling decision.
+	// Anomaly marks the always-on class: spans recorded whatever the head
+	// sampling decision was (anomalies, and decisions that changed method or
+	// placement).
 	Anomaly bool `json:"anomaly,omitempty"`
+	// Decision is set on decide and migrate spans (and, for the class
+	// reason and fan-out width, on the encode plane's encode spans).
+	Decision *Decision `json:"decision,omitempty"`
 }
 
-// Ring is a bounded, lock-free span buffer, same design as the obs
-// decision ring: writers atomically claim a slot index and publish a
-// pointer; readers snapshot without blocking writers. Overwrites under
-// wrap or torn reads lose individual spans, never corrupt them.
+// Decision is what a decide span knows that no timing span does: the
+// selector's inputs (§2.5: goodput, the probe's ratio and reducing speed,
+// the sampled data characteristics), its prediction, its worded reason, and
+// the realized outcome. ProbeAge says how many blocks ago the probe fields
+// were measured (0 = on this block): on a line that outruns the codec the
+// engine carries a measurement over instead of repeating it.
+type Decision struct {
+	BlockLen     int     `json:"block_len"`
+	GoodputBps   float64 `json:"goodput_bps"`
+	ProbeRatio   float64 `json:"probe_ratio"`
+	ProbeAge     int     `json:"probe_age"`
+	ReduceSpeed  float64 `json:"reduce_speed_bps"`
+	Entropy      float64 `json:"entropy_bits"`
+	Repetition   float64 `json:"repetition"`
+	PredSendNs   int64   `json:"pred_send_ns"`
+	PredReduceNs int64   `json:"pred_reduce_ns"`
+	Reason       string  `json:"reason,omitempty"`
+	// Ratio is the realized compressed/original payload ratio; Fallback
+	// marks a block that expanded and was sent raw.
+	Ratio    float64 `json:"ratio,omitempty"`
+	Fallback bool    `json:"fallback,omitempty"`
+	// Workers is the encode pool that produced the block (1 = the
+	// sequential loop); ClassSubs how many subscribers shared one encode.
+	Workers   int `json:"workers,omitempty"`
+	ClassSubs int `json:"class_subs,omitempty"`
+}
+
+// DefaultRingSize is the span ring's capacity when none is asked for.
+const DefaultRingSize = 1024
+
+// Ring is a bounded, lock-free span buffer: writers atomically claim a slot
+// index and publish a pointer; readers snapshot without blocking writers.
+// Overwrites under wrap or torn reads lose individual spans, never corrupt
+// them. The nil ring is inert.
 type Ring struct {
 	slots []atomic.Pointer[ringSlot]
 	next  atomic.Uint64
@@ -120,9 +163,12 @@ type ringSlot struct {
 }
 
 // NewRing returns a ring holding the most recent size spans (rounded up to
-// a power of two, minimum 16).
+// a power of two; size <= 0 means DefaultRingSize).
 func NewRing(size int) *Ring {
-	n := 16
+	if size <= 0 {
+		size = DefaultRingSize
+	}
+	n := 1
 	for n < size {
 		n <<= 1
 	}

@@ -208,3 +208,135 @@ func TestReadJSONLTornTail(t *testing.T) {
 		t.Fatal("mid-file damage must error")
 	}
 }
+
+// TestDefaultRingRetains pins the one default capacity: a tracer built with
+// no ring size (what all three daemons do) keeps at least DefaultRingSize
+// spans, not the 16 an earlier NewRing rounded 0 up to.
+func TestDefaultRingRetains(t *testing.T) {
+	r := New("hop", 0, 0).Ring()
+	for i := 0; i < 2*DefaultRingSize; i++ {
+		r.Add(Span{Seq: uint64(i + 1)})
+	}
+	got := r.Recent(0)
+	if len(got) < 1024 || len(got) != DefaultRingSize {
+		t.Fatalf("default ring retained %d spans, want %d (>= 1024)", len(got), DefaultRingSize)
+	}
+	if got[len(got)-1].Seq != 2*DefaultRingSize || r.Len() != 2*DefaultRingSize {
+		t.Fatalf("newest span seq %d, %d ever added", got[len(got)-1].Seq, r.Len())
+	}
+}
+
+// closeCounter is a file sink that counts what reaches it.
+type closeCounter struct {
+	mu     sync.Mutex
+	lines  int
+	closed int
+}
+
+func (c *closeCounter) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.lines += bytes.Count(p, []byte{'\n'})
+	c.mu.Unlock()
+	return len(p), nil
+}
+
+func (c *closeCounter) Close() error {
+	c.mu.Lock()
+	c.closed++
+	c.mu.Unlock()
+	return nil
+}
+
+// TestRecordRacesSink records from several goroutines while sinks are
+// attached and closed underneath them. Record takes the sink lock only
+// while a sink is set; under -race this proves the unlocked path and the
+// hand-over are sound, and functionally that no span is lost from the ring
+// and every sink that was opened is closed exactly once.
+func TestRecordRacesSink(t *testing.T) {
+	const writers, perWriter, sinks = 8, 2000, 20
+	tr := New("hop", 1, writers*perWriter)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Record(Span{Trace: 1, Stage: StageWrite, Dur: 1})
+			}
+		}()
+	}
+	all := make([]*closeCounter, sinks)
+	for i := range all {
+		all[i] = new(closeCounter)
+		tr.SetOutput(all[i])
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if got := tr.Ring().Len(); got != writers*perWriter {
+		t.Fatalf("ring saw %d spans, want %d", got, writers*perWriter)
+	}
+	written := 0
+	for i, c := range all {
+		if c.closed != 1 {
+			t.Fatalf("sink %d closed %d times", i, c.closed)
+		}
+		written += c.lines
+	}
+	if written > writers*perWriter {
+		t.Fatalf("sinks got %d lines for %d spans", written, writers*perWriter)
+	}
+	// With no sink attached, Record must not have left one behind.
+	tr.Record(Span{Trace: 2})
+	if tr.sink.Load() {
+		t.Fatal("sink flag still set after Close")
+	}
+}
+
+// BenchmarkTracerRecord is the cost of one span on a ring-only tracer, from
+// every CPU at once: the subscriber write loops of one broker share a Tracer,
+// so a lock here would serialise them.
+func BenchmarkTracerRecord(b *testing.B) {
+	tr := New("bench", 1, 0)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			tr.Record(Span{Trace: 1, Seq: 2, Stage: StageWrite, Dur: 3})
+		}
+	})
+}
+
+// TestDecideSpanGolden pins the one JSONL schema: the line a decide span is
+// written as, which is cmd/cctrace's input and /debug/spans' output. The
+// selector-input fields are always present (probe_age 0 says "measured for
+// this block"); the outcome fields drop out when empty.
+func TestDecideSpanGolden(t *testing.T) {
+	const golden = `{"trace":7,"seq":3,"hop":"ccsend","stream":"send","stage":"decide","start_ns":1700000000000000000,"dur_ns":0,` +
+		`"method":"lempel-ziv","placement":"publisher","anomaly":true,` +
+		`"decision":{"block_len":131072,"goodput_bps":125000,"probe_ratio":0.4,"probe_age":0,"reduce_speed_bps":40000000,` +
+		`"entropy_bits":4.5,"repetition":0.25,"pred_send_ns":1048576000,"pred_reduce_ns":1966080,` +
+		`"reason":"line slow (send/reduce 533.33), probe ratio 0.40: dictionary coding","ratio":0.38,"workers":1}}` + "\n"
+	span := Span{
+		Trace: 7, Seq: 3, Hop: "ccsend", Stream: "send", Stage: StageDecide, Start: 1700000000000000000,
+		Method: "lempel-ziv", Placement: "publisher", Anomaly: true,
+		Decision: &Decision{
+			BlockLen: 128 << 10, GoodputBps: 125000, ProbeRatio: 0.4, ReduceSpeed: 40e6,
+			Entropy: 4.5, Repetition: 0.25, PredSendNs: 1048576000, PredReduceNs: 1966080,
+			Reason: "line slow (send/reduce 533.33), probe ratio 0.40: dictionary coding", Ratio: 0.38, Workers: 1,
+		},
+	}
+	r := NewRing(4)
+	r.Add(span)
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != golden {
+		t.Fatalf("decide span line changed:\n got %s want %s", buf.String(), golden)
+	}
+	back, err := ReadJSONL(strings.NewReader(golden))
+	if err != nil || len(back) != 1 || back[0].Decision == nil || *back[0].Decision != *span.Decision {
+		t.Fatalf("golden line does not read back: %v %+v", err, back)
+	}
+}

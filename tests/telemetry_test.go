@@ -19,6 +19,7 @@ import (
 	"ccx/internal/metrics"
 	"ccx/internal/obs"
 	"ccx/internal/selector"
+	"ccx/internal/tracing"
 )
 
 // TestDebugPlaneEndToEnd runs the full ccsend → ccbroker → ccrecv path with
@@ -27,9 +28,10 @@ import (
 //
 //	(a) GET /metrics is valid Prometheus text exposition including at
 //	    least one histogram family with cumulative buckets;
-//	(b) GET /debug/decisions returns the per-block trace, and the methods
-//	    it claims were chosen match the methods actually observed in the
-//	    frames on the wire, block for block;
+//	(b) GET /debug/spans returns every block's decision as a decide or
+//	    migrate span beside its timing spans, and the methods it claims
+//	    were chosen match the methods actually observed in the frames on
+//	    the wire, block for block; GET /debug/decisions is gone (404);
 //	(c) GET /debug/vars agrees with the delivery counts.
 func TestDebugPlaneEndToEnd(t *testing.T) {
 	const (
@@ -37,12 +39,14 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		nBlocks   = 24
 	)
 	met := metrics.NewRegistry()
-	trace := obs.NewDecisionLog(256)
+	// The publisher below does not trace, so the broker is the trace origin
+	// and, at rate 1, samples every block.
+	tracer := tracing.New("ccbroker", 1, 0)
 	b, err := broker.New(broker.Config{
 		Channels:  []string{"md"},
 		Heartbeat: -1,
 		Metrics:   met,
-		Trace:     trace,
+		Tracer:    tracer,
 		Logf:      func(string, ...any) {},
 	})
 	if err != nil {
@@ -55,7 +59,7 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- b.Serve(ln) }()
 
-	dbg, err := obs.Serve("127.0.0.1:0", met, trace, nil)
+	dbg, err := obs.Serve("127.0.0.1:0", met, tracer.Ring())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,37 +176,49 @@ func TestDebugPlaneEndToEnd(t *testing.T) {
 		}
 	}
 
-	// (b) The decision log's chosen methods match the wire, block for block.
-	resp, err = http.Get(base + "/debug/decisions")
+	// (b) The decide spans' chosen methods match the wire, block for block.
+	resp, err = http.Get(base + "/debug/spans")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []obs.Record
-	err = json.NewDecoder(resp.Body).Decode(&recs)
+	spans, err := tracing.ReadJSONL(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	wireBytes := make(map[uint64]int)
+	for _, sp := range spans {
+		if sp.Stream == "sub.1" && sp.Stage == tracing.StageWrite {
+			wireBytes[sp.Seq] = sp.Bytes
+		}
+	}
 	var logMethods []string
-	for _, rec := range recs {
-		if rec.Stream != "sub.1" {
+	for _, sp := range spans {
+		if sp.Stream != "sub.1" || (sp.Stage != tracing.StageDecide && sp.Stage != tracing.StageMigrate) {
 			continue
 		}
-		if rec.Block != len(logMethods) {
-			t.Fatalf("trace out of order: block %d at position %d", rec.Block, len(logMethods))
+		if sp.Seq != uint64(len(logMethods))+1 {
+			t.Fatalf("decisions out of order: seq %d at position %d", sp.Seq, len(logMethods))
 		}
-		if rec.Reason == "" || rec.BlockLen == 0 || rec.WireBytes == 0 {
-			t.Errorf("trace record missing decision inputs: %+v", rec)
+		if sp.Decision == nil || sp.Decision.Reason == "" || sp.Decision.BlockLen == 0 || wireBytes[sp.Seq] == 0 || sp.Dur != 0 {
+			t.Errorf("decide span missing decision inputs: %+v %+v", sp, sp.Decision)
 		}
-		logMethods = append(logMethods, rec.Method)
+		logMethods = append(logMethods, sp.Method)
 	}
 	if len(logMethods) != len(wireMethods) {
-		t.Fatalf("decision log has %d sub.1 records, wire carried %d blocks", len(logMethods), len(wireMethods))
+		t.Fatalf("ring has %d sub.1 decisions, wire carried %d blocks", len(logMethods), len(wireMethods))
 	}
 	for i, m := range wireMethods {
 		if logMethods[i] != m {
-			t.Errorf("block %d: decision log says %q, wire says %q", i, logMethods[i], m)
+			t.Errorf("block %d: decide span says %q, wire says %q", i, logMethods[i], m)
 		}
+	}
+	if resp, err = http.Get(base + "/debug/decisions"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/decisions: %s, want 404", resp.Status)
 	}
 
 	// (c) /debug/vars agrees with the delivery counts.

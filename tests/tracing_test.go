@@ -44,8 +44,10 @@ func dumpSpans(t *testing.T, tracers ...*tracing.Tracer) {
 // publisher link to force a broker resync. It then stitches the three span
 // dumps exactly as cctrace does and checks the contract the tool depends
 // on: at least one trace crossed all three hops, every complete trace's
-// critical-path attribution sums to its end-to-end duration, and the
-// forced resync shows up in the anomaly roll-up.
+// critical-path attribution sums to its end-to-end duration, the forced
+// resync shows up in the anomaly roll-up, and the same dump that says where
+// the time went says why each method was chosen: a worded decide span on
+// the publisher hop and a worded decide or migrate span on the broker hop.
 func TestTraceSmokeThreeHop(t *testing.T) {
 	const (
 		blockSize = 16 << 10
@@ -178,6 +180,27 @@ func TestTraceSmokeThreeHop(t *testing.T) {
 				t.Errorf("trace %x missing hop %s", tr.ID, hop)
 			}
 		}
+	}
+	// One file answers both questions: the dump CI uploads carries the
+	// reasons beside the timings. Decisions take no time of their own, or the
+	// sums above would not have held.
+	reasoned := make(map[string]int)
+	for _, s := range spans {
+		if s.Decision == nil || s.Decision.Reason == "" {
+			continue
+		}
+		if s.Stage == tracing.StageDecide || s.Stage == tracing.StageMigrate {
+			reasoned[s.Hop]++
+			if s.Dur != 0 {
+				t.Errorf("%s span has a duration: %+v", s.Stage, s)
+			}
+		}
+	}
+	if reasoned["ccsend"] < nBlocks {
+		t.Errorf("publisher hop has %d reasoned decide spans for %d sampled blocks", reasoned["ccsend"], nBlocks)
+	}
+	if reasoned["ccbroker"] == 0 {
+		t.Error("broker hop has no reasoned decide or migrate span")
 	}
 	resyncs := 0
 	for _, s := range rep.Anomalies {
