@@ -52,14 +52,14 @@ swarm:
 # $(SWARM_COMPARE) so CI can upload it whether the gate passes or fails.
 swarm-gate:
 	$(GO) run ./cmd/ccswarm -tiers 1000,10000 -events 8 -block 2048 -interval 250ms \
-		-profiles none -placement broker -shards 4 \
+		-profiles none -placement broker \
 		-baseline bench/swarm_baseline.json -max-regress 0.15 -compare $(SWARM_COMPARE)
 
 # swarm-baseline refreshes the committed connections-vs-p99 baseline from
 # this machine. Keep the parameters in lockstep with swarm-gate.
 swarm-baseline:
 	$(GO) run ./cmd/ccswarm -tiers 1000,2500,5000,10000 -events 8 -block 2048 -interval 250ms \
-		-profiles none -placement broker -shards 4 -json bench/swarm_baseline.json
+		-profiles none -placement broker -json bench/swarm_baseline.json
 
 # soak drives the overload-governor acceptance soak under -race: SOAK_SUBS
 # stalled subscribers push a memory-capped broker (GOMEMLIMIT set) past its

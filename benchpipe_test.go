@@ -1,7 +1,6 @@
 package ccx_test
 
 import (
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -71,15 +70,7 @@ func BenchmarkPipeline1Workers(b *testing.B) { benchmarkPipeline(b, 1) }
 func BenchmarkPipeline4Workers(b *testing.B) { benchmarkPipeline(b, 4) }
 func BenchmarkPipelineNWorkers(b *testing.B) { benchmarkPipeline(b, runtime.GOMAXPROCS(0)) }
 
-// ---- tracing-overhead gate ----
-
-// tracingGate is the per-block overhead the trace plane may add at the
-// default 1% sampling rate before CI fails. The design budget is +1%
-// (ISSUE 8, next to the +2.6% fully-on metrics figure); the gate sits at
-// 3% so single-digit microbenchmark jitter on shared CI runners cannot
-// fail an honest build, while a per-block regression (an allocation, a
-// lock) still trips it immediately.
-const tracingGate = 0.03
+// ---- tracing-overhead benchmarks ----
 
 // benchmarkTransmitTraced measures the sequential per-block transmit cost
 // with metrics on and the span plane at the given sampling rate (rate < 0
@@ -111,34 +102,3 @@ func benchmarkTransmitTraced(b *testing.B, rate float64) {
 func BenchmarkTransmitTracedOff(b *testing.B)    { benchmarkTransmitTraced(b, -1) }
 func BenchmarkTransmitTraced1Pct(b *testing.B)   { benchmarkTransmitTraced(b, 0.01) }
 func BenchmarkTransmitTracedAlways(b *testing.B) { benchmarkTransmitTraced(b, 1) }
-
-// TestTracingOverheadGate measures the per-block cost of the span plane at
-// 1% sampling against a tracer-off run of the same engine and fails when
-// the overhead exceeds tracingGate. Each side takes the best of three
-// benchmark runs, which cancels one-off scheduler noise. Set CCX_TRACE_BENCH=1
-// to run it (the CI trace-smoke job does); otherwise it skips so
-// `go test ./...` stays fast.
-func TestTracingOverheadGate(t *testing.T) {
-	if os.Getenv("CCX_TRACE_BENCH") == "" {
-		t.Skip("set CCX_TRACE_BENCH=1 to measure tracing overhead")
-	}
-	best := func(rate float64) int64 {
-		bestNs := int64(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(func(b *testing.B) { benchmarkTransmitTraced(b, rate) })
-			if ns := r.NsPerOp(); ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs
-	}
-	off := best(-1)
-	on := best(0.01)
-	overhead := float64(on)/float64(off) - 1
-	t.Logf("tracer off %d ns/block, 1%% sampling %d ns/block: overhead %+.2f%% (gate %.0f%%)",
-		off, on, overhead*100, tracingGate*100)
-	if overhead > tracingGate {
-		t.Errorf("tracing at 1%% sampling costs %+.2f%%/block, budget is +1%% (gate %.0f%%)",
-			overhead*100, tracingGate*100)
-	}
-}

@@ -75,7 +75,6 @@ func run(args []string, stop chan struct{}) error {
 		placemnt = fs.String("placement", "publisher", "default compression placement for subscriber paths: publisher (broker-side encode, the default), receiver (ship raw, consumers decompress nothing), auto (per-path break-even); a subscriber hello that names a placement overrides this per session")
 		block    = fs.Int("block", 64<<10, "block size hint for per-subscriber selection engines")
 		workers  = fs.Int("workers", 0, "encode worker goroutines in the shared encode plane, per channel; distinct (block, method) pairs compress in parallel but hit the wire in order (0 = GOMAXPROCS, 1 = sequential)")
-		shards   = fs.Int("shards", 0, "channel event-loop shards, rounded up to a power of two (0 = GOMAXPROCS-aligned, 1 = single-loop reference)")
 		cache    = fs.Int64("cache", 0, "per-channel encoded-frame cache budget in bytes, serving resume replays and post-migration re-encodes (0 = default)")
 		hb       = fs.Duration("hb", broker.DefaultHeartbeat, "idle-link heartbeat interval (negative disables)")
 		rblocks  = fs.Int("replay-blocks", broker.DefaultReplayBlocks, "per-channel replay window for resuming subscribers, in blocks (0 with -replay-bytes 0 disables replay)")
@@ -129,7 +128,6 @@ func run(args []string, stop chan struct{}) error {
 	cfg := broker.Config{
 		Channels:     names,
 		QueueLen:     *queueLen,
-		Shards:       *shards,
 		Policy:       pol,
 		Placement:    pl,
 		CacheBytes:   *cache,

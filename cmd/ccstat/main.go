@@ -126,14 +126,10 @@ func renderLine(now time.Time, prev, cur map[string]float64, dt time.Duration) s
 	if subs, ok := cur["broker.subscribers"]; ok {
 		seg = append(seg, fmt.Sprintf("subs %.0f", subs))
 	}
-	// Sharded core: event-loop count and the interval's vectored-write
-	// coalescing (frames per writev batch — 1.0x means every frame went out
-	// alone, higher means fan-out backlogs are being batched onto the wire).
-	if shards, ok := cur["broker.shards"]; ok {
-		seg = append(seg, fmt.Sprintf("shards %.0f", shards))
-		if batches := delta("broker.writev_batches"); batches > 0 {
-			seg = append(seg, fmt.Sprintf("wv %.1fx", delta("broker.writev_frames")/batches))
-		}
+	// The interval's vectored-write coalescing: frames per writev batch
+	// (higher means fan-out backlogs are being batched onto the wire).
+	if batches := delta("broker.writev_batches"); batches > 0 {
+		seg = append(seg, fmt.Sprintf("wv %.1fx", delta("broker.writev_frames")/batches))
 	}
 	// Overload governor: the current pressure level, plus the interval's
 	// degradation activity (demoted blocks, shed subscribes/evictions,

@@ -29,7 +29,6 @@ func TestFetchAndRender(t *testing.T) {
 	lz := reg.Counter("ccx.tx_method.lz")
 	raw := reg.Counter("ccx.tx_method.none")
 	reg.Gauge("broker.subscribers").Set(3)
-	reg.Gauge("broker.shards").Set(4)
 	wvBatches := reg.Counter("broker.writev_batches")
 	wvFrames := reg.Counter("broker.writev_frames")
 	encodes := reg.Counter("encplane.encodes")
@@ -74,7 +73,7 @@ func TestFetchAndRender(t *testing.T) {
 	t.Logf("line: %s", line)
 	for _, want := range []string{
 		"blk    11 (11.0/s)", "[lz=10 none=1]", "subs 3",
-		"shards 4", "wv 3.5x",
+		"wv 3.5x",
 		"cls 3", "dedup 3.0x", "hit 75%",
 		"prs elev", "dem 5", "shed 2",
 	} {

@@ -65,7 +65,6 @@ type report struct {
 	BlockBytes  int     `json:"block_bytes"`
 	Profiles    string  `json:"profiles"`
 	Workers     int     `json:"workers"`
-	Shards      int     `json:"shards"`
 	ElapsedSec  float64 `json:"elapsed_sec"`
 
 	Delivered   int64   `json:"delivered_blocks"`
@@ -113,7 +112,6 @@ type tierOptions struct {
 	profs    []*netsim.Profile
 	workers  int
 	queue    int
-	shards   int
 	pol      broker.Policy
 	pl       selector.Placement
 	seed     int64
@@ -131,7 +129,6 @@ func run(args []string, out io.Writer) error {
 		profiles   = fs.String("profiles", "gigabit", "comma-separated link profiles assigned round-robin: gigabit | fast100 | slow1m | international | none")
 		workers    = fs.Int("workers", 0, "encode plane worker pool (0 = GOMAXPROCS)")
 		queue      = fs.Int("queue", 1024, "outbound queue per subscriber, in events")
-		shards     = fs.Int("shards", 0, "broker channel event loops (0 = GOMAXPROCS, 1 = single-loop reference)")
 		policy     = fs.String("policy", "drop", "slow-subscriber policy: drop | evict")
 		placemnt   = fs.String("placement", "publisher", "broker-side default compression placement for the swarm's paths: publisher | broker | receiver | auto")
 		seed       = fs.Int64("seed", 1, "payload and link-jitter seed")
@@ -177,7 +174,7 @@ func run(args []string, out io.Writer) error {
 		o := tierOptions{
 			subs: n, events: *events, block: *block, interval: *interval,
 			profiles: *profiles, profs: profs, workers: *workers,
-			queue: *queue, shards: *shards, pol: pol, pl: pl,
+			queue: *queue, pol: pol, pl: pl,
 			seed: *seed, drain: *drain,
 		}
 		r, err := runTier(o)
@@ -223,7 +220,6 @@ func runTier(o tierOptions) (report, error) {
 		QueueLen:  o.queue,
 		Policy:    o.pol,
 		Placement: o.pl,
-		Shards:    o.shards,
 		Heartbeat: -1, // deterministic streams
 		Metrics:   met,
 	}
@@ -312,7 +308,6 @@ func runTier(o tierOptions) (report, error) {
 		BlockBytes:  o.block,
 		Profiles:    o.profiles,
 		Workers:     cfg.Engine.Workers,
-		Shards:      int(met.Gauge("broker.shards").Value()),
 		ElapsedSec:  elapsed.Seconds(),
 		Delivered:   delivered.Value(),
 		Encodes:     met.Counter("encplane.encodes").Value(),
@@ -342,8 +337,8 @@ func runTier(o tierOptions) (report, error) {
 
 // printTier renders one tier's human-readable summary.
 func printTier(out io.Writer, r report) {
-	fmt.Fprintf(out, "subs=%d events=%d block=%dB elapsed=%.2fs placement=%s shards=%d\n",
-		r.Subscribers, r.Events, r.BlockBytes, r.ElapsedSec, r.Placement, r.Shards)
+	fmt.Fprintf(out, "subs=%d events=%d block=%dB elapsed=%.2fs placement=%s\n",
+		r.Subscribers, r.Events, r.BlockBytes, r.ElapsedSec, r.Placement)
 	fmt.Fprintf(out, "delivered=%d encodes=%d deliveries=%d dedup=%.1fx classes=%d cache=%d/%d encode_cpu=%.3fs\n",
 		r.Delivered, r.Encodes, r.Deliveries, r.Dedup, r.Classes, r.CacheHits, r.CacheHits+r.CacheMisses, r.EncodeCPU)
 	if len(r.PlacementDeliveries) > 0 {

@@ -120,7 +120,7 @@ func TestTieredRunAndBaselineGate(t *testing.T) {
 	var out bytes.Buffer
 	args := []string{
 		"-tiers", "4,8", "-events", "6", "-block", "1024",
-		"-profiles", "none", "-queue", "32", "-shards", "2",
+		"-profiles", "none", "-queue", "32",
 		"-json", jsonPath,
 	}
 	if err := run(args, &out); err != nil {
@@ -141,9 +141,6 @@ func TestTieredRunAndBaselineGate(t *testing.T) {
 		if want := int64(r.Subscribers * r.Events); r.Delivered != want {
 			t.Errorf("tier %d delivered %d blocks, want %d", r.Subscribers, r.Delivered, want)
 		}
-		if r.Shards != 2 {
-			t.Errorf("tier %d ran on %d shards, want 2", r.Subscribers, r.Shards)
-		}
 		if math.IsNaN(r.LatencyP99) || r.LatencyP99 <= 0 {
 			t.Errorf("tier %d p99 = %v, want a positive latency", r.Subscribers, r.LatencyP99)
 		}
@@ -158,7 +155,7 @@ func TestTieredRunAndBaselineGate(t *testing.T) {
 	out.Reset()
 	gateArgs := []string{
 		"-tiers", "4,8", "-events", "6", "-block", "1024",
-		"-profiles", "none", "-queue", "32", "-shards", "2",
+		"-profiles", "none", "-queue", "32",
 		"-baseline", jsonPath, "-max-regress", "20", "-compare", comparePath,
 	}
 	if err := run(gateArgs, &out); err != nil {
@@ -186,7 +183,7 @@ func TestTieredRunAndBaselineGate(t *testing.T) {
 	out.Reset()
 	failArgs := []string{
 		"-tiers", "4", "-events", "6", "-block", "1024",
-		"-profiles", "none", "-queue", "32", "-shards", "2",
+		"-profiles", "none", "-queue", "32",
 		"-baseline", fastPath, "-compare", failCompare,
 	}
 	err = run(failArgs, &out)

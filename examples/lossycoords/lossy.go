@@ -1,5 +1,5 @@
-// Package lossy implements the paper's §5 future-work direction: letting
-// end users "integrate their own, application-specific, lossy compression
+// This file is the application's own codec — the paper's §5 future-work
+// direction: letting end users "integrate their own, application-specific, lossy compression
 // techniques into data streaming middleware". The paper motivates this
 // with exactly the case our Figure 11/12 runs reproduce — molecular
 // coordinate data that lossless methods cannot shrink, where the useful
@@ -11,7 +11,8 @@
 // codes the result. It implements codec.Codec, so it deploys at runtime
 // through the open registry and a derived channel, with no change to
 // producers — the §3.2 mechanism.
-package lossy
+
+package main
 
 import (
 	"encoding/binary"

@@ -1,4 +1,4 @@
-package lossy
+package main
 
 import (
 	"bytes"

@@ -19,7 +19,6 @@ import (
 	"ccx/internal/codec"
 	"ccx/internal/datagen"
 	"ccx/internal/echo"
-	"ccx/internal/lossy"
 	"ccx/internal/pbio"
 )
 
@@ -32,7 +31,7 @@ func main() {
 func run() error {
 	// The application knows its precision needs: 1e-4 in coordinate units.
 	const tolerance = 1e-4
-	quantizer, err := lossy.NewFloat64Quantizer(codec.FirstCustom, tolerance)
+	quantizer, err := NewFloat64Quantizer(codec.FirstCustom, tolerance)
 	if err != nil {
 		return err
 	}

@@ -120,14 +120,6 @@ type Config struct {
 	// QueueLen bounds each subscriber's outbound event queue
 	// (DefaultQueueLen if 0).
 	QueueLen int
-	// Shards sets how many channel event loops the broker fans out on (the
-	// sharded channel core, see shard.go and DESIGN.md §15). Each channel
-	// is homed on one loop by a hash of its name, so per-channel ordering
-	// is untouched while distinct channels publish concurrently. 0 aligns
-	// to GOMAXPROCS; explicit counts round up to a
-	// power of two; 1 is the degenerate single-loop broker (the
-	// byte-identity reference in tests); capped at MaxShards.
-	Shards int
 	// Policy picks the slow-subscriber behaviour on queue overflow.
 	Policy Policy
 	// ReplayBlocks and ReplayBytes bound each channel's replay ring: the
@@ -223,11 +215,8 @@ type Broker struct {
 	// compares-and-applies so shrink/restore runs once per level change.
 	memFactor atomic.Int64
 
-	// shards is the channel event-loop set; it also owns the sharded
-	// subscriber registry (b.mu no longer guards subscribers — only
-	// lifecycle state below).
-	shards *shardSet
-
+	// mu guards lifecycle state only; subscribers are registered on their
+	// channel's state.
 	mu     sync.Mutex
 	closed bool
 	nextID int
@@ -240,24 +229,31 @@ type Broker struct {
 	chmu  sync.Mutex
 	chans map[string]*channelState
 
-	dropsOnce sync.Once
-	dropsC    *metrics.Counter // broker.drops; see drops()
+	// Counters the hot paths bump, each resolved by its first use.
+	dropsC, eventsIn, bytesIn, writevBatches, writevFrames lazyCounter
 
 	pubWG  sync.WaitGroup // publisher frame loops
 	connWG sync.WaitGroup // every connection goroutine
 }
 
-// channelState is the broker-side per-channel session state: the sequence
-// counter and replay window, plus the encode-plane channel blocks fan out on.
-// st.mu serializes publishes with resume snapshots, which is what makes a
-// resume atomic: every block is either in the replay snapshot or delivered
-// through the live subscription, never both, never neither.
+// channelState is the one place a channel is serialized (DESIGN.md §15): the
+// sequence counter and replay window, the encode-plane channel blocks fan
+// out on, and the channel's subscribers. st.mu serializes publishes (stamp +
+// plane publish) with joins (resume snapshot + plane join), which makes a
+// join atomic: every block is either in the replay snapshot or delivered
+// live, never both, never neither. Lock order is st.mu → plane locks; code
+// on the plane's sequencer (deliver, removeSub) never takes st.mu, because a
+// publisher may hold it while blocked on the pipeline the sequencer drains.
 type channelState struct {
 	mu    sync.Mutex
 	name  string
 	ring  replayRing
 	plane *encplane.Channel
-	shard *shard // home event loop; fixed for the channel's lifetime
+
+	// smu guards subs only. It is a leaf lock, separate from mu so teardown
+	// on the sequencer can deregister while a publisher holds mu.
+	smu  sync.Mutex
+	subs map[int]*subscriber
 
 	seqGauge    *metrics.Gauge // chan.<name>.seq — last assigned sequence
 	depthBlocks *metrics.Gauge // chan.<name>.replay_blocks
@@ -274,27 +270,25 @@ func (b *Broker) state(name string) *channelState {
 	st := &channelState{
 		name:        name,
 		plane:       b.plane.Channel(name),
-		shard:       b.shards.forChannel(name),
+		subs:        make(map[int]*subscriber),
 		seqGauge:    b.met.Gauge(fmt.Sprintf("chan.%s.seq", name)),
 		depthBlocks: b.met.Gauge(fmt.Sprintf("chan.%s.replay_blocks", name)),
 		depthBytes:  b.met.Gauge(fmt.Sprintf("chan.%s.replay_bytes", name)),
 	}
 	st.ring.setBounds(b.cfg.ReplayBlocks, b.cfg.ReplayBytes)
-	st.shard.addState(st)
 	b.chans[name] = st
 	return st
 }
 
 // submit stamps one event with the channel's next sequence number, retains
-// it in the replay window, and hands the fan-out — the encode-plane publish,
-// one encode per method class — to the channel's home event loop. Stamping
-// and the task enqueue both happen under the ring lock, so the shard FIFO
-// sees fan-outs in sequence order and resume snapshots / subscriber joins
-// interleave atomically with publishes (a join task enqueued under the same
-// lock splits the stream exactly: earlier blocks are in the snapshot, later
-// ones arrive live).
-// The enqueue blocks when the home loop is shardTaskBuf behind — that is
-// the publisher backpressure.
+// it in the replay window, and fans it out on the encode plane — one encode
+// per method class — all under the channel lock, so the plane sees blocks in
+// sequence order and a join under the same lock splits the stream exactly:
+// earlier blocks are in its snapshot, later ones arrive live. The plane
+// publish blocks while the channel's pipeline is full — that is the
+// publisher backpressure (a network publisher stops reading, and TCP pushes
+// it upstream). It reports ErrClosed for a block that lost the race with
+// Shutdown.
 //
 // anno is the block's frame annotation as it arrived from the publisher
 // (nil for in-process publishes). An unannotated block may be head-sampled
@@ -322,7 +316,7 @@ func (b *Broker) submit(st *channelState, data, anno []byte) error {
 	st.seqGauge.Set(int64(seq))
 	st.depthBlocks.Set(int64(st.ring.len()))
 	st.depthBytes.Set(st.ring.bytes)
-	if !st.shard.do(func() { st.plane.PublishAnno(data, seq, anno) }) {
+	if !st.plane.PublishAnno(data, seq, anno) {
 		return ErrClosed
 	}
 	return nil
@@ -366,10 +360,6 @@ func New(cfg Config) (*Broker, error) {
 	if !cfg.Placement.Valid() {
 		return nil, fmt.Errorf("broker: invalid placement %s", cfg.Placement)
 	}
-	nshards, err := alignShards(cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Engine.Registry == nil {
 		cfg.Engine.Registry = codec.NewRegistry()
 	}
@@ -410,16 +400,12 @@ func New(cfg Config) (*Broker, error) {
 		if gcfg.Logf == nil {
 			gcfg.Logf = logf
 		}
-		if gcfg.QueuedBytes == nil && gcfg.QueuedBytesByShard == nil {
-			// Per-shard ledgers, not the global sum: the sampler adds them
-			// exactly (frame accounting updates channel and plane totals
-			// atomically together, so the shard sum equals queuedBytes) and
-			// additionally publishes the widest shard.
-			gcfg.QueuedBytesByShard = func() []int64 {
+		if gcfg.QueuedBytes == nil {
+			gcfg.QueuedBytes = func() int64 {
 				if b == nil {
-					return nil
+					return 0
 				}
-				return b.queuedBytesByShard()
+				return b.queuedBytes()
 			}
 		}
 		userSample := gcfg.OnSample
@@ -470,7 +456,6 @@ func New(cfg Config) (*Broker, error) {
 		lns:     make(map[net.Listener]struct{}),
 		chans:   make(map[string]*channelState),
 	}
-	b.shards = newShardSet(nshards, met)
 	b.memFactor.Store(100)
 	if gov != nil {
 		gov.Start()
@@ -496,12 +481,9 @@ func (b *Broker) states() []*channelState {
 	return out
 }
 
-// queuedBytes is the aggregate-bytes ledger computed globally: wire bytes
-// held by live shared frames (queued deliveries, the frame cache,
-// in-flight encodes) plus every replay ring's retained payload. The
-// governor normally samples queuedBytesByShard instead; this global form
-// is kept as the independent reading the shard-sum invariant is tested
-// against (Σ queuedBytesByShard == queuedBytes at quiesce).
+// queuedBytes is the aggregate-bytes ledger the governor samples: wire bytes
+// held by live shared frames (queued deliveries, the frame cache, in-flight
+// encodes) plus every replay ring's retained payload.
 func (b *Broker) queuedBytes() int64 {
 	total := b.plane.LiveBytes()
 	for _, st := range b.states() {
@@ -512,23 +494,15 @@ func (b *Broker) queuedBytes() int64 {
 	return total
 }
 
-// queuedBytesByShard reads each shard's slice of the byte ledger (and
-// refreshes the broker.shard.N.queued_bytes gauges). Every channel is
-// homed on exactly one shard and frame accounting moves per-channel and
-// plane totals together, so the entries sum to queuedBytes exactly.
-func (b *Broker) queuedBytesByShard() []int64 {
-	out := make([]int64, len(b.shards.shards))
-	for i, sh := range b.shards.shards {
-		out[i] = sh.queuedBytes()
-	}
-	return out
-}
-
-// allSubs snapshots every live subscriber across the shard registries.
+// allSubs snapshots every live subscriber across the channels.
 func (b *Broker) allSubs() []*subscriber {
 	var out []*subscriber
-	for _, sh := range b.shards.shards {
-		out = append(out, sh.snapshotSubs()...)
+	for _, st := range b.states() {
+		st.smu.Lock()
+		for _, s := range st.subs {
+			out = append(out, s)
+		}
+		st.smu.Unlock()
 	}
 	return out
 }
@@ -613,7 +587,6 @@ func (b *Broker) shedSlowest() {
 	for _, s := range victims {
 		b.gov.NoteShedEviction()
 		b.met.Counter("broker.shed_evictions").Inc()
-		s.sh.shedC.Inc()
 		b.evictSub(s, codec.CloseOverload, "overload shed: memory pressure critical")
 	}
 }
@@ -621,8 +594,10 @@ func (b *Broker) shedSlowest() {
 // Subscribers reports the number of live subscriber connections.
 func (b *Broker) Subscribers() int {
 	n := 0
-	for _, sh := range b.shards.shards {
-		n += sh.subscribers()
+	for _, st := range b.states() {
+		st.smu.Lock()
+		n += len(st.subs)
+		st.smu.Unlock()
 	}
 	return n
 }
@@ -648,8 +623,8 @@ func (b *Broker) Publish(channel string, data []byte) error {
 	}
 	owned := make([]byte, len(data))
 	copy(owned, data)
-	b.met.Counter("broker.events_in").Inc()
-	b.met.Counter("broker.bytes_in").Add(int64(len(owned)))
+	b.eventsIn.get(b.met, "broker.events_in").Inc()
+	b.bytesIn.get(b.met, "broker.bytes_in").Add(int64(len(owned)))
 	return b.submit(b.state(channel), owned, nil)
 }
 
@@ -923,7 +898,6 @@ type subscriber struct {
 	engine  *core.Engine // selection + per-path telemetry; never encodes
 	member  *encplane.Member
 	st      *channelState
-	sh      *shard // home shard: registry slot + per-shard shed/breaker accounting
 
 	queue  chan encplane.Delivery
 	replay []ringEntry   // resume backlog, sent before any live delivery
@@ -961,6 +935,8 @@ type subscriber struct {
 	lastDec      selector.Decision   // decision that chose curMethod, for decide spans
 	blocks       int                 // blocks written so far; 0 marks the path's first decision
 	batchScratch []encplane.Delivery // write-loop scratch for vectored batches
+	frameScratch []*encplane.Frame   // sendBatch's frames, in batch order
+	bufScratch   net.Buffers         // sendBatch's wire views of frameScratch
 	// inflight counts frames collected into an in-progress batch write.
 	// They are off the queue but not yet on the wire, so backlog-depth
 	// readers (shedding) must add them back or a stalled subscriber hiding
@@ -1034,42 +1010,28 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 
 	st := b.state(channel)
 	s.st = st
-	s.sh = st.shard
+	// The initial class is (None, decided placement): unmeasured paths start
+	// raw, and adapt migrates both dimensions from the first delivery on.
+	s.curPlacement = engine.Placement().Decide(selector.Inputs{})
+	// Snapshot and plane join share one hold of the lock every publish
+	// stamps and fans out under: a block stamped before it is in the snapshot
+	// and was fanned out without this member, a block stamped after finds
+	// the member joined — replayed or live, never both, never neither.
 	st.mu.Lock()
 	var firstSeq uint64
 	if resume {
 		s.replay, firstSeq = st.ring.replayFrom(lastSeq)
 		b.noteResume(s, lastSeq, firstSeq, len(s.replay))
 	}
-	// The plane join runs as a task on the channel's home event loop,
-	// enqueued while the channel lock is still held: publishes already
-	// stamped (and, for resumes, captured in the replay snapshot) have
-	// their fan-out tasks ahead of the join in the shard FIFO, so they
-	// cannot reach the new member; publishes stamped after the lock drops
-	// enqueue behind the join and arrive live. That splits the stream
-	// exactly — every block is replayed or delivered live, never both,
-	// never neither — without holding the lock across the join itself.
-	// The initial class is (None, decided placement): unmeasured paths
-	// start raw, and adapt migrates both dimensions from the first
-	// delivery on.
-	s.curPlacement = engine.Placement().Decide(selector.Inputs{})
-	joined := make(chan struct{})
-	ok := st.shard.do(func() {
-		s.member = st.plane.JoinPlaced(codec.None, s.curPlacement, func(d encplane.Delivery) bool {
-			return s.deliver(b, d)
-		})
-		close(joined)
+	s.member = st.plane.JoinPlaced(codec.None, s.curPlacement, func(d encplane.Delivery) bool {
+		return s.deliver(b, d)
 	})
 	st.mu.Unlock()
-	if !ok {
-		return nil, 0, ErrClosed
-	}
-	<-joined
 	// Registration is ordered against Shutdown via b.mu: once closed is
-	// set, Shutdown snapshots the shard registries, so a session that lost
-	// the race backs out (leaving the membership) instead of registering a
+	// set, Shutdown snapshots the registries, so a session that lost the
+	// race backs out (leaving the membership) instead of registering a
 	// subscriber nobody will ever drain. The dead re-check under qmu closes
-	// the other race: deliveries start the moment the join task runs, so a
+	// the other race: deliveries start the moment the member joins, so a
 	// queue-overflow eviction can tear the session down before this point —
 	// registering it afterwards would leak a registry slot forever.
 	b.mu.Lock()
@@ -1084,7 +1046,9 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 		b.mu.Unlock()
 		return nil, 0, errors.New("broker: subscriber evicted during handshake")
 	}
-	s.sh.register(s)
+	st.smu.Lock()
+	st.subs[s.id] = s
+	st.smu.Unlock()
 	b.met.Gauge("broker.subscribers").Add(1)
 	s.qmu.Unlock()
 	b.mu.Unlock()
@@ -1183,13 +1147,20 @@ func (s *subscriber) deliver(b *Broker, d encplane.Delivery) bool {
 	return false
 }
 
-// drops returns the broker.drops counter, registered by the first drop (an
-// idle broker's metric surface does not list it) and resolved only once, so
-// a dropping subscriber stays off the registry lock.
-func (b *Broker) drops() *metrics.Counter {
-	b.dropsOnce.Do(func() { b.dropsC = b.met.Counter("broker.drops") })
-	return b.dropsC
+// lazyCounter is a registry counter resolved by its first use, so a hot path
+// stays off the registry lock and an idle broker's metric surface does not
+// list what it never touched (broker.drops appears with the first drop).
+type lazyCounter struct {
+	once sync.Once
+	c    *metrics.Counter
 }
+
+func (l *lazyCounter) get(met *metrics.Registry, name string) *metrics.Counter {
+	l.once.Do(func() { l.c = met.Counter(name) })
+	return l.c
+}
+
+func (b *Broker) drops() *metrics.Counter { return b.dropsC.get(b.met, "broker.drops") }
 
 // backlog is the shedding view of this subscriber's depth: frames still
 // queued plus those already collected into an in-progress batch write.
@@ -1327,8 +1298,14 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	defer s.inflight.Store(0)
 	tr := b.cfg.Tracer
 	stream := s.engine.Telemetry().Stream
-	frames := make([]*encplane.Frame, 0, len(batch))
-	bufs := make(net.Buffers, 0, len(batch))
+	frames, bufs := s.frameScratch[:0], s.bufScratch[:0]
+	defer func() {
+		// The grown arrays are kept, what they point at is not: a stale entry
+		// would pin a released frame's buffer.
+		clear(frames)
+		clear(bufs)
+		s.frameScratch, s.bufScratch = frames[:0], bufs[:0]
+	}()
 	// abandon releases what the batch still holds from delivery i on:
 	// removeSub drains the queue, but these are already off it.
 	abandon := func(i int) bool {
@@ -1406,7 +1383,8 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	}
 	start := time.Now()
 	s.wmu.Lock()
-	_, err := netutil.WriteBuffers(s.wc, &bufs)
+	wbufs := bufs // WriteBuffers consumes the header it is handed
+	_, err := netutil.WriteBuffers(s.wc, &wbufs)
 	s.wmu.Unlock()
 	batchDur := time.Since(start)
 	if err != nil {
@@ -1415,8 +1393,8 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 		return abandon(len(batch))
 	}
 	if len(frames) > 1 {
-		b.met.Counter("broker.writev_batches").Inc()
-		b.met.Counter("broker.writev_frames").Add(int64(len(frames)))
+		b.writevBatches.get(b.met, "broker.writev_batches").Inc()
+		b.writevFrames.get(b.met, "broker.writev_frames").Add(int64(len(frames)))
 	}
 	share := batchDur / time.Duration(len(frames))
 	for k, f := range frames {
@@ -1508,7 +1486,6 @@ func (s *subscriber) checkBreaker(b *Broker, wait time.Duration) bool {
 		return false
 	}
 	b.met.Counter("broker.breaker_trips").Inc()
-	s.sh.breakerC.Inc()
 	if b.gov != nil {
 		b.gov.NoteBreakerTrip()
 	}
@@ -1612,9 +1589,12 @@ func (b *Broker) removeSub(s *subscriber, evicted bool, reason string) {
 			break
 		}
 		// The registry slot and gauge move together: a session evicted
-		// before registration completed (deregister reports false) was
-		// never counted.
-		if s.sh.deregister(s.id) {
+		// before registration completed was never counted.
+		s.st.smu.Lock()
+		_, registered := s.st.subs[s.id]
+		delete(s.st.subs, s.id)
+		s.st.smu.Unlock()
+		if registered {
 			b.met.Gauge("broker.subscribers").Add(-1)
 		}
 		if evicted {
@@ -1659,13 +1639,10 @@ func (b *Broker) Shutdown(ctx context.Context) error {
 		b.mu.Unlock()
 	}
 
-	// Drain the channel event loops: every stamped block's fan-out task
-	// (the plane publish) runs before the plane flush below, so no
-	// submitted event is lost in a shard queue.
-	b.shards.close()
-
-	// Flush the encode plane: every submitted block is encoded and lands in
-	// its class queues before the subscriber drain below starts.
+	// Flush the encode plane: every block a publisher submitted (each was
+	// handed to its channel's pipeline before the publisher finished) is
+	// encoded and lands in its class queues before the subscriber drain
+	// below starts.
 	_ = b.plane.Close()
 
 	// Ask every subscriber's write loop to flush its queue and hang up.

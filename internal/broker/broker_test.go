@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ccx/internal/codec"
+	"ccx/internal/testx"
 )
 
 // newTestBroker builds a broker with test-friendly defaults; mutate cfg via
@@ -66,16 +67,12 @@ func readAllEvents(conn net.Conn) [][]byte {
 	}
 }
 
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
+// pace holds the caller for d of wall time — for tests whose subject is
+// elapsed time itself (a consumer slower than a threshold, pings spaced
+// inside a read deadline), not an event they could wait on.
+func pace(t testing.TB, d time.Duration) {
+	due := time.Now().Add(d)
+	testx.WaitUntil(t, "pacing interval", func() bool { return !time.Now().Before(due) })
 }
 
 func TestHandshakeRefusesUnknownChannel(t *testing.T) {
@@ -257,7 +254,7 @@ func TestDropOldestPolicyCountsDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "drops to register", func() bool {
+	testx.WaitUntil(t, "drops to register", func() bool {
 		return b.Metrics().Counter("broker.drops").Value() > 0
 	})
 	// Resume reading: the straggler stays connected and gets the newest
@@ -295,15 +292,19 @@ func TestEvictPolicyCutsSlowSubscriberOnly(t *testing.T) {
 	healthy := attachSubscriber(t, b, "md")
 	received := make(chan [][]byte, 1)
 	go func() { received <- readAllEvents(healthy) }()
+	healthyOut := b.Metrics().Counter("sub.2.bytes_in")
 
 	const published = 40
 	for i := 0; i < published; i++ {
 		if err := b.Publish("md", bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond) // healthy keeps up; stalled backs up
+		// The healthy subscriber keeps up block for block; the stalled one
+		// backs up.
+		testx.WaitUntil(t, fmt.Sprintf("healthy subscriber took event %d", i),
+			func() bool { return healthyOut.Value() == int64(64*(i+1)) })
 	}
-	waitUntil(t, "stalled subscriber eviction", func() bool {
+	testx.WaitUntil(t, "stalled subscriber eviction", func() bool {
 		return b.Metrics().Counter("broker.evictions").Value() == 1
 	})
 	if n := b.Subscribers(); n != 1 {
@@ -349,7 +350,7 @@ func TestReadTimeoutEvictsSilentPeer(t *testing.T) {
 	b := newTestBroker(t, func(c *Config) { c.ReadTimeout = 60 * time.Millisecond })
 	conn := attachSubscriber(t, b, "md")
 	// The client never pings; the broker must declare it dead.
-	waitUntil(t, "silent peer eviction", func() bool {
+	testx.WaitUntil(t, "silent peer eviction", func() bool {
 		return b.Metrics().Counter("broker.evictions").Value() == 1
 	})
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -369,7 +370,7 @@ func TestPingsKeepSilentReaderAlive(t *testing.T) {
 		if _, err := conn.Write([]byte{0}); err != nil {
 			t.Fatalf("ping: %v", err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		pace(t, 20*time.Millisecond)
 	}
 	if n := b.Subscribers(); n != 1 {
 		t.Fatalf("pinging subscriber was dropped (subscribers=%d)", n)
@@ -390,14 +391,19 @@ func TestShutdownDrainsQueuedEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Shutdown races the subscriber's slow reads: every queued event must
-	// still arrive before the connection closes.
+	// Shutdown races a subscriber that has read nothing yet: every queued
+	// event must still arrive before the connection closes.
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		shutdownErr <- b.Shutdown(ctx)
 	}()
+	testx.WaitUntil(t, "shutdown under way", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.closed
+	})
 	fr := codec.NewFrameReader(conn, nil)
 	var got [][]byte
 	for {
@@ -408,7 +414,6 @@ func TestShutdownDrainsQueuedEvents(t *testing.T) {
 		if len(data) == 0 {
 			continue
 		}
-		time.Sleep(5 * time.Millisecond) // deliberately slow consumer
 		got = append(got, data)
 	}
 	if err := <-shutdownErr; err != nil {
@@ -422,6 +427,86 @@ func TestShutdownDrainsQueuedEvents(t *testing.T) {
 			t.Fatalf("event %d differs after drain", i)
 		}
 	}
+}
+
+// TestPublishAfterCloseQueuesNothing: an in-process publish that races
+// Shutdown is either delivered or reported — Publish returning nil is a
+// promise the drain keeps, and once the plane is flushed a publisher that
+// had already passed the closed check gets ErrClosed, not silence.
+func TestPublishAfterCloseQueuesNothing(t *testing.T) {
+	b := newTestBroker(t, nil)
+	conn := attachSubscriber(t, b, "md")
+
+	// The publisher stays within half a queue of the subscriber, so nothing
+	// is shed by the drop policy and every accepted block must arrive.
+	window := make(chan struct{}, DefaultQueueLen/2)
+	for i := 0; i < cap(window); i++ {
+		window <- struct{}{}
+	}
+	received := make(chan [][]byte, 1)
+	go func() {
+		fr := codec.NewFrameReader(conn, nil)
+		var events [][]byte
+		for {
+			data, _, err := fr.ReadBlock()
+			if err != nil {
+				received <- events
+				return
+			}
+			if len(data) > 0 {
+				events = append(events, data)
+				window <- struct{}{}
+			}
+		}
+	}()
+	accepted := make(chan int, 1)
+	underWay := make(chan struct{})
+	go func() {
+		for n := 0; ; n++ {
+			select {
+			case <-window:
+			case <-time.After(5 * time.Second):
+				t.Errorf("publisher starved after %d accepted blocks: an accepted block was never delivered", n)
+				accepted <- n
+				return
+			}
+			if err := b.Publish("md", []byte(fmt.Sprintf("event-%06d", n))); err != nil {
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("publish %d: %v, want ErrClosed", n, err)
+				}
+				accepted <- n
+				return
+			}
+			if n == 8 {
+				close(underWay)
+			}
+		}
+	}()
+	<-underWay
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := b.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	n, got := <-accepted, <-received
+	if len(got) != n {
+		t.Fatalf("subscriber got %d events, publisher had %d accepted", len(got), n)
+	}
+	for i, ev := range got {
+		if want := fmt.Sprintf("event-%06d", i); string(ev) != want {
+			t.Fatalf("event %d = %q, want %q", i, ev, want)
+		}
+	}
+
+	// The window the race leaves: closed check passed, then Shutdown ran to
+	// completion, then the block reaches the channel — on a channel the plane
+	// knew and on one it never saw.
+	for _, ch := range []string{"md", "never-used"} {
+		if err := b.submit(b.state(ch), []byte("too late"), nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("submit on %q after shutdown = %v, want ErrClosed", ch, err)
+		}
+	}
+	testx.NoLeakedFrames(t, b.plane)
 }
 
 // panicCodec "compresses" by truncation and panics on decompression — a
@@ -456,7 +541,7 @@ func TestPanicInConnectionIsIsolated(t *testing.T) {
 	if _, err := pubClient.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "panic counter", func() bool {
+	testx.WaitUntil(t, "panic counter", func() bool {
 		return b.Metrics().Counter("broker.panics").Value() == 1
 	})
 	// The broker survives: new sessions still work end to end.

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +33,7 @@ type propReader struct {
 	// fresh subscribe.
 	resumedFrom int64
 	conn        net.Conn
+	reg         *codec.Registry // nil = the built-in codec set
 	done        chan struct{}
 
 	mu   sync.Mutex
@@ -40,7 +43,7 @@ type propReader struct {
 
 func (r *propReader) run() {
 	defer close(r.done)
-	fr := codec.NewFrameReader(r.conn, nil)
+	fr := codec.NewFrameReader(r.conn, r.reg)
 	for {
 		data, info, err := fr.ReadBlock()
 		if err != nil {
@@ -71,24 +74,23 @@ func (r *propReader) lastSeq() uint64 {
 	return r.seqs[len(r.seqs)-1]
 }
 
-// TestShardRoutingProperties is the sharded core's property test: a
+// TestChannelRoutingProperties is the channel core's property test: a
 // seeded random schedule of publishes, fresh and resumed subscriber joins
 // (with random advertised placements), and subscriber churn runs against
-// an explicitly multi-shard broker (GOMAXPROCS on the CI runner may be 1,
-// which would collapse the default to a single loop). The invariants, per
-// ISSUE and DESIGN §15:
+// six channels of one broker. The invariants, per DESIGN §15:
 //
 //   - per-member sequence monotonicity: every subscriber's delivered seq
 //     stream is strictly increasing and gap-free from its first delivery;
 //   - exactly-one-of-replay/live: a resumed session's first delivery is
 //     exactly lastSeq+1 — the replay snapshot and the live stream splice
 //     without duplicating or dropping the block at the boundary;
-//   - ledger exactness: at every quiesce point the per-shard byte ledgers
-//     sum to the independently computed global ledger, with stalled
-//     subscribers pinning nonzero queued bytes so the check isn't 0 == 0.
+//   - ledger exactness: at every quiesce point the per-channel ledgers
+//     (replay-ring bytes plus the channel's live frame bytes) sum to the
+//     broker-wide ledger the governor samples, with stalled subscribers
+//     pinning nonzero queued bytes so the check isn't 0 == 0.
 //
 // Replay with CCX_SEED=<n> to reproduce a failing schedule.
-func TestShardRoutingProperties(t *testing.T) {
+func TestChannelRoutingProperties(t *testing.T) {
 	rng := testx.Rand(t)
 	guard := testx.GoroutineGuard(t, 10)
 
@@ -100,7 +102,6 @@ func TestShardRoutingProperties(t *testing.T) {
 		c.QueueLen = 512
 		c.ReplayBlocks = 4096
 		c.ReplayBytes = 32 << 20
-		c.Shards = 4
 	})
 	channels := make([]string, nChannels)
 	for i := range channels {
@@ -141,10 +142,10 @@ func TestShardRoutingProperties(t *testing.T) {
 	}
 	// quiesce publishes one flush block per channel, waits for every live
 	// reader to catch up to its channel's final sequence, and then asserts
-	// the shard-summed ledger equals the global one. The two ledgers are
-	// sampled independently (per-shard ring walks + channel frame bytes vs
-	// one global ring walk + the plane total), so agreement here is the
-	// accounting invariant, not a tautology.
+	// the channel-summed ledger equals the broker-wide one. The two are
+	// sampled independently (each channel's own frame-byte counter vs the
+	// plane total), so agreement here is the accounting invariant, not a
+	// tautology.
 	quiesce := func(label string) {
 		for c := range channels {
 			published[c]++
@@ -158,15 +159,18 @@ func TestShardRoutingProperties(t *testing.T) {
 			testx.WaitUntil(t, fmt.Sprintf("%s: reader on %s caught up to seq %d", label, r.ch, want),
 				func() bool { return r.lastSeq() == want })
 		}
-		testx.WaitUntil(t, label+": shard ledgers sum to the global ledger", func() bool {
+		testx.WaitUntil(t, label+": channel ledgers sum to the broker ledger", func() bool {
 			var sum int64
-			for _, v := range b.queuedBytesByShard() {
-				sum += v
+			for _, st := range b.states() {
+				st.mu.Lock()
+				sum += st.ring.bytes
+				st.mu.Unlock()
+				sum += st.plane.LiveBytes()
 			}
 			return sum == b.queuedBytes()
 		})
 		if b.queuedBytes() == 0 {
-			t.Fatalf("%s: global ledger is 0 — the invariant check is vacuous", label)
+			t.Fatalf("%s: broker ledger is 0 — the invariant check is vacuous", label)
 		}
 	}
 
@@ -259,4 +263,140 @@ func chanIndex(channels []string, name string) int {
 		}
 	}
 	return -1
+}
+
+// gateCodec is Lempel-Ziv under a custom identifier whose Compress, once
+// armed, parks on a gate for blocks starting with prefix — a codec that
+// wedges one channel's encode workers and nobody else's.
+type gateCodec struct {
+	prefix  []byte
+	armed   atomic.Bool
+	entered atomic.Int32 // Compress calls parked on (or released from) the gate
+	open    chan struct{}
+	once    sync.Once
+}
+
+const gateMethod = codec.FirstCustom + 1
+
+func (g *gateCodec) release() { g.once.Do(func() { close(g.open) }) }
+
+func (g *gateCodec) Method() codec.Method { return gateMethod }
+func (g *gateCodec) Compress(src []byte) ([]byte, error) {
+	if g.armed.Load() && bytes.HasPrefix(src, g.prefix) {
+		g.entered.Add(1)
+		<-g.open
+	}
+	return codec.Compress(codec.LempelZiv, src)
+}
+func (g *gateCodec) Decompress(src []byte, origLen int) ([]byte, error) {
+	return codec.Decompress(codec.LempelZiv, src, origLen)
+}
+
+// gatePolicy pins every path to the gate codec.
+type gatePolicy struct{}
+
+func (gatePolicy) Name() string { return "pin:gate" }
+func (gatePolicy) Select(in selector.Inputs) selector.Decision {
+	return selector.Decision{Method: gateMethod, Inputs: in, LZReduceTime: in.LZReduceTime()}
+}
+
+// TestStalledChannelDoesNotDelayOthers: a channel is its own serialization
+// domain, so one whose encode pipeline is wedged solid — every worker
+// parked in the codec, its publisher blocked on the full pipeline — costs
+// its own subscribers and nobody else. The broker serves more channels than
+// 2xGOMAXPROCS, so under any scheme that multiplexes channels onto a
+// CPU-aligned set of loops some healthy channel shares the wedged one's
+// loop; every healthy channel must still deliver within WaitUntil's bound.
+func TestStalledChannelDoesNotDelayOthers(t *testing.T) {
+	guard := testx.GoroutineGuard(t, 10)
+	const workers = 2
+	nChannels := 2*runtime.GOMAXPROCS(0) + 2
+	channels := make([]string, nChannels)
+	for i := range channels {
+		channels[i] = fmt.Sprintf("lane%d", i)
+	}
+	wedged := channels[0]
+	gate := &gateCodec{prefix: []byte(wedged + "|"), open: make(chan struct{})}
+	defer gate.release()
+	reg := codec.NewRegistry()
+	reg.Register(gate)
+	b := newTestBroker(t, func(c *Config) {
+		c.Engine.Registry = reg
+		c.Engine.Workers = workers
+		c.Engine.Policy = gatePolicy{}
+	})
+
+	// One reading subscriber per channel, attached before anything stalls.
+	readers := make([]*propReader, nChannels)
+	for i, ch := range channels {
+		client, server := net.Pipe()
+		b.HandleConn(server)
+		if err := HandshakeSubscribe(client, ch); err != nil {
+			t.Fatalf("subscribe(%s): %v", ch, err)
+		}
+		readers[i] = &propReader{ch: ch, resumedFrom: -1, conn: client, reg: reg, done: make(chan struct{})}
+		go readers[i].run()
+	}
+
+	// Warm the wedged channel's path: its first delivery migrates the member
+	// from the initial raw class to the gate codec's, so later blocks take
+	// the encode pipeline.
+	if err := b.Publish(wedged, propBlock(wedged, 1)); err != nil {
+		t.Fatal(err)
+	}
+	testx.WaitUntil(t, "warm-up block delivered", func() bool { return readers[0].lastSeq() == 1 })
+
+	// Wedge it: one block per worker parks in the codec, and one more finds
+	// the pipeline full and blocks whoever submits it.
+	gate.armed.Store(true)
+	wedgeDone := make(chan error, 1)
+	go func() {
+		for seq := uint64(2); seq <= workers+2; seq++ {
+			if err := b.Publish(wedged, propBlock(wedged, seq)); err != nil {
+				wedgeDone <- err
+				return
+			}
+		}
+		wedgeDone <- nil
+	}()
+	seqGauge := b.Metrics().Gauge("chan." + wedged + ".seq")
+	testx.WaitUntil(t, "every worker of the wedged channel parked and the next block stamped", func() bool {
+		return gate.entered.Load() == workers && seqGauge.Value() == workers+2
+	})
+
+	for _, ch := range channels[1:] {
+		if err := b.Publish(ch, propBlock(ch, 1)); err != nil {
+			t.Fatalf("publish(%s): %v", ch, err)
+		}
+	}
+	for _, r := range readers[1:] {
+		r := r
+		testx.WaitUntil(t, "delivery on "+r.ch+" while "+wedged+" is wedged",
+			func() bool { return r.lastSeq() == 1 })
+	}
+	if got := readers[0].lastSeq(); got != 1 {
+		t.Fatalf("wedged channel delivered seq %d through a closed gate", got)
+	}
+
+	// Open the gate: the wedged channel catches up, in order.
+	gate.release()
+	if err := <-wedgeDone; err != nil {
+		t.Fatalf("wedged publisher: %v", err)
+	}
+	testx.WaitUntil(t, "wedged channel caught up", func() bool { return readers[0].lastSeq() == workers+2 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := b.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	for _, r := range readers {
+		r.conn.Close()
+		<-r.done
+		if r.bad != "" {
+			t.Fatalf("reader on %s: %s", r.ch, r.bad)
+		}
+	}
+	testx.NoLeakedFrames(t, b.plane)
+	guard()
 }

@@ -20,7 +20,7 @@ import (
 // readUntilError drains a subscriber connection through the client-side
 // stack ccrecv uses — frame decode plus the close-reason handler — and
 // returns the terminal error. onBlock, when non-nil, runs per decoded
-// block (a sleep there makes a deliberately slow consumer).
+// block (a pace there makes a deliberately slow consumer).
 func readUntilError(conn net.Conn, onBlock func()) error {
 	r := core.NewReader(conn, nil, func(codec.BlockInfo) {
 		if onBlock != nil {
@@ -61,8 +61,6 @@ func TestEvictionReasonSurfacesToClient(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("subscriber never received the first block")
 	}
-	time.Sleep(50 * time.Millisecond)
-
 	var s *subscriber
 	for _, x := range b.allSubs() {
 		s = x
@@ -70,6 +68,7 @@ func TestEvictionReasonSurfacesToClient(t *testing.T) {
 	if s == nil {
 		t.Fatal("no subscriber registered")
 	}
+	testx.WaitUntil(t, "write loop idle", func() bool { return s.backlog() == 0 })
 	b.evictSub(s, codec.CloseOverload, "overload shed: memory pressure critical")
 
 	var err error
@@ -106,7 +105,7 @@ func TestBreakerEvictsSlowConsumer(t *testing.T) {
 	conn := attachSubscriber(t, b, "md")
 	errc := make(chan error, 1)
 	go func() {
-		errc <- readUntilError(conn, func() { time.Sleep(5 * time.Millisecond) })
+		errc <- readUntilError(conn, func() { pace(t, 5*time.Millisecond) })
 	}()
 	// Flood the queue up front: every subsequent dequeue observes a wait
 	// far over the threshold, so the over-threshold run begins at the
@@ -246,6 +245,7 @@ func TestChurnStormExactAccounting(t *testing.T) {
 		}
 	}()
 
+	eventsIn := b.Metrics().Counter("broker.events_in")
 	var readers sync.WaitGroup
 	for round := 0; round < 6; round++ {
 		conns := make([]net.Conn, 0, 12)
@@ -274,7 +274,10 @@ func TestChurnStormExactAccounting(t *testing.T) {
 				}(client)
 			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		// Let the storm run this round's stalled queues (8 deep) over.
+		mark := eventsIn.Value()
+		testx.WaitUntil(t, "publish storm advanced past the stalled queues",
+			func() bool { return eventsIn.Value() >= mark+32 })
 		for _, c := range conns {
 			c.Close()
 		}
@@ -346,13 +349,13 @@ func TestEvictionDuringHandshakeFollowsReply(t *testing.T) {
 	hsErr := make(chan error, 1)
 	go func() { hsErr <- HandshakeSubscribe(client, "md") }()
 
-	waitUntil(t, "subscriber registered", func() bool { return b.Subscribers() == 1 })
+	testx.WaitUntil(t, "subscriber registered", func() bool { return b.Subscribers() == 1 })
 	for i := 0; i < 3; i++ {
 		if err := b.Publish("md", []byte("overflow the one-slot queue")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "eviction", func() bool { return b.Metrics().Counter("broker.evictions").Value() == 1 })
+	testx.WaitUntil(t, "eviction", func() bool { return b.Metrics().Counter("broker.evictions").Value() == 1 })
 	close(gate.release)
 
 	select {
@@ -367,7 +370,7 @@ func TestEvictionDuringHandshakeFollowsReply(t *testing.T) {
 	if err := readUntilError(client, nil); !errors.As(err, &ev) {
 		t.Fatalf("stream ended with %v (%T), want *EvictedError", err, err)
 	}
-	waitUntil(t, "session gone", func() bool { return b.Subscribers() == 0 })
+	testx.WaitUntil(t, "session gone", func() bool { return b.Subscribers() == 0 })
 }
 
 // TestMalformedReplyIsNotARefusal pins the client half: a status byte the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccx/internal/codec"
+	"ccx/internal/testx"
 )
 
 // --- replayRing unit tests ---------------------------------------------
@@ -173,7 +174,7 @@ func TestResumeReplaysMissedBlocks(t *testing.T) {
 		}
 	}
 	sub1.Close() // the outage: connection dies after delivering seq 3
-	waitUntil(t, "dead subscriber detached", func() bool { return b.Subscribers() == 0 })
+	testx.WaitUntil(t, "dead subscriber detached", func() bool { return b.Subscribers() == 0 })
 
 	for _, blk := range blocks[5:] {
 		if err := b.Publish("md", blk); err != nil {

@@ -237,7 +237,14 @@ func (p *Plane) Channel(name string) *Channel {
 		queuedHWM:    p.met.Gauge(fmt.Sprintf("chan.%s.queued_bytes_hwm", name)),
 	}
 	c.cache.maxBytes = p.effCache.Load()
-	c.pipe = core.NewPipeline(p.engine, p.workers, &p.bufs, c.sink)
+	if p.closed {
+		// Born closed: a publisher that raced Close onto a channel nobody
+		// used before is refused like any other, and no pipeline is started
+		// that nothing would ever stop.
+		c.pipeClosed = true
+	} else {
+		c.pipe = core.NewPipeline(p.engine, p.workers, &p.bufs, c.sink)
+	}
 	p.chans[name] = c
 	return c
 }
@@ -453,21 +460,34 @@ func (c *Channel) classDelta(k classKey, d int) {
 // its channel-state lock), which satisfies the pipeline's single-owner
 // submit contract.
 //
+// It reports whether the plane accepted the block: false only once the
+// channel is closed, so a publisher that lost the race with Close learns
+// its block will never be delivered. A block nobody subscribes to, or whose
+// encode fails (logged and counted), is still accepted.
+//
 // Jobs group by method, not by full (method, placement) class: classes
 // that differ only in placement produce byte-identical frames, so they
 // share one encode and are told apart only in delivery accounting.
-func (c *Channel) Publish(data []byte, seq uint64) {
-	c.PublishAnno(data, seq, nil)
+func (c *Channel) Publish(data []byte, seq uint64) bool {
+	return c.PublishAnno(data, seq, nil)
 }
 
 // PublishAnno is Publish for a block carrying a frame annotation: anno is
 // stamped into every class's encoded frame and handed to consumers with
 // each delivery, so a publisher's trace context survives the broker hop.
-func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
+func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) bool {
+	// pipeMu orders the whole publish against close — the closed check, the
+	// pipeline submits, and the inline fast path, whose frame close purges
+	// from the cache only after it was parked there.
+	c.pipeMu.Lock()
+	defer c.pipeMu.Unlock()
+	if c.pipeClosed {
+		return false
+	}
 	c.mu.Lock()
 	if len(c.members) == 0 {
 		c.mu.Unlock()
-		return
+		return true
 	}
 	// rawOnly: every member sits in the (None, receiver) class — the whole
 	// channel ships raw frames for downstream compression, so the encode
@@ -488,13 +508,6 @@ func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
 	pub := &publication{classes: classes, probe: c.ProbeFor(data, seq), at: time.Now()}
 	job := core.Job{Block: data, Seq: seq, HasSeq: true, PreDecided: true, Anno: anno, TC: tracing.ParseAnno(anno), Ctx: pub}
 
-	// pipeMu also orders the inline fast path against close, which purges
-	// the cache only after the frame was parked there.
-	c.pipeMu.Lock()
-	defer c.pipeMu.Unlock()
-	if c.pipeClosed {
-		return
-	}
 	if rawOnly && c.jobs.Load() == 0 {
 		// Receiver-raw fast path: frame inline (job.Method is None) and
 		// deliver synchronously — no pipeline submit, no sequencer handoff.
@@ -507,11 +520,11 @@ func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
 		buf, res, err := c.encodeInline(&job)
 		if err != nil {
 			c.p.logf("encplane: %s: raw frame: %v", c.name, err)
-			return
+			return true
 		}
 		c.p.rawFast.Inc()
 		c.putCache(c.admit(buf, &job, &res, "raw fan-out (fast path, encode shard skipped)"))
-		return
+		return true
 	}
 	for method := range classes {
 		job.Method = method
@@ -520,9 +533,10 @@ func (c *Channel) PublishAnno(data []byte, seq uint64, anno []byte) {
 			c.jobs.Add(-1)
 			c.p.errors.Inc()
 			c.p.logf("encplane: %s: submit %s: %v", c.name, method, err)
-			return
+			return true
 		}
 	}
+	return true
 }
 
 // sink receives each pipeline-encoded frame, in submission order, on the
@@ -655,8 +669,7 @@ func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []b
 
 // LiveBytes reports this channel's live shared-frame wire bytes. Frame
 // accounting updates the channel and plane totals together (noteBytes), so
-// per-channel values summed across channels equal Plane.LiveBytes exactly —
-// the property the broker's per-shard governor ledgers rest on.
+// per-channel values summed across channels equal Plane.LiveBytes exactly.
 func (c *Channel) LiveBytes() int64 { return c.liveBytes.Load() }
 
 // ProbeFor returns the block's sampling probe, computing and caching it on

@@ -474,7 +474,7 @@ func TestClosedChannelCachesNothing(t *testing.T) {
 }
 
 // TestPublishAfterCloseQueuesNothing: a publish the closed pipeline refuses
-// leaves no job context, frame or delivery behind.
+// says so, and leaves no job context, frame or delivery behind.
 func TestPublishAfterCloseQueuesNothing(t *testing.T) {
 	p, met := newTestPlane(t, nil)
 	ch := p.Channel("md")
@@ -483,7 +483,14 @@ func TestPublishAfterCloseQueuesNothing(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ch.Publish([]byte("too late"), 1)
+	if ch.Publish([]byte("too late"), 1) {
+		t.Fatal("publish after close reported the block accepted")
+	}
+	// Refusal does not depend on there being anyone to deliver to, nor on
+	// the channel having existed before the close.
+	if p.Channel("idle-late").Publish([]byte("too late"), 1) {
+		t.Fatal("publish on a channel created after close reported the block accepted")
+	}
 	if frames, _ := col.stop(); len(frames) != 0 {
 		t.Fatalf("%d deliveries after close, want 0", len(frames))
 	}

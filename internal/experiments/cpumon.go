@@ -1,6 +1,6 @@
-// Package cpumon measures the "reducing speed" of compression methods —
-// the paper's Figure 4 metric: how many bytes per second a CPU can remove
-// from a data stream with a given method. The measurement is end-to-end in
+// The reducing-speed monitor measures the "reducing speed" of compression
+// methods — the paper's Figure 4 metric: how many bytes per second a CPU can
+// remove from a data stream with a given method. The measurement is end-to-end in
 // the paper's sense: it reflects the current machine, current load, and the
 // data actually being streamed.
 //
@@ -8,7 +8,8 @@
 // 280R vs the ~2× slower Ultra-Sparc) and for CPU contention: scaling the
 // measured speed down is indistinguishable, to the selector, from running
 // on a slower or busier machine.
-package cpumon
+
+package experiments
 
 import (
 	"sync"

@@ -1,4 +1,4 @@
-package cpumon
+package experiments
 
 import (
 	"bytes"

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"ccx/internal/codec"
-	"ccx/internal/cpumon"
 	"ccx/internal/datagen"
 	"ccx/internal/netsim"
 	"ccx/internal/selector"
@@ -22,7 +21,7 @@ func Figure1(o Options) (*Report, error) {
 	repetitive := commercialData(o)
 	lowEntropy := datagen.LowEntropy(o.DataBytes, 4, o.Seed)
 
-	var cal cpumon.Calibrator
+	var cal Calibrator
 	type scores struct {
 		repRatio, lowRatio       float64
 		compressSec, decompSec   float64
@@ -158,7 +157,7 @@ func Figure2(o Options) (*Report, error) {
 func Figure3(o Options) (*Report, error) {
 	o = o.withDefaults()
 	data := commercialData(o)
-	var cal cpumon.Calibrator
+	var cal Calibrator
 	tbl := stats.Table{
 		Title:   "Figure 3: compression and decompression times, commercial data",
 		Columns: []string{"method", "compress (s)", "decompress (s)", "paper compress (s est)", "paper decompress (s est)"},
@@ -197,8 +196,8 @@ func Figure3(o Options) (*Report, error) {
 func Figure4(o Options) (*Report, error) {
 	o = o.withDefaults()
 	data := commercialData(o)
-	fast := cpumon.Calibrator{}
-	slow := cpumon.Calibrator{SpeedScale: 2}
+	fast := Calibrator{}
+	slow := Calibrator{SpeedScale: 2}
 	tbl := stats.Table{
 		Title:   "Figure 4: reducing speed (MB/s)",
 		Columns: []string{"method", "sun-fire analog", "ultra-sparc analog", "paper sun-fire (est)", "paper ultra-sparc (est)"},

@@ -126,14 +126,6 @@ type Config struct {
 	// QueuedBytes reports the process's aggregate queued/cached bytes
 	// (nil: the bytes dimension reads 0).
 	QueuedBytes func() int64
-	// QueuedBytesByShard, when non-nil, replaces QueuedBytes with a sharded
-	// ledger: one queued/cached byte count per broker shard, read in one
-	// call. The sampler uses the exact sum — sharding the accounting must
-	// not change a single sampled value, which the broker's property tests
-	// assert at every quiesce point. It also publishes each shard's reading
-	// (governor.shard_queued_max_bytes tracks the widest shard) so a skewed
-	// shard is visible even when the sum looks calm.
-	QueuedBytesByShard func() []int64
 	// HeapBytes overrides the heap source, for tests (nil: runtime
 	// MemStats.HeapAlloc).
 	HeapBytes func() int64
@@ -179,7 +171,6 @@ type Governor struct {
 	cpuG      *metrics.Gauge
 	heapG     *metrics.Gauge
 	queuedG   *metrics.Gauge
-	shardMaxG *metrics.Gauge
 	pipeWaitG *metrics.Gauge
 	samples   *metrics.Counter
 	trans     *metrics.Counter
@@ -236,7 +227,6 @@ func New(cfg Config) *Governor {
 		cpuG:      met.Gauge("governor.cpu_level"),
 		heapG:     met.Gauge("governor.heap_bytes"),
 		queuedG:   met.Gauge("governor.queued_bytes"),
-		shardMaxG: met.Gauge("governor.shard_queued_max_bytes"),
 		pipeWaitG: met.Gauge("governor.pipe_wait_ns"),
 		samples:   met.Counter("governor.samples"),
 		trans:     met.Counter("governor.transitions"),
@@ -381,19 +371,7 @@ func (g *Governor) SampleNow() Snapshot {
 		Heap:     g.cfg.HeapBytes(),
 		PipeWait: g.pw.tick(),
 	}
-	switch {
-	case g.cfg.QueuedBytesByShard != nil:
-		// Sharded ledger: the signal is the exact sum of the per-shard
-		// readings — identical to what a single global ledger would report.
-		var max int64
-		for _, v := range g.cfg.QueuedBytesByShard() {
-			snap.Queued += v
-			if v > max {
-				max = v
-			}
-		}
-		g.shardMaxG.Set(max)
-	case g.cfg.QueuedBytes != nil:
+	if g.cfg.QueuedBytes != nil {
 		snap.Queued = g.cfg.QueuedBytes()
 	}
 

@@ -101,51 +101,6 @@ func TestQueuedBytesDimension(t *testing.T) {
 	}
 }
 
-// TestShardedQueuedBytesSumsExactly pins the sharded-ledger contract: the
-// sampler's queued signal is the exact sum of the per-shard readings (a
-// global QueuedBytes source is ignored when the sharded one is set), the
-// widest shard is published, and the level thresholds fire on the sum.
-func TestShardedQueuedBytesSumsExactly(t *testing.T) {
-	met := metrics.NewRegistry()
-	shards := []int64{0, 0, 0, 0}
-	g := New(Config{
-		MemBudget:   -1,
-		BytesBudget: 1 << 20,
-		Metrics:     met,
-		HeapBytes:   func() int64 { return 0 },
-		QueuedBytes: func() int64 { t.Error("global QueuedBytes called despite sharded source"); return 0 },
-		QueuedBytesByShard: func() []int64 {
-			out := make([]int64, len(shards))
-			copy(out, shards)
-			return out
-		},
-	})
-
-	shards = []int64{100, 200, 300, 400}
-	if s := g.SampleNow(); s.Queued != 1000 {
-		t.Fatalf("Queued = %d, want the exact shard sum 1000", s.Queued)
-	}
-	if v := met.Gauge("governor.shard_queued_max_bytes").Value(); v != 400 {
-		t.Fatalf("shard_queued_max_bytes = %d, want 400", v)
-	}
-
-	// Per-shard values each under every threshold, but the sum critical:
-	// the dimension must trip on the aggregate, not the widest shard.
-	per := int64((1 << 20) / 4)
-	shards = []int64{per, per, per, per}
-	if s := g.SampleNow(); s.Mem != LevelCritical {
-		t.Fatalf("sum at budget: mem %v, want critical", s.Mem)
-	}
-	if v := met.Gauge("governor.queued_bytes").Value(); v != 4*per {
-		t.Fatalf("queued_bytes gauge = %d, want %d", v, 4*per)
-	}
-	shards = []int64{0, 0, 0, 0}
-	g.SampleNow()
-	if s := g.SampleNow(); s.Mem != LevelOK {
-		t.Fatalf("after drain: mem %v, want ok", s.Mem)
-	}
-}
-
 func TestCPUPressureAndMethodCap(t *testing.T) {
 	g := newTestGov(t, nil, nil, Config{MemBudget: -1})
 

@@ -31,7 +31,6 @@ var updateManifest = flag.Bool("update-manifest", false, "rewrite testdata/names
 var (
 	subSeg    = regexp.MustCompile(`\bsub\.\d+\.`)
 	chanSeg   = regexp.MustCompile(`\bchan\.[^.]+\.`)
-	shardSeg  = regexp.MustCompile(`\bbroker\.shard\.\d+\.`)
 	methodSeg = regexp.MustCompile(`\bmethod\.[a-z-]+$`)
 	placeSeg  = regexp.MustCompile(`\bplacement\.[a-z]+$`)
 )
@@ -39,7 +38,6 @@ var (
 func normalize(name string) string {
 	name = subSeg.ReplaceAllString(name, "sub.N.")
 	name = chanSeg.ReplaceAllString(name, "chan.C.")
-	name = shardSeg.ReplaceAllString(name, "broker.shard.N.")
 	name = methodSeg.ReplaceAllString(name, "method.M")
 	name = placeSeg.ReplaceAllString(name, "placement.P")
 	return name
@@ -83,14 +81,10 @@ func TestMetricNameManifest(t *testing.T) {
 	// overload governor watching a deliberately tiny byte budget so the
 	// overload surface (admission refusals, governor shedding) registers
 	// too.
-	// Shards is explicit so the sharded-core families register even on a
-	// single-CPU runner (GOMAXPROCS=1 would give one loop); the dynamic
-	// shard index is normalized to broker.shard.N. either way.
 	b, err := broker.New(broker.Config{
 		Channels:  []string{"md"},
 		Heartbeat: -1,
 		QueueLen:  8,
-		Shards:    4,
 		Policy:    broker.DropOldest,
 		Governor:  &governor.Config{MemBudget: -1, BytesBudget: 256 << 10, Interval: time.Hour},
 		Metrics:   reg,

@@ -18,15 +18,16 @@ import (
 	"ccx/internal/testx"
 )
 
-// runShardCell runs one (method, placement, fault-plan) cell against a
-// broker with the given shard count and returns each subscriber's decoded
-// payload stream concatenated in arrival order. The publisher path is
-// byte-deterministic (pinned method, fixed blocks, seeded fault plan keyed
-// to stream offsets), so two runs of the same cell ingest — and therefore
-// must deliver — the same block set regardless of shard count; only the
-// wire encoding toward each subscriber is free to differ.
-func runShardCell(t *testing.T, shards int, m codec.Method, pl selector.Placement,
-	plan faultnet.Plan, blocks [][]byte) [][]byte {
+// runSwarmCell runs one (method, placement, fault-plan) cell: a publisher
+// writes blocks through the fault plan, two subscribers decode what the
+// broker fans out, and the broker is shut down, which drains every ingested
+// block to both before hanging up. It returns each subscriber's decoded
+// blocks in arrival order and how many blocks the broker ingested — the
+// fault plan decides that (a flipped frame is dropped whole, a reset cuts
+// the stream), and only the wire encoding toward each subscriber is free to
+// differ from what was published.
+func runSwarmCell(t *testing.T, m codec.Method, pl selector.Placement,
+	plan faultnet.Plan, blocks [][]byte) (streams [][][]byte, ingested int64) {
 	t.Helper()
 	const nSubs = 2
 
@@ -34,7 +35,6 @@ func runShardCell(t *testing.T, shards int, m codec.Method, pl selector.Placemen
 	cfg := broker.Config{
 		Channels:  []string{"md"},
 		Heartbeat: -1,
-		Shards:    shards,
 		Placement: pl,
 		Metrics:   met,
 		Logf:      func(string, ...any) {},
@@ -53,10 +53,9 @@ func runShardCell(t *testing.T, shards int, m codec.Method, pl selector.Placemen
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- b.Serve(ln) }()
 
-	// Subscribers: each concatenates its decoded blocks in arrival order.
-	streams := make([][]byte, nSubs)
-	counts := make([]int, nSubs)
-	var mu sync.Mutex
+	// Subscribers: each keeps its decoded blocks in arrival order. subWG
+	// orders the appends before the reads below.
+	streams = make([][][]byte, nSubs)
 	var subWG sync.WaitGroup
 	conns := make([]net.Conn, nSubs)
 	for i := 0; i < nSubs; i++ {
@@ -80,17 +79,9 @@ func runShardCell(t *testing.T, shards int, m codec.Method, pl selector.Placemen
 				if len(data) == 0 {
 					continue
 				}
-				mu.Lock()
-				streams[i] = append(streams[i], data...)
-				counts[i]++
-				mu.Unlock()
+				streams[i] = append(streams[i], data)
 			}
 		}(i)
-	}
-	received := func(i int) int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return int64(counts[i])
 	}
 
 	// Publisher: frames go through the fault plan; publisher placement
@@ -118,22 +109,9 @@ func runShardCell(t *testing.T, shards int, m codec.Method, pl selector.Placemen
 	}
 	pub.Close()
 
-	// The publisher is done; wait for intake to go quiet and every
-	// subscriber to catch up with everything ingested.
-	eventsIn := met.Counter("broker.events_in")
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivery never settled: %d ingested, %d/%d received",
-				eventsIn.Value(), received(0), received(1))
-		}
-		before := eventsIn.Value()
-		time.Sleep(75 * time.Millisecond)
-		if eventsIn.Value() == before && received(0) == before && received(1) == before {
-			break
-		}
-	}
-
+	// The publisher is done. Shutdown lets the broker read its stream to the
+	// end, flushes the encode plane and drains both subscriber queues before
+	// closing them, so the readers' EOF marks the complete delivered stream.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := b.Shutdown(ctx); err != nil {
@@ -146,16 +124,16 @@ func runShardCell(t *testing.T, shards int, m codec.Method, pl selector.Placemen
 	for _, c := range conns {
 		c.Close()
 	}
-	return streams
+	return streams, met.Counter("broker.events_in").Value()
 }
 
-// TestSwarmByteIdentity gates the sharded core on output equivalence: for
-// every §2 codec method crossed with every compression placement, a
-// multi-shard broker must hand each subscriber a byte-identical decoded
-// stream to the single-loop (Shards=1) reference broker, under a rotating
-// slice of the fault matrix. Sharding moves fan-out work between event
-// loops; it must never change what arrives. Run under -race in CI's
-// shard-churn job.
+// TestSwarmByteIdentity gates the fan-out path on output identity: for
+// every §2 codec method crossed with every compression placement, under a
+// rotating slice of the fault matrix, each subscriber's decoded stream is
+// exactly the published blocks the broker ingested — byte-identical, in
+// publish order, none twice, and as many as were ingested. Encoding, class
+// migration and placement move work around; they must never change what
+// arrives. Run under -race in CI's channel-churn job.
 func TestSwarmByteIdentity(t *testing.T) {
 	const (
 		nBlocks   = 16
@@ -192,13 +170,27 @@ func TestSwarmByteIdentity(t *testing.T) {
 			name := fmt.Sprintf("%s/%s/%s", pl, m, tc.name)
 			t.Run(name, func(t *testing.T) {
 				placementFilter(t, pl)
-				single := runShardCell(t, 1, m, pl, tc.plan, blocks)
-				sharded := runShardCell(t, 4, m, pl, tc.plan, blocks)
+				streams, ingested := runSwarmCell(t, m, pl, tc.plan, blocks)
+				if tc.plan == (faultnet.Plan{}) && ingested != nBlocks {
+					t.Fatalf("clean cell ingested %d blocks, want all %d", ingested, nBlocks)
+				}
 				delivered := 0
-				for i := range single {
-					testx.ByteIdentity(t, fmt.Sprintf("subscriber %d stream", i),
-						sharded[i], single[i])
-					delivered += len(single[i])
+				for i, got := range streams {
+					if int64(len(got)) != ingested {
+						t.Fatalf("subscriber %d got %d blocks, broker ingested %d", i, len(got), ingested)
+					}
+					// Every block carries its index, so each delivery names
+					// the published block it must equal.
+					last := -1
+					for _, block := range got {
+						idx := int(binary.BigEndian.Uint32(block[:4]))
+						if idx <= last || idx >= nBlocks {
+							t.Fatalf("subscriber %d: block %d after block %d — out of order, repeated or unknown", i, idx, last)
+						}
+						last = idx
+						testx.ByteIdentity(t, fmt.Sprintf("subscriber %d block %d", i, idx), block, blocks[idx])
+						delivered += len(block)
+					}
 				}
 				if delivered == 0 && tc.name != "reset" {
 					t.Fatal("cell delivered zero bytes — identity check is vacuous")
