@@ -9,6 +9,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 )
@@ -23,8 +24,8 @@ var ErrTooManyBits = errors.New("bitio: at most 64 bits per call")
 // needed, so the only error surface is the explicit ErrTooManyBits guard.
 type Writer struct {
 	buf  []byte
-	cur  uint64 // bits accumulated, left-aligned within nbits
-	nbit uint   // number of valid bits in cur (0..63)
+	cur  uint64 // pending bits in the low nbit positions; the rest is stale
+	nbit uint   // number of pending bits (0..63)
 }
 
 // NewWriter returns a Writer with capacity preallocated for sizeHint bytes of
@@ -33,49 +34,30 @@ func NewWriter(sizeHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, sizeHint)}
 }
 
-// WriteBits appends the low n bits of v, most significant first.
+// WriteBits appends the low n bits of v, most significant first. Bits
+// collect in a 64-bit word that reaches the buffer whole, so the common call
+// is a shift and an add.
 func (w *Writer) WriteBits(v uint64, n uint) error {
 	if n > 64 {
 		return ErrTooManyBits
 	}
-	if n == 0 {
+	v &^= ^uint64(0) << n // a shift by 64 leaves no mask, so all of v stays
+	if w.nbit+n < 64 {
+		w.cur = w.cur<<n | v
+		w.nbit += n
 		return nil
 	}
-	if n < 64 {
-		v &= (1 << n) - 1
-	}
-	w.pushBits(v, n)
-	w.flushWord()
+	w.spill(v, n)
 	return nil
 }
 
-// pushBits appends bits to cur, which holds nbit bits right-aligned.
-func (w *Writer) pushBits(v uint64, n uint) {
-	for n > 0 {
-		space := 64 - w.nbit
-		take := n
-		if take > space {
-			take = space
-		}
-		chunk := v >> (n - take)
-		if take < 64 {
-			chunk &= (1 << take) - 1
-		}
-		w.cur = w.cur<<take | chunk
-		w.nbit += take
-		n -= take
-		if w.nbit == 64 {
-			w.flushWord()
-		}
-	}
-}
-
-func (w *Writer) flushWord() {
-	for w.nbit >= 8 {
-		w.buf = append(w.buf, byte(w.cur>>(w.nbit-8)))
-		w.nbit -= 8
-	}
-	w.cur &= (1 << w.nbit) - 1
+// spill completes the pending word with the leading bits of v, appends it,
+// and keeps the rest of v pending.
+func (w *Writer) spill(v uint64, n uint) {
+	rest := w.nbit + n - 64 // bits of v the word has no room for
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.cur<<(64-w.nbit)|v>>rest)
+	w.cur = v // only its low rest bits count
+	w.nbit = rest
 }
 
 // WriteBit appends a single bit (any nonzero b writes 1).
@@ -84,17 +66,12 @@ func (w *Writer) WriteBit(b int) {
 	if b != 0 {
 		v = 1
 	}
-	w.pushBits(v, 1)
-	if w.nbit >= 8 {
-		w.flushWord()
-	}
+	_ = w.WriteBits(v, 1) // one bit is never too many
 }
 
 // WriteByte appends 8 bits.
 func (w *Writer) WriteByte(b byte) error {
-	w.pushBits(uint64(b), 8)
-	w.flushWord()
-	return nil
+	return w.WriteBits(uint64(b), 8)
 }
 
 // BitLen reports the total number of bits written so far.
@@ -107,13 +84,14 @@ func (w *Writer) BitLen() int {
 // after the previously written bits only if the bit length was already a
 // multiple of 8, so callers normally call Bytes exactly once, at the end.
 func (w *Writer) Bytes() []byte {
-	w.flushWord()
-	if w.nbit > 0 {
-		pad := 8 - w.nbit
-		b := byte(w.cur << pad)
-		w.cur, w.nbit = 0, 0
-		w.buf = append(w.buf, b)
+	for w.nbit >= 8 {
+		w.nbit -= 8
+		w.buf = append(w.buf, byte(w.cur>>w.nbit))
 	}
+	if w.nbit > 0 {
+		w.buf = append(w.buf, byte(w.cur<<(8-w.nbit)))
+	}
+	w.cur, w.nbit = 0, 0
 	return w.buf
 }
 

@@ -13,23 +13,42 @@
 //     a chunk boundary — the property the paper adds for out-of-order
 //     block delivery.
 //
-// Rotation sorting uses counting-sort prefix doubling (O(n log n)), fast
-// enough for the paper's block regime (≤128 KB) without the engineering
-// burden of SA-IS.
+// On a slow line this method is nearly every block the selector sends, and
+// sorting the rotations is most of what a block costs, so the sort is
+// linear-time: suffix sorting by induced sorting (sais.go). A suffix sorter
+// orders rotations once the chunk is turned to its least rotation: that
+// rotation is u^k for a Lyndon word u, and for a Lyndon word the order of
+// the suffixes is the order of the rotations. When k > 1 the chunk is an
+// exact power and its rotations repeat in k equal copies; u is sorted once
+// and each row stands k times.
+//
+// Wire format, after Huffman decoding: per chunk, the chunk length and the
+// primary index (the row of the sorted rotation matrix that holds the chunk
+// itself) as four 7-bit bytes each, the run-length-coded move-to-front ranks
+// of the last column, then the marker. Where rows are equal — only in a
+// chunk that is an exact power — the primary index is the first of the rows
+// equal to the chunk. Any of them inverts to the same text, and encoders
+// before the linear-time sort named whichever their sort left there.
 package bwt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"ccx/internal/huffman"
 )
 
 // DefaultChunkSize is the per-chunk unit for transform and synchronization.
-// Larger chunks compress better but sort slower — the paper's tradeoff of
-// "shorter files are less effectively compressed".
+// Larger chunks compress better — the paper's tradeoff of "shorter files are
+// less effectively compressed" — but outgrow the cache the sort works in.
 const DefaultChunkSize = 16 * 1024
+
+// maxChunkLen is the longest chunk the header's four 7-bit bytes can state.
+const maxChunkLen = 1<<28 - 1
 
 // marker is the reserved synchronization byte that terminates every chunk.
 const marker = 0xFF
@@ -37,253 +56,229 @@ const marker = 0xFF
 // ErrCorrupt is returned for malformed or truncated compressed data.
 var ErrCorrupt = errors.New("bwt: corrupt input")
 
-// Transform computes the Burrows-Wheeler transform of src: the last column
-// of the sorted rotation matrix, plus the row index at which the original
-// string appears. src is unmodified.
-func Transform(src []byte) (last []byte, primary int) {
-	n := len(src)
-	if n == 0 {
-		return nil, 0
-	}
-	if n == 1 {
-		return []byte{src[0]}, 0
-	}
-	sa := sortRotations(src)
-	last = make([]byte, n)
-	for i, r := range sa {
-		last[i] = src[(r+n-1)%n]
-		if r == 0 {
-			primary = i
-		}
-	}
-	return last, primary
+// scratch holds every intermediate of one Compress or Decompress call, so
+// that with the pool warm a call allocates its result and nothing else (and
+// a process that never uses this method never builds one). The arrays grow
+// to the largest chunk seen and are reused chunk after chunk; nothing in
+// here outlives the call that took it from the pool.
+type scratch struct {
+	turned []byte  // encode: the chunk twice over, led by its own last byte
+	last   []byte  // last column; while decoding, the ranks it is recovered from
+	sa     []int32 // encode: suffix array of the chunk's root; decode: the LF mapping
+	work   []int32 // encode: bucket tables of the suffix sort
+	inter  []byte  // the marker-delimited stream the Huffman stage codes
+	hdr    [binary.MaxVarintLen64]byte
 }
 
-// sortRotations returns the start offsets of the cyclic rotations of src in
-// lexicographic order. It is the cyclic-shift variant of the Manber-Myers
-// doubling algorithm: each doubling round re-sorts with a counting sort, so
-// the whole construction is O(n log n) with small constants — fast enough
-// that the paper's "split into chunks to reduce sorting cost" tradeoff is
-// about compression granularity, not wall time.
-func sortRotations(src []byte) []int {
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// transform computes the Burrows-Wheeler transform of a non-empty src into
+// s.last: the last column of the sorted rotation matrix, plus the row at
+// which src itself appears (the first such row when several are equal).
+func (s *scratch) transform(src []byte) (last []byte, primary int) {
 	n := len(src)
-	const alphabet = 256
-	p := make([]int, n) // rotations in current sorted order
-	c := make([]int, n) // equivalence class of each rotation prefix
-	cntSize := n + 1
-	if cntSize < alphabet {
-		cntSize = alphabet
-	}
-	cnt := make([]int, cntSize)
+	// src twice over behind its own last byte: every rotation is a plain
+	// slice of it, and the byte before the one at twice[i] is turned[i].
+	s.turned = slices.Grow(s.turned[:0], 2*n+1)[:2*n+1]
+	turned, twice := s.turned, s.turned[1:]
+	turned[0] = src[n-1]
+	copy(twice, src)
+	copy(twice[n:], src)
+	start, p := leastRotation(twice)
+	k := n / p // src turned to start is u^k
+	u, before := twice[start:start+p], turned[start:start+p]
 
-	// Round 0: counting sort by first character.
-	for i := 0; i < n; i++ {
-		cnt[src[i]]++
-	}
-	for i := 1; i < alphabet; i++ {
-		cnt[i] += cnt[i-1]
-	}
-	for i := 0; i < n; i++ {
-		cnt[src[i]]--
-		p[cnt[src[i]]] = i
-	}
-	c[p[0]] = 0
-	classes := 1
-	for i := 1; i < n; i++ {
-		if src[p[i]] != src[p[i-1]] {
-			classes++
-		}
-		c[p[i]] = classes - 1
-	}
+	s.sa = slices.Grow(s.sa[:0], p)[:p]
+	s.work = slices.Grow(s.work[:0], 2*256+3*p)[:2*256+3*p]
+	sais(u, s.sa, 256, s.work)
 
-	pn := make([]int, n)
-	cn := make([]int, n)
-	for h := 1; h < n && classes < n; h <<= 1 {
-		// Sort by the second half: shifting the already-sorted order left by
-		// h yields the order of second halves for free.
-		for i := 0; i < n; i++ {
-			pn[i] = p[i] - h
-			if pn[i] < 0 {
-				pn[i] += n
-			}
+	// Row a of u's matrix is rows a, a+p, ... of the turned chunk's, and the
+	// chunk itself is turned back by n-start, in the class of that mod p.
+	self := int32((n - start) % p)
+	s.last = slices.Grow(s.last[:0], n)[:n]
+	row := 0
+	for i, a := range s.sa {
+		if a == self {
+			primary = i * k
 		}
-		// Stable counting sort by first-half class.
-		for i := 0; i < classes; i++ {
-			cnt[i] = 0
+		for end := row + k; row < end; row++ {
+			s.last[row] = before[a]
 		}
-		for i := 0; i < n; i++ {
-			cnt[c[pn[i]]]++
-		}
-		for i := 1; i < classes; i++ {
-			cnt[i] += cnt[i-1]
-		}
-		for i := n - 1; i >= 0; i-- {
-			cnt[c[pn[i]]]--
-			p[cnt[c[pn[i]]]] = pn[i]
-		}
-		// Recompute classes over (first-half, second-half) pairs.
-		cn[p[0]] = 0
-		classes = 1
-		for i := 1; i < n; i++ {
-			curA, curB := c[p[i]], c[(p[i]+h)%n]
-			prevA, prevB := c[p[i-1]], c[(p[i-1]+h)%n]
-			if curA != prevA || curB != prevB {
-				classes++
-			}
-			cn[p[i]] = classes - 1
-		}
-		c, cn = cn, c
 	}
-	return p
+	return s.last, primary
 }
 
-// Inverse reverses Transform.
-func Inverse(last []byte, primary int) ([]byte, error) {
+// leastRotation takes a text written out twice and returns where its
+// lexicographically least rotation starts and the length of that rotation's
+// primitive root: the text turned to start is u^k with u a Lyndon word of
+// length period. It is Duval's factorization, which needs no memory.
+func leastRotation(twice []byte) (start, period int) {
+	for i := 0; i < len(twice)/2; {
+		start = i
+		j, k := i+1, i
+		for j < len(twice) && twice[k] <= twice[j] {
+			if twice[k] < twice[j] {
+				k = i
+			} else {
+				k++
+			}
+			j++
+		}
+		period = j - k
+		for i <= k {
+			i += period
+		}
+	}
+	return start, period
+}
+
+// inverse reverses transform: it writes the text whose last column is last
+// and whose own row is primary into dst (same length).
+func (s *scratch) inverse(dst, last []byte, primary int) error {
 	n := len(last)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	if primary < 0 || primary >= n {
-		return nil, fmt.Errorf("%w: primary index %d out of range", ErrCorrupt, primary)
+		return fmt.Errorf("%w: primary index %d out of range", ErrCorrupt, primary)
 	}
 	// LF mapping: LF(i) = C[last[i]] + occ(last[i], i).
-	var count [256]int
+	var next [256]int32
 	for _, b := range last {
-		count[b]++
+		next[b]++
 	}
-	var c [256]int
-	sum := 0
-	for v := 0; v < 256; v++ {
-		c[v] = sum
-		sum += count[v]
+	sum := int32(0)
+	for v, c := range next {
+		next[v] = sum
+		sum += c
 	}
-	lf := make([]int, n)
-	var seen [256]int
+	s.sa = slices.Grow(s.sa[:0], n)[:n]
+	lf := s.sa
 	for i, b := range last {
-		lf[i] = c[b] + seen[b]
-		seen[b]++
+		lf[i] = next[b]
+		next[b]++
 	}
-	dst := make([]byte, n)
-	row := primary
+	row := int32(primary)
 	for k := n - 1; k >= 0; k-- {
 		dst[k] = last[row]
 		row = lf[row]
 	}
-	return dst, nil
+	return nil
 }
 
-// MTFEncode applies move-to-front coding: each output byte is the current
-// list position of the input byte, which is then moved to position 0.
-func MTFEncode(src []byte) []byte {
+// appendMTFRLE appends to dst the run-length coding of the move-to-front
+// ranks of last, in one pass. Move-to-front: each byte becomes its position
+// in a recency list and moves to the front of it. Run-length coding, with
+// the paper's constraint that byte 255 never appears in the output: ranks
+// 0..253 are emitted directly; a run of three identical such ranks is always
+// followed by one count byte giving up to 251 additional repeats (total run
+// ≤ 254, the paper's cap). Ranks 254 and 255 are escaped as the pairs
+// (254,0) and (254,1).
+func appendMTFRLE(dst, last []byte) []byte {
 	var list [256]byte
 	for i := range list {
 		list[i] = byte(i)
 	}
-	dst := make([]byte, len(src))
-	for i, b := range src {
-		var pos int
-		for list[pos] != b {
-			pos++
+	prev, run := -1, 0 // the run of rank prev not yet emitted
+	for _, b := range last {
+		rank := 0
+		if list[0] != b { // a sorted column mostly repeats its last byte
+			for rank = 1; list[rank] != b; rank++ {
+			}
+			copy(list[1:rank+1], list[:rank])
+			list[0] = b
 		}
-		dst[i] = byte(pos)
-		copy(list[1:pos+1], list[0:pos])
-		list[0] = b
-	}
-	return dst
-}
-
-// MTFDecode reverses MTFEncode.
-func MTFDecode(src []byte) []byte {
-	var list [256]byte
-	for i := range list {
-		list[i] = byte(i)
-	}
-	dst := make([]byte, len(src))
-	for i, p := range src {
-		b := list[p]
-		dst[i] = b
-		copy(list[1:int(p)+1], list[0:int(p)])
-		list[0] = b
-	}
-	return dst
-}
-
-// RLEEncode run-length codes src with the paper's constraint that byte 255
-// never appears in the output. Values 0..253 are emitted directly; a run of
-// three identical such values is always followed by one count byte giving up
-// to 251 additional repeats (total run ≤ 254, the paper's cap). Values 254
-// and 255 are escaped as the pairs (254,0) and (254,1).
-func RLEEncode(src []byte) []byte {
-	dst := make([]byte, 0, len(src)+len(src)/64+8)
-	i := 0
-	for i < len(src) {
-		v := src[i]
-		if v >= 254 {
-			dst = append(dst, 254, v-254)
-			i++
+		if rank == prev && run < 254 {
+			run++
 			continue
 		}
-		run := 1
-		for i+run < len(src) && src[i+run] == v && run < 254 {
-			run++
+		dst = appendRun(dst, prev, run)
+		if rank >= 254 {
+			dst = append(dst, 254, byte(rank-254))
+			prev, run = -1, 0
+		} else {
+			prev, run = rank, 1
 		}
-		switch {
-		case run < 3:
-			for j := 0; j < run; j++ {
-				dst = append(dst, v)
-			}
-		default:
-			dst = append(dst, v, v, v, byte(run-3))
-		}
-		i += run
 	}
-	return dst
+	return appendRun(dst, prev, run)
 }
 
-// RLEDecode reverses RLEEncode. It stops at end of input; encountering the
-// reserved byte 255 is an error at this layer (it only appears as the chunk
-// marker, which the caller strips).
-func RLEDecode(src []byte) ([]byte, error) {
-	dst := make([]byte, 0, len(src)*2)
+// appendRun emits a run of 0 to 254 copies of one rank below 254.
+func appendRun(dst []byte, rank, run int) []byte {
+	v := byte(rank)
+	if run >= 3 {
+		return append(dst, v, v, v, byte(run-3))
+	}
+	return append(dst, v, v)[:len(dst)+run]
+}
+
+// rleDecode reverses the run-length half of appendMTFRLE into dst, which
+// must come out exactly full: the byte that would overflow it is an error,
+// so the work is bounded by the declared length, not by what src claims.
+// Encountering the reserved byte 255 is an error at this layer (it only
+// appears as the chunk marker, which the caller strips).
+func rleDecode(dst, src []byte) error {
+	n := 0
 	streak := 0
 	var prev byte
 	for i := 0; i < len(src); i++ {
 		b := src[i]
+		count := 1
 		switch {
 		case b == marker:
-			return nil, fmt.Errorf("%w: reserved marker byte inside chunk", ErrCorrupt)
+			return fmt.Errorf("%w: reserved marker byte inside chunk", ErrCorrupt)
 		case b == 254:
 			i++
 			if i >= len(src) || src[i] > 1 {
-				return nil, fmt.Errorf("%w: bad escape", ErrCorrupt)
+				return fmt.Errorf("%w: bad escape", ErrCorrupt)
 			}
-			dst = append(dst, 254+src[i])
+			b += src[i]
 			streak = 0
+		case streak > 0 && b == prev:
+			streak++
 		default:
-			if streak > 0 && b == prev {
-				streak++
-			} else {
-				streak = 1
-				prev = b
+			streak, prev = 1, b
+		}
+		if streak == 3 {
+			i++
+			if i >= len(src) {
+				return fmt.Errorf("%w: truncated run count", ErrCorrupt)
 			}
-			dst = append(dst, b)
-			if streak == 3 {
-				i++
-				if i >= len(src) {
-					return nil, fmt.Errorf("%w: truncated run count", ErrCorrupt)
-				}
-				extra := int(src[i])
-				if extra > 251 {
-					return nil, fmt.Errorf("%w: run count %d exceeds cap", ErrCorrupt, extra)
-				}
-				for j := 0; j < extra; j++ {
-					dst = append(dst, b)
-				}
-				streak = 0
+			if src[i] > 251 {
+				return fmt.Errorf("%w: run count %d exceeds cap", ErrCorrupt, src[i])
 			}
+			count += int(src[i])
+			streak = 0
+		}
+		if count > len(dst)-n {
+			return fmt.Errorf("%w: chunk longer than its header's %d", ErrCorrupt, len(dst))
+		}
+		for end := n + count; n < end; n++ {
+			dst[n] = b
 		}
 	}
-	return dst, nil
+	if n != len(dst) {
+		return fmt.Errorf("%w: chunk length %d != header %d", ErrCorrupt, n, len(dst))
+	}
+	return nil
+}
+
+// mtfDecode reverses the move-to-front half of appendMTFRLE in place.
+func mtfDecode(buf []byte) {
+	var list [256]byte
+	for i := range list {
+		list[i] = byte(i)
+	}
+	for i, rank := range buf {
+		if rank == 0 {
+			buf[i] = list[0]
+			continue
+		}
+		b := list[rank]
+		copy(list[1:int(rank)+1], list[:rank])
+		list[0] = b
+		buf[i] = b
+	}
 }
 
 // encode7 writes v as four 7-bit bytes (each ≤ 0x7F, so never the marker).
@@ -319,35 +314,34 @@ func CompressChunked(src []byte, chunkSize int) ([]byte, error) {
 	if chunkSize <= 0 {
 		return nil, fmt.Errorf("bwt: invalid chunk size %d", chunkSize)
 	}
+	chunkSize = min(chunkSize, maxChunkLen)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	// Build the marker-delimited intermediate stream.
-	inter := make([]byte, 0, len(src)/2+64)
-	for off := 0; off < len(src); off += chunkSize {
-		end := off + chunkSize
-		if end > len(src) {
-			end = len(src)
-		}
-		chunk := src[off:end]
-		last, primary := Transform(chunk)
-		rle := RLEEncode(MTFEncode(last))
+	inter := s.inter[:0]
+	for len(src) > 0 {
+		chunk := src[:min(chunkSize, len(src))]
+		src = src[len(chunk):]
+		last, primary := s.transform(chunk)
 		inter = encode7(inter, len(chunk))
 		inter = encode7(inter, primary)
-		inter = append(inter, rle...)
+		inter = appendMTFRLE(inter, last)
 		inter = append(inter, marker)
 	}
+	s.inter = inter
 	// Joint Huffman over every chunk (§2.4: "all of the chunks are
-	// compressed jointly using Huffman coding").
-	hc, err := huffman.Compress(inter)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, len(hc)+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(inter)))
-	return append(out, hc...), nil
+	// compressed jointly using Huffman coding"), appended to the stream
+	// length. The prefix is handed over without spare capacity, so the
+	// result is a fresh slice and not a view of the scratch.
+	n := binary.PutUvarint(s.hdr[:], uint64(len(inter)))
+	return huffman.AppendCompress(s.hdr[:n:n], inter)
 }
 
 // Decompress reverses Compress/CompressChunked, producing exactly origLen
 // bytes. The chunk size is self-describing (each chunk header carries its
 // original length), so the decoder does not need the encoder's setting.
+// Every length in the stream is checked against origLen or the input before
+// anything is sized by it.
 func Decompress(src []byte, origLen int) ([]byte, error) {
 	if origLen == 0 {
 		return nil, nil
@@ -359,12 +353,15 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 	if interLen > uint64(origLen)*3+4096 {
 		return nil, fmt.Errorf("%w: implausible intermediate length %d", ErrCorrupt, interLen)
 	}
-	inter, err := huffman.Decompress(src[n:], int(interLen))
-	if err != nil {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.inter = slices.Grow(s.inter[:0], int(interLen))[:int(interLen)]
+	if err := huffman.DecompressInto(s.inter, src[n:]); err != nil {
 		return nil, err
 	}
-	dst := make([]byte, 0, origLen)
-	for len(inter) > 0 {
+	dst := make([]byte, origLen)
+	off := 0
+	for inter := s.inter; len(inter) > 0; {
 		chunkLen, err := decode7(inter)
 		if err != nil {
 			return nil, err
@@ -373,34 +370,28 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		inter = inter[8:]
-		// Chunk body runs to the next marker byte.
-		end := 0
-		for end < len(inter) && inter[end] != marker {
-			end++
-		}
-		if end == len(inter) {
-			return nil, fmt.Errorf("%w: missing chunk marker", ErrCorrupt)
-		}
-		mtf, err := RLEDecode(inter[:end])
-		if err != nil {
-			return nil, err
-		}
-		if len(mtf) != chunkLen {
-			return nil, fmt.Errorf("%w: chunk length %d != header %d", ErrCorrupt, len(mtf), chunkLen)
-		}
-		chunk, err := Inverse(MTFDecode(mtf), primary)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, chunk...)
-		if len(dst) > origLen {
+		if chunkLen > origLen-off {
 			return nil, fmt.Errorf("%w: output exceeds original length", ErrCorrupt)
 		}
+		inter = inter[8:]
+		// Chunk body runs to the next marker byte.
+		end := bytes.IndexByte(inter, marker)
+		if end < 0 {
+			return nil, fmt.Errorf("%w: missing chunk marker", ErrCorrupt)
+		}
+		s.last = slices.Grow(s.last[:0], chunkLen)[:chunkLen]
+		if err := rleDecode(s.last, inter[:end]); err != nil {
+			return nil, err
+		}
+		mtfDecode(s.last)
+		if err := s.inverse(dst[off:off+chunkLen], s.last, primary); err != nil {
+			return nil, err
+		}
+		off += chunkLen
 		inter = inter[end+1:]
 	}
-	if len(dst) != origLen {
-		return nil, fmt.Errorf("%w: produced %d bytes, want %d", ErrCorrupt, len(dst), origLen)
+	if off != origLen {
+		return nil, fmt.Errorf("%w: produced %d bytes, want %d", ErrCorrupt, off, origLen)
 	}
 	return dst, nil
 }

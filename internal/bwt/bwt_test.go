@@ -2,9 +2,17 @@ package bwt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"ccx/internal/huffman"
 )
 
 func TestTransformKnownVector(t *testing.T) {
@@ -45,7 +53,7 @@ func TestTransformSingle(t *testing.T) {
 
 func TestTransformPeriodic(t *testing.T) {
 	// All rotations of a periodic string are equal per period class; the
-	// prefix-doubling loop must terminate and invert correctly.
+	// sort handles the root once and the result must still invert.
 	for _, s := range []string{"aaaa", "abababab", "xyzxyzxyz"} {
 		last, primary := Transform([]byte(s))
 		back, err := Inverse(last, primary)
@@ -84,6 +92,25 @@ func TestInverseBadPrimary(t *testing.T) {
 	}
 }
 
+// ranksOf undoes the run-length layer alone: the n move-to-front ranks enc
+// codes.
+func ranksOf(t *testing.T, enc []byte, n int) []byte {
+	t.Helper()
+	ranks := make([]byte, n)
+	if err := rleDecode(ranks, enc); err != nil {
+		t.Fatal(err)
+	}
+	return ranks
+}
+
+// rleEncode run-length codes a rank stream through appendMTFRLE, by handing
+// it the column whose move-to-front ranks are exactly those.
+func rleEncode(ranks []byte) []byte {
+	col := bytes.Clone(ranks)
+	mtfDecode(col)
+	return appendMTFRLE(nil, col)
+}
+
 func TestMTFRoundtrip(t *testing.T) {
 	cases := [][]byte{
 		[]byte("mississippi"),
@@ -92,8 +119,8 @@ func TestMTFRoundtrip(t *testing.T) {
 		{},
 	}
 	for i, data := range cases {
-		enc := MTFEncode(data)
-		dec := MTFDecode(enc)
+		dec := ranksOf(t, appendMTFRLE(nil, data), len(data))
+		mtfDecode(dec)
 		if !bytes.Equal(dec, data) {
 			t.Fatalf("case %d: roundtrip mismatch", i)
 		}
@@ -102,7 +129,7 @@ func TestMTFRoundtrip(t *testing.T) {
 
 func TestMTFFrontLoading(t *testing.T) {
 	// Repeated bytes must map to zeros after the first occurrence.
-	enc := MTFEncode([]byte{7, 7, 7, 7})
+	enc := ranksOf(t, appendMTFRLE(nil, []byte{7, 7, 7, 7}), 4)
 	if enc[0] != 7 {
 		t.Fatalf("first position = %d, want original list index 7", enc[0])
 	}
@@ -127,17 +154,13 @@ func TestRLERoundtrip(t *testing.T) {
 		{253, 253, 253, 253, 254, 0, 255},
 	}
 	for i, data := range cases {
-		enc := RLEEncode(data)
+		enc := rleEncode(data)
 		for _, b := range enc {
 			if b == 255 {
 				t.Fatalf("case %d: reserved byte 255 appears in RLE output", i)
 			}
 		}
-		dec, err := RLEDecode(enc)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !bytes.Equal(dec, data) {
+		if dec := ranksOf(t, enc, len(data)); !bytes.Equal(dec, data) {
 			t.Fatalf("case %d: roundtrip mismatch: got %v want %v", i, dec, data)
 		}
 	}
@@ -155,28 +178,33 @@ func TestRLENever255(t *testing.T) {
 				data[i] = byte(rng.Intn(256))
 			}
 		}
-		enc := RLEEncode(data)
+		enc := rleEncode(data)
 		if bytes.IndexByte(enc, 255) >= 0 {
 			t.Fatal("reserved byte in output")
 		}
-		dec, err := RLEDecode(enc)
-		if err != nil || !bytes.Equal(dec, data) {
-			t.Fatalf("roundtrip failed: %v", err)
+		if dec := ranksOf(t, enc, len(data)); !bytes.Equal(dec, data) {
+			t.Fatal("roundtrip failed")
 		}
 	}
 }
 
 func TestRLEDecodeCorrupt(t *testing.T) {
-	cases := [][]byte{
-		{255},          // marker inside chunk
-		{254},          // truncated escape
-		{254, 2},       // bad escape discriminator
-		{7, 7, 7},      // missing run count
-		{7, 7, 7, 252}, // run count over cap
+	cases := []struct {
+		src []byte
+		n   int // declared length
+	}{
+		{[]byte{255}, 1},            // marker inside chunk
+		{[]byte{254}, 1},            // truncated escape
+		{[]byte{254, 2}, 1},         // bad escape discriminator
+		{[]byte{7, 7, 7}, 3},        // missing run count
+		{[]byte{7, 7, 7, 252}, 255}, // run count over cap
+		{[]byte{7, 7, 7, 100}, 102}, // one byte more than declared
+		{[]byte{7, 7, 7, 100}, 104}, // one byte fewer
+		{[]byte{1, 2}, 1},           // the second byte has nowhere to go
 	}
 	for i, c := range cases {
-		if _, err := RLEDecode(c); err == nil {
-			t.Fatalf("case %d: expected error", i)
+		if err := rleDecode(make([]byte, c.n), c.src); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("case %d: got %v, want ErrCorrupt", i, err)
 		}
 	}
 }
@@ -305,72 +333,222 @@ func TestQuickPipelineRoundtrip(t *testing.T) {
 	}
 }
 
+// benchInputs are the three regimes of the rotation sort: the corpus the
+// benchmark sends (short common prefixes), a motif repeated to length whose
+// period does not divide it (common prefixes thousands of bytes long — the
+// old doubling sorter's worst case), and an exact power u^k, which sorts u
+// once.
+func benchInputs(size int) []struct {
+	name string
+	data []byte
+} {
+	blocks := corpusBlocks(1, 2, size) // one of OIS transactions, one of XML
+	motif := []byte("transaction: passenger rebooked ATL->JFK seat 22A; ")
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"corpus", append(bytes.Clone(blocks[0][:size/2]), blocks[1][:size-size/2]...)},
+		{"periodic", bytes.Repeat(motif, size/len(motif)+1)[:size]},
+		{"power", bytes.Repeat(blocks[0][:64], size/64)},
+	}
+}
+
 func BenchmarkTransform16K(b *testing.B) {
-	motif := []byte("the burrows wheeler transform sorts rotations ")
-	data := bytes.Repeat(motif, 16*1024/len(motif)+1)[:16*1024]
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		Transform(data)
+	for _, in := range benchInputs(16 << 10) {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Transform(in.data)
+			}
+		})
 	}
 }
 
 func BenchmarkCompress128K(b *testing.B) {
-	motif := []byte("transaction: passenger rebooked ATL->JFK seat 22A; ")
-	data := bytes.Repeat(motif, 128*1024/len(motif)+1)[:128*1024]
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compress(data); err != nil {
-			b.Fatal(err)
-		}
+	for _, in := range benchInputs(128 << 10) {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compress(in.data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkDecompress128K(b *testing.B) {
-	motif := []byte("transaction: passenger rebooked ATL->JFK seat 22A; ")
-	data := bytes.Repeat(motif, 128*1024/len(motif)+1)[:128*1024]
-	out, err := Compress(data)
-	if err != nil {
-		b.Fatal(err)
+	for _, in := range benchInputs(128 << 10) {
+		b.Run(in.name, func(b *testing.B) {
+			out, err := Compress(in.data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(in.data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(out, len(in.data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(out, len(data)); err != nil {
-			b.Fatal(err)
+}
+
+// TestCorpusByteIdentity pins the bytes Compress emits for 64 blocks of
+// 128 KiB of the benchmark corpus to their SHA-256 as computed with the
+// doubling sorter and the unfused, per-stage pipeline (commit 2c3aaf8): a
+// faster block path is the same bytes on the wire, or it is a format change.
+func TestCorpusByteIdentity(t *testing.T) {
+	const want = "03ca701daca87271523885af1b6c91a75eea90cea769850527c1584eba8eedfd"
+	h := sha256.New()
+	for _, block := range corpusBlocks(1, 64, 128<<10) {
+		out, err := Compress(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(out)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Compress over the corpus hashes to %s, want %s", got, want)
+	}
+}
+
+// TestPrimaryOfPower pins the one place the output is defined anew: among
+// equal rows the chunk's primary index is the first, and every one of them
+// — whichever an older encoder named — inverts to the chunk.
+func TestPrimaryOfPower(t *testing.T) {
+	for _, c := range []struct {
+		root string
+		k    int
+	}{{"ab", 4}, {"ba", 4}, {"a", 7}, {"compression ", 8}} {
+		src := bytes.Repeat([]byte(c.root), c.k)
+		last, primary := Transform(src)
+		if primary%c.k != 0 {
+			t.Fatalf("%q^%d: primary %d is not the first of its %d equal rows", c.root, c.k, primary, c.k)
+		}
+		for row := primary; row < primary+c.k; row++ {
+			back, err := Inverse(last, row)
+			if err != nil || !bytes.Equal(back, src) {
+				t.Fatalf("%q^%d: row %d inverts to %q, %v", c.root, c.k, row, back, err)
+			}
 		}
 	}
 }
 
-// TestSortRotationsOracle compares the counting-sort rotation sorter against
-// a naive string-comparison oracle on random inputs (ties between equal
-// rotations may order differently; compare the rotation *strings*).
-func TestSortRotationsOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 60; trial++ {
-		n := rng.Intn(200) + 1
-		data := make([]byte, n)
-		alphabet := rng.Intn(4) + 1 // small alphabets stress tie handling
-		for i := range data {
-			data[i] = byte(rng.Intn(1 << (alphabet * 2)))
+// TestPooledScratchConcurrent runs blocks of very different sizes through
+// Compress and Decompress on 8 goroutines at once, so scratch values change
+// hands between sizes and goroutines; every output must equal the one a
+// lone goroutine produced. Run it under -race.
+func TestPooledScratchConcurrent(t *testing.T) {
+	corpus := corpusBlocks(3, 2, 256<<10)
+	var blocks, want [][]byte
+	for i, size := range []int{1, 2, 3, 100, 4 << 10, 16<<10 - 1, 16 << 10, 16<<10 + 1, 64 << 10, 128 << 10, 256 << 10} {
+		block := corpus[i%2][:size]
+		out, err := Compress(block)
+		if err != nil {
+			t.Fatal(err)
 		}
-		rot := func(start int) string {
-			return string(data[start:]) + string(data[:start])
-		}
-		got := sortRotations(data)
-		if len(got) != n {
-			t.Fatalf("trial %d: %d offsets for n=%d", trial, len(got), n)
-		}
-		seen := make([]bool, n)
-		for i, off := range got {
-			if off < 0 || off >= n || seen[off] {
-				t.Fatalf("trial %d: bad permutation at %d", trial, i)
+		blocks, want = append(blocks, block), append(want, out)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range blocks {
+					i = (i + g) % len(blocks)
+					out, err := Compress(blocks[i])
+					if err != nil || !bytes.Equal(out, want[i]) {
+						t.Errorf("goroutine %d: Compress of %d bytes differs from the serial output (%v)", g, len(blocks[i]), err)
+						return
+					}
+					back, err := Decompress(out, len(blocks[i]))
+					if err != nil || !bytes.Equal(back, blocks[i]) {
+						t.Errorf("goroutine %d: Decompress of %d bytes: round trip failed (%v)", g, len(blocks[i]), err)
+						return
+					}
+				}
 			}
-			seen[off] = true
-			if i > 0 && rot(got[i-1]) > rot(off) {
-				t.Fatalf("trial %d: rotations out of order at %d", trial, i)
-			}
-		}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// warmAllocs is the number of allocations one call of fn makes when the
+// pools it draws on are warm: the least over several calls, because a
+// collection empties the pools and the race detector makes sync.Pool drop a
+// quarter of what it is handed, and either makes one call rebuild a scratch.
+func warmAllocs(fn func()) float64 {
+	least := testing.AllocsPerRun(1, fn)
+	for i := 0; i < 12; i++ {
+		least = min(least, testing.AllocsPerRun(1, fn))
+	}
+	return least
+}
+
+// TestBWTSteadyStateAllocs holds the block path to its result plus small
+// change once the pools are warm.
+func TestBWTSteadyStateAllocs(t *testing.T) {
+	block := corpusBlocks(1, 1, 128<<10)[0]
+	out, err := Compress(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := warmAllocs(func() { Compress(block) }); n > 16 {
+		t.Errorf("Compress of a 128 KiB block: %.0f allocations, want <= 16", n)
+	}
+	if n := warmAllocs(func() { Decompress(out, len(block)) }); n > 8 {
+		t.Errorf("Decompress of a 128 KiB block: %.0f allocations, want <= 8", n)
+	}
+}
+
+// lengthBomb is a 163,852-byte payload that declares one chunk of length 1
+// and follows it with 262,144 maximal runs: run-length expanded before the
+// length check, it asked the decoder for hundreds of megabytes.
+func lengthBomb() (payload []byte, origLen int) {
+	inter := encode7(encode7(nil, 1), 0)
+	inter = append(inter, bytes.Repeat([]byte{0, 0, 0, 251}, 262144)...)
+	inter = append(inter, marker)
+	payload, err := huffman.AppendCompress(binary.AppendUvarint(nil, uint64(len(inter))), inter)
+	if err != nil {
+		panic(err)
+	}
+	return payload, 512 << 10
+}
+
+// allocatedBy reports the bytes fn allocated, as the growth of the
+// process's cumulative allocation count.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestDecompressLengthBomb(t *testing.T) {
+	payload, origLen := lengthBomb()
+	var err error
+	grew := allocatedBy(func() { _, err = Decompress(payload, origLen) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if grew >= 4<<20 {
+		t.Fatalf("refusing a %d-byte payload allocated %d bytes, want < 4 MiB", len(payload), grew)
+	}
+	// A chunk header may not claim more than is left of the block either.
+	inter := append(encode7(encode7(nil, 17), 0), 0, marker)
+	payload, err = huffman.AppendCompress(binary.AppendUvarint(nil, uint64(len(inter))), inter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decompress(payload, 16); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("chunk longer than the block: got %v, want ErrCorrupt", err)
 	}
 }

@@ -8,7 +8,8 @@ import (
 // FuzzBWTDecode feeds arbitrary bytes through the full inverse pipeline
 // (chunk framing → RLE → MTF → inverse BWT). Corrupt primary indices and
 // truncated run encodings must error out rather than panic or index out of
-// range.
+// range, and whatever the stream claims about its own lengths, the decoder
+// may allocate only in proportion to the input and the declared origLen.
 func FuzzBWTDecode(f *testing.F) {
 	seeds := [][]byte{
 		nil,
@@ -30,17 +31,63 @@ func FuzzBWTDecode(f *testing.F) {
 	}
 	f.Add(multi, 2400)
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80}, 16)
+	bomb, bombLen := lengthBomb()
+	f.Add(bomb, bombLen)
 
 	f.Fuzz(func(t *testing.T, data []byte, origLen int) {
 		if origLen < 0 || origLen > 1<<20 {
 			return
 		}
-		out, err := Decompress(data, origLen)
+		var out []byte
+		var err error
+		grew := allocatedBy(func() { out, err = Decompress(data, origLen) })
+		// The stream (at most 3·origLen+4096 and 8·len(data)), the block, a
+		// chunk's ranks and its 4-byte-per-row LF mapping; the slack covers
+		// first-use pool fills and whatever else the process allocates
+		// meanwhile.
+		if ceiling := uint64(16*(len(data)+origLen) + 1<<20); grew > ceiling {
+			t.Fatalf("decoding %d bytes as %d allocated %d, ceiling %d", len(data), origLen, grew, ceiling)
+		}
 		if err != nil {
 			return
 		}
 		if len(out) != origLen {
 			t.Fatalf("decoded %d bytes, claimed %d", len(out), origLen)
+		}
+	})
+}
+
+// FuzzBWTEncode drives arbitrary bytes and chunk sizes through the encoder:
+// the block must round-trip, and on chunks small enough to sort as strings
+// the transform must agree with that sort.
+func FuzzBWTEncode(f *testing.F) {
+	f.Add([]byte("banana"), 16)
+	f.Add(bytes.Repeat([]byte("ab"), 300), 512)
+	f.Add(bytes.Repeat([]byte("mississippi "), 40), 7)
+	f.Add(bytes.Repeat([]byte{0}, 100), 33)
+	f.Add([]byte{3, 1, 2, 3, 1, 2, 3, 1, 2, 0xFF, 0xFE, 0xFF}, 9)
+
+	f.Fuzz(func(t *testing.T, data []byte, chunkSize int) {
+		if chunkSize <= 0 || len(data) > 1<<20 || len(data)/chunkSize > 1<<12 {
+			return // thousands of tiny chunks only repeat the per-chunk set-up
+		}
+		comp, err := CompressChunked(data, chunkSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decompress(comp, len(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("round trip of %d bytes in chunks of %d differs", len(data), chunkSize)
+		}
+		// The first few chunks are enough: the rest went through the same
+		// code, and sorting strings is what makes this target slow.
+		for checked := 0; checked < 4 && len(data) > 0 && chunkSize <= 512; checked++ {
+			chunk := data[:min(chunkSize, len(data))]
+			data = data[len(chunk):]
+			checkAgainstNaive(t, "fuzz", chunk)
 		}
 	})
 }

@@ -184,4 +184,21 @@ func TestGoldenWireVectors(t *testing.T) {
 			}
 		})
 	}
+
+	// Decode-only: the Burrows-Wheeler frame as written while rotations were
+	// sorted by prefix doubling. goldenPayload is one sentence eight times
+	// over, so eight rows of its rotation matrix equal it; that sort left the
+	// chunk's own row fourth among them, the linear-time sort names the first
+	// (the format's rule since), and both must decode to the same text.
+	t.Run("v4_burrowswheeler_doubling.frame", func(t *testing.T) {
+		old, err := os.ReadFile(filepath.Join("testdata", "v4_burrowswheeler_doubling.frame"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, info, err := codec.NewFrameReader(bytes.NewReader(old), nil).ReadBlock()
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		checkGolden(t, codec.BurrowsWheeler, data, info)
+	})
 }

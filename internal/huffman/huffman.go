@@ -11,10 +11,12 @@
 package huffman
 
 import (
-	"container/heap"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"io"
+	"slices"
+	"sync"
 
 	"ccx/internal/bitio"
 )
@@ -40,34 +42,49 @@ type Code struct {
 	Len  uint8
 }
 
+// treeNode is one node of the Huffman tree under construction. Leaves come
+// first in the pool, in symbol order; every internal node follows both of
+// its children.
 type treeNode struct {
 	freq        int64
-	sym         int // -1 for internal nodes
-	left, right int // indices into node pool, -1 for leaves
+	sym         int32 // -1 for internal nodes
+	left, right int32 // an internal node's children, as indices into the pool
+	depth       uint8
 }
 
-type nodeHeap struct {
+// treeBuilder holds the arrays a code-length construction works in, so a
+// caller that builds code books repeatedly can keep them.
+type treeBuilder struct {
 	nodes []treeNode
-	order []int
+	heap  []int32 // node indices, a binary min-heap under less
+	work  []int64
 }
 
-func (h *nodeHeap) Len() int { return len(h.order) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[h.order[i]], h.nodes[h.order[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
+// less orders nodes by frequency, then by pool index: a strict total order,
+// so the merge sequence (and with it every code book) is reproducible.
+func (tb *treeBuilder) less(a, b int32) bool {
+	if fa, fb := tb.nodes[a].freq, tb.nodes[b].freq; fa != fb {
+		return fa < fb
 	}
-	// Deterministic tie-break keeps code books reproducible across runs.
-	return h.order[i] < h.order[j]
+	return a < b
 }
-func (h *nodeHeap) Swap(i, j int)      { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *nodeHeap) Push(x interface{}) { h.order = append(h.order, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.order
-	n := len(old)
-	x := old[n-1]
-	h.order = old[:n-1]
-	return x
+
+func (tb *treeBuilder) siftDown(i int) {
+	h := tb.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && tb.less(h[c+1], h[c]) {
+			c++
+		}
+		if !tb.less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // BuildLengths computes canonical code lengths for the given symbol
@@ -76,13 +93,22 @@ func (h *nodeHeap) Pop() interface{} {
 // deeper, frequencies are repeatedly halved (rounding up) and the tree
 // rebuilt, trading a negligible amount of compression for bounded codes.
 func BuildLengths(freqs []int64) ([]uint8, error) {
-	n := len(freqs)
-	lengths := make([]uint8, n)
+	lengths := make([]uint8, len(freqs))
+	tb := treeBuilder{nodes: make([]treeNode, 0, 2*len(freqs)), heap: make([]int32, 0, len(freqs))}
+	if err := tb.buildLengths(lengths, freqs); err != nil {
+		return nil, err
+	}
+	return lengths, nil
+}
+
+// buildLengths is BuildLengths into a caller-supplied table of len(freqs).
+func (tb *treeBuilder) buildLengths(lengths []uint8, freqs []int64) error {
+	clear(lengths)
 	live := 0
 	last := -1
 	for i, f := range freqs {
 		if f < 0 {
-			return nil, fmt.Errorf("huffman: negative frequency for symbol %d", i)
+			return fmt.Errorf("huffman: negative frequency for symbol %d", i)
 		}
 		if f > 0 {
 			live++
@@ -90,127 +116,125 @@ func BuildLengths(freqs []int64) ([]uint8, error) {
 		}
 	}
 	if live == 0 {
-		return nil, ErrEmptyAlphabet
+		return ErrEmptyAlphabet
 	}
 	if live == 1 {
 		// A single-symbol alphabet still needs one bit per symbol so the
 		// decoder can count symbols.
 		lengths[last] = 1
-		return lengths, nil
+		return nil
 	}
 
-	work := make([]int64, n)
-	copy(work, freqs)
+	tb.work = append(tb.work[:0], freqs...)
 	for {
-		depths := buildTreeDepths(work)
-		maxDepth := uint8(0)
-		for i, d := range depths {
-			lengths[i] = d
-			if d > maxDepth {
-				maxDepth = d
-			}
+		if tb.buildTreeDepths(lengths, tb.work) <= MaxCodeLen {
+			return nil
 		}
-		if maxDepth <= MaxCodeLen {
-			return lengths, nil
-		}
-		for i := range work {
-			if work[i] > 0 {
-				work[i] = work[i]/2 + 1
+		for i := range tb.work {
+			if tb.work[i] > 0 {
+				tb.work[i] = tb.work[i]/2 + 1
 			}
 		}
 	}
 }
 
-// buildTreeDepths runs the classic two-queue/heap Huffman construction and
-// returns the leaf depth per symbol.
-func buildTreeDepths(freqs []int64) []uint8 {
-	n := len(freqs)
-	nodes := make([]treeNode, 0, 2*n)
-	h := &nodeHeap{nodes: nil}
+// buildTreeDepths runs the classic heap Huffman construction, writes the
+// leaf depth of every symbol with a nonzero frequency into depths and
+// returns the greatest.
+func (tb *treeBuilder) buildTreeDepths(depths []uint8, freqs []int64) uint8 {
+	tb.nodes, tb.heap = tb.nodes[:0], tb.heap[:0]
 	for i, f := range freqs {
 		if f > 0 {
-			nodes = append(nodes, treeNode{freq: f, sym: i, left: -1, right: -1})
+			tb.heap = append(tb.heap, int32(len(tb.nodes)))
+			tb.nodes = append(tb.nodes, treeNode{freq: f, sym: int32(i)})
 		}
 	}
-	h.nodes = nodes
-	h.order = make([]int, len(nodes))
-	for i := range h.order {
-		h.order[i] = i
+	for i := len(tb.heap)/2 - 1; i >= 0; i-- {
+		tb.siftDown(i)
 	}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		h.nodes = append(h.nodes, treeNode{
-			freq: h.nodes[a].freq + h.nodes[b].freq,
+	for len(tb.heap) > 1 {
+		a, last := tb.heap[0], len(tb.heap)-1
+		tb.heap[0], tb.heap = tb.heap[last], tb.heap[:last]
+		tb.siftDown(0)
+		b := tb.heap[0]
+		tb.nodes = append(tb.nodes, treeNode{
+			freq: tb.nodes[a].freq + tb.nodes[b].freq,
 			sym:  -1, left: a, right: b,
 		})
-		heap.Push(h, len(h.nodes)-1)
+		// The merged node takes the second child's place at the top.
+		tb.heap[0] = int32(len(tb.nodes) - 1)
+		tb.siftDown(0)
 	}
-	root := h.order[0]
-	depths := make([]uint8, n)
-	// Iterative DFS with explicit stack; recursion depth could otherwise be
-	// large for skewed trees.
-	type frame struct {
-		node  int
-		depth uint8
-	}
-	stack := []frame{{root, 0}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := h.nodes[f.node]
+	// Parents follow their children in the pool, so one backward sweep from
+	// the root (the last node, depth 0 like every new node) hands each its
+	// depth.
+	maxDepth := uint8(0)
+	for i := len(tb.nodes) - 1; i >= 0; i-- {
+		nd := tb.nodes[i]
 		if nd.sym >= 0 {
-			depths[nd.sym] = f.depth
+			depths[nd.sym] = nd.depth
+			maxDepth = max(maxDepth, nd.depth)
 			continue
 		}
-		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+		tb.nodes[nd.left].depth = nd.depth + 1
+		tb.nodes[nd.right].depth = nd.depth + 1
 	}
-	return depths
+	return maxDepth
 }
 
-// canonicalCodes assigns canonical codewords for the given lengths.
-func canonicalCodes(lengths []uint8) ([]Code, error) {
-	var lenCount [MaxCodeLen + 1]int
-	maxLen := uint8(0)
+// countLengths validates a code-length table — every length within
+// MaxCodeLen, at least one code, Kraft-McMillan sum at most 1 — and returns
+// how many codes have each length and the greatest length.
+func countLengths(lengths []uint8) (lenCount [MaxCodeLen + 1]int, maxLen uint8, err error) {
 	for _, l := range lengths {
 		if l > MaxCodeLen {
-			return nil, ErrInvalidLengths
+			return lenCount, 0, ErrInvalidLengths
 		}
 		if l > 0 {
 			lenCount[l]++
-			if l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, l)
 		}
 	}
 	if maxLen == 0 {
-		return nil, ErrInvalidLengths
+		return lenCount, 0, ErrInvalidLengths
 	}
-	// Kraft-McMillan check: sum 2^-l must not exceed 1.
 	var kraft uint64
-	unit := uint64(1) << maxLen
 	for l := uint8(1); l <= maxLen; l++ {
 		kraft += uint64(lenCount[l]) << (maxLen - l)
 	}
-	if kraft > unit {
-		return nil, ErrInvalidLengths
+	if kraft > uint64(1)<<maxLen {
+		return lenCount, 0, ErrInvalidLengths
 	}
-	var nextCode [MaxCodeLen + 2]uint64
+	return lenCount, maxLen, nil
+}
+
+// firstCodes returns the first canonical codeword of each length: codes are
+// assigned in (length, symbol) order.
+func firstCodes(lenCount *[MaxCodeLen + 1]int, maxLen uint8) (first [MaxCodeLen + 1]uint64) {
 	code := uint64(0)
 	for l := uint8(1); l <= maxLen; l++ {
 		code = (code + uint64(lenCount[l-1])) << 1
-		nextCode[l] = code
+		first[l] = code
 	}
-	codes := make([]Code, len(lengths))
+	return first
+}
+
+// assignCodes fills codes (one entry per symbol) with the canonical
+// codewords for the given lengths.
+func assignCodes(codes []Code, lengths []uint8) error {
+	lenCount, maxLen, err := countLengths(lengths)
+	if err != nil {
+		return err
+	}
+	next := firstCodes(&lenCount, maxLen)
 	for sym, l := range lengths {
-		if l == 0 {
-			continue
+		codes[sym] = Code{}
+		if l != 0 {
+			codes[sym] = Code{Bits: next[l], Len: l}
+			next[l]++
 		}
-		codes[sym] = Code{Bits: nextCode[l], Len: l}
-		nextCode[l]++
 	}
-	return codes, nil
+	return nil
 }
 
 // Encoder encodes symbols with a canonical code book.
@@ -220,8 +244,8 @@ type Encoder struct {
 
 // NewEncoder builds an encoder from code lengths.
 func NewEncoder(lengths []uint8) (*Encoder, error) {
-	codes, err := canonicalCodes(lengths)
-	if err != nil {
+	codes := make([]Code, len(lengths))
+	if err := assignCodes(codes, lengths); err != nil {
 		return nil, err
 	}
 	return &Encoder{codes: codes}, nil
@@ -234,6 +258,25 @@ func (e *Encoder) Encode(w *bitio.Writer, sym int) error {
 	}
 	c := e.codes[sym]
 	return w.WriteBits(c.Bits, uint(c.Len))
+}
+
+// encodeBytes writes the code of every byte of src. codes must hold a code
+// for each byte value that occurs, as a book built from src's own histogram
+// does, which is what lets the loop skip Encode's per-symbol checks. Codes
+// collect in a local word and reach the writer a word at a time.
+func encodeBytes(w *bitio.Writer, codes *[256]Code, src []byte) {
+	var acc uint64
+	var n uint
+	for _, b := range src {
+		c := codes[b]
+		if n+uint(c.Len) > 64 {
+			_ = w.WriteBits(acc, n) // n <= 64
+			acc, n = 0, 0
+		}
+		acc = acc<<c.Len | c.Bits
+		n += uint(c.Len)
+	}
+	_ = w.WriteBits(acc, n)
 }
 
 // tableBits sizes the one-level fast decode table: codes up to this long
@@ -257,62 +300,52 @@ type Decoder struct {
 
 // NewDecoder builds a decoder from code lengths.
 func NewDecoder(lengths []uint8) (*Decoder, error) {
-	codes, err := canonicalCodes(lengths)
-	if err != nil {
+	d := &Decoder{}
+	if err := d.init(lengths); err != nil {
 		return nil, err
 	}
-	d := &Decoder{}
-	type ls struct {
-		sym int
-		l   uint8
-	}
-	pairs := make([]ls, 0, len(lengths))
-	for sym, l := range lengths {
-		if l > 0 {
-			pairs = append(pairs, ls{sym, l})
-			d.lenCount[l]++
-			if l > d.maxLen {
-				d.maxLen = l
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].l != pairs[j].l {
-			return pairs[i].l < pairs[j].l
-		}
-		return pairs[i].sym < pairs[j].sym
-	})
-	d.syms = make([]int, len(pairs))
-	for i, p := range pairs {
-		d.syms[i] = p.sym
-	}
-	idx := 0
-	for l := uint8(1); l <= d.maxLen; l++ {
-		if d.lenCount[l] > 0 {
-			first := pairs[idx].sym
-			d.firstCode[l] = codes[first].Bits
-			d.firstSym[l] = idx
-			idx += d.lenCount[l]
-		}
-	}
-	d.buildFastTable(codes)
 	return d, nil
 }
 
-// buildFastTable fills the one-level lookup for codes of length ≤ tableBits.
-func (d *Decoder) buildFastTable(codes []Code) {
-	d.fast = make([]uint32, 1<<tableBits)
-	for sym, c := range codes {
-		if c.Len == 0 || c.Len > tableBits {
+// init (re)builds d for a code-length table, keeping the arrays it has.
+func (d *Decoder) init(lengths []uint8) error {
+	var err error
+	if d.lenCount, d.maxLen, err = countLengths(lengths); err != nil {
+		return err
+	}
+	d.firstCode = firstCodes(&d.lenCount, d.maxLen)
+	coded := 0
+	for l := uint8(1); l <= d.maxLen; l++ {
+		d.firstSym[l] = coded
+		coded += d.lenCount[l]
+	}
+	d.syms = slices.Grow(d.syms[:0], coded)[:coded]
+	if d.fast == nil {
+		d.fast = make([]uint32, 1<<tableBits)
+	}
+	clear(d.fast)
+	// Symbols in ascending order land in (length, symbol) order within each
+	// length's run of syms; a symbol's code is its length's first code plus
+	// its place in that run.
+	var placed [MaxCodeLen + 1]int
+	for sym, l := range lengths {
+		if l == 0 {
 			continue
 		}
-		entry := uint32(sym)<<6 | uint32(c.Len)
-		shift := tableBits - uint(c.Len)
-		base := c.Bits << shift
+		d.syms[d.firstSym[l]+placed[l]] = sym
+		code := d.firstCode[l] + uint64(placed[l])
+		placed[l]++
+		if l > tableBits {
+			continue
+		}
+		entry := uint32(sym)<<6 | uint32(l)
+		shift := tableBits - uint(l)
+		base := code << shift
 		for fill := uint64(0); fill < 1<<shift; fill++ {
 			d.fast[base|fill] = entry
 		}
 	}
+	return nil
 }
 
 // Decode reads one symbol.
@@ -330,24 +363,78 @@ func (d *Decoder) Decode(r *bitio.Reader) (int, error) {
 			return int(entry >> 6), nil
 		}
 	}
-	var code uint64
-	for l := uint8(1); l <= d.maxLen; l++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		code = code<<1 | uint64(bit)
-		if l <= tableBits {
-			continue // short codes were handled by the fast path
-		}
-		if cnt := d.lenCount[l]; cnt > 0 {
-			off := code - d.firstCode[l]
-			if code >= d.firstCode[l] && off < uint64(cnt) {
-				return d.syms[d.firstSym[l]+int(off)], nil
-			}
+	window, avail := r.PeekBits(MaxCodeLen)
+	sym, l := d.longCode(window << (64 - MaxCodeLen))
+	switch {
+	case sym < 0 && avail >= uint(d.maxLen):
+		return 0, ErrInvalidLengths
+	case sym < 0 || l > avail: // the input ended inside a code
+		return 0, io.ErrUnexpectedEOF
+	}
+	return sym, r.SkipBits(l)
+}
+
+// longCode resolves the code at the top of window when it is longer than
+// the fast table covers, by the canonical walk: a code of length l is its
+// length's first code plus its symbol's place among that length's symbols.
+// It returns -1 when no code matches.
+func (d *Decoder) longCode(window uint64) (sym int, l uint) {
+	for l = tableBits + 1; l <= uint(d.maxLen); l++ {
+		code := window >> (64 - l)
+		if off := code - d.firstCode[l]; code >= d.firstCode[l] && off < uint64(d.lenCount[l]) {
+			return d.syms[d.firstSym[l]+int(off)], l
 		}
 	}
-	return 0, ErrInvalidLengths
+	return -1, 0
+}
+
+// decodeBytes decodes len(dst) symbols of a byte alphabet from src, starting
+// bitPos bits in. It keeps up to 64 bits of input in a left-aligned window
+// that is topped up whenever fewer than MaxCodeLen remain — about once every
+// five symbols — and looks codes up in it directly; past the end of src the
+// window fills with zeros, and a decode that needed any of them fails.
+func (d *Decoder) decodeBytes(dst, src []byte, bitPos int) error {
+	pos := bitPos >> 3
+	var window uint64
+	var have uint // bits in window, counting zeros past the end of src
+	if skip := uint(bitPos & 7); skip != 0 && pos < len(src) {
+		window = uint64(src[pos]) << (56 + skip)
+		have = 8 - skip
+		pos++
+	}
+	used := bitPos
+	for i := range dst {
+		if have < MaxCodeLen {
+			if pos+8 <= len(src) {
+				window |= binary.BigEndian.Uint64(src[pos:]) >> have
+				pos += int(63-have) >> 3
+				have |= 56
+			} else {
+				for ; have <= 56; have += 8 {
+					if pos < len(src) {
+						window |= uint64(src[pos]) << (56 - have)
+					}
+					pos++
+				}
+			}
+		}
+		entry := d.fast[window>>(64-tableBits)]
+		l := uint(entry & 0x3F)
+		sym := int(entry >> 6)
+		if l == 0 {
+			if sym, l = d.longCode(window); sym < 0 {
+				return ErrInvalidLengths
+			}
+		}
+		dst[i] = byte(sym)
+		window <<= l
+		have -= l
+		used += int(l)
+	}
+	if used > len(src)*8 {
+		return io.ErrUnexpectedEOF
+	}
+	return nil
 }
 
 // WriteLengths serializes a code-length table compactly: each entry is 6
@@ -378,10 +465,19 @@ func WriteLengths(w *bitio.Writer, lengths []uint8) error {
 // ReadLengths reads a table of n code lengths written by WriteLengths.
 func ReadLengths(r *bitio.Reader, n int) ([]uint8, error) {
 	lengths := make([]uint8, n)
-	for i := 0; i < n; {
+	if err := readLengths(r, lengths); err != nil {
+		return nil, err
+	}
+	return lengths, nil
+}
+
+// readLengths is ReadLengths into a caller-supplied table.
+func readLengths(r *bitio.Reader, lengths []uint8) error {
+	clear(lengths)
+	for i := 0; i < len(lengths); {
 		v, err := r.ReadBits(6)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if v != 0 {
 			lengths[i] = uint8(v)
@@ -390,47 +486,61 @@ func ReadLengths(r *bitio.Reader, n int) ([]uint8, error) {
 		}
 		run, err := r.ReadBits(8)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		i += int(run) + 1
 	}
-	return lengths, nil
+	return nil
 }
 
-// Histogram counts byte frequencies in src into a 256-entry table.
-func Histogram(src []byte) []int64 {
-	freqs := make([]int64, 256)
-	for _, b := range src {
-		freqs[b]++
-	}
-	return freqs
+// byteCoder is everything the byte-alphabet codec (Compress, Decompress)
+// works in besides its input and output: histogram, code book, tree arrays,
+// decode tables and the bit buffer. Values are recycled through coderPool,
+// and the first call allocates the first one.
+type byteCoder struct {
+	freq    [256]int64
+	lengths [256]uint8
+	codes   [256]Code
+	tree    treeBuilder
+	dec     Decoder
+	w       bitio.Writer
 }
+
+var coderPool = sync.Pool{New: func() any { return new(byteCoder) }}
 
 // Compress encodes src with an order-0 byte Huffman code. The output layout
 // is: code-length table, then the coded symbols. The caller must remember
 // len(src) to decompress (the codec framing layer stores it).
 func Compress(src []byte) ([]byte, error) {
+	return AppendCompress(nil, src)
+}
+
+// AppendCompress appends Compress(src) to dst. The bits are packed in a
+// recycled buffer and copied out once, so when dst has no spare capacity the
+// result is the call's only allocation and is exactly as long as it needs
+// to be.
+func AppendCompress(dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	lengths, err := BuildLengths(Histogram(src))
-	if err != nil {
-		return nil, err
-	}
-	enc, err := NewEncoder(lengths)
-	if err != nil {
-		return nil, err
-	}
-	w := bitio.NewWriter(len(src)/2 + 64)
-	if err := WriteLengths(w, lengths); err != nil {
-		return nil, err
-	}
+	c := coderPool.Get().(*byteCoder)
+	defer coderPool.Put(c)
+	c.freq = [256]int64{}
 	for _, b := range src {
-		if err := enc.Encode(w, int(b)); err != nil {
-			return nil, err
-		}
+		c.freq[b]++
 	}
-	return w.Bytes(), nil
+	if err := c.tree.buildLengths(c.lengths[:], c.freq[:]); err != nil {
+		return nil, err
+	}
+	if err := assignCodes(c.codes[:], c.lengths[:]); err != nil {
+		return nil, err
+	}
+	c.w.Reset()
+	if err := WriteLengths(&c.w, c.lengths[:]); err != nil {
+		return nil, err
+	}
+	encodeBytes(&c.w, &c.codes, src)
+	return append(dst, c.w.Bytes()...), nil
 }
 
 // Decompress reverses Compress, producing exactly origLen bytes.
@@ -438,22 +548,32 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 	if origLen == 0 {
 		return nil, nil
 	}
-	r := bitio.NewReader(src)
-	lengths, err := ReadLengths(r, 256)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := NewDecoder(lengths)
-	if err != nil {
-		return nil, err
+	// Every code is at least one bit long, so src bounds what it can hold:
+	// refuse before origLen, a number off the wire, sizes anything.
+	if origLen > 8*len(src) {
+		return nil, fmt.Errorf("huffman: %d symbols in %d bytes: %w", origLen, len(src), io.ErrUnexpectedEOF)
 	}
 	dst := make([]byte, origLen)
-	for i := range dst {
-		sym, err := dec.Decode(r)
-		if err != nil {
-			return nil, err
-		}
-		dst[i] = byte(sym)
+	if err := DecompressInto(dst, src); err != nil {
+		return nil, err
 	}
 	return dst, nil
+}
+
+// DecompressInto reverses Compress into dst, whose length says how many
+// bytes src encodes.
+func DecompressInto(dst, src []byte) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	c := coderPool.Get().(*byteCoder)
+	defer coderPool.Put(c)
+	r := bitio.NewReader(src)
+	if err := readLengths(r, c.lengths[:]); err != nil {
+		return err
+	}
+	if err := c.dec.init(c.lengths[:]); err != nil {
+		return err
+	}
+	return c.dec.decodeBytes(dst, src, len(src)*8-r.BitsRemaining())
 }

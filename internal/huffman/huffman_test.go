@@ -2,11 +2,18 @@ package huffman
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ccx/internal/bitio"
+	"ccx/internal/datagen"
 )
 
 func TestBuildLengthsBasic(t *testing.T) {
@@ -296,7 +303,11 @@ func TestQuickRoundtrip(t *testing.T) {
 // typical codes. We verify the decoder recovers the tail of the stream.
 func TestSelfSynchronization(t *testing.T) {
 	data := bytes.Repeat([]byte("abracadabra synchronization test "), 200)
-	lengths, err := BuildLengths(Histogram(data))
+	freqs := make([]int64, 256)
+	for _, b := range data {
+		freqs[b]++
+	}
+	lengths, err := BuildLengths(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,5 +430,120 @@ func TestLongCodesBeyondFastTable(t *testing.T) {
 		if got != want {
 			t.Fatalf("symbol %d: got %d want %d", i, got, want)
 		}
+	}
+}
+
+// corpusBlocks cuts the benchmark's corpus mix (benchmark/corpus.go: half
+// OIS transactions at repetition 0.9, half XML documents) into blocks.
+func corpusBlocks(seed int64, blocks, blockSize int) [][]byte {
+	size := blocks * blockSize
+	data := append(datagen.OISTransactions(size/2, 0.9, seed), datagen.XMLDocuments(size-size/2, seed+1)...)
+	out := make([][]byte, 0, blocks)
+	for off := 0; off+blockSize <= len(data); off += blockSize {
+		out = append(out, data[off:off+blockSize])
+	}
+	return out
+}
+
+// TestCorpusByteIdentity pins the bytes Compress emits for 64 blocks of
+// 128 KiB of the benchmark corpus to their SHA-256 as computed by the
+// per-symbol encoder over container/heap code lengths (commit 2c3aaf8): the
+// bulk paths and the hand-rolled heap must not move one bit.
+func TestCorpusByteIdentity(t *testing.T) {
+	const want = "19d93bb2bbd807b4ea41ff70adc3142ec73e34eb6c7a0aac8716c6a1cacc618a"
+	h := sha256.New()
+	for _, block := range corpusBlocks(1, 64, 128<<10) {
+		out, err := Compress(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(out)
+		back, err := Decompress(out, len(block))
+		if err != nil || !bytes.Equal(back, block) {
+			t.Fatalf("round trip failed: %v", err)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Compress over the corpus hashes to %s, want %s", got, want)
+	}
+}
+
+// TestBulkDecodeLongCodesAndTruncation sends the bulk decoder down its slow
+// path (a byte alphabet skewed until rare values get codes longer than the
+// fast table) and then cuts the stream at every length: a decode that would
+// need bits past the end must fail, never read zeros as data.
+func TestBulkDecodeLongCodesAndTruncation(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	data := make([]byte, 0, 1<<16)
+	for v := 0; v < 256; v++ {
+		data = append(data, byte(v)) // once each: about 2^-16 of the text
+	}
+	for len(data) < cap(data) {
+		data = append(data, "abcd"[rng.Intn(4)])
+	}
+	rng.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
+	freqs := make([]int64, 256)
+	for _, b := range data {
+		freqs[b]++
+	}
+	if lengths, err := BuildLengths(freqs); err != nil || slices.Max(lengths) <= tableBits {
+		t.Fatalf("test needs codes beyond the %d-bit fast table (%v)", tableBits, err)
+	}
+	comp, err := Compress(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decompress(comp, len(data))
+	if err != nil || !bytes.Equal(back, data) {
+		t.Fatalf("round trip through codes beyond the fast table failed: %v", err)
+	}
+	small := data[:300]
+	comp, err = Compress(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(comp); cut++ {
+		if _, err := Decompress(comp[:cut], len(small)); err == nil {
+			t.Fatalf("stream cut to %d of %d bytes decoded without error", cut, len(comp))
+		}
+	}
+}
+
+// TestDecompressRefusesImplausibleLength: every code is at least one bit, so
+// an origLen beyond eight per input byte is refused before it sizes anything.
+func TestDecompressRefusesImplausibleLength(t *testing.T) {
+	comp, err := Compress(bytes.Repeat([]byte("ab"), 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Decompress(comp, 1<<30)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing %d bytes declared as 1 GiB allocated %d bytes", len(comp), grew)
+	}
+}
+
+// TestByteCodecSteadyStateAllocs: with the pool warm the byte codec
+// allocates its result and nothing else. Warm is the least of several calls:
+// a collection empties the pool, and under the race detector sync.Pool
+// drops a quarter of what it is handed.
+func TestByteCodecSteadyStateAllocs(t *testing.T) {
+	block := corpusBlocks(1, 1, 128<<10)[0]
+	comp, err := Compress(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, dec := 1e9, 1e9
+	for i := 0; i < 20; i++ {
+		enc = min(enc, testing.AllocsPerRun(1, func() { Compress(block) }))
+		dec = min(dec, testing.AllocsPerRun(1, func() { Decompress(comp, len(block)) }))
+	}
+	if enc > 2 || dec > 2 {
+		t.Errorf("a 128 KiB block: Compress %.0f allocations, Decompress %.0f, want <= 2 each", enc, dec)
 	}
 }
