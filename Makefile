@@ -5,8 +5,12 @@ SWARM_COMPARE ?= swarm-gate-compare.json
 SOAK_SUBS ?= 1000
 SOAK_OUT ?= soak-metrics.jsonl
 SOAK_GOMEMLIMIT ?= 512MiB
+BENCH_A ?= HEAD~1
+BENCH_B ?= HEAD
+BENCH_PAIRS ?= 5
+BENCH_OUT ?= bench/pair
 
-.PHONY: all build test race vet loc benchmark-check swarm swarm-gate swarm-baseline breakeven soak clean
+.PHONY: all build test race vet loc benchmark-check bench-pair swarm swarm-gate swarm-baseline breakeven soak clean
 
 all: build test
 
@@ -34,6 +38,16 @@ loc:
 # packages, so a signature change there cannot break it unnoticed.
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# bench-pair measures commit BENCH_B against commit BENCH_A the way a PR that
+# claims a gain must: BENCH_PAIRS alternating 20 s runs of every workload
+# from exports of the two commits, one traced slow-link run per side, the
+# --out records under $(BENCH_OUT)/{parent,change}/ and the compare table on
+# stdout (an hour at the defaults; `make bench-pair BENCH_A=fe65f7f
+# BENCH_OUT=bench/pr24` made bench/pr24).
+bench-pair:
+	bash scripts/benchpair.sh $(BENCH_A) $(BENCH_B) --pairs $(BENCH_PAIRS) \
+		--traced p2p_slowlink_128k --out $(BENCH_OUT)
 
 # swarm drives the subscriber-swarm harness: SWARM_SUBS subscribers over
 # simulated links against an in-process broker, asserting the encode

@@ -9,6 +9,7 @@ package arith
 
 import (
 	"errors"
+	"runtime"
 
 	"ccx/internal/bitio"
 )
@@ -30,6 +31,10 @@ const (
 )
 
 const alphabetSize = 256
+
+// yieldEvery is how many symbols a coding loop handles between yields of its
+// processor: the slowest method must not be the longest anyone waits.
+const yieldEvery = 16 * 1024
 
 // model is an adaptive byte-frequency model backed by a Fenwick tree for
 // O(log n) cumulative-frequency queries and updates.
@@ -123,7 +128,10 @@ func Compress(src []byte) ([]byte, error) {
 		}
 	}
 
-	for _, b := range src {
+	for i, b := range src {
+		if i%yieldEvery == yieldEvery-1 {
+			runtime.Gosched()
+		}
 		sym := int(b)
 		total := uint64(m.total)
 		cumLo := uint64(m.cumBefore(sym))
@@ -185,6 +193,9 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 	low, high := uint64(0), full-1
 	dst := make([]byte, origLen)
 	for i := 0; i < origLen; i++ {
+		if i%yieldEvery == yieldEvery-1 {
+			runtime.Gosched()
+		}
 		total := uint64(m.total)
 		span := high - low + 1
 		target := ((value-low+1)*total - 1) / span

@@ -2,13 +2,27 @@ package arith
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
+
+// allocatedBy reports the bytes fn allocated, as the growth of the
+// process's cumulative allocation count.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
 
 // FuzzArithDecode feeds arbitrary bytes to both the order-0 and order-1
 // decoders. Arithmetic decoding happily "decodes" random bit streams into
 // random symbols — that is fine; what must never happen is a panic, a hang,
-// or output of a length other than the claimed one on success.
+// output of a length other than the claimed one on success, or allocation
+// beyond the block and the models. An arithmetic code has no least cost per
+// symbol, so no origLen is implausible for an input and the ceiling is in
+// origLen alone.
 func FuzzArithDecode(f *testing.F) {
 	seeds := [][]byte{
 		nil,
@@ -34,11 +48,17 @@ func FuzzArithDecode(f *testing.F) {
 		if origLen < 0 || origLen > 1<<20 {
 			return
 		}
-		if out, err := Decompress(data, origLen); err == nil && len(out) != origLen {
-			t.Fatalf("order-0 decoded %d bytes, claimed %d", len(out), origLen)
-		}
-		if out, err := DecompressOrder1(data, origLen); err == nil && len(out) != origLen {
-			t.Fatalf("order-1 decoded %d bytes, claimed %d", len(out), origLen)
+		grew := allocatedBy(func() {
+			if out, err := Decompress(data, origLen); err == nil && len(out) != origLen {
+				t.Fatalf("order-0 decoded %d bytes, claimed %d", len(out), origLen)
+			}
+			if out, err := DecompressOrder1(data, origLen); err == nil && len(out) != origLen {
+				t.Fatalf("order-1 decoded %d bytes, claimed %d", len(out), origLen)
+			}
+		})
+		// Two blocks, and at most 257 models of 2 KiB between the two orders.
+		if ceiling := uint64(2*origLen + 2<<20); grew > ceiling {
+			t.Fatalf("decoding %d bytes as %d twice allocated %d, ceiling %d", len(data), origLen, grew, ceiling)
 		}
 	})
 }

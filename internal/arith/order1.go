@@ -1,6 +1,8 @@
 package arith
 
 import (
+	"runtime"
+
 	"ccx/internal/bitio"
 )
 
@@ -38,7 +40,10 @@ func CompressOrder1(src []byte) ([]byte, error) {
 		}
 	}
 	ctx := byte(0)
-	for _, b := range src {
+	for i, b := range src {
+		if i%yieldEvery == yieldEvery-1 {
+			runtime.Gosched()
+		}
 		m := getModel(ctx)
 		sym := int(b)
 		total := uint64(m.total)
@@ -108,6 +113,9 @@ func DecompressOrder1(src []byte, origLen int) ([]byte, error) {
 	dst := make([]byte, origLen)
 	ctx := byte(0)
 	for i := 0; i < origLen; i++ {
+		if i%yieldEvery == yieldEvery-1 {
+			runtime.Gosched()
+		}
 		m := getModel(ctx)
 		total := uint64(m.total)
 		span := high - low + 1

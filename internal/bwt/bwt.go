@@ -22,6 +22,19 @@
 // exact power and its rotations repeat in k equal copies; u is sorted once
 // and each row stands k times.
 //
+// Decompress inverts chunks four at a time. The walk back through a chunk
+// is a chain of dependent loads, so each chunk's last column and LF mapping
+// are packed into one table (one load per byte, not two) in a lane of its
+// own and four chains are walked in one loop, their loads overlapping; what
+// is left of a block, or chunks of unequal length, are walked one by one.
+//
+// No call computes for longer than one such unit without yielding: Go runs
+// expired timers and readied goroutines when a processor enters the
+// scheduler, and a wire writer should not wait out a block. Compress yields
+// after each chunk; Decompress, which the sender's writer is waiting on and
+// which each yield can queue behind somebody's chunk, after each group.
+// Neither is a setting.
+//
 // Wire format, after Huffman decoding: per chunk, the chunk length and the
 // primary index (the row of the sorted rotation matrix that holds the chunk
 // itself) as four 7-bit bytes each, the run-length-coded move-to-front ranks
@@ -36,6 +49,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -47,8 +61,13 @@ import (
 // less effectively compressed" — but outgrow the cache the sort works in.
 const DefaultChunkSize = 16 * 1024
 
-// maxChunkLen is the longest chunk the header's four 7-bit bytes can state.
-const maxChunkLen = 1<<28 - 1
+// maxChunkLen is the longest chunk whose rows fit the 24 bits the inverse's
+// packed table gives a row; it is also the longest block a frame carries.
+// (The header's four 7-bit bytes could state 2^28-1.)
+const maxChunkLen = 1 << 24
+
+// lanes is how many chunks Decompress inverts side by side.
+const lanes = 4
 
 // marker is the reserved synchronization byte that terminates every chunk.
 const marker = 0xFF
@@ -59,14 +78,16 @@ var ErrCorrupt = errors.New("bwt: corrupt input")
 // scratch holds every intermediate of one Compress or Decompress call, so
 // that with the pool warm a call allocates its result and nothing else (and
 // a process that never uses this method never builds one). The arrays grow
-// to the largest chunk seen and are reused chunk after chunk; nothing in
-// here outlives the call that took it from the pool.
+// to the largest chunk seen and are reused chunk after chunk, the four
+// tables group after group; nothing in here outlives the call that took it
+// from the pool.
 type scratch struct {
-	turned []byte  // encode: the chunk twice over, led by its own last byte
-	last   []byte  // last column; while decoding, the ranks it is recovered from
-	sa     []int32 // encode: suffix array of the chunk's root; decode: the LF mapping
-	work   []int32 // encode: bucket tables of the suffix sort
-	inter  []byte  // the marker-delimited stream the Huffman stage codes
+	turned []byte          // encode: the chunk twice over, led by its own last byte
+	last   []byte          // last column; while decoding, the ranks it is recovered from
+	sa     []int32         // encode: suffix array of the chunk's root
+	work   []int32         // encode: bucket tables of the suffix sort
+	lf     [lanes][]uint32 // decode: per chunk of a group, LF(i)<<8 | last[i]
+	inter  []byte          // the marker-delimited stream the Huffman stage codes
 	hdr    [binary.MaxVarintLen64]byte
 }
 
@@ -132,38 +153,51 @@ func leastRotation(twice []byte) (start, period int) {
 	return start, period
 }
 
-// inverse reverses transform: it writes the text whose last column is last
-// and whose own row is primary into dst (same length).
-func (s *scratch) inverse(dst, last []byte, primary int) error {
-	n := len(last)
-	if n == 0 {
-		return nil
-	}
-	if primary < 0 || primary >= n {
-		return fmt.Errorf("%w: primary index %d out of range", ErrCorrupt, primary)
-	}
-	// LF mapping: LF(i) = C[last[i]] + occ(last[i], i).
-	var next [256]int32
+// lfTable packs a last column and its LF mapping, LF(i) = C[last[i]] +
+// occ(last[i], i), into t, one word per row: LF(i)<<8 | last[i]. Walking the
+// text back is then one load per byte. Every index comes from counting the
+// column, so whatever the column holds the mapping is a permutation of its
+// rows and a walk cannot leave it.
+func lfTable(t []uint32, last []byte) []uint32 {
+	var next [256]uint32
 	for _, b := range last {
 		next[b]++
 	}
-	sum := int32(0)
+	sum := uint32(0)
 	for v, c := range next {
-		next[v] = sum
+		next[v] = sum<<8 | uint32(v)
 		sum += c
 	}
-	s.sa = slices.Grow(s.sa[:0], n)[:n]
-	lf := s.sa
+	t = slices.Grow(t[:0], len(last))[:len(last)]
 	for i, b := range last {
-		lf[i] = next[b]
-		next[b]++
+		t[i] = next[b]
+		next[b] += 1 << 8
 	}
-	row := int32(primary)
-	for k := n - 1; k >= 0; k-- {
-		dst[k] = last[row]
-		row = lf[row]
+	return t
+}
+
+// walk reverses transform: it writes into dst, back to front, the text whose
+// table is t (same length) and whose own row is row.
+func walk(dst []byte, t []uint32, row uint32) {
+	for k := len(dst) - 1; k >= 0; k-- {
+		v := t[row]
+		dst[k] = byte(v)
+		row = v >> 8
 	}
-	return nil
+}
+
+// walk4 is walk over four texts of one length at once: each chain's next
+// load waits on its last, and four chains that do not wait on each other
+// keep four loads in flight.
+func walk4(dst *[lanes][]byte, t *[lanes][]uint32, row [lanes]uint32) {
+	d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
+	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+	r0, r1, r2, r3 := row[0], row[1], row[2], row[3]
+	for k := len(d0) - 1; k >= 0; k-- {
+		v0, v1, v2, v3 := t0[r0], t1[r1], t2[r2], t3[r3]
+		d0[k], d1[k], d2[k], d3[k] = byte(v0), byte(v1), byte(v2), byte(v3)
+		r0, r1, r2, r3 = v0>>8, v1>>8, v2>>8, v3>>8
+	}
 }
 
 // appendMTFRLE appends to dst the run-length coding of the move-to-front
@@ -327,6 +361,7 @@ func CompressChunked(src []byte, chunkSize int) ([]byte, error) {
 		inter = encode7(inter, primary)
 		inter = appendMTFRLE(inter, last)
 		inter = append(inter, marker)
+		runtime.Gosched() // a chunk is as long as an encode keeps its processor
 	}
 	s.inter = inter
 	// Joint Huffman over every chunk (§2.4: "all of the chunks are
@@ -362,33 +397,52 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 	dst := make([]byte, origLen)
 	off := 0
 	for inter := s.inter; len(inter) > 0; {
-		chunkLen, err := decode7(inter)
-		if err != nil {
-			return nil, err
+		// A group: up to four chunks, each with its table in a lane of its own.
+		var out [lanes][]byte
+		var row [lanes]uint32
+		g := 0
+		for ; g < lanes && len(inter) > 0; g++ {
+			chunkLen, err := decode7(inter)
+			if err != nil {
+				return nil, err
+			}
+			primary, err := decode7(inter[4:])
+			if err != nil {
+				return nil, err
+			}
+			if chunkLen > origLen-off {
+				return nil, fmt.Errorf("%w: output exceeds original length", ErrCorrupt)
+			}
+			if chunkLen > maxChunkLen || primary >= chunkLen {
+				return nil, fmt.Errorf("%w: chunk of %d with primary index %d", ErrCorrupt, chunkLen, primary)
+			}
+			inter = inter[8:]
+			// Chunk body runs to the next marker byte.
+			end := bytes.IndexByte(inter, marker)
+			if end < 0 {
+				return nil, fmt.Errorf("%w: missing chunk marker", ErrCorrupt)
+			}
+			s.last = slices.Grow(s.last[:0], chunkLen)[:chunkLen]
+			if err := rleDecode(s.last, inter[:end]); err != nil {
+				return nil, err
+			}
+			mtfDecode(s.last)
+			s.lf[g] = lfTable(s.lf[g], s.last)
+			out[g], row[g] = dst[off:off+chunkLen], uint32(primary)
+			off += chunkLen
+			inter = inter[end+1:]
 		}
-		primary, err := decode7(inter[4:])
-		if err != nil {
-			return nil, err
+		n := len(out[0])
+		if g == lanes && len(out[1]) == n && len(out[2]) == n && len(out[3]) == n {
+			walk4(&out, &s.lf, row)
+		} else {
+			for i := range out[:g] {
+				walk(out[i], s.lf[i], row[i])
+			}
 		}
-		if chunkLen > origLen-off {
-			return nil, fmt.Errorf("%w: output exceeds original length", ErrCorrupt)
-		}
-		inter = inter[8:]
-		// Chunk body runs to the next marker byte.
-		end := bytes.IndexByte(inter, marker)
-		if end < 0 {
-			return nil, fmt.Errorf("%w: missing chunk marker", ErrCorrupt)
-		}
-		s.last = slices.Grow(s.last[:0], chunkLen)[:chunkLen]
-		if err := rleDecode(s.last, inter[:end]); err != nil {
-			return nil, err
-		}
-		mtfDecode(s.last)
-		if err := s.inverse(dst[off:off+chunkLen], s.last, primary); err != nil {
-			return nil, err
-		}
-		off += chunkLen
-		inter = inter[end+1:]
+		// The peer's writer waits on this goroutine: a group is as often as
+		// it can yield without queueing behind an encoder's every chunk.
+		runtime.Gosched()
 	}
 	if off != origLen {
 		return nil, fmt.Errorf("%w: produced %d bytes, want %d", ErrCorrupt, off, origLen)

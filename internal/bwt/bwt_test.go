@@ -8,7 +8,9 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -399,6 +401,43 @@ func BenchmarkDecompress128K(b *testing.B) {
 	}
 }
 
+// BenchmarkInverse16K inverts four 16 KiB chunks of the corpus per
+// iteration, table build included: one chain at a time, and the four chains
+// in one loop as Decompress walks a full group.
+func BenchmarkInverse16K(b *testing.B) {
+	var s scratch
+	var out [lanes][]byte
+	var row [lanes]uint32
+	var cols [lanes][]byte
+	data := benchInputs(lanes * DefaultChunkSize)[0].data
+	for g := range cols {
+		last, primary := Transform(data[g*DefaultChunkSize:][:DefaultChunkSize])
+		cols[g], row[g], out[g] = last, uint32(primary), make([]byte, DefaultChunkSize)
+	}
+	run := func(name string, walkAll func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for g, last := range cols {
+					s.lf[g] = lfTable(s.lf[g], last)
+				}
+				walkAll()
+			}
+			b.StopTimer()
+			if got := bytes.Join(out[:], nil); !bytes.Equal(got, data) {
+				b.Fatal("inverse differs from the source")
+			}
+		})
+	}
+	run("one", func() {
+		for g := range out {
+			walk(out[g], s.lf[g], row[g])
+		}
+	})
+	run("four", func() { walk4(&out, &s.lf, row) })
+}
+
 // TestCorpusByteIdentity pins the bytes Compress emits for 64 blocks of
 // 128 KiB of the benchmark corpus to their SHA-256 as computed with the
 // doubling sorter and the unfused, per-stage pipeline (commit 2c3aaf8): a
@@ -550,5 +589,93 @@ func TestDecompressLengthBomb(t *testing.T) {
 	}
 	if _, err := Decompress(payload, 16); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("chunk longer than the block: got %v, want ErrCorrupt", err)
+	}
+}
+
+// yieldsDuring runs fn on one processor beside a goroutine that does nothing
+// but count its turns and yield, and returns the count: how many times fn
+// gave the processor up. No clock is involved.
+func yieldsDuring(fn func()) int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var stop atomic.Bool
+	turns, done := 0, make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			turns++
+			runtime.Gosched()
+		}
+	}()
+	fn()
+	stop.Store(true)
+	<-done
+	return turns
+}
+
+// TestCompressYieldsPerChunk: an encode holds its processor for one chunk at
+// a time, so a 128 KiB block lets whatever else is runnable — the wire
+// writer back from its pacing sleep — in eight times.
+func TestCompressYieldsPerChunk(t *testing.T) {
+	block := corpusBlocks(1, 1, 128<<10)[0]
+	if n := yieldsDuring(func() { Compress(block) }); n < 8 {
+		t.Fatalf("Compress of a 128 KiB block yielded %d times, want >= 8", n)
+	}
+}
+
+// TestDecompressYieldsPerGroup: a decode yields once per group of four
+// chunks, not per chunk — each yield can queue it behind an encoder's chunk,
+// and the sender's writer is waiting on it.
+func TestDecompressYieldsPerGroup(t *testing.T) {
+	block := corpusBlocks(1, 1, 128<<10)[0]
+	out, err := Compress(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := yieldsDuring(func() { Decompress(out, len(block)) }); n < 2 {
+		t.Fatalf("Decompress of a 128 KiB block yielded %d times, want >= 2", n)
+	}
+}
+
+// streamOf assembles a compressed block from chunks stated outright, as the
+// encoder would lay them out, so that a test can state a wrong one.
+func streamOf(chunks ...[]byte) []byte {
+	inter := bytes.Join(chunks, nil)
+	payload, err := huffman.AppendCompress(binary.AppendUvarint(nil, uint64(len(inter))), inter)
+	if err != nil {
+		panic(err)
+	}
+	return payload
+}
+
+// chunkOf is one chunk of a stream: its header, with primary moved by
+// shift, its coded column and the marker.
+func chunkOf(text []byte, shift int) []byte {
+	last, primary := Transform(text)
+	return append(appendMTFRLE(encode7(encode7(nil, len(text)), primary+shift), last), marker)
+}
+
+// TestDecompressBadGroups: a primary index outside its chunk is refused in
+// whichever lane of a group it arrives, before any chain is walked, and so
+// is a group cut short inside a chunk.
+func TestDecompressBadGroups(t *testing.T) {
+	text := corpusBlocks(1, 1, 5*1024)[0]
+	var good [][]byte
+	for off := 0; off < len(text); off += 1024 {
+		good = append(good, chunkOf(text[off:off+1024], 0))
+	}
+	if back, err := Decompress(streamOf(good...), len(text)); err != nil || !bytes.Equal(back, text) {
+		t.Fatalf("five chunks stated outright do not decode: %v", err)
+	}
+	for lane := range good {
+		bad := slices.Clone(good)
+		bad[lane] = chunkOf(text[lane*1024:][:1024], 1024) // primary + n: past the last row
+		if _, err := Decompress(streamOf(bad...), len(text)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("primary out of range in chunk %d: got %v, want ErrCorrupt", lane, err)
+		}
+		cut := slices.Clone(good[:lane+1])
+		cut[lane] = cut[lane][:len(cut[lane])/2]
+		if _, err := Decompress(streamOf(cut...), len(text)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("stream cut inside chunk %d: got %v, want ErrCorrupt", lane, err)
+		}
 	}
 }

@@ -33,6 +33,12 @@ func FuzzBWTDecode(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80}, 16)
 	bomb, bombLen := lengthBomb()
 	f.Add(bomb, bombLen)
+	// Full groups gone wrong: a primary index past its chunk in the third
+	// lane, and a second group cut short inside its chunk.
+	text := bytes.Repeat([]byte("abcde"), 256)
+	a, b, c, d := chunkOf(text[:256], 0), chunkOf(text[256:512], 0), chunkOf(text[512:768], 0), chunkOf(text[768:1024], 0)
+	f.Add(streamOf(a, b, chunkOf(text[512:768], 256), d), 1024)
+	f.Add(streamOf(a, b, c, d, a[:len(a)/2]), 1280)
 
 	f.Fuzz(func(t *testing.T, data []byte, origLen int) {
 		if origLen < 0 || origLen > 1<<20 {
@@ -42,9 +48,9 @@ func FuzzBWTDecode(f *testing.F) {
 		var err error
 		grew := allocatedBy(func() { out, err = Decompress(data, origLen) })
 		// The stream (at most 3·origLen+4096 and 8·len(data)), the block, a
-		// chunk's ranks and its 4-byte-per-row LF mapping; the slack covers
-		// first-use pool fills and whatever else the process allocates
-		// meanwhile.
+		// chunk's ranks and a group's tables, 4 bytes per row of at most four
+		// chunks that together fit the block; the slack covers first-use
+		// pool fills and whatever else the process allocates meanwhile.
 		if ceiling := uint64(16*(len(data)+origLen) + 1<<20); grew > ceiling {
 			t.Fatalf("decoding %d bytes as %d allocated %d, ceiling %d", len(data), origLen, grew, ceiling)
 		}

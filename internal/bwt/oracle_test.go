@@ -2,6 +2,7 @@ package bwt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -33,17 +34,16 @@ func Transform(src []byte) (last []byte, primary int) {
 	return bytes.Clone(col), primary
 }
 
-// Inverse reverses Transform.
+// Inverse reverses Transform, by the one-lane walk.
 func Inverse(last []byte, primary int) ([]byte, error) {
 	if len(last) == 0 {
 		return nil, nil
 	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	dst := make([]byte, len(last))
-	if err := s.inverse(dst, last, primary); err != nil {
-		return nil, err
+	if primary < 0 || primary >= len(last) {
+		return nil, fmt.Errorf("%w: primary index %d out of range", ErrCorrupt, primary)
 	}
+	dst := make([]byte, len(last))
+	walk(dst, lfTable(nil, last), uint32(primary))
 	return dst, nil
 }
 
@@ -144,6 +144,62 @@ func naiveTransform(src []byte) (last []byte, primary int) {
 		}
 	}
 	return last, primary
+}
+
+// naiveInverse is the inverse by definition: prepend the last column to the
+// rows and sort them, as many times as the text is long, and read the row
+// the text was said to be in. Equal rows are equal texts, so ties need no
+// rule.
+func naiveInverse(last []byte, primary int) []byte {
+	rows := make([]string, len(last))
+	for range last {
+		for i, b := range last {
+			rows[i] = string([]byte{b}) + rows[i]
+		}
+		sort.Strings(rows)
+	}
+	return []byte(rows[primary])
+}
+
+// TestInverseLanesAgree compares the four-lane walk, the one-lane walk and,
+// where sorting strings is affordable, the inverse by definition, over
+// groups of four chunks of each size; then the whole decoder over one to
+// nine chunks with a short last one, where full groups take the four lanes
+// and the rest of the block the one.
+func TestInverseLanesAgree(t *testing.T) {
+	corpus := corpusBlocks(5, 1, 9*40<<10)[0]
+	power := bytes.Repeat([]byte("abcd"), lanes*40<<10/4) // chunks of 16 and 40 KiB are exact powers
+	for _, size := range []int{1, 2, 3, 255, 16 << 10, 40 << 10} {
+		for _, data := range [][]byte{corpus, power, bytes.Repeat([]byte{'z'}, lanes*size)} {
+			var s scratch
+			var four, one [lanes][]byte
+			var row [lanes]uint32
+			for g := range four {
+				chunk := data[g*size:][:size]
+				last, primary := Transform(chunk)
+				s.lf[g], row[g] = lfTable(s.lf[g], last), uint32(primary)
+				four[g], one[g] = make([]byte, size), make([]byte, size)
+				walk(one[g], s.lf[g], row[g])
+				if !bytes.Equal(one[g], chunk) {
+					t.Fatalf("chunks of %d: the one-lane walk of chunk %d differs from the text", size, g)
+				}
+				if size <= 255 && !bytes.Equal(naiveInverse(last, primary), chunk) {
+					t.Fatalf("chunks of %d: the inverse by sorting of chunk %d differs from the text", size, g)
+				}
+			}
+			walk4(&four, &s.lf, row)
+			for g := range four {
+				if !bytes.Equal(four[g], one[g]) {
+					t.Fatalf("chunks of %d: lane %d of the four-lane walk differs from the one-lane walk", size, g)
+				}
+			}
+		}
+		for chunks := 1; chunks <= 9; chunks++ {
+			roundtrip(t, corpus[:chunks*size], size)
+			roundtrip(t, corpus[:chunks*size-size/3], size) // a short last chunk
+			roundtrip(t, power[:min(chunks*size, len(power))], size)
+		}
+	}
 }
 
 func checkAgainstNaive(t *testing.T, what string, src []byte) {

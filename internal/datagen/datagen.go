@@ -12,10 +12,9 @@
 package datagen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"ccx/internal/pbio"
 )
@@ -129,33 +128,50 @@ var (
 	oisStatus   = []string{"OK", "HELD", "PENDING", "CONFIRMED"}
 )
 
+// appendPadded appends v in decimal, zero-padded to width digits.
+func appendPadded(b []byte, v, width int) []byte {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(v), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
+
+// pick appends one of words, chosen by rng.
+func pick(b []byte, rng *rand.Rand, words []string) []byte {
+	return append(b, words[rng.Intn(len(words))]...)
+}
+
 // OISTransactions generates approximately size bytes of transaction
 // records with heavy string repetition. repetition ∈ [0,1] controls how
 // often consecutive records reuse the previous record's flight context
-// (higher = more repetitive = more LZ/BWT-friendly).
+// (higher = more repetitive = more LZ/BWT-friendly). Records are appended
+// to one buffer sized up front: a benchmark's set-up is mostly this loop.
 func OISTransactions(size int, repetition float64, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	var b strings.Builder
-	b.Grow(size + 256)
-	flight := ""
+	b := make([]byte, 0, size+256)
+	var flight []byte
 	seqno := 100000
-	for b.Len() < size {
-		if flight == "" || rng.Float64() > repetition {
-			flight = fmt.Sprintf("%s%04d %s->%s",
-				oisCarriers[rng.Intn(len(oisCarriers))], rng.Intn(10000),
-				oisAirports[rng.Intn(len(oisAirports))], oisAirports[rng.Intn(len(oisAirports))])
+	for len(b) < size {
+		if flight == nil || rng.Float64() > repetition {
+			flight = pick(flight[:0], rng, oisCarriers)
+			flight = appendPadded(flight, rng.Intn(10000), 4)
+			flight = pick(append(flight, ' '), rng, oisAirports)
+			flight = pick(append(flight, "->"...), rng, oisAirports)
 		}
 		seqno++
-		fmt.Fprintf(&b, "TXN %d %s flight=%s pax=PX%05d seat=%d%c status=%s agent=GT%02d\n",
-			seqno,
-			oisEvents[rng.Intn(len(oisEvents))],
-			flight,
-			rng.Intn(100000),
-			rng.Intn(40)+1, 'A'+byte(rng.Intn(6)),
-			oisStatus[rng.Intn(len(oisStatus))],
-			rng.Intn(30))
+		b = strconv.AppendInt(append(b, "TXN "...), int64(seqno), 10)
+		b = pick(append(b, ' '), rng, oisEvents)
+		b = append(append(b, " flight="...), flight...)
+		b = appendPadded(append(b, " pax=PX"...), rng.Intn(100000), 5)
+		b = strconv.AppendInt(append(b, " seat="...), int64(rng.Intn(40)+1), 10)
+		b = append(b, 'A'+byte(rng.Intn(6)))
+		b = pick(append(b, " status="...), rng, oisStatus)
+		b = appendPadded(append(b, " agent=GT"...), rng.Intn(30), 2)
+		b = append(b, '\n')
 	}
-	return []byte(b.String()[:size])
+	return b[:size:size]
 }
 
 // XMLDocuments wraps OIS-like content in XML markup (the commercial/XML
@@ -163,20 +179,18 @@ func OISTransactions(size int, repetition float64, seed int64) []byte {
 // further.
 func XMLDocuments(size int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	var b strings.Builder
-	b.Grow(size + 512)
-	b.WriteString("<?xml version=\"1.0\"?>\n<transactions>\n")
-	for b.Len() < size {
-		fmt.Fprintf(&b, "  <txn id=\"%d\">\n    <event>%s</event>\n    <carrier>%s</carrier>\n    <route from=\"%s\" to=\"%s\"/>\n    <status>%s</status>\n  </txn>\n",
-			rng.Intn(1000000),
-			oisEvents[rng.Intn(len(oisEvents))],
-			oisCarriers[rng.Intn(len(oisCarriers))],
-			oisAirports[rng.Intn(len(oisAirports))],
-			oisAirports[rng.Intn(len(oisAirports))],
-			oisStatus[rng.Intn(len(oisStatus))])
+	b := make([]byte, 0, size+512)
+	b = append(b, "<?xml version=\"1.0\"?>\n<transactions>\n"...)
+	for len(b) < size {
+		b = strconv.AppendInt(append(b, "  <txn id=\""...), int64(rng.Intn(1000000)), 10)
+		b = pick(append(b, "\">\n    <event>"...), rng, oisEvents)
+		b = pick(append(b, "</event>\n    <carrier>"...), rng, oisCarriers)
+		b = pick(append(b, "</carrier>\n    <route from=\""...), rng, oisAirports)
+		b = pick(append(b, "\" to=\""...), rng, oisAirports)
+		b = pick(append(b, "\"/>\n    <status>"...), rng, oisStatus)
+		b = append(b, "</status>\n  </txn>\n"...)
 	}
-	s := b.String()[:size]
-	return []byte(s)
+	return b[:size:size]
 }
 
 // LowEntropy generates size bytes drawn uniformly from an alphabet of the

@@ -2,6 +2,8 @@ package datagen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"ccx/internal/codec"
@@ -137,6 +139,34 @@ func TestXMLDocuments(t *testing.T) {
 	out, _ := codec.Compress(codec.BurrowsWheeler, data)
 	if ratio := float64(len(out)) / float64(len(data)); ratio > 0.25 {
 		t.Fatalf("XML should be highly compressible, ratio %.3f", ratio)
+	}
+}
+
+// TestGeneratorsByteIdentity pins the two text generators to the SHA-256 of
+// what they produced while each record was still a fmt call (commit fe65f7f):
+// every ratio in EXPERIMENTS and the benchmark's corpus are made of these
+// bytes, so a faster generator is the same bytes or it is a new data set.
+// The small cases cut a record short, end on a forced flight draw and never
+// reuse one.
+func TestGeneratorsByteIdentity(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"OIS 4 MiB", OISTransactions(4<<20, 0.9, 1), "d619f31041ae3bde02db1d02f4f2ff076e476582db3a0584ca61f9720c81a96e"},
+		{"XML 4 MiB", XMLDocuments(4<<20, 2), "973752cb523dea2c6bea6354d75df1b637c7f721e1ee548b5e399cbcbf90f9f8"},
+		{"OIS 1 MiB", OISTransactions(1<<20, 0.9, 1), "4894307e127d2e282c82ab6d1f6b96849bf5b1cf453adbfb2ff628fa36e62e50"},
+		{"XML 1 MiB", XMLDocuments(1<<20, 2), "510adfafa74211e368d823ae70a2388f9d717c305af3f1fdb4d20d170cf53ea7"},
+		{"OIS 77777, repetition 0.3", OISTransactions(77777, 0.3, -9), "6f3128947e4c117e9bd60fe6a3fc3410159e6bb05576d84c64d784a2eb5e8b5e"},
+		{"XML 77777", XMLDocuments(77777, -9), "b46c096da4ffb792c0f615f238e94fa0a2b254d34d9fd7622a0c70a06df28451"},
+		{"OIS 1000, repetition 0", OISTransactions(1000, 0, 5), "3c4e408095d38390d79a5cbecc092a6daba6e28557e881863a87342935b4a0cb"},
+		{"XML 1", XMLDocuments(1, 4), "dabd3aff769f07eb2965401eb029974ebba3407afd02b26ddb564ea5f8efae72"},
+	} {
+		sum := sha256.Sum256(c.data)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s hashes to %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 
 // FuzzLZDecode feeds arbitrary bytes to Decompress. Hostile inputs encode
 // matches reaching before the start of the output or lengths past the claimed
-// size; all of those must come back as errors, never panics or runaway
-// allocation.
+// size; all of those must come back as errors, never panics, and whatever
+// origLen claims the decoder may allocate only in proportion to the input
+// and to an origLen the input could expand to.
 func FuzzLZDecode(f *testing.F) {
 	seeds := [][]byte{
 		nil,
@@ -29,7 +30,15 @@ func FuzzLZDecode(f *testing.F) {
 		if origLen < 0 || origLen > 1<<20 {
 			return
 		}
-		out, err := Decompress(data, origLen)
+		var out []byte
+		var err error
+		grew := allocatedBy(func() { out, err = Decompress(data, origLen) })
+		// The block and the bit reader's view of the input; the slack covers
+		// the two code tables and whatever else the process allocates
+		// meanwhile.
+		if ceiling := uint64(4*(len(data)+origLen) + 1<<20); grew > ceiling {
+			t.Fatalf("decoding %d bytes as %d allocated %d, ceiling %d", len(data), origLen, grew, ceiling)
+		}
 		if err != nil {
 			return
 		}

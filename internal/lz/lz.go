@@ -17,6 +17,7 @@ package lz
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"ccx/internal/bitio"
 	"ccx/internal/huffman"
@@ -43,6 +44,9 @@ const (
 	maxChainLen = 64
 	// niceLen stops the chain walk early once a match this good is found.
 	niceLen = 128
+	// yieldEvery is how much input Compress parses between yields of its
+	// processor, so that a block's encode delays nobody by more than this.
+	yieldEvery = 16 * 1024
 )
 
 // Deflate-compatible length and distance bucket tables.
@@ -145,8 +149,16 @@ func tokenize(src []byte) []token {
 		return best, bestDist
 	}
 
-	i := 0
-	for i < len(src) {
+	// yield gives the processor up once per yieldEvery bytes parsed. Less
+	// input than that — the selector's timed probe — never yields.
+	nextYield := yieldEvery
+	yield := func(i int) {
+		if i >= nextYield {
+			runtime.Gosched()
+			nextYield += yieldEvery
+		}
+	}
+	for i := 0; i < len(src); yield(i) {
 		if i+minMatch > len(src) {
 			tokens = append(tokens, token{lit: src[i]})
 			i++
@@ -278,6 +290,11 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 	if origLen == 0 {
 		return nil, nil
 	}
+	// A match is at most maxMatch bytes for at least two bits of src (one
+	// per code), so the claim is checked before anything is sized by it.
+	if uint64(origLen) > maxMatch*4*uint64(len(src)) {
+		return nil, fmt.Errorf("%w: %d bytes cannot expand to %d", ErrCorrupt, len(src), origLen)
+	}
 	r := bitio.NewReader(src)
 	litLenLens, err := huffman.ReadLengths(r, numLitLenSyms)
 	if err != nil {
@@ -347,10 +364,13 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 		if len(dst)+length > origLen {
 			return nil, ErrCorrupt
 		}
-		// Overlapping copy, byte by byte (dist may be < length).
-		start := len(dst) - dist
-		for j := 0; j < length; j++ {
-			dst = append(dst, dst[start+j])
+		// The match may overlap its own output (dist < length): what is
+		// written so far repeats with period dist, so each step copies all
+		// of it and doubles what the next can copy.
+		start, pos := len(dst)-dist, len(dst)
+		dst = dst[:pos+length]
+		for n := 0; n < length; {
+			n += copy(dst[pos+n:], dst[start:pos+n])
 		}
 	}
 	return dst, nil

@@ -2,10 +2,15 @@ package lz
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"ccx/internal/datagen"
 )
 
 func roundtrip(t *testing.T, data []byte) {
@@ -282,4 +287,80 @@ func TestDecompressMatchBeforeStart(t *testing.T) {
 func TestCompressAllSameHash(t *testing.T) {
 	data := bytes.Repeat([]byte{0xAA, 0xBB, 0xCC}, 40000)
 	roundtrip(t, data)
+}
+
+// TestDecompressOverlappingMatches round-trips runs of every period up to
+// the longest match against every match length the format has: a match that
+// overlaps its own output is copied in doubling steps, and each step has to
+// land on a whole number of periods.
+func TestDecompressOverlappingMatches(t *testing.T) {
+	for period := 1; period <= maxMatch+2; period++ {
+		motif := make([]byte, period)
+		for i := range motif {
+			motif[i] = byte(i*7 + period)
+		}
+		for _, n := range []int{period + minMatch, period + maxMatch, 3*period + 1, 5 * maxMatch} {
+			roundtrip(t, bytes.Repeat(motif, n/period+1)[:n])
+		}
+	}
+}
+
+// allocatedBy reports the bytes fn allocated, as the growth of the
+// process's cumulative allocation count.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecompressLengthBomb: a kilobyte of tokens cannot be 16 MiB of text,
+// and the decoder says so before it sizes anything by the claim.
+func TestDecompressLengthBomb(t *testing.T) {
+	payload, err := Compress(datagen.OISTransactions(8<<10, 0.9, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = payload[:1<<10]
+	grew := allocatedBy(func() { _, err = Decompress(payload, 16<<20) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if grew >= 1<<20 {
+		t.Fatalf("refusing a %d-byte payload allocated %d bytes, want < 1 MiB", len(payload), grew)
+	}
+	// The most a stream can legitimately expand is still accepted: one
+	// literal and then maximal matches at distance 1.
+	zeros := make([]byte, 1<<20)
+	roundtrip(t, zeros)
+}
+
+// yieldsDuring runs fn on one processor beside a goroutine that does nothing
+// but count its turns and yield, and returns the count: how many times fn
+// gave the processor up. No clock is involved.
+func yieldsDuring(fn func()) int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var stop atomic.Bool
+	turns, done := 0, make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			turns++
+			runtime.Gosched()
+		}
+	}()
+	fn()
+	stop.Store(true)
+	<-done
+	return turns
+}
+
+// TestCompressYieldsPerChunk: parsing a 128 KiB block hands the processor
+// over after each 16 KiB, so nothing queued behind it waits out the block.
+func TestCompressYieldsPerChunk(t *testing.T) {
+	block := datagen.OISTransactions(128<<10, 0.9, 1)
+	if n := yieldsDuring(func() { Compress(block) }); n < 8 {
+		t.Fatalf("Compress of a 128 KiB block yielded %d times, want >= 8", n)
+	}
 }
