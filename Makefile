@@ -30,7 +30,7 @@ vet:
 # lines outside benchmark/ (comments and blanks included) and the number of
 # packages.
 loc:
-	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.benchpair/*' | xargs cat | wc -l)"
 	@echo "packages: $$($(GO) list ./... | wc -l)"
 
 # benchmark-check builds, vets and tests the benchmark (its own module under
@@ -41,7 +41,7 @@ benchmark-check:
 
 # bench-pair measures commit BENCH_B against commit BENCH_A the way a PR that
 # claims a gain must: BENCH_PAIRS alternating 20 s runs of every workload
-# from exports of the two commits, one traced slow-link run per side, the
+# from clones of the two commits, one traced slow-link run per side, the
 # --out records under $(BENCH_OUT)/{parent,change}/ and the compare table on
 # stdout (an hour at the defaults; `make bench-pair BENCH_A=fe65f7f
 # BENCH_OUT=bench/pr24` made bench/pr24).

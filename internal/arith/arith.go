@@ -36,6 +36,13 @@ const alphabetSize = 256
 // processor: the slowest method must not be the longest anyone waits.
 const yieldEvery = 16 * 1024
 
+// yield gives the processor up when symbol i ends a run of yieldEvery.
+func yield(i int) {
+	if i%yieldEvery == yieldEvery-1 {
+		runtime.Gosched()
+	}
+}
+
 // model is an adaptive byte-frequency model backed by a Fenwick tree for
 // O(log n) cumulative-frequency queries and updates.
 type model struct {
@@ -129,9 +136,7 @@ func Compress(src []byte) ([]byte, error) {
 	}
 
 	for i, b := range src {
-		if i%yieldEvery == yieldEvery-1 {
-			runtime.Gosched()
-		}
+		yield(i)
 		sym := int(b)
 		total := uint64(m.total)
 		cumLo := uint64(m.cumBefore(sym))
@@ -193,9 +198,7 @@ func Decompress(src []byte, origLen int) ([]byte, error) {
 	low, high := uint64(0), full-1
 	dst := make([]byte, origLen)
 	for i := 0; i < origLen; i++ {
-		if i%yieldEvery == yieldEvery-1 {
-			runtime.Gosched()
-		}
+		yield(i)
 		total := uint64(m.total)
 		span := high - low + 1
 		target := ((value-low+1)*total - 1) / span

@@ -1,8 +1,6 @@
 package arith
 
 import (
-	"runtime"
-
 	"ccx/internal/bitio"
 )
 
@@ -41,9 +39,7 @@ func CompressOrder1(src []byte) ([]byte, error) {
 	}
 	ctx := byte(0)
 	for i, b := range src {
-		if i%yieldEvery == yieldEvery-1 {
-			runtime.Gosched()
-		}
+		yield(i)
 		m := getModel(ctx)
 		sym := int(b)
 		total := uint64(m.total)
@@ -113,9 +109,7 @@ func DecompressOrder1(src []byte, origLen int) ([]byte, error) {
 	dst := make([]byte, origLen)
 	ctx := byte(0)
 	for i := 0; i < origLen; i++ {
-		if i%yieldEvery == yieldEvery-1 {
-			runtime.Gosched()
-		}
+		yield(i)
 		m := getModel(ctx)
 		total := uint64(m.total)
 		span := high - low + 1

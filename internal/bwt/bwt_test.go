@@ -554,11 +554,7 @@ func lengthBomb() (payload []byte, origLen int) {
 	inter := encode7(encode7(nil, 1), 0)
 	inter = append(inter, bytes.Repeat([]byte{0, 0, 0, 251}, 262144)...)
 	inter = append(inter, marker)
-	payload, err := huffman.AppendCompress(binary.AppendUvarint(nil, uint64(len(inter))), inter)
-	if err != nil {
-		panic(err)
-	}
-	return payload, 512 << 10
+	return streamOf(inter), 512 << 10
 }
 
 // allocatedBy reports the bytes fn allocated, as the growth of the
@@ -582,11 +578,7 @@ func TestDecompressLengthBomb(t *testing.T) {
 		t.Fatalf("refusing a %d-byte payload allocated %d bytes, want < 4 MiB", len(payload), grew)
 	}
 	// A chunk header may not claim more than is left of the block either.
-	inter := append(encode7(encode7(nil, 17), 0), 0, marker)
-	payload, err = huffman.AppendCompress(binary.AppendUvarint(nil, uint64(len(inter))), inter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload = streamOf(append(encode7(encode7(nil, 17), 0), 0, marker))
 	if _, err := Decompress(payload, 16); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("chunk longer than the block: got %v, want ErrCorrupt", err)
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of two commits, the protocol every performance PR
-# re-invented by hand: both commits are exported under .benchpair/ (git-
+# re-invented by hand: both commits are checked out under .benchpair/ (git-
 # ignored), each one's harness is built once from its own source, and every
 # seed runs both sides back to back, alternating which goes first — this
 # machine's speed moves in episodes as long as a run, and interleaving is
@@ -15,7 +15,7 @@
 # one extra `--trace 1` run per side (seed 1) under OUT/*/traced/.
 set -euo pipefail
 
-usage() { sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 2 ] || usage
 shaA=$1 shaB=$2
 shift 2
@@ -42,14 +42,15 @@ if [ -z "$workloads" ]; then
 	workloads=$(sed -n '/"workloads"/,/\]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json | paste -sd,)
 fi
 
-# checkout exports a commit and builds its harness; run.sh builds before it
-# execs, so one call that the harness refuses leaves the binary behind.
+# checkout clones a commit (a clone, so that the records' git_sha is its
+# own) and builds its harness; run.sh builds before it execs, so one call
+# that the harness refuses leaves the binary behind.
 checkout() {
 	local dir="$root/.benchpair/$1"
 	if [ ! -x "$dir/benchmark/.build/ccxbench" ]; then
 		rm -rf "$dir"
-		mkdir -p "$dir"
-		git archive "$1" | tar -x -C "$dir"
+		git clone -q --no-checkout "$root" "$dir"
+		git -C "$dir" checkout -q --detach "$1"
 		(cd "$dir" && bash benchmark/run.sh --seconds 0 >/dev/null 2>&1) || true
 		[ -x "$dir/benchmark/.build/ccxbench" ] || { echo "benchpair: $1 did not build" >&2; exit 1; }
 	fi
