@@ -188,3 +188,20 @@ func TestRandomIncompressible(t *testing.T) {
 		t.Fatalf("random data compressed from %d to %d", len(data), len(out))
 	}
 }
+
+// BenchmarkGenerators times the two text generators at the size a benchmark
+// set-up asks of them.
+func BenchmarkGenerators(b *testing.B) {
+	b.Run("OIS4M", func(b *testing.B) {
+		b.SetBytes(4 << 20)
+		for i := 0; i < b.N; i++ {
+			OISTransactions(4<<20, 0.9, 1)
+		}
+	})
+	b.Run("XML4M", func(b *testing.B) {
+		b.SetBytes(4 << 20)
+		for i := 0; i < b.N; i++ {
+			XMLDocuments(4<<20, 2)
+		}
+	})
+}

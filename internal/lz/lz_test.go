@@ -338,22 +338,31 @@ func TestDecompressLengthBomb(t *testing.T) {
 
 // yieldsDuring runs fn on one processor beside a goroutine that does nothing
 // but count its turns and yield, and returns the count: how many times fn
-// gave the processor up. No clock is involved.
+// gave the processor up. No clock is involved. One scheduling round in 61
+// serves the global run queue out of turn, and a goroutine that has just
+// yielded may be the head of it: that yield is handed straight back and
+// goes uncounted (a single run of a 128 KiB block reads one short about one
+// time in five). A count can only fall short that way, so the most of eight
+// runs is the number of yields.
 func yieldsDuring(fn func()) int {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var stop atomic.Bool
-	turns, done := 0, make(chan struct{})
-	go func() {
-		defer close(done)
-		for !stop.Load() {
-			turns++
-			runtime.Gosched()
-		}
-	}()
-	fn()
-	stop.Store(true)
-	<-done
-	return turns
+	most := 0
+	for attempt := 0; attempt < 8; attempt++ {
+		var stop atomic.Bool
+		turns, done := 0, make(chan struct{})
+		go func() {
+			defer close(done)
+			for !stop.Load() {
+				turns++
+				runtime.Gosched()
+			}
+		}()
+		fn()
+		stop.Store(true)
+		<-done
+		most = max(most, turns)
+	}
+	return most
 }
 
 // TestCompressYieldsPerChunk: parsing a 128 KiB block hands the processor
