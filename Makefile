@@ -26,12 +26,19 @@ race:
 vet:
 	$(GO) vet ./...
 
-# loc prints the two size figures ROADMAP and CHANGES.md track: non-test Go
-# lines outside benchmark/ (comments and blanks included) and the number of
-# packages.
+# DATA_PATH is what a deployment runs: the daemons and the two operator
+# tools. Their dependency closure is the data path; every other package
+# serves the paper's reproduction (tests/datapath_test.go holds the line).
+DATA_PATH = ./cmd/ccbroker ./cmd/ccsend ./cmd/ccrecv ./cmd/ccstat ./cmd/cctrace
+
+# loc prints the size figures ROADMAP and CHANGES.md track: non-test Go lines
+# outside benchmark/ (comments and blanks included), the number of packages,
+# and the same two numbers for the data path alone.
 loc:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.benchpair/*' | xargs cat | wc -l)"
 	@echo "packages: $$($(GO) list ./... | wc -l)"
+	@pkgs=$$($(GO) list -deps $(DATA_PATH) | grep '^ccx/'); \
+	echo "data path (deps of $(DATA_PATH)): $$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' $$pkgs | xargs cat | wc -l) non-test Go lines in $$(echo $$pkgs | wc -w) packages"
 
 # benchmark-check builds, vets and tests the benchmark (its own module under
 # benchmark/, which tier-1 does not compile) against this tree's internal/

@@ -116,7 +116,7 @@ func run(args []string, stop chan struct{}) error {
 			ch = domain.OpenChannel(*subscribe)
 		}
 		var n atomic.Int64
-		core.SubscribeDecompressed(ch, nil, 4, func(data []byte, info codec.BlockInfo) {
+		echo.SubscribeDecompressed(ch, nil, 4, func(data []byte, info codec.BlockInfo) {
 			fmt.Printf("event %d: %-15s %7d -> %7d bytes\n", n.Add(1), info.Method, info.CompLen, info.OrigLen)
 		})
 	}
@@ -130,7 +130,7 @@ func run(args []string, stop chan struct{}) error {
 			return err
 		}
 		raw := domain.OpenChannel(*publish)
-		if _, err := core.DeriveCompressed(raw, *publish+".z", engine); err != nil {
+		if _, err := echo.DeriveCompressed(raw, *publish+".z", engine); err != nil {
 			return err
 		}
 		go func() {

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"ccx/internal/codec"
-	"ccx/internal/core"
 	"ccx/internal/echo"
+	"ccx/internal/testx"
 )
 
 func freePort(t *testing.T) string {
@@ -57,18 +57,11 @@ func TestPublishSubscribeSession(t *testing.T) {
 
 	// Client side: plain library bridge.
 	var conn net.Conn
-	var err error
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	testx.WaitUntil(t, "the node to listen", func() bool {
+		var err error
 		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+		return err == nil
+	})
 	domain := echo.NewDomain()
 	bridge := echo.NewBridge(domain, conn)
 	defer bridge.Close()
@@ -78,27 +71,20 @@ func TestPublishSubscribeSession(t *testing.T) {
 	}
 	var mu sync.Mutex
 	events, bytesIn := 0, 0
-	core.SubscribeDecompressed(ch, nil, 0, func(data []byte, info codec.BlockInfo) {
+	echo.SubscribeDecompressed(ch, nil, 0, func(data []byte, info codec.BlockInfo) {
 		mu.Lock()
 		events++
 		bytesIn += len(data)
 		mu.Unlock()
 	})
-	for time.Now().Before(deadline) {
+	testx.WaitUntil(t, "three events", func() bool {
 		mu.Lock()
-		n := events
-		mu.Unlock()
-		if n >= 3 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		defer mu.Unlock()
+		return events >= 3
+	})
 	mu.Lock()
-	gotEvents, gotBytes := events, bytesIn
+	gotBytes := bytesIn
 	mu.Unlock()
-	if gotEvents < 3 {
-		t.Fatalf("received %d events", gotEvents)
-	}
 	if gotBytes%65536 != 0 {
 		t.Fatalf("payload bytes = %d", gotBytes)
 	}

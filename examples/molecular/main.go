@@ -63,7 +63,7 @@ func run() error {
 	// channel (§3.2's dynamic handler instantiation).
 	domain := echo.NewDomain()
 	frames := domain.OpenChannel("md.frames")
-	compressed, err := core.DeriveCompressed(frames, "md.frames.z", engine)
+	compressed, err := echo.DeriveCompressed(frames, "md.frames.z", engine)
 	if err != nil {
 		return err
 	}
@@ -72,7 +72,7 @@ func run() error {
 	var wire, orig int
 	var lastMethod codec.Method
 	compressed.Subscribe(func(ev echo.Event) {
-		data, info, err := core.DecodeEvent(ev, nil)
+		data, info, err := echo.DecodeEvent(ev, nil)
 		if err != nil {
 			log.Printf("decode: %v", err)
 			return
@@ -84,7 +84,7 @@ func run() error {
 		// Consumer side: the simulated send's timing is reported upstream —
 		// the quality-attribute feedback loop of §3.2.
 		d := link.Send(info.CompLen)
-		compressed.SetAttr(core.AttrGoodput, fmt.Sprintf("%f", float64(info.CompLen)/d.Seconds()))
+		compressed.SetAttr(echo.AttrGoodput, fmt.Sprintf("%f", float64(info.CompLen)/d.Seconds()))
 	})
 
 	// Producer: one frame per virtual second; every 10th frame is

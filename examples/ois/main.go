@@ -56,7 +56,7 @@ func run() error {
 		return err
 	}
 	raw := prodDomain.OpenChannel("ois.txns")
-	if _, err := core.DeriveCompressed(raw, "ois.txns.z", engine); err != nil {
+	if _, err := echo.DeriveCompressed(raw, "ois.txns.z", engine); err != nil {
 		return err
 	}
 
@@ -78,11 +78,11 @@ func run() error {
 		info codec.BlockInfo
 	}
 	got := make(chan rx, 256)
-	core.SubscribeDecompressed(imported, nil, 0, func(data []byte, info codec.BlockInfo) {
+	echo.SubscribeDecompressed(imported, nil, 0, func(data []byte, info codec.BlockInfo) {
 		// Simulate pushing the payload onward across the WAN and report the
 		// achieved rate upstream via the quality attribute.
 		d := wan.Send(info.CompLen)
-		imported.SetAttr(core.AttrGoodput, fmt.Sprintf("%f", float64(info.CompLen)/d.Seconds()))
+		imported.SetAttr(echo.AttrGoodput, fmt.Sprintf("%f", float64(info.CompLen)/d.Seconds()))
 		got <- rx{info}
 	})
 

@@ -74,11 +74,6 @@ func (w *Writer) WriteByte(b byte) error {
 	return w.WriteBits(uint64(b), 8)
 }
 
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int {
-	return len(w.buf)*8 + int(w.nbit)
-}
-
 // Bytes pads the final partial byte with zero bits and returns the packed
 // buffer. The Writer remains usable; further writes continue bit-exactly
 // after the previously written bits only if the bit length was already a
@@ -194,13 +189,4 @@ func (r *Reader) ReadByte() (byte, error) {
 // in the final byte).
 func (r *Reader) BitsRemaining() int {
 	return int(r.nbit) + (len(r.buf)-r.pos)*8
-}
-
-// AlignByte discards bits up to the next byte boundary.
-func (r *Reader) AlignByte() {
-	drop := r.nbit % 8
-	if drop > 0 {
-		r.nbit -= drop
-		r.cur &= (1 << r.nbit) - 1
-	}
 }

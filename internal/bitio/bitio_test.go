@@ -103,21 +103,6 @@ func TestWriteByteReadByte(t *testing.T) {
 	}
 }
 
-func TestBitLen(t *testing.T) {
-	w := NewWriter(0)
-	if w.BitLen() != 0 {
-		t.Fatalf("empty BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(0x1F, 5)
-	if w.BitLen() != 5 {
-		t.Fatalf("BitLen = %d want 5", w.BitLen())
-	}
-	w.WriteBits(0xFFFF, 16)
-	if w.BitLen() != 21 {
-		t.Fatalf("BitLen = %d want 21", w.BitLen())
-	}
-}
-
 func TestReadPastEnd(t *testing.T) {
 	r := NewReader([]byte{0xFF})
 	if _, err := r.ReadBits(8); err != nil {
@@ -139,25 +124,10 @@ func TestTooManyBits(t *testing.T) {
 	}
 }
 
-func TestAlignByte(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0b101, 3)
-	w.Bytes() // pads to 8 bits
-	r := NewReader(w.Bytes())
-	r.ReadBits(3)
-	r.AlignByte()
-	if rem := r.BitsRemaining(); rem != 0 {
-		t.Fatalf("remaining = %d want 0", rem)
-	}
-}
-
 func TestReset(t *testing.T) {
 	w := NewWriter(16)
 	w.WriteBits(0xFFFF, 16)
 	w.Reset()
-	if w.BitLen() != 0 {
-		t.Fatalf("BitLen after reset = %d", w.BitLen())
-	}
 	w.WriteBits(0xA, 4)
 	if got := w.Bytes(); !bytes.Equal(got, []byte{0xA0}) {
 		t.Fatalf("got % x", got)

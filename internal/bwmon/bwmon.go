@@ -31,8 +31,6 @@ type Monitor struct {
 	alpha      float64
 	secPerByte float64 // EWMA; 0 until first observation
 	observed   int64
-	bytes      int64
-	busy       time.Duration
 }
 
 // New returns a Monitor with the given EWMA weight (DefaultAlpha if
@@ -51,15 +49,11 @@ func (m *Monitor) Observe(n int, d time.Duration) {
 		return
 	}
 	m.fold(d.Seconds() / float64(n))
-	m.mu.Lock()
-	m.bytes += int64(n)
-	m.busy += d
-	m.mu.Unlock()
 }
 
-// ObserveRate folds an externally measured goodput (bytes/s) into the EWMA
-// without byte accounting. Receivers report their acceptance rate upstream
-// through quality attributes; producers feed those reports here.
+// ObserveRate folds an externally measured goodput (bytes/s) into the EWMA.
+// Receivers report their acceptance rate upstream through quality
+// attributes; producers feed those reports here.
 func (m *Monitor) ObserveRate(rate float64) {
 	if rate <= 0 {
 		return
@@ -101,25 +95,4 @@ func (m *Monitor) SendTime(n int) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) * m.secPerByte * float64(time.Second))
-}
-
-// Observations returns how many blocks have been observed.
-func (m *Monitor) Observations() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.observed
-}
-
-// Totals returns cumulative bytes and busy time.
-func (m *Monitor) Totals() (bytes int64, busy time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes, m.busy
-}
-
-// Reset clears all state.
-func (m *Monitor) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.secPerByte, m.observed, m.bytes, m.busy = 0, 0, 0, 0
 }

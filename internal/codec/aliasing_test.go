@@ -40,7 +40,7 @@ func corrupt(b []byte) {
 // while workers encode neighbouring blocks.
 func TestEncodeAliasing(t *testing.T) {
 	src := aliasingInput(32 << 10)
-	reg := NewRegistry()
+	reg := WithArithmetic()
 	for _, m := range reg.Methods() {
 		t.Run(m.String(), func(t *testing.T) {
 			c, err := reg.Get(m)
@@ -79,7 +79,7 @@ func TestEncodeAliasing(t *testing.T) {
 // scratch buffer and overwrites it on the next frame.
 func TestDecodeAliasing(t *testing.T) {
 	src := aliasingInput(32 << 10)
-	reg := NewRegistry()
+	reg := WithArithmetic()
 	for _, m := range reg.Methods() {
 		t.Run(m.String(), func(t *testing.T) {
 			c, err := reg.Get(m)
@@ -109,7 +109,7 @@ func TestDecodeAliasing(t *testing.T) {
 // returned by consecutive ReadBlock calls must stay intact even though the
 // reader reuses one payload scratch buffer across frames.
 func TestFrameReaderScratchReuse(t *testing.T) {
-	reg := NewRegistry()
+	reg := WithArithmetic()
 	blockA := aliasingInput(16 << 10)
 	blockB := make([]byte, 16<<10) // all-zero: a very different payload
 	var wire []byte

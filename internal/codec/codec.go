@@ -1,11 +1,15 @@
-// Package codec unifies the four compression methods of the paper behind a
-// single interface, assigns them stable wire identifiers, and defines the
-// framed block format used by the data-exchange layer.
+// Package codec puts the compression methods behind a single interface,
+// assigns them stable wire identifiers, and defines the framed block format
+// used by the data-exchange layer.
 //
-// The method set mirrors §2 of the paper — no compression, Huffman,
-// arithmetic, Lempel-Ziv, Burrows-Wheeler — and the registry is open:
-// middleware can deploy additional (even lossy, application-specific)
-// codecs at runtime, the extension path §5 of the paper calls out.
+// The identifiers follow §2 of the paper — no compression, Huffman,
+// arithmetic, Lempel-Ziv, Burrows-Wheeler — and four of them are built in:
+// every method a selection policy picks. Arithmetic keeps its identifier but
+// not its code here; the reproduction registers it (NewFuncCodec over
+// internal/arith) when a figure compares it. The registry is open the same
+// way for everyone: middleware can deploy additional (even lossy,
+// application-specific) codecs at runtime, the extension path §5 of the
+// paper calls out.
 package codec
 
 import (
@@ -13,7 +17,6 @@ import (
 	"sort"
 	"sync"
 
-	"ccx/internal/arith"
 	"ccx/internal/bwt"
 	"ccx/internal/huffman"
 	"ccx/internal/lz"
@@ -31,6 +34,8 @@ type Method uint8
 const (
 	None Method = iota
 	Huffman
+	// Arithmetic is reserved for arithmetic coding, which is not built in:
+	// a peer that wants it registers it on both ends.
 	Arithmetic
 	LempelZiv
 	BurrowsWheeler
@@ -95,6 +100,12 @@ type Codec interface {
 	Decompress(src []byte, origLen int) ([]byte, error)
 }
 
+// NewFuncCodec adapts a compress/decompress function pair to a Codec under
+// the given identifier. Both functions must keep the Codec contract.
+func NewFuncCodec(id Method, compress func([]byte) ([]byte, error), decompress func([]byte, int) ([]byte, error)) Codec {
+	return funcCodec{id, compress, decompress}
+}
+
 // funcCodec adapts compress/decompress function pairs.
 type funcCodec struct {
 	method Method
@@ -153,13 +164,14 @@ func (rawCodec) Decompress(src []byte, origLen int) ([]byte, error) {
 }
 
 // Registry maps wire identifiers to codecs. The zero value is empty; most
-// callers want NewRegistry, which is pre-populated with the paper's methods.
+// callers want NewRegistry, which is pre-populated with the built-in methods.
 type Registry struct {
 	mu     sync.RWMutex
 	codecs map[Method]Codec
 }
 
-// NewRegistry returns a registry containing the paper's five methods.
+// NewRegistry returns a registry containing the four built-in methods: None,
+// Huffman, Lempel-Ziv and Burrows-Wheeler.
 func NewRegistry() *Registry {
 	r := &Registry{codecs: make(map[Method]Codec, 8)}
 	for _, c := range builtin() {
@@ -172,25 +184,17 @@ func builtin() []Codec {
 	return []Codec{
 		rawCodec{},
 		funcCodec{Huffman, huffman.Compress, huffman.Decompress},
-		funcCodec{Arithmetic, arith.Compress, arith.Decompress},
 		funcCodec{LempelZiv, lz.Compress, lz.Decompress},
 		funcCodec{BurrowsWheeler, bwt.Compress, bwt.Decompress},
 	}
 }
 
-// NewOrder1Arithmetic returns the improved order-1 context-modelling
-// arithmetic coder under the given identifier — the §3.2 upgrade path where
-// "as improved compression algorithms are developed ... applications take
-// advantage of such methods without any associated re-engineering costs".
-// Register it (optionally shadowing the built-in Arithmetic id) and both
-// ends decode by identifier as usual.
-func NewOrder1Arithmetic(id Method) Codec {
-	return funcCodec{id, arith.CompressOrder1, arith.DecompressOrder1}
-}
-
 // Register adds (or replaces) a codec. Built-in identifiers can be shadowed
 // deliberately — the middleware uses this to deploy improved or
-// application-specific methods at runtime (§3.2, §5).
+// application-specific methods at runtime (§3.2, §5): "as improved
+// compression algorithms are developed ... applications take advantage of
+// such methods without any associated re-engineering costs". Both ends
+// register the same codec and decode by identifier as usual.
 func (r *Registry) Register(c Codec) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -7,9 +7,20 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ccx/internal/arith"
 )
 
 var allMethods = []Method{None, Huffman, Arithmetic, LempelZiv, BurrowsWheeler}
+
+// WithArithmetic returns the built-in registry plus arithmetic coding on its
+// reserved identifier: the one registration a peer makes to speak method 2.
+// It is exported for the package's external tests.
+func WithArithmetic() *Registry {
+	reg := NewRegistry()
+	reg.Register(NewFuncCodec(Arithmetic, arith.Compress, arith.Decompress))
+	return reg
+}
 
 func TestMethodString(t *testing.T) {
 	want := map[Method]string{
@@ -26,12 +37,17 @@ func TestMethodString(t *testing.T) {
 
 func TestAllCodecsRoundtrip(t *testing.T) {
 	data := bytes.Repeat([]byte("end to end data exchange using configurable compression; "), 300)
+	reg := WithArithmetic()
 	for _, m := range allMethods {
-		out, err := Compress(m, data)
+		c, err := reg.Get(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Compress(data)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		back, err := Decompress(m, out, len(data))
+		back, err := c.Decompress(out, len(data))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -42,12 +58,17 @@ func TestAllCodecsRoundtrip(t *testing.T) {
 }
 
 func TestAllCodecsEmpty(t *testing.T) {
+	reg := WithArithmetic()
 	for _, m := range allMethods {
-		out, err := Compress(m, nil)
+		c, err := reg.Get(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Compress(nil)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		back, err := Decompress(m, out, 0)
+		back, err := c.Decompress(out, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -79,6 +100,10 @@ func TestUnknownMethod(t *testing.T) {
 	if _, err := Compress(Method(200), []byte("x")); err == nil {
 		t.Fatal("expected unknown-method error")
 	}
+	// Arithmetic's identifier is reserved, not built in.
+	if _, err := Compress(Arithmetic, []byte("x")); err == nil {
+		t.Fatal("arithmetic is built in")
+	}
 }
 
 type xorCodec struct{ key byte }
@@ -108,7 +133,7 @@ func TestRegistryCustomCodec(t *testing.T) {
 		t.Fatalf("got %q", back)
 	}
 	methods := reg.Methods()
-	if len(methods) != 6 {
+	if len(methods) != 5 { // four built in, one custom
 		t.Fatalf("Methods() = %v", methods)
 	}
 	for i := 1; i < len(methods); i++ {
@@ -120,9 +145,10 @@ func TestRegistryCustomCodec(t *testing.T) {
 
 func TestFrameRoundtripAllMethods(t *testing.T) {
 	data := bytes.Repeat([]byte("framed block payload with repetition repetition; "), 100)
+	reg := WithArithmetic()
 	for _, m := range allMethods {
 		var buf bytes.Buffer
-		fw := NewFrameWriter(&buf, nil)
+		fw := NewFrameWriter(&buf, reg)
 		info, err := fw.WriteBlock(m, data)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -130,7 +156,7 @@ func TestFrameRoundtripAllMethods(t *testing.T) {
 		if info.Requested != m {
 			t.Fatalf("%v: requested = %v", m, info.Requested)
 		}
-		fr := NewFrameReader(&buf, nil)
+		fr := NewFrameReader(&buf, reg)
 		got, rinfo, err := fr.ReadBlock()
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -293,14 +319,15 @@ func TestBlockInfoRatio(t *testing.T) {
 }
 
 func TestQuickFrameRoundtrip(t *testing.T) {
+	reg := WithArithmetic()
 	f := func(data []byte, methodIdx uint8) bool {
 		m := allMethods[int(methodIdx)%len(allMethods)]
 		var buf bytes.Buffer
-		fw := NewFrameWriter(&buf, nil)
+		fw := NewFrameWriter(&buf, reg)
 		if _, err := fw.WriteBlock(m, data); err != nil {
 			return false
 		}
-		got, _, err := NewFrameReader(&buf, nil).ReadBlock()
+		got, _, err := NewFrameReader(&buf, reg).ReadBlock()
 		if err != nil {
 			return false
 		}
@@ -312,14 +339,14 @@ func TestQuickFrameRoundtrip(t *testing.T) {
 }
 
 // TestRuntimeMethodUpgrade is §3.2's evolution story: deploy an improved
-// arithmetic coder at runtime, either under a new identifier or shadowing
-// the built-in one, and verify frames decode transparently.
+// (order-1) arithmetic coder at runtime, either under a new identifier or on
+// arithmetic's reserved one, and verify frames decode transparently.
 func TestRuntimeMethodUpgrade(t *testing.T) {
 	text := bytes.Repeat([]byte("an improved compression algorithm arrives at runtime; "), 400)
 
 	// Under a fresh identifier.
 	reg := NewRegistry()
-	reg.Register(NewOrder1Arithmetic(FirstCustom + 1))
+	reg.Register(NewFuncCodec(FirstCustom+1, arith.CompressOrder1, arith.DecompressOrder1))
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf, reg)
 	infoNew, err := fw.WriteBlock(FirstCustom+1, text)
@@ -335,7 +362,7 @@ func TestRuntimeMethodUpgrade(t *testing.T) {
 	}
 
 	// The upgrade must actually be an improvement over order-0.
-	old, err := Compress(Arithmetic, text)
+	old, err := arith.Compress(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,9 +370,10 @@ func TestRuntimeMethodUpgrade(t *testing.T) {
 		t.Fatalf("order-1 (%d) should beat order-0 (%d) on text", infoNew.CompLen, len(old))
 	}
 
-	// Shadowing the built-in identifier upgrades both ends in lock-step.
+	// Registering it under the reserved identifier upgrades both ends in
+	// lock-step.
 	shadow := NewRegistry()
-	shadow.Register(NewOrder1Arithmetic(Arithmetic))
+	shadow.Register(NewFuncCodec(Arithmetic, arith.CompressOrder1, arith.DecompressOrder1))
 	buf.Reset()
 	fws := NewFrameWriter(&buf, shadow)
 	if _, err := fws.WriteBlock(Arithmetic, text); err != nil {

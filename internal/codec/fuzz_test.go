@@ -32,13 +32,15 @@ func fuzzSeeds(f *testing.F) {
 
 func FuzzRoundtripAllMethods(f *testing.F) {
 	fuzzSeeds(f)
+	reg := WithArithmetic()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, m := range []Method{None, Huffman, Arithmetic, LempelZiv, BurrowsWheeler} {
-			out, err := Compress(m, data)
+		for _, m := range allMethods {
+			c, _ := reg.Get(m)
+			out, err := c.Compress(data)
 			if err != nil {
 				t.Fatalf("%v compress: %v", m, err)
 			}
-			back, err := Decompress(m, out, len(data))
+			back, err := c.Decompress(out, len(data))
 			if err != nil {
 				t.Fatalf("%v decompress: %v", m, err)
 			}
@@ -51,12 +53,14 @@ func FuzzRoundtripAllMethods(f *testing.F) {
 
 func FuzzDecompressNeverPanics(f *testing.F) {
 	fuzzSeeds(f)
+	reg := WithArithmetic()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range []Method{Huffman, Arithmetic, LempelZiv, BurrowsWheeler} {
+			c, _ := reg.Get(m)
 			// Arbitrary bytes with arbitrary claimed lengths: errors are
 			// fine, panics and runaway allocations are not.
 			for _, claim := range []int{0, 1, len(data), len(data) * 3, 1 << 16} {
-				_, _ = Decompress(m, data, claim)
+				_, _ = c.Decompress(data, claim)
 			}
 		}
 	})
@@ -79,15 +83,15 @@ func FuzzFrameRoundtrip(f *testing.F) {
 	f.Add([]byte("abcabcabcabc"), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xFF}, 300), uint8(4))
 	f.Add(bytes.Repeat([]byte("low entropy "), 40), uint8(1))
+	reg := WithArithmetic()
 	f.Fuzz(func(t *testing.T, data []byte, methodByte uint8) {
-		methods := []Method{None, Huffman, Arithmetic, LempelZiv, BurrowsWheeler}
-		m := methods[int(methodByte)%len(methods)]
+		m := allMethods[int(methodByte)%len(allMethods)]
 		var buf bytes.Buffer
-		fw := NewFrameWriter(&buf, nil)
+		fw := NewFrameWriter(&buf, reg)
 		if _, err := fw.WriteBlock(m, data); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		got, info, err := NewFrameReader(&buf, nil).ReadBlock()
+		got, info, err := NewFrameReader(&buf, reg).ReadBlock()
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}

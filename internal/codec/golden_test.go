@@ -25,6 +25,9 @@ var goldenPayload = bytes.Repeat(
 
 var goldenMethods = []codec.Method{codec.None, codec.Huffman, codec.Arithmetic, codec.LempelZiv, codec.BurrowsWheeler}
 
+// goldenCodecs speaks every golden method, arithmetic included.
+var goldenCodecs = codec.WithArithmetic()
+
 // goldenSeq is the sequence number stamped into the vectors: large enough
 // to need a two-byte varint, so the seq field's wire width is pinned too.
 const goldenSeq = 300
@@ -54,7 +57,11 @@ func goldenName(version int, m codec.Method) string {
 // and payload) or 3 (version 2 plus a seq uvarint).
 func retiredFrame(t *testing.T, version int, m codec.Method) []byte {
 	t.Helper()
-	payload, err := codec.Compress(m, goldenPayload)
+	c, err := goldenCodecs.Get(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := c.Compress(goldenPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +93,7 @@ func TestGoldenWireVectors(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range goldenMethods {
-			frame, info, err := codec.AppendFrameOpts(nil, nil, m, goldenPayload, goldenOpts)
+			frame, info, err := codec.AppendFrameOpts(nil, goldenCodecs, m, goldenPayload, goldenOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +141,7 @@ func TestGoldenWireVectors(t *testing.T) {
 		for _, version := range []int{1, 2, 3} {
 			t.Run(goldenName(version, m), func(t *testing.T) {
 				stream := append(retiredFrame(t, version, m), golden...)
-				fr := codec.NewFrameReader(bytes.NewReader(stream), nil)
+				fr := codec.NewFrameReader(bytes.NewReader(stream), goldenCodecs)
 				_, _, err := fr.ReadBlock()
 				if !errors.Is(err, codec.ErrBadVersion) || !errors.Is(err, codec.ErrCorruptFrame) {
 					t.Fatalf("v%d frame: got %v, want ErrBadVersion", version, err)
@@ -158,14 +165,19 @@ func TestGoldenWireVectors(t *testing.T) {
 			})
 		}
 		t.Run(goldenName(codec.FrameVersion, m), func(t *testing.T) {
-			data, info, err := codec.NewFrameReader(bytes.NewReader(golden), nil).ReadBlock()
+			data, info, err := codec.NewFrameReader(bytes.NewReader(golden), goldenCodecs).ReadBlock()
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
 			checkGolden(t, m, data, info)
+			if m == codec.Arithmetic {
+				if _, _, err := codec.NewFrameReader(bytes.NewReader(golden), nil).ReadBlock(); err == nil {
+					t.Fatal("the built-in registry decoded an arithmetic frame")
+				}
+			}
 
 			// Encoder wire stability.
-			enc, _, err := codec.AppendFrameOpts(nil, nil, m, goldenPayload, goldenOpts)
+			enc, _, err := codec.AppendFrameOpts(nil, goldenCodecs, m, goldenPayload, goldenOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +190,7 @@ func TestGoldenWireVectors(t *testing.T) {
 			for _, at := range []int{3, len(golden) - 1} {
 				mut := append([]byte(nil), golden...)
 				mut[at] ^= 0x08
-				if _, _, err := codec.NewFrameReader(bytes.NewReader(mut), nil).ReadBlock(); !errors.Is(err, codec.ErrCorruptFrame) {
+				if _, _, err := codec.NewFrameReader(bytes.NewReader(mut), goldenCodecs).ReadBlock(); !errors.Is(err, codec.ErrCorruptFrame) {
 					t.Fatalf("flip at %d: got %v, want ErrCorruptFrame", at, err)
 				}
 			}

@@ -65,7 +65,7 @@ func TestRoundTripProperty(t *testing.T) {
 		bs = 4 << 10
 	}
 	sizes := []int{0, 1, bs - 1, bs, bs + 1, 4 * bs}
-	reg := NewRegistry()
+	reg := WithArithmetic()
 
 	for _, m := range reg.Methods() {
 		c, err := reg.Get(m)
@@ -128,7 +128,7 @@ func TestRoundTripThroughFrames(t *testing.T) {
 	if testing.Short() {
 		bs = 4 << 10
 	}
-	reg := NewRegistry()
+	reg := WithArithmetic()
 	for _, m := range reg.Methods() {
 		t.Run(m.String(), func(t *testing.T) {
 			var wire []byte

@@ -84,10 +84,11 @@ func TestFrameUvarintOverflow(t *testing.T) {
 func TestAppendFrameSeqRoundtrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("sequenced frame payload "), 32)
 	seqs := []uint64{1, 2, 127, 128, 1 << 20, math.MaxUint64}
-	for _, m := range []Method{None, Huffman, Arithmetic, LempelZiv, BurrowsWheeler} {
+	reg := WithArithmetic()
+	for _, m := range allMethods {
 		var wire []byte
 		for _, seq := range seqs {
-			frame, info, err := AppendFrameOpts(nil, nil, m, payload, FrameOpts{Seq: seq, HasSeq: true})
+			frame, info, err := AppendFrameOpts(nil, reg, m, payload, FrameOpts{Seq: seq, HasSeq: true})
 			if err != nil {
 				t.Fatalf("%v seq %d: %v", m, seq, err)
 			}
@@ -96,7 +97,7 @@ func TestAppendFrameSeqRoundtrip(t *testing.T) {
 			}
 			wire = append(wire, frame...)
 		}
-		fr := NewFrameReader(bytes.NewReader(wire), nil)
+		fr := NewFrameReader(bytes.NewReader(wire), reg)
 		for _, seq := range seqs {
 			data, info, err := fr.ReadBlock()
 			if err != nil {

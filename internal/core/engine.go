@@ -12,10 +12,11 @@
 // balance and the previous probe, fork a probe of the next block, send, and
 // join the probe.
 //
-// Three integration surfaces are provided: a transport-agnostic Session
-// (used by the experiment harness over simulated links), io.Writer/Reader
-// adapters (used by the TCP tools), and ECho channel handlers with
-// quality-attribute feedback (used by the middleware examples).
+// Two integration surfaces are provided: a transport-agnostic Session
+// (used by the experiment harness over simulated links) and io.Writer/Reader
+// adapters (used by the TCP tools and the broker). Anything else — the ECho
+// channel handlers in internal/echo, say — drives an Engine through Encode
+// and its goodput Monitor.
 package core
 
 import (

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ccx/internal/arith"
 	"ccx/internal/codec"
 	"ccx/internal/datagen"
 	"ccx/internal/faultnet"
@@ -20,6 +21,14 @@ import (
 	"ccx/internal/testx"
 	"ccx/internal/tracing"
 )
+
+// pipelineCodecs is the built-in registry plus arithmetic coding, so
+// spreadPolicy can spread blocks over every method.
+var pipelineCodecs = func() *codec.Registry {
+	reg := codec.NewRegistry()
+	reg.Register(codec.NewFuncCodec(codec.Arithmetic, arith.Compress, arith.Decompress))
+	return reg
+}()
 
 // spreadPolicy keys the method choice on content-derived probe inputs only
 // (entropy, repetition, probe ratio, block length) — never on timing — so
@@ -66,6 +75,7 @@ func pipelineEngine(t testing.TB, workers, blockSize int, tel Telemetry) *Engine
 	cfg.BlockSize = blockSize
 	e, err := NewEngine(Config{
 		Selector:  cfg,
+		Registry:  pipelineCodecs,
 		Policy:    spreadPolicy{},
 		Workers:   workers,
 		Telemetry: tel,
@@ -124,7 +134,7 @@ func TestPipelineByteIdentity(t *testing.T) {
 					t.Fatalf("block %d method %v, sequential chose %v", i, r.Info.Method, wantRes[i].Info.Method)
 				}
 			}
-			decoded, err := io.ReadAll(NewReader(bytes.NewReader(got), nil, nil))
+			decoded, err := io.ReadAll(NewReader(bytes.NewReader(got), pipelineCodecs, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +399,7 @@ func TestPipelineTelemetry(t *testing.T) {
 	}
 
 	// The sequenced frames must decode with their sequence numbers in order.
-	fr := codec.NewFrameReader(bytes.NewReader(wire.Bytes()), nil)
+	fr := codec.NewFrameReader(bytes.NewReader(wire.Bytes()), pipelineCodecs)
 	var want uint64
 	for {
 		_, info, err := fr.ReadBlock()

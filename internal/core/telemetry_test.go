@@ -59,7 +59,7 @@ func TestSessionTelemetry(t *testing.T) {
 		t.Fatalf("ring has %d decide spans, want %d", len(recs), blocks)
 	}
 	var methodTotal float64
-	for _, m := range []codec.Method{codec.None, codec.Huffman, codec.Arithmetic, codec.LempelZiv, codec.BurrowsWheeler} {
+	for _, m := range e.Registry().Methods() {
 		methodTotal += snap["ccx.tx_method."+m.String()]
 	}
 	if methodTotal != blocks {

@@ -18,7 +18,6 @@ import (
 //
 //	msg       = type(1) channelName body
 //	subscribe = —                    (peer wants the named channel's events)
-//	unsub     = —
 //	event     = attrCount (key value)* payloadLen payload
 //	attr      = key value            (quality-attribute propagation)
 //
@@ -42,10 +41,9 @@ type Bridge struct {
 	err  error
 }
 
-// Message type bytes.
+// Message type bytes (2 is unassigned).
 const (
 	msgSubscribe = 1
-	msgUnsub     = 2
 	msgEvent     = 3
 	msgAttr      = 4
 )
@@ -84,14 +82,6 @@ func (b *Bridge) ImportChannel(name string) (*EventChannel, error) {
 		return nil, err
 	}
 	return ch, nil
-}
-
-// UnimportChannel stops the peer's forwarding for name.
-func (b *Bridge) UnimportChannel(name string) error {
-	b.mu.Lock()
-	delete(b.imports, name)
-	b.mu.Unlock()
-	return b.send(msgUnsub, name, nil)
 }
 
 // Done is closed when the read loop exits (peer hangup or Close).
@@ -240,8 +230,6 @@ func (b *Bridge) readMessage(r *bufio.Reader) error {
 	switch typ {
 	case msgSubscribe:
 		b.handleSubscribe(channel)
-	case msgUnsub:
-		b.handleUnsub(channel)
 	case msgEvent:
 		return b.handleEvent(channel, body)
 	case msgAttr:
@@ -281,16 +269,6 @@ func (b *Bridge) handleSubscribe(channel string) {
 		body := appendString(nil, k)
 		body = appendString(body, v)
 		_ = b.send(msgAttr, channel, body)
-	}
-}
-
-func (b *Bridge) handleUnsub(channel string) {
-	b.mu.Lock()
-	sub, ok := b.exports[channel]
-	delete(b.exports, channel)
-	b.mu.Unlock()
-	if ok {
-		sub.Cancel()
 	}
 }
 

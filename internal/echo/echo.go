@@ -13,6 +13,10 @@
 //     address spaces (§3.1).
 //   - A transport encapsulation layer (see Bridge) that multiplexes many
 //     channels over a single connection.
+//   - The §3.2 compression handlers (compress.go): DeriveCompressed runs a
+//     core.Engine as the handler of a derived channel, and
+//     SubscribeDecompressed decodes on the consumer side and reports goodput
+//     upstream as a quality attribute.
 //
 // Event delivery within a domain is synchronous and in subscription order,
 // which keeps middleware behaviour deterministic under test; cross-address-

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ccx/internal/arith"
 	"ccx/internal/codec"
 	"ccx/internal/core"
 	"ccx/internal/metrics"
@@ -17,10 +18,17 @@ var allMethods = []codec.Method{
 	codec.None, codec.Huffman, codec.Arithmetic, codec.LempelZiv, codec.BurrowsWheeler,
 }
 
+// allCodecs speaks allMethods: the built-ins plus arithmetic coding.
+func allCodecs() *codec.Registry {
+	reg := codec.NewRegistry()
+	reg.Register(codec.NewFuncCodec(codec.Arithmetic, arith.Compress, arith.Decompress))
+	return reg
+}
+
 func newTestPlane(t *testing.T, mod func(*Config)) (*Plane, *metrics.Registry) {
 	t.Helper()
 	met := metrics.NewRegistry()
-	cfg := Config{Workers: 4, Metrics: met}
+	cfg := Config{Workers: 4, Metrics: met, Engine: core.Config{Registry: allCodecs()}}
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -90,7 +98,7 @@ func TestByteIdentityAllMethods(t *testing.T) {
 		func() []byte { b := make([]byte, 4096); rng.Read(b); return b }(), // incompressible: fallback
 	}
 	for _, m := range allMethods {
-		reg := codec.NewRegistry()
+		reg := allCodecs()
 		p, _ := newTestPlane(t, func(c *Config) { c.Engine = core.Config{Registry: reg} })
 		ch := p.Channel("md")
 		col := newCollector(len(blocks) + 1)
@@ -127,7 +135,7 @@ func TestByteIdentityAllMethods(t *testing.T) {
 // returns bytes identical to a direct encode, and a second request for the
 // same (seq, method) is a cache hit, not a second encode.
 func TestEncodeCachedIdentityAndDedup(t *testing.T) {
-	reg := codec.NewRegistry()
+	reg := allCodecs()
 	p, met := newTestPlane(t, func(c *Config) { c.Engine = core.Config{Registry: reg} })
 	ch := p.Channel("md")
 	data := bytes.Repeat([]byte("replay me "), 300)
@@ -167,7 +175,7 @@ func TestEncodeCachedIdentityAndDedup(t *testing.T) {
 // for resume replays — and per-channel LiveBytes still sums to the
 // plane-wide total.
 func TestRawFastPathByteIdentity(t *testing.T) {
-	reg := codec.NewRegistry()
+	reg := allCodecs()
 	p, met := newTestPlane(t, func(c *Config) { c.Engine = core.Config{Registry: reg} })
 	ch := p.Channel("md")
 	const n = 20

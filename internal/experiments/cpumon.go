@@ -37,7 +37,7 @@ type Measurement struct {
 // Calibrator measures methods on representative data. It is safe for
 // concurrent use.
 type Calibrator struct {
-	// Registry supplies codecs (default registry when nil).
+	// Registry supplies codecs (the built-ins plus arithmetic when nil).
 	Registry *codec.Registry
 	// SpeedScale divides measured speeds and multiplies measured times,
 	// emulating a slower CPU. Values ≤ 0 mean 1.
@@ -68,7 +68,7 @@ func (c *Calibrator) registry() *codec.Registry {
 	if c.Registry != nil {
 		return c.Registry
 	}
-	return codec.NewRegistry()
+	return paperCodecs
 }
 
 // Measure runs one method over data and records the result.
@@ -103,19 +103,6 @@ func (c *Calibrator) Measure(m codec.Method, data []byte) (Measurement, error) {
 	c.latest[m] = res
 	c.mu.Unlock()
 	return res, nil
-}
-
-// MeasureAll measures every listed method over data.
-func (c *Calibrator) MeasureAll(methods []codec.Method, data []byte) (map[codec.Method]Measurement, error) {
-	out := make(map[codec.Method]Measurement, len(methods))
-	for _, m := range methods {
-		res, err := c.Measure(m, data)
-		if err != nil {
-			return nil, err
-		}
-		out[m] = res
-	}
-	return out, nil
 }
 
 // Latest returns the most recent measurement for m, if any.

@@ -33,16 +33,24 @@ func TestMeasureBasic(t *testing.T) {
 	}
 }
 
+// measureAll measures every listed method over data.
+func measureAll(t *testing.T, c *Calibrator, methods []codec.Method, data []byte) map[codec.Method]Measurement {
+	t.Helper()
+	out := make(map[codec.Method]Measurement, len(methods))
+	for _, m := range methods {
+		res, err := c.Measure(m, data)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		out[m] = res
+	}
+	return out
+}
+
 func TestMeasureAllAndLatest(t *testing.T) {
 	var c Calibrator
 	methods := []codec.Method{codec.Huffman, codec.LempelZiv, codec.BurrowsWheeler, codec.Arithmetic}
-	res, err := c.MeasureAll(methods, repetitive(32*1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(methods) {
-		t.Fatalf("got %d results", len(res))
-	}
+	measureAll(t, &c, methods, repetitive(32*1024))
 	for _, m := range methods {
 		latest, ok := c.Latest(m)
 		if !ok || latest.Method != m {
@@ -63,10 +71,7 @@ func TestMeasureAllAndLatest(t *testing.T) {
 func TestFigure4Ordering(t *testing.T) {
 	var c Calibrator
 	data := repetitive(256 * 1024)
-	res, err := c.MeasureAll([]codec.Method{codec.Huffman, codec.LempelZiv, codec.BurrowsWheeler}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measureAll(t, &c, []codec.Method{codec.Huffman, codec.LempelZiv, codec.BurrowsWheeler}, data)
 	lzSpeed := res[codec.LempelZiv].ReducingSpeed
 	bwtSpeed := res[codec.BurrowsWheeler].ReducingSpeed
 	if bwtSpeed >= lzSpeed {
@@ -137,5 +142,9 @@ func TestCustomRegistry(t *testing.T) {
 	c := Calibrator{Registry: reg}
 	if _, err := c.Measure(codec.Huffman, repetitive(1024)); err != nil {
 		t.Fatal(err)
+	}
+	// Arithmetic is the reproduction's to register: a bare registry lacks it.
+	if _, err := c.Measure(codec.Arithmetic, repetitive(1024)); err == nil {
+		t.Fatal("arithmetic measured from the built-in registry")
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"time"
 
+	"ccx/internal/arith"
 	"ccx/internal/codec"
 	"ccx/internal/datagen"
 	"ccx/internal/netsim"
@@ -222,6 +223,24 @@ func IDs() []string {
 // paperMethods lists the four methods in the paper's figure order.
 func paperMethods() []codec.Method {
 	return []codec.Method{codec.BurrowsWheeler, codec.LempelZiv, codec.Arithmetic, codec.Huffman}
+}
+
+// paperCodecs is the built-in registry plus arithmetic coding, the one
+// paper method no policy picks: the figures that compare all four register
+// it here.
+var paperCodecs = func() *codec.Registry {
+	reg := codec.NewRegistry()
+	reg.Register(codec.NewFuncCodec(codec.Arithmetic, arith.Compress, arith.Decompress))
+	return reg
+}()
+
+// compress encodes data with method m from paperCodecs.
+func compress(m codec.Method, data []byte) ([]byte, error) {
+	c, err := paperCodecs.Get(m)
+	if err != nil {
+		return nil, err
+	}
+	return c.Compress(data)
 }
 
 // commercialData builds the OIS transaction workload (§4's commercial set).

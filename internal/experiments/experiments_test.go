@@ -62,6 +62,45 @@ func TestFigure1(t *testing.T) {
 	}
 }
 
+func TestMethodTableMatchesPaper(t *testing.T) {
+	if len(paperFig1) != len(paperMethods()) {
+		t.Fatalf("table has %d methods", len(paperFig1))
+	}
+	// Spot-check the paper's most decision-relevant cells (rows in paper
+	// order: repetitions, low entropy, efficiency, compress, decompress,
+	// global).
+	if paperFig1[codec.BurrowsWheeler][3] != poor {
+		t.Error("BWT compression time should be Poor")
+	}
+	if paperFig1[codec.Huffman][5] != excellent {
+		t.Error("Huffman global time should be Excellent")
+	}
+	if paperFig1[codec.LempelZiv][0] != excellent {
+		t.Error("LZ string repetition should be Excellent")
+	}
+	if paperFig1[codec.Arithmetic][2] != poor {
+		t.Error("Arithmetic efficiency should be Poor")
+	}
+	// Every cell is rated for every method.
+	for _, m := range paperMethods() {
+		for d, r := range paperFig1[m] {
+			if r == 0 {
+				t.Errorf("%v: missing rating in row %d", m, d)
+			}
+		}
+	}
+}
+
+func TestRatingString(t *testing.T) {
+	if poor.String() != "Poor" || excellent.String() != "Excellent" ||
+		satisfactory.String() != "Satisfactory" || good.String() != "Good" {
+		t.Fatal("rating labels wrong")
+	}
+	if rating(99).String() != "Unknown" {
+		t.Fatal("unknown rating label")
+	}
+}
+
 func TestFigure2Shape(t *testing.T) {
 	noShapeMismatch(t, runQuick(t, "fig2"))
 }

@@ -7,7 +7,6 @@ import (
 	"ccx/internal/codec"
 	"ccx/internal/datagen"
 	"ccx/internal/netsim"
-	"ccx/internal/selector"
 	"ccx/internal/stats"
 )
 
@@ -48,19 +47,20 @@ func Figure1(o Options) (*Report, error) {
 	}
 
 	// rank maps methods to ratings for one dimension; lower metric = better.
-	rank := func(metric func(scores) float64) map[codec.Method]selector.Rating {
+	rank := func(metric func(scores) float64) map[codec.Method]rating {
 		ms := paperMethods()
 		sort.Slice(ms, func(i, j int) bool {
 			return metric(measured[ms[i]]) < metric(measured[ms[j]])
 		})
-		ratings := []selector.Rating{selector.Excellent, selector.Good, selector.Satisfactory, selector.Poor}
-		out := make(map[codec.Method]selector.Rating, len(ms))
+		ratings := []rating{excellent, good, satisfactory, poor}
+		out := make(map[codec.Method]rating, len(ms))
 		for i, m := range ms {
 			out[m] = ratings[i]
 		}
 		return out
 	}
 
+	// Figure 1's rows, in the paper's order (the order of paperFig1).
 	dims := []struct {
 		name   string
 		metric func(scores) float64
@@ -73,13 +73,12 @@ func Figure1(o Options) (*Report, error) {
 		{"Global Time", func(s scores) float64 { return s.globalSec }},
 	}
 
-	paper := selector.MethodTable()
 	tbl := stats.Table{
 		Title:   "Figure 1: derived vs published qualitative ratings",
 		Columns: []string{"dimension", "method", "measured", "derived", "paper"},
 	}
 	agreements, total := 0, 0
-	for _, dim := range dims {
+	for d, dim := range dims {
 		derived := rank(dim.metric)
 		for _, m := range paperMethods() {
 			val := dim.metric(measured[m])
@@ -87,7 +86,7 @@ func Figure1(o Options) (*Report, error) {
 			if dim.name == "Time of Compression" || dim.name == "Time of Decompression" || dim.name == "Global Time" {
 				unit = "s"
 			}
-			paperRating := paper[m].Rating(dim.name)
+			paperRating := paperFig1[m][d]
 			tbl.AddRow(dim.name, m.String(),
 				fmt.Sprintf("%.3f%s", val, unit),
 				derived[m].String(), paperRating.String())
@@ -122,7 +121,7 @@ func ratioTable(title string, data []byte, ref map[codec.Method]float64) (stats.
 	}
 	out := make(map[codec.Method]float64, 4)
 	for _, m := range paperMethods() {
-		comp, err := codec.Compress(m, data)
+		comp, err := compress(m, data)
 		if err != nil {
 			return tbl, nil, err
 		}
@@ -304,7 +303,7 @@ func Figure6(o Options) (*Report, error) {
 	for _, cl := range classes {
 		meas[cl.name] = make(map[codec.Method]float64, 4)
 		for _, m := range paperMethods() {
-			comp, err := codec.Compress(m, cl.data)
+			comp, err := compress(m, cl.data)
 			if err != nil {
 				return nil, err
 			}

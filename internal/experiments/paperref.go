@@ -2,10 +2,48 @@ package experiments
 
 import "ccx/internal/codec"
 
-// Paper reference values. Figure 5's numbers are printed in the paper;
-// the bar-chart figures (2, 3, 4, 6) publish no tables, so those values
-// are digitized by eye from the published charts and marked as estimates
-// wherever they are displayed. EXPERIMENTS.md records the comparison.
+// Paper reference values. Figure 1's ratings and Figure 5's numbers are
+// printed in the paper; the bar-chart figures (2, 3, 4, 6) publish no
+// tables, so those values are digitized by eye from the published charts
+// and marked as estimates wherever they are displayed. EXPERIMENTS.md
+// records the comparison.
+
+// rating is Figure 1's four-level qualitative scale.
+type rating int
+
+// Qualitative ratings, worst to best.
+const (
+	poor rating = iota + 1
+	satisfactory
+	good
+	excellent
+)
+
+// String returns the rating label used in the paper's Figure 1.
+func (r rating) String() string {
+	switch r {
+	case poor:
+		return "Poor"
+	case satisfactory:
+		return "Satisfactory"
+	case good:
+		return "Good"
+	case excellent:
+		return "Excellent"
+	}
+	return "Unknown"
+}
+
+// paperFig1 is Figure 1 as published: each method's rating on the paper's
+// six dimensions, in the order of its rows — string repetitions, low
+// entropy, compression efficiency, time of compression, time of
+// decompression, global time.
+var paperFig1 = map[codec.Method][6]rating{
+	codec.BurrowsWheeler: {excellent, excellent, excellent, poor, satisfactory, poor},
+	codec.LempelZiv:      {excellent, poor, good, satisfactory, excellent, good},
+	codec.Arithmetic:     {poor, excellent, poor, poor, poor, poor},
+	codec.Huffman:        {poor, excellent, poor, excellent, excellent, excellent},
+}
 
 // paperFig2Percent is Figure 2: compressed size as percent of original on
 // the commercial dataset (chart estimates).

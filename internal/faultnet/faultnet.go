@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -385,31 +384,4 @@ func (l *listener) Accept() (net.Conn, error) {
 	plan.Seed += l.n * 7919 // distinct but reproducible per-conn streams
 	l.mu.Unlock()
 	return Wrap(conn, plan), nil
-}
-
-// FaultOffsets reports the absolute stream offsets the plan will damage
-// within the first n bytes (flips and the dropped range's start), mainly
-// for tests that want to assert where corruption lands.
-func (p Plan) FaultOffsets(n int) []int {
-	var out []int
-	if p.FlipPer > 0 {
-		seed := p.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for w := 0; ; w++ {
-			off := w*p.FlipPer + rng.Intn(p.FlipPer)
-			if off >= n {
-				break
-			}
-			out = append(out, off)
-			rng.Intn(8) // consume the bit choice like Conn does
-		}
-	}
-	if p.DropLen > 0 && p.DropAt < n {
-		out = append(out, p.DropAt)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -3,6 +3,7 @@ package faultnet
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -67,6 +68,26 @@ func TestZeroPlanIsTransparent(t *testing.T) {
 	}
 }
 
+// plannedFlips is the reference for where a flip plan damages the first n
+// bytes: one offset per FlipPer window, drawn from the plan's seeded stream
+// in the order Conn draws them (an offset, then the bit to flip).
+func plannedFlips(p Plan, n int) []int {
+	seed := p.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var out []int
+	for w := 0; ; w++ {
+		off := w*p.FlipPer + rng.Intn(p.FlipPer)
+		if off >= n {
+			return out
+		}
+		out = append(out, off)
+		rng.Intn(8)
+	}
+}
+
 func TestFlipDamagesExpectedWindows(t *testing.T) {
 	plan := Plan{Seed: 5, FlipPer: 1024}
 	raw, col := sink(t)
@@ -92,7 +113,7 @@ func TestFlipDamagesExpectedWindows(t *testing.T) {
 			diffs = append(diffs, i)
 		}
 	}
-	want := plan.FaultOffsets(len(data))
+	want := plannedFlips(plan, len(data))
 	if len(diffs) != len(want) {
 		t.Fatalf("flipped %d bytes %v, planned %d %v", len(diffs), diffs, len(want), want)
 	}

@@ -154,6 +154,4 @@ var (
 	RatioBuckets = []float64{
 		0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1,
 	}
-	// DepthBuckets covers queue depths and small counts.
-	DepthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
 )

@@ -21,6 +21,7 @@ import (
 	"ccx/internal/governor"
 	"ccx/internal/metrics"
 	"ccx/internal/selector"
+	"ccx/internal/testx"
 )
 
 var updateManifest = flag.Bool("update-manifest", false, "rewrite testdata/names.txt from the current metric surface")
@@ -107,13 +108,8 @@ func TestMetricNameManifest(t *testing.T) {
 	// Read only once all three blocks sit with the subscriber: the pipe
 	// blocks its write loop on the first frame, so at least two of them go
 	// out as one vectored batch and the writev counters always register.
-	queued := time.Now().Add(5 * time.Second)
-	for delivered := reg.Counter("encplane.deliveries"); delivered.Value() < 3; {
-		if time.Now().After(queued) {
-			t.Fatal("published blocks never reached the subscriber's queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	delivered := reg.Counter("encplane.deliveries")
+	testx.WaitUntil(t, "the published blocks in the subscriber's queue", func() bool { return delivered.Value() >= 3 })
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	fr := codec.NewFrameReader(client, nil)
 	for got := 0; got < 3; {
@@ -145,20 +141,11 @@ func TestMetricNameManifest(t *testing.T) {
 	// the snapshot. The stored level stays critical (no further samples),
 	// which is what the admission check below reads.
 	shed := reg.Counter("governor.shed_evictions")
-	deadline := time.Now().Add(5 * time.Second)
-	for shed.Value() == 0 {
+	testx.WaitUntil(t, "the governor to shed the stalled subscriber", func() bool {
 		b.Governor().SampleNow()
-		if time.Now().After(deadline) {
-			t.Fatal("manifest overload scenario never shed the stalled subscriber")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for b.Subscribers() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("shed subscriber never finished tearing down")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return shed.Value() > 0
+	})
+	testx.WaitUntil(t, "the shed subscriber's teardown", func() bool { return b.Subscribers() == 0 })
 	refused, rserver := net.Pipe()
 	b.HandleConn(rserver)
 	if err := broker.HandshakeSubscribe(refused, "md"); err == nil {

@@ -102,13 +102,6 @@ func (e *EWMA) Value() float64 {
 	return e.val
 }
 
-// Observations reports how many samples have been folded in.
-func (e *EWMA) Observations() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
 // Kind identifies a metric's type inside a Registry namespace.
 type Kind string
 

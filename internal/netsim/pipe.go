@@ -34,16 +34,3 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 	}
 	return c.Conn.Write(p)
 }
-
-// Stats exposes the shaping link's counters for assertions and reporting.
-func (c *shapedConn) Stats() Stats { return c.link.Stats() }
-
-// LinkStats extracts shaping statistics from a ShapedPipe end; ok is false
-// for connections that are not shaped.
-func LinkStats(conn net.Conn) (Stats, bool) {
-	sc, ok := conn.(*shapedConn)
-	if !ok {
-		return Stats{}, false
-	}
-	return sc.Stats(), true
-}

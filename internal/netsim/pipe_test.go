@@ -51,11 +51,7 @@ func TestShapedPipePacing(t *testing.T) {
 	if elapsed < 150*time.Millisecond {
 		t.Fatalf("200 KB at 1 MB/s finished in %v — not paced", elapsed)
 	}
-	stats, ok := LinkStats(a)
-	if !ok {
-		t.Fatal("LinkStats failed on shaped end")
-	}
-	if stats.Bytes != int64(len(payload)) {
+	if stats := a.(*shapedConn).link.Stats(); stats.Bytes != int64(len(payload)) {
 		t.Fatalf("stats bytes = %d", stats.Bytes)
 	}
 }
@@ -76,11 +72,5 @@ func TestShapedPipeBidirectional(t *testing.T) {
 	}
 	if _, err := b.Write([]byte("pong")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLinkStatsOnUnshapedConn(t *testing.T) {
-	if _, ok := LinkStats(nil); ok {
-		t.Fatal("nil conn reported stats")
 	}
 }

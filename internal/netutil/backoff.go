@@ -82,10 +82,6 @@ func (b *Backoff) SetRetryAfter(d time.Duration) {
 	b.hasRetry = true
 }
 
-// Attempts reports how many delays have been handed out since the last
-// Reset (RetryAfter overrides not counted).
-func (b *Backoff) Attempts() int { return b.attempts }
-
 // Reset restarts the schedule at Min and drops any pending RetryAfter;
 // call it after a healthy connection so the next outage starts with a
 // short retry again.

@@ -182,47 +182,6 @@ func TestDecisionCarriesAudit(t *testing.T) {
 	}
 }
 
-func TestMethodTableMatchesPaper(t *testing.T) {
-	tbl := MethodTable()
-	if len(tbl) != 4 {
-		t.Fatalf("table has %d methods", len(tbl))
-	}
-	// Spot-check the paper's most decision-relevant cells.
-	if tbl[codec.BurrowsWheeler].CompressTime != Poor {
-		t.Error("BWT compression time should be Poor")
-	}
-	if tbl[codec.Huffman].GlobalTime != Excellent {
-		t.Error("Huffman global time should be Excellent")
-	}
-	if tbl[codec.LempelZiv].StringRepetition != Excellent {
-		t.Error("LZ string repetition should be Excellent")
-	}
-	if tbl[codec.Arithmetic].Efficiency != Poor {
-		t.Error("Arithmetic efficiency should be Poor")
-	}
-	// Every dimension accessor works for every method.
-	for _, m := range TableMethods() {
-		for _, dim := range Dimensions() {
-			if tbl[m].Rating(dim) == 0 {
-				t.Errorf("%v: missing rating for %q", m, dim)
-			}
-		}
-	}
-	if (Characteristics{}).Rating("nope") != 0 {
-		t.Error("unknown dimension should be 0")
-	}
-}
-
-func TestRatingString(t *testing.T) {
-	if Poor.String() != "Poor" || Excellent.String() != "Excellent" ||
-		Satisfactory.String() != "Satisfactory" || Good.String() != "Good" {
-		t.Fatal("rating labels wrong")
-	}
-	if Rating(99).String() != "Unknown" {
-		t.Fatal("unknown rating label")
-	}
-}
-
 // TestReasonMarksReusedProbe: a decision made from a carried-over probe says
 // so, with its age, whatever branch fired — and a measured one does not.
 func TestReasonMarksReusedProbe(t *testing.T) {

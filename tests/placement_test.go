@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ccx/internal/arith"
 	"ccx/internal/broker"
 	"ccx/internal/codec"
 	"ccx/internal/core"
@@ -29,6 +30,15 @@ type pinPolicy struct{ m codec.Method }
 func (p pinPolicy) Name() string { return "pin:" + p.m.String() }
 func (p pinPolicy) Select(in selector.Inputs) selector.Decision {
 	return selector.Decision{Method: p.m, Inputs: in, LZReduceTime: in.LZReduceTime()}
+}
+
+// allCodecs is the built-in registry plus arithmetic coding: a method-matrix
+// cell for arithmetic registers it on every end — publisher, broker and
+// subscriber — the way any deployment that wants it must.
+func allCodecs() *codec.Registry {
+	reg := codec.NewRegistry()
+	reg.Register(codec.NewFuncCodec(codec.Arithmetic, arith.Compress, arith.Decompress))
+	return reg
 }
 
 // placementFilter honors the CCX_PLACEMENT environment variable, which CI's
@@ -104,6 +114,7 @@ func TestPlacementEquivalence(t *testing.T) {
 				cfg.Engine.Selector = selector.DefaultConfig()
 				cfg.Engine.Selector.BlockSize = blockSize
 				cfg.Engine.Policy = pinPolicy{m}
+				cfg.Engine.Registry = allCodecs()
 				b, err := broker.New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -132,7 +143,7 @@ func TestPlacementEquivalence(t *testing.T) {
 				subDone := make(chan struct{})
 				go func() {
 					defer close(subDone)
-					fr := codec.NewFrameReader(subConn, nil)
+					fr := codec.NewFrameReader(subConn, cfg.Engine.Registry)
 					for {
 						data, info, err := fr.ReadBlock()
 						if err != nil {
@@ -171,7 +182,7 @@ func TestPlacementEquivalence(t *testing.T) {
 				pub := faultnet.Wrap(pubConn, tc.plan)
 				var pubErr error
 				for _, block := range blocks {
-					frame, _, err := codec.AppendFrameOpts(nil, nil, pubMethod, block, codec.FrameOpts{})
+					frame, _, err := codec.AppendFrameOpts(nil, cfg.Engine.Registry, pubMethod, block, codec.FrameOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -42,6 +42,7 @@ func runSwarmCell(t *testing.T, m codec.Method, pl selector.Placement,
 	cfg.Engine.Selector = selector.DefaultConfig()
 	cfg.Engine.Selector.BlockSize = len(blocks[0])
 	cfg.Engine.Policy = pinPolicy{m}
+	cfg.Engine.Registry = allCodecs()
 	b, err := broker.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func runSwarmCell(t *testing.T, m codec.Method, pl selector.Placement,
 		subWG.Add(1)
 		go func(i int) {
 			defer subWG.Done()
-			fr := codec.NewFrameReader(conns[i], nil)
+			fr := codec.NewFrameReader(conns[i], cfg.Engine.Registry)
 			for {
 				data, _, err := fr.ReadBlock()
 				if err != nil {
@@ -99,7 +100,7 @@ func runSwarmCell(t *testing.T, m codec.Method, pl selector.Placement,
 	}
 	pub := faultnet.Wrap(pubConn, plan)
 	for _, block := range blocks {
-		frame, _, err := codec.AppendFrameOpts(nil, nil, pubMethod, block, codec.FrameOpts{})
+		frame, _, err := codec.AppendFrameOpts(nil, cfg.Engine.Registry, pubMethod, block, codec.FrameOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
