@@ -17,7 +17,20 @@ import (
 	"ccx/internal/core"
 	"ccx/internal/datagen"
 	"ccx/internal/selector"
+	"ccx/internal/testx"
 )
+
+// dialWhenListening dials addr until the listener run starts accepts.
+func dialWhenListening(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	var conn net.Conn
+	testx.WaitUntil(t, "the listener on "+addr, func() bool {
+		var err error
+		conn, err = net.Dial("tcp", addr)
+		return err == nil
+	})
+	return conn
+}
 
 // TestRecvRoundtrip drives run() with an in-process adaptive sender.
 func TestRecvRoundtrip(t *testing.T) {
@@ -30,19 +43,7 @@ func TestRecvRoundtrip(t *testing.T) {
 	}()
 
 	// Wait for the listener, then send.
-	var conn net.Conn
-	var err error
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		conn, err = net.Dial("tcp", "127.0.0.1:39217")
-		if err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	conn := dialWhenListening(t, "127.0.0.1:39217")
 	cfg := selector.DefaultConfig()
 	cfg.BlockSize = 32 << 10
 	engine, err := core.NewEngine(core.Config{Selector: cfg})
@@ -95,19 +96,7 @@ func TestRecvIdleTimeout(t *testing.T) {
 	go func() {
 		done <- run([]string{"-listen", "127.0.0.1:39218", "-timeout", "300ms", "-out", filepath.Join(t.TempDir(), "x")})
 	}()
-	var conn net.Conn
-	var err error
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		conn, err = net.Dial("tcp", "127.0.0.1:39218")
-		if err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
+	conn := dialWhenListening(t, "127.0.0.1:39218")
 	defer conn.Close()
 	select {
 	case err := <-done:
@@ -139,13 +128,7 @@ func TestRecvSubscribeRoundtrip(t *testing.T) {
 		done <- run([]string{"-addr", ln.Addr().String(), "-channel", "md", "-out", out})
 	}()
 	// The subscriber must be attached before publishing.
-	waitFor := time.Now().Add(5 * time.Second)
-	for b.Subscribers() == 0 {
-		if time.Now().After(waitFor) {
-			t.Fatal("subscriber never attached")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	testx.WaitUntil(t, "the subscriber to attach", func() bool { return b.Subscribers() > 0 })
 	for off := 0; off < len(data); off += 16 << 10 {
 		end := off + 16<<10
 		if end > len(data) {

@@ -221,37 +221,34 @@ func methodMix(prev, cur map[string]float64) string {
 }
 
 // placementMix summarizes where the interval's blocks were compressed,
-// e.g. "plc[publisher=40 receiver=8]". Broker endpoints expose
-// encplane.placement.* (per-class deliveries), senders ccx.tx_placement.*
-// (per-block decisions); the busier family wins, matching methodMix.
+// e.g. "plc[publisher=40 receiver=8]", from ccx.tx_placement.* — one count
+// per block a sender or a broker subscriber path decided.
 func placementMix(prev, cur map[string]float64) string {
-	for _, prefix := range []string{"encplane.placement.", "ccx.tx_placement."} {
-		type pc struct {
-			name string
-			n    float64
-		}
-		var mix []pc
-		for key, v := range cur {
-			if d := v - prev[key]; strings.HasPrefix(key, prefix) && d > 0 {
-				mix = append(mix, pc{strings.TrimPrefix(key, prefix), d})
-			}
-		}
-		if len(mix) == 0 {
-			continue
-		}
-		sort.Slice(mix, func(i, j int) bool {
-			if mix[i].n != mix[j].n {
-				return mix[i].n > mix[j].n
-			}
-			return mix[i].name < mix[j].name
-		})
-		parts := make([]string, len(mix))
-		for i, p := range mix {
-			parts[i] = fmt.Sprintf("%s=%.0f", p.name, p.n)
-		}
-		return "plc[" + strings.Join(parts, " ") + "]"
+	const prefix = "ccx.tx_placement."
+	type pc struct {
+		name string
+		n    float64
 	}
-	return ""
+	var mix []pc
+	for key, v := range cur {
+		if d := v - prev[key]; strings.HasPrefix(key, prefix) && d > 0 {
+			mix = append(mix, pc{strings.TrimPrefix(key, prefix), d})
+		}
+	}
+	if len(mix) == 0 {
+		return ""
+	}
+	sort.Slice(mix, func(i, j int) bool {
+		if mix[i].n != mix[j].n {
+			return mix[i].n > mix[j].n
+		}
+		return mix[i].name < mix[j].name
+	})
+	parts := make([]string, len(mix))
+	for i, p := range mix {
+		parts[i] = fmt.Sprintf("%s=%.0f", p.name, p.n)
+	}
+	return "plc[" + strings.Join(parts, " ") + "]"
 }
 
 // pressureName maps the governor.level gauge to the short operator name.

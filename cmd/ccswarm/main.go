@@ -77,8 +77,9 @@ type report struct {
 	Classes     int64   `json:"classes"`
 
 	// Placement is the broker-side default placement the run used, and
-	// PlacementDeliveries breaks plane deliveries down by the placement of
-	// the class they served (only non-zero placements appear).
+	// PlacementDeliveries breaks the blocks written to subscribers down by
+	// the placement each path decided for them (only non-zero placements
+	// appear).
 	Placement           string           `json:"placement"`
 	PlacementDeliveries map[string]int64 `json:"placement_deliveries,omitempty"`
 
@@ -325,7 +326,7 @@ func runTier(o tierOptions) (report, error) {
 		r.Dedup = float64(r.Deliveries) / float64(r.Encodes)
 	}
 	for p := selector.Placement(0); p < selector.NumPlacements; p++ {
-		if n := met.Counter(fmt.Sprintf("encplane.placement.%s", p)).Value(); n > 0 {
+		if n := met.Counter(fmt.Sprintf("ccx.tx_placement.%s", p)).Value(); n > 0 {
 			if r.PlacementDeliveries == nil {
 				r.PlacementDeliveries = make(map[string]int64)
 			}

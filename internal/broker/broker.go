@@ -206,6 +206,7 @@ type Broker struct {
 	reg     *codec.Registry
 	met     *metrics.Registry
 	plane   *encplane.Plane
+	smp     sampling.Sampler   // takes each published block's one probe
 	gov     *governor.Governor // nil unless Config.Governor was set
 	hbFrame []byte             // precomputed zero-length None frame (heartbeats)
 	logf    func(string, ...any)
@@ -280,15 +281,16 @@ func (b *Broker) state(name string) *channelState {
 	return st
 }
 
-// submit stamps one event with the channel's next sequence number, retains
-// it in the replay window, and fans it out on the encode plane — one encode
-// per method class — all under the channel lock, so the plane sees blocks in
-// sequence order and a join under the same lock splits the stream exactly:
-// earlier blocks are in its snapshot, later ones arrive live. The plane
-// publish blocks while the channel's pipeline is full — that is the
-// publisher backpressure (a network publisher stops reading, and TCP pushes
-// it upstream). It reports ErrClosed for a block that lost the race with
-// Shutdown.
+// submit probes one event, stamps it with the channel's next sequence
+// number, retains it in the replay window, and fans it out on the encode
+// plane — one encode per method class. The probe is the block's one sample:
+// every subscriber decides from it, live or replayed. Stamp and fan-out run
+// under the channel lock, so the plane sees blocks in sequence order and a
+// join under the same lock splits the stream exactly: earlier blocks are in
+// its snapshot, later ones arrive live. The plane publish blocks while the
+// channel's pipeline is full — that is the publisher backpressure (a network
+// publisher stops reading, and TCP pushes it upstream). It reports ErrClosed
+// for a block that lost the race with Shutdown.
 //
 // anno is the block's frame annotation as it arrived from the publisher
 // (nil for in-process publishes). An unannotated block may be head-sampled
@@ -306,17 +308,20 @@ func (b *Broker) submit(st *channelState, data, anno []byte) error {
 			Bytes:      len(data),
 		})
 	}
+	blk := encplane.Block{Data: data, Anno: anno, Probe: b.smp.Probe(data)}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	seq, evBlocks, evBytes := st.ring.stamp(data, anno)
+	var evBlocks int
+	var evBytes int64
+	blk.Seq, evBlocks, evBytes = st.ring.stamp(blk)
 	if evBlocks > 0 {
 		b.met.Counter("broker.replay_evicted_blocks").Add(int64(evBlocks))
 		b.met.Counter("broker.replay_evicted_bytes").Add(evBytes)
 	}
-	st.seqGauge.Set(int64(seq))
+	st.seqGauge.Set(int64(blk.Seq))
 	st.depthBlocks.Set(int64(st.ring.len()))
 	st.depthBytes.Set(st.ring.bytes)
-	if !st.plane.PublishAnno(data, seq, anno) {
+	if !st.plane.PublishBlock(blk) {
 		return ErrClosed
 	}
 	return nil
@@ -449,6 +454,7 @@ func New(cfg Config) (*Broker, error) {
 		reg:     cfg.Engine.Registry,
 		met:     met,
 		plane:   plane,
+		smp:     sampling.Sampler{ProbeSize: cfg.Engine.ProbeSize, SpeedScale: cfg.Engine.SpeedScale, Now: cfg.Engine.Now},
 		gov:     gov,
 		hbFrame: hb,
 		logf:    logf,
@@ -900,9 +906,9 @@ type subscriber struct {
 	st      *channelState
 
 	queue  chan encplane.Delivery
-	replay []ringEntry   // resume backlog, sent before any live delivery
-	drain  chan struct{} // closed by Shutdown: flush queue, then hang up
-	quit   chan struct{} // closed on evict/teardown: exit immediately
+	replay []encplane.Block // resume backlog, sent before any live delivery
+	drain  chan struct{}    // closed by Shutdown: flush queue, then hang up
+	quit   chan struct{}    // closed on evict/teardown: exit immediately
 	once   sync.Once
 
 	// qmu orders deliveries against teardown: deliver refuses once dead is
@@ -930,9 +936,9 @@ type subscriber struct {
 	// (breaker state; write-loop only).
 	slowSince time.Time
 
-	curMethod    codec.Method        // current class method (write-loop only)
-	curPlacement selector.Placement  // current class placement (write-loop only)
-	lastDec      selector.Decision   // decision that chose curMethod, for decide spans
+	// lastDec is the path's latest decision (write-loop only): its Method is
+	// the class the member sits in, its Placement where the path compresses.
+	lastDec      selector.Decision
 	blocks       int                 // blocks written so far; 0 marks the path's first decision
 	batchScratch []encplane.Delivery // write-loop scratch for vectored batches
 	frameScratch []*encplane.Frame   // sendBatch's frames, in batch order
@@ -1010,9 +1016,9 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 
 	st := b.state(channel)
 	s.st = st
-	// The initial class is (None, decided placement): unmeasured paths start
-	// raw, and adapt migrates both dimensions from the first delivery on.
-	s.curPlacement = engine.Placement().Decide(selector.Inputs{})
+	// An unmeasured path starts raw in the None class, at the placement its
+	// policy picks blind; adapt moves both from the first delivery on.
+	s.lastDec.Placement = engine.Placement().Decide(selector.Inputs{})
 	// Snapshot and plane join share one hold of the lock every publish
 	// stamps and fans out under: a block stamped before it is in the snapshot
 	// and was fanned out without this member, a block stamped after finds
@@ -1023,7 +1029,7 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 		s.replay, firstSeq = st.ring.replayFrom(lastSeq)
 		b.noteResume(s, lastSeq, firstSeq, len(s.replay))
 	}
-	s.member = st.plane.JoinPlaced(codec.None, s.curPlacement, func(d encplane.Delivery) bool {
+	s.member = st.plane.Join(codec.None, func(d encplane.Delivery) bool {
 		return s.deliver(b, d)
 	})
 	st.mu.Unlock()
@@ -1206,13 +1212,7 @@ func (s *subscriber) run(b *Broker) {
 			return
 		default:
 		}
-		if !s.sendBatch(b, append(s.batchScratch[:0], encplane.Delivery{
-			Seq:   e.seq,
-			Data:  e.data,
-			Probe: s.st.plane.ProbeFor(e.data, e.seq),
-			Anno:  e.anno,
-			TC:    tracing.ParseAnno(e.anno),
-		})) {
+		if !s.sendBatch(b, append(s.batchScratch[:0], encplane.Delivery{Block: e, TC: tracing.ParseAnno(e.Anno)})) {
 			return
 		}
 	}
@@ -1341,8 +1341,8 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 			}
 		}
 		migrated := s.adapt(len(d.Data), d.Probe)
-		if f == nil || f.RequestedMethod() != s.curMethod {
-			nf, err := s.st.plane.EncodeCached(d.Data, d.Seq, s.curMethod, d.Anno)
+		if f == nil || f.RequestedMethod() != s.lastDec.Method {
+			nf, err := s.st.plane.EncodeCached(d.Data, d.Seq, s.lastDec.Method, d.Anno)
 			switch {
 			case err == nil:
 				if f != nil {
@@ -1373,7 +1373,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				Start:      time.Now().UnixNano(),
 				OriginWall: d.TC.WallNs,
 				Method:     f.Info().Method.String(),
-				Placement:  s.curPlacement.String(),
+				Placement:  s.lastDec.Placement.String(),
 				Anomaly:    switched,
 				Decision:   s.engine.DecisionAttrs(&core.BlockResult{Decision: s.lastDec, Info: f.Info(), Workers: 1}),
 			})
@@ -1410,7 +1410,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				Dur:        share.Nanoseconds(),
 				OriginWall: d.TC.WallNs,
 				Method:     f.Info().Method.String(),
-				Placement:  s.curPlacement.String(),
+				Placement:  s.lastDec.Placement.String(),
 				Bytes:      wire,
 			})
 		}
@@ -1446,24 +1446,21 @@ func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time
 }
 
 // adapt runs selection with the shared probe and this path's own predicted
-// send time, migrating the member's class when the choice changes. It runs
+// send time, migrating the member's class when the method changes. It runs
 // before each write, so the decision applies to the block about to be sent —
 // identical timing to a per-subscriber encode loop (see DESIGN.md §11).
 // Placement runs inside the same decision: a path whose link outruns its
 // codec flips to receiver-side placement, which surfaces here as Method
-// None with Decision.Offloaded set, and the member migrates to the raw
-// (None, receiver) class. It reports whether the path migrated, so the
-// caller records the decision as a migrate span.
+// None with Decision.Offloaded set, so the member moves to the None class.
+// It reports whether the method or the placement changed, so the caller
+// records the decision as a migrate span.
 func (s *subscriber) adapt(blockLen int, probe sampling.ProbeResult) bool {
-	dec := s.engine.DecideProbed(blockLen, probe)
-	s.lastDec = dec
-	if dec.Method != s.curMethod || dec.Placement != s.curPlacement {
-		s.curMethod = dec.Method
-		s.curPlacement = dec.Placement
-		s.member.MigratePlaced(dec.Method, dec.Placement)
-		return true
+	prev := s.lastDec
+	s.lastDec = s.engine.DecideProbed(blockLen, probe)
+	if s.lastDec.Method != prev.Method {
+		s.member.Migrate(s.lastDec.Method)
 	}
-	return false
+	return s.lastDec.Method != prev.Method || s.lastDec.Placement != prev.Placement
 }
 
 // checkBreaker runs the slow-subscriber circuit breaker against one

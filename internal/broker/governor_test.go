@@ -190,7 +190,7 @@ func TestAdmissionRefusesAndRecovers(t *testing.T) {
 	st.mu.Lock()
 	var sum int64
 	for _, e := range st.ring.entries[st.ring.head:] {
-		sum += int64(len(e.data))
+		sum += int64(len(e.Data))
 	}
 	ringBytes, ringLen := st.ring.bytes, st.ring.len()
 	st.mu.Unlock()
@@ -291,7 +291,7 @@ func TestChurnStormExactAccounting(t *testing.T) {
 	st.mu.Lock()
 	var sum int64
 	for _, e := range st.ring.entries[st.ring.head:] {
-		sum += int64(len(e.data))
+		sum += int64(len(e.Data))
 	}
 	ringBytes, ringLen := st.ring.bytes, st.ring.len()
 	maxBlocks, maxBytes := st.ring.maxBlocks, st.ring.maxBytes

@@ -5,7 +5,6 @@ import (
 	"context"
 	"io"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"ccx/internal/datagen"
 	"ccx/internal/metrics"
 	"ccx/internal/selector"
+	"ccx/internal/testx"
 )
 
 // TestSubscriberPipeline runs a subscriber behind a 4-worker encode
@@ -26,7 +26,7 @@ func TestSubscriberPipeline(t *testing.T) {
 		eventSize = 8 << 10
 		numEvents = 64
 	)
-	base := runtime.NumGoroutine()
+	noLeaks := testx.GoroutineGuard(t, 0)
 
 	met := metrics.NewRegistry()
 	cfg := Config{
@@ -116,13 +116,5 @@ func TestSubscriberPipeline(t *testing.T) {
 	}
 
 	// The pipeline's workers and sequencer must be gone after Shutdown.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 64<<10)
-			t.Fatalf("goroutine leak after shutdown: %d > baseline %d\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	noLeaks()
 }

@@ -70,8 +70,8 @@ func TestPlacementReceiverShipsRaw(t *testing.T) {
 			t.Fatalf("event %d shipped as %s, want None under receiver placement", i, methods[i])
 		}
 	}
-	if n := b.Metrics().Counter("encplane.placement.receiver").Value(); n == 0 {
-		t.Fatal("encplane.placement.receiver counter never incremented")
+	if n := b.Metrics().Counter("ccx.tx_placement.receiver").Value(); n != int64(len(want)) {
+		t.Fatalf("ccx.tx_placement.receiver = %d, want one per delivered block (%d)", n, len(want))
 	}
 }
 

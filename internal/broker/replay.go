@@ -1,5 +1,7 @@
 package broker
 
+import "ccx/internal/encplane"
+
 // replayRing assigns a channel's monotonically increasing block sequence
 // numbers and retains the most recent blocks for resume replay, bounded by
 // block count and total payload bytes. The zero value stamps sequence
@@ -14,19 +16,10 @@ type replayRing struct {
 	baseBlocks int
 	baseBytes  int64
 
-	entries []ringEntry // FIFO window; entries[head:] are live
-	head    int         // index of the oldest live entry
-	bytes   int64       // sum of live entry payload sizes
-	last    uint64      // most recently assigned sequence number (0 = none yet)
-}
-
-// ringEntry is one retained block: its channel sequence number, the
-// original event bytes (shared read-only with subscriber queues), and the
-// block's frame annotation, so a replayed block keeps its trace context.
-type ringEntry struct {
-	seq  uint64
-	data []byte
-	anno []byte
+	entries []encplane.Block // FIFO window; entries[head:] are live
+	head    int              // index of the oldest live entry
+	bytes   int64            // sum of live entry payload sizes
+	last    uint64           // most recently assigned sequence number (0 = none yet)
 }
 
 // setBounds configures retention. Non-positive bounds disable replay.
@@ -75,13 +68,15 @@ func (r *replayRing) setPressure(factor float64) (evictedBlocks int, evictedByte
 // enabled reports whether the ring retains blocks at all.
 func (r *replayRing) enabled() bool { return r.maxBlocks > 0 && r.maxBytes > 0 }
 
-// stamp assigns the next sequence number to data, retains it when replay is
+// stamp assigns the next sequence number to b, retains it when replay is
 // enabled, and reports what eviction had to discard to stay within bounds.
-// Sequence numbers start at 1.
-func (r *replayRing) stamp(data, anno []byte) (seq uint64, evictedBlocks int, evictedBytes int64) {
+// Sequence numbers start at 1. A retained block keeps its annotation and
+// probe, so a replayed block keeps its trace context and is decided from
+// the same sample as its live deliveries.
+func (r *replayRing) stamp(b encplane.Block) (seq uint64, evictedBlocks int, evictedBytes int64) {
 	r.last++
 	seq = r.last
-	if !r.enabled() || int64(len(data)) > r.maxBytes {
+	if !r.enabled() || int64(len(b.Data)) > r.maxBytes {
 		// A block that alone exceeds the byte budget would evict the whole
 		// window and still not fit; it is sent live but never retained, which
 		// shows up as an immediate eviction.
@@ -91,8 +86,9 @@ func (r *replayRing) stamp(data, anno []byte) (seq uint64, evictedBlocks int, ev
 		}
 		return seq, evictedBlocks, evictedBytes
 	}
-	r.entries = append(r.entries, ringEntry{seq: seq, data: data, anno: anno})
-	r.bytes += int64(len(data))
+	b.Seq = seq
+	r.entries = append(r.entries, b)
+	r.bytes += int64(len(b.Data))
 	evictedBlocks, evictedBytes = r.evictTo(r.maxBlocks, r.maxBytes)
 	return seq, evictedBlocks, evictedBytes
 }
@@ -101,10 +97,10 @@ func (r *replayRing) stamp(data, anno []byte) (seq uint64, evictedBlocks int, ev
 func (r *replayRing) evictTo(maxBlocks int, maxBytes int64) (blocks int, bytes int64) {
 	for r.len() > 0 && (r.len() > maxBlocks || r.bytes > maxBytes) {
 		e := &r.entries[r.head]
-		r.bytes -= int64(len(e.data))
+		r.bytes -= int64(len(e.Data))
 		blocks++
-		bytes += int64(len(e.data))
-		e.data = nil // release the payload even while the slot lingers
+		bytes += int64(len(e.Data))
+		e.Data = nil // release the payload even while the slot lingers
 		r.head++
 	}
 	// Compact once the dead prefix dominates, so the backing array's size
@@ -130,7 +126,7 @@ func (r *replayRing) lastSeq() uint64 { return r.last }
 // of the first block the session will deliver — replayed or live. A
 // firstSeq beyond lastSeq+1 means the window was evicted past the resume
 // point: the difference is an explicit gap the caller must surface.
-func (r *replayRing) replayFrom(lastSeq uint64) (replay []ringEntry, firstSeq uint64) {
+func (r *replayRing) replayFrom(lastSeq uint64) (replay []encplane.Block, firstSeq uint64) {
 	// A client claiming more than the channel ever published (absurd or
 	// corrupted resume state) is treated as fully caught up: nothing to
 	// replay, the next live block is firstSeq.
@@ -138,17 +134,17 @@ func (r *replayRing) replayFrom(lastSeq uint64) (replay []ringEntry, firstSeq ui
 		return nil, r.last + 1
 	}
 	want := lastSeq + 1
-	if r.len() == 0 || r.entries[len(r.entries)-1].seq < want {
+	if r.len() == 0 || r.entries[len(r.entries)-1].Seq < want {
 		// Nothing retained at or past the resume point. Everything in
 		// (lastSeq, nextSeq] — if anything — is gone.
 		return nil, r.last + 1
 	}
 	start := r.head
-	for start < len(r.entries) && r.entries[start].seq < want {
+	for start < len(r.entries) && r.entries[start].Seq < want {
 		start++
 	}
 	live := r.entries[start:]
-	replay = make([]ringEntry, len(live))
+	replay = make([]encplane.Block, len(live))
 	copy(replay, live)
-	return replay, live[0].seq
+	return replay, live[0].Seq
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccx/internal/codec"
+	"ccx/internal/encplane"
 	"ccx/internal/testx"
 )
 
@@ -20,7 +21,7 @@ func TestReplayRingZeroValueStampsOnly(t *testing.T) {
 		t.Fatal("zero ring reports enabled")
 	}
 	for i := 1; i <= 3; i++ {
-		seq, evB, evBy := r.stamp([]byte("x"), nil)
+		seq, evB, evBy := r.stamp(encplane.Block{Data: []byte("x")})
 		if seq != uint64(i) || evB != 0 || evBy != 0 {
 			t.Fatalf("stamp #%d = (%d, %d, %d)", i, seq, evB, evBy)
 		}
@@ -38,7 +39,7 @@ func TestReplayRingBlockBound(t *testing.T) {
 	r.setBounds(3, 1<<20)
 	var evicted int
 	for i := 0; i < 5; i++ {
-		_, evB, _ := r.stamp([]byte{byte(i)}, nil)
+		_, evB, _ := r.stamp(encplane.Block{Data: []byte{byte(i)}})
 		evicted += evB
 	}
 	if evicted != 2 || r.len() != 3 {
@@ -49,8 +50,8 @@ func TestReplayRingBlockBound(t *testing.T) {
 		t.Fatalf("replayFrom(0) = %d entries from %d, want 3 from 3", len(replay), first)
 	}
 	for i, e := range replay {
-		if e.seq != uint64(3+i) {
-			t.Fatalf("replay[%d].seq = %d", i, e.seq)
+		if e.Seq != uint64(3+i) {
+			t.Fatalf("replay[%d].Seq = %d", i, e.Seq)
 		}
 	}
 }
@@ -59,7 +60,7 @@ func TestReplayRingByteBound(t *testing.T) {
 	var r replayRing
 	r.setBounds(1000, 10) // ten payload bytes total
 	for i := 0; i < 6; i++ {
-		r.stamp([]byte("abcd"), nil) // 4 bytes each; at most 2 fit under 10
+		r.stamp(encplane.Block{Data: []byte("abcd")}) // 4 bytes each; at most 2 fit under 10
 	}
 	if r.len() != 2 || r.bytes != 8 {
 		t.Fatalf("len %d bytes %d; want 2, 8", r.len(), r.bytes)
@@ -72,8 +73,8 @@ func TestReplayRingByteBound(t *testing.T) {
 func TestReplayRingOversizedBlockNeverRetained(t *testing.T) {
 	var r replayRing
 	r.setBounds(8, 10)
-	r.stamp([]byte("ok"), nil)
-	seq, evB, evBy := r.stamp(make([]byte, 64), nil) // alone exceeds the byte budget
+	r.stamp(encplane.Block{Data: []byte("ok")})
+	seq, evB, evBy := r.stamp(encplane.Block{Data: make([]byte, 64)}) // alone exceeds the byte budget
 	if seq != 2 {
 		t.Fatalf("seq = %d", seq)
 	}
@@ -83,7 +84,7 @@ func TestReplayRingOversizedBlockNeverRetained(t *testing.T) {
 	// The window skips the oversized block: a resume over it reports it via
 	// firstSeq/sequence accounting, never replays it.
 	replay, first := r.replayFrom(0)
-	if first != 1 || len(replay) != 1 || replay[0].seq != 1 {
+	if first != 1 || len(replay) != 1 || replay[0].Seq != 1 {
 		t.Fatalf("replayFrom(0) = %d entries from %d", len(replay), first)
 	}
 }
@@ -92,7 +93,7 @@ func TestReplayRingCaughtUpAndAbsurdResume(t *testing.T) {
 	var r replayRing
 	r.setBounds(8, 1<<20)
 	for i := 0; i < 4; i++ {
-		r.stamp([]byte("x"), nil)
+		r.stamp(encplane.Block{Data: []byte("x")})
 	}
 	if replay, first := r.replayFrom(4); replay != nil || first != 5 {
 		t.Fatalf("caught-up resume = (%v, %d), want (nil, 5)", replay, first)
@@ -106,7 +107,7 @@ func TestReplayRingCompaction(t *testing.T) {
 	var r replayRing
 	r.setBounds(10, 1<<20)
 	for i := 0; i < 500; i++ {
-		r.stamp([]byte{byte(i)}, nil)
+		r.stamp(encplane.Block{Data: []byte{byte(i)}})
 	}
 	if r.len() != 10 {
 		t.Fatalf("len = %d, want 10", r.len())

@@ -11,7 +11,7 @@ import (
 	"ccx/internal/codec"
 	"ccx/internal/core"
 	"ccx/internal/metrics"
-	"ccx/internal/selector"
+	"ccx/internal/sampling"
 )
 
 var allMethods = []codec.Method{
@@ -167,109 +167,38 @@ func TestEncodeCachedIdentityAndDedup(t *testing.T) {
 	}
 }
 
-// TestRawFastPathByteIdentity proves the receiver-raw bypass is
-// indistinguishable on the wire: when every member sits in the (None,
-// receiver) class, publishes skip the encode pipeline entirely
-// (encplane.raw_fastpath counts them) yet deliver frames byte-identical to
-// a direct encode, in publish order, with the frame parked in the cache
-// for resume replays — and per-channel LiveBytes still sums to the
-// plane-wide total.
-func TestRawFastPathByteIdentity(t *testing.T) {
-	reg := allCodecs()
-	p, met := newTestPlane(t, func(c *Config) { c.Engine = core.Config{Registry: reg} })
+// TestDeliveryCarriesBlock checks that what the publisher knows about a
+// block — annotation and probe — reaches every class's delivery untouched,
+// and that the frame carries the annotation.
+func TestDeliveryCarriesBlock(t *testing.T) {
+	p, _ := newTestPlane(t, nil)
 	ch := p.Channel("md")
-	const n = 20
-	colA := newCollector(n + 1)
-	colB := newCollector(n + 1)
-	ma := ch.JoinPlaced(codec.None, selector.PlacementReceiver, colA.deliver)
-	mb := ch.JoinPlaced(codec.None, selector.PlacementReceiver, colB.deliver)
-
-	data := bytes.Repeat([]byte("raw fan-out "), 200)
-	for seq := uint64(1); seq <= n; seq++ {
-		ch.Publish(data, seq)
+	cols := []*collector{newCollector(2), newCollector(2)}
+	ch.Join(codec.None, cols[0].deliver)
+	ch.Join(codec.LempelZiv, cols[1].deliver)
+	blk := Block{
+		Data:  bytes.Repeat([]byte("carried "), 100),
+		Seq:   9,
+		Anno:  []byte{0x7f, 0x01, 0xaa},
+		Probe: sampling.ProbeResult{SampleLen: 800, Ratio: 0.25},
 	}
-	if got := met.Counter("encplane.raw_fastpath").Value(); got != n {
-		t.Fatalf("raw_fastpath = %d, want %d (every publish should bypass the pipeline)", got, n)
+	if !ch.PublishBlock(blk) {
+		t.Fatal("publish refused")
 	}
-	if got := ch.LiveBytes(); got != p.LiveBytes() {
-		t.Fatalf("channel LiveBytes %d != plane LiveBytes %d with one live channel", got, p.LiveBytes())
-	}
-
-	// A resume replay of a fast-path block must hit the cache, not encode.
-	hits := met.Counter("encplane.cache_hits").Value()
-	f, err := ch.EncodeCached(data, 1, codec.None, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Release()
-	if got := met.Counter("encplane.cache_hits").Value(); got != hits+1 {
-		t.Fatal("fast-path frame not served from the cache on replay")
-	}
-
-	for _, col := range []*collector{colA, colB} {
-		frames, seqs := col.stop()
-		if len(frames) != n {
-			t.Fatalf("delivered %d frames, want %d", len(frames), n)
+	for _, col := range cols {
+		var d Delivery
+		select {
+		case d = <-col.queue:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no delivery")
 		}
-		want, _, err := codec.AppendFrameOpts(nil, reg, codec.None, data, codec.FrameOpts{Seq: 1, HasSeq: true})
-		if err != nil {
-			t.Fatal(err)
+		if d.Seq != blk.Seq || d.Probe != blk.Probe || !bytes.Equal(d.Anno, blk.Anno) || !bytes.Equal(d.Data, blk.Data) {
+			t.Fatalf("delivery %+v does not carry the published block", d.Block)
 		}
-		for i, fb := range frames {
-			if seqs[i] != uint64(i+1) {
-				t.Fatalf("seqs[%d] = %d: fast path broke publish order", i, seqs[i])
-			}
-			want, _, _ = codec.AppendFrameOpts(want[:0], reg, codec.None, data, codec.FrameOpts{Seq: seqs[i], HasSeq: true})
-			if !bytes.Equal(fb, want) {
-				t.Fatalf("block %d: fast-path frame differs from direct encode", i)
-			}
+		if !bytes.Equal(d.Frame.Info().Anno, blk.Anno) {
+			t.Fatalf("frame annotation %x, want %x", d.Frame.Info().Anno, blk.Anno)
 		}
-	}
-	ma.Leave()
-	mb.Leave()
-}
-
-// TestRawFastPathRequiresUniformReceiverClass pins the gate: one member
-// outside (None, receiver) — wrong method or wrong placement — forces every
-// publish back through the pipeline, and per-member sequence streams stay
-// monotonic when membership flips the channel between the two modes.
-func TestRawFastPathRequiresUniformReceiverClass(t *testing.T) {
-	p, met := newTestPlane(t, nil)
-	ch := p.Channel("md")
-	const n = 60
-	col := newCollector(2*n + 1)
-	mb := ch.JoinPlaced(codec.None, selector.PlacementReceiver, col.deliver)
-	other := ch.JoinPlaced(codec.Huffman, selector.PlacementReceiver, func(Delivery) bool { return false })
-
-	data := bytes.Repeat([]byte("mode flip "), 100)
-	seq := uint64(0)
-	for i := 0; i < n; i++ {
-		seq++
-		ch.Publish(data, seq)
-	}
-	if got := met.Counter("encplane.raw_fastpath").Value(); got != 0 {
-		t.Fatalf("raw_fastpath = %d with a Huffman member attached, want 0", got)
-	}
-
-	// Drop the non-raw member: publishes may now switch to the fast path,
-	// but only after the pipeline's in-flight jobs drain — order holds.
-	other.Leave()
-	for i := 0; i < n; i++ {
-		seq++
-		ch.Publish(data, seq)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, seqs := col.stop()
-	mb.Leave()
-	if len(seqs) != 2*n {
-		t.Fatalf("delivered %d blocks, want %d", len(seqs), 2*n)
-	}
-	for i, s := range seqs {
-		if s != uint64(i+1) {
-			t.Fatalf("seqs[%d] = %d: ordering broke across the pipeline/fast-path transition", i, s)
-		}
+		d.Frame.Release()
 	}
 }
 
@@ -285,7 +214,7 @@ func TestClassesGaugeTracksDistinctMethods(t *testing.T) {
 	if g.Value() != 1 {
 		t.Fatalf("classes = %d after two None joins, want 1", g.Value())
 	}
-	b.MigratePlaced(codec.LempelZiv, selector.PlacementPublisher)
+	b.Migrate(codec.LempelZiv)
 	if g.Value() != 2 {
 		t.Fatalf("classes = %d after migration, want 2", g.Value())
 	}
@@ -312,7 +241,7 @@ func TestMemberSeqMonotonicThroughMigrations(t *testing.T) {
 	data := bytes.Repeat([]byte("sequenced payload "), 64)
 	for seq := uint64(1); seq <= n; seq++ {
 		ch.Publish(data, seq)
-		mb.MigratePlaced(allMethods[int(seq)%len(allMethods)], selector.PlacementPublisher)
+		mb.Migrate(allMethods[int(seq)%len(allMethods)])
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -416,7 +345,7 @@ func TestRefcountChurnStorm(t *testing.T) {
 				mb := ch.Join(allMethods[rng.Intn(len(allMethods))], col.deliver)
 				spins := rng.Intn(4) + 1
 				for j := 0; j < spins; j++ {
-					mb.MigratePlaced(allMethods[rng.Intn(len(allMethods))], selector.PlacementPublisher)
+					mb.Migrate(allMethods[rng.Intn(len(allMethods))])
 					time.Sleep(time.Duration(rng.Intn(150)) * time.Microsecond)
 					// Partial drain keeps queues churning between refusal
 					// (full) and acceptance.

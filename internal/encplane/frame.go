@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"ccx/internal/codec"
-	"ccx/internal/sampling"
 )
 
 // Frame is one immutable encoded wire frame shared across subscriber
@@ -186,36 +185,4 @@ func (fc *frameCache) purge() []*Frame {
 	}
 	fc.entries, fc.fifo, fc.bytes, fc.closed = nil, nil, 0, true
 	return out
-}
-
-// maxProbes bounds the per-channel probe cache. Probe results are a few
-// dozen bytes, so the window comfortably outlasts any replay ring.
-const maxProbes = 4096
-
-// probeCache retains sampling probes by sequence number so one 4 KB LZ
-// probe serves live fan-out and every resume replay of the same block.
-// Guarded by Channel.mu.
-type probeCache struct {
-	entries map[uint64]sampling.ProbeResult
-	fifo    []uint64
-}
-
-func (pc *probeCache) get(seq uint64) (sampling.ProbeResult, bool) {
-	p, ok := pc.entries[seq]
-	return p, ok
-}
-
-func (pc *probeCache) put(seq uint64, p sampling.ProbeResult) {
-	if _, dup := pc.entries[seq]; dup {
-		return
-	}
-	if pc.entries == nil {
-		pc.entries = make(map[uint64]sampling.ProbeResult)
-	}
-	pc.entries[seq] = p
-	pc.fifo = append(pc.fifo, seq)
-	for len(pc.fifo) > maxProbes {
-		delete(pc.entries, pc.fifo[0])
-		pc.fifo = pc.fifo[1:]
-	}
 }

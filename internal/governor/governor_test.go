@@ -6,6 +6,7 @@ import (
 
 	"ccx/internal/codec"
 	"ccx/internal/metrics"
+	"ccx/internal/testx"
 	"ccx/internal/tracing"
 )
 
@@ -222,13 +223,7 @@ func TestStartStopTicker(t *testing.T) {
 	g := newTestGov(t, heap, nil, Config{MemBudget: 1000, Interval: time.Millisecond, Metrics: reg})
 	g.Start()
 	g.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Level() != LevelCritical && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if g.Level() != LevelCritical {
-		t.Fatal("ticker never sampled to critical")
-	}
+	testx.WaitUntil(t, "the ticker to sample to critical", func() bool { return g.Level() == LevelCritical })
 	g.Stop()
 	g.Stop() // idempotent
 	n := reg.Snapshot()["governor.samples"]

@@ -33,14 +33,12 @@ var (
 	subSeg    = regexp.MustCompile(`\bsub\.\d+\.`)
 	chanSeg   = regexp.MustCompile(`\bchan\.[^.]+\.`)
 	methodSeg = regexp.MustCompile(`\bmethod\.[a-z-]+$`)
-	placeSeg  = regexp.MustCompile(`\bplacement\.[a-z]+$`)
 )
 
 func normalize(name string) string {
 	name = subSeg.ReplaceAllString(name, "sub.N.")
 	name = chanSeg.ReplaceAllString(name, "chan.C.")
 	name = methodSeg.ReplaceAllString(name, "method.M")
-	name = placeSeg.ReplaceAllString(name, "placement.P")
 	return name
 }
 

@@ -248,8 +248,8 @@ func TestPlacementEquivalence(t *testing.T) {
 							t.Fatalf("frame %d shipped as %s under receiver placement", i, wm)
 						}
 					}
-					if met.Counter("encplane.placement.receiver").Value() == 0 {
-						t.Fatal("encplane.placement.receiver counter stayed 0")
+					if met.Counter("ccx.tx_placement.receiver").Value() == 0 {
+						t.Fatal("ccx.tx_placement.receiver counter stayed 0")
 					}
 				}
 				if tc.wantPubErr {
