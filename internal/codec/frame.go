@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -216,16 +217,26 @@ func (fw *FrameWriter) WriteBlock(m Method, data []byte) (BlockInfo, error) {
 // A FrameReader reads frames and decompresses their payloads. After a
 // corrupt frame (errors.Is(err, ErrCorruptFrame)) the reader is positioned
 // past the damaged bytes; call Resync to scan for the next frame boundary
-// and keep decoding the survivors.
+// and keep decoding the survivors. A frame costs two or three exact-size
+// reads, none past its last byte (DESIGN.md §5), so the reader needs no
+// read-ahead buffer and leaves the next frame in the stream.
 type FrameReader struct {
 	r       io.Reader
 	reg     *Registry
-	buf     []byte  // payload scratch, reused across frames
-	pending []byte  // bytes pushed back by Resync, consumed before r
-	hdr     []byte  // raw header bytes of the frame attempt in progress
-	payLen  int     // payload bytes of a failed attempt retained in buf
-	one     [1]byte // single-byte read scratch (a local would escape on every byte)
+	buf     []byte // header tail + payload scratch, reused across frames
+	pending []byte // bytes pushed back by Resync, consumed before r
+	hdr     []byte // raw header bytes of the frame attempt in progress
+	payOff  int    // where a failed attempt's payload starts in buf
+	payLen  int    // payload bytes of a failed attempt retained in buf
 }
+
+// minHeader is the shortest frame header: the five fixed bytes, four
+// one-byte uvarints and the CRC. Every frame has at least that many, so the
+// first read of a frame never takes a byte of the next one.
+const minHeader = 5 + 4 + 4
+
+// resyncChunk is how much one Resync read asks the stream for.
+const resyncChunk = 4 << 10
 
 // NewFrameReader returns a FrameReader using the default registry; pass a
 // non-nil reg to use custom codecs.
@@ -236,47 +247,30 @@ func NewFrameReader(r io.Reader, reg *Registry) *FrameReader {
 	return &FrameReader{r: r, reg: reg}
 }
 
-// readFull fills p from the pushback buffer first, then the stream. Like
-// io.ReadFull it returns io.EOF only when nothing was read at all.
-func (fr *FrameReader) readFull(p []byte) error {
-	n := 0
-	if len(fr.pending) > 0 {
-		n = copy(p, fr.pending)
-		fr.pending = fr.pending[n:]
-		if n == len(p) {
-			return nil
-		}
+// readFull fills p from the pushback buffer first, then the stream, and
+// returns how many bytes arrived. Like io.ReadFull it returns io.EOF only
+// when nothing was read at all.
+func (fr *FrameReader) readFull(p []byte) (int, error) {
+	n := copy(p, fr.pending)
+	fr.pending = fr.pending[n:]
+	if n == len(p) {
+		return n, nil
 	}
-	if _, err := io.ReadFull(fr.r, p[n:]); err != nil {
-		if err == io.EOF && n > 0 {
-			return io.ErrUnexpectedEOF
-		}
-		return err
+	m, err := io.ReadFull(fr.r, p[n:])
+	if err == io.EOF && n > 0 {
+		err = io.ErrUnexpectedEOF
 	}
-	return nil
+	return n + m, err
 }
 
-// hdrBytes feeds binary.ReadUvarint one header byte at a time, keeping each
-// in fr.hdr for the CRC and for Resync.
-type hdrBytes struct{ fr *FrameReader }
-
-func (h hdrBytes) ReadByte() (byte, error) {
-	fr := h.fr
-	if err := fr.readFull(fr.one[:]); err != nil {
-		return 0, err
-	}
-	fr.hdr = append(fr.hdr, fr.one[0])
-	return fr.one[0], nil
-}
-
-func (fr *FrameReader) readUvarint() (uint64, error) {
-	start := len(fr.hdr)
-	v, err := binary.ReadUvarint(hdrBytes{fr})
-	if err != nil && len(fr.hdr)-start == binary.MaxVarintLen64 {
-		// Every byte arrived, so the value is at fault, not the stream.
-		return 0, fmt.Errorf("%w: uvarint overflow", ErrCorruptFrame)
-	}
-	return v, err
+// fill appends the next n bytes to fr.hdr, keeping whatever arrived when the
+// read falls short.
+func (fr *FrameReader) fill(n int) error {
+	h := len(fr.hdr)
+	fr.hdr = slices.Grow(fr.hdr, n)[:h+n]
+	got, err := fr.readFull(fr.hdr[h:])
+	fr.hdr = fr.hdr[:h+got]
+	return err
 }
 
 // ReadBlock reads and decodes the next frame. It returns io.EOF cleanly at
@@ -301,74 +295,74 @@ func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	var info BlockInfo
 	fr.hdr = fr.hdr[:0]
 	fr.payLen = 0
-	var fixed [5]byte
-	if err := fr.readFull(fixed[:]); err != nil {
+	// Whatever bytes arrive are checked before a short read is reported,
+	// so each damaged header fails on the same field it would byte by byte.
+	err := fr.fill(minHeader)
+	if len(fr.hdr) < 5 {
 		return nil, info, err // io.EOF only at a frame boundary; cut short is io.ErrUnexpectedEOF
 	}
-	fr.hdr = append(fr.hdr, fixed[:]...)
-	if fixed[0] != magic0 || fixed[1] != magic1 {
+	if fr.hdr[0] != magic0 || fr.hdr[1] != magic1 {
 		return nil, info, ErrBadMagic
 	}
-	if fixed[2] != FrameVersion {
-		return nil, info, fmt.Errorf("%w: %d", ErrBadVersion, fixed[2])
+	if fr.hdr[2] != FrameVersion {
+		return nil, info, fmt.Errorf("%w: %d", ErrBadVersion, fr.hdr[2])
 	}
-	info.Method = Method(fixed[3])
+	info.Method = Method(fr.hdr[3])
 	info.Requested = info.Method
-	flags := fixed[4]
-	if flags&FlagFallback != 0 {
-		info.Fallback = true
+	info.Fallback = fr.hdr[4]&FlagFallback != 0
+	var v [4]uint64 // origLen, compLen, seq, annoLen
+	off := 5
+	for i := range v {
+		for {
+			x, n := binary.Uvarint(fr.hdr[off:min(len(fr.hdr), off+binary.MaxVarintLen64)])
+			if n > 0 {
+				v[i], off = x, off+n
+				break
+			}
+			if n < 0 || len(fr.hdr)-off >= binary.MaxVarintLen64 {
+				// Every byte arrived, so the value is at fault, not the stream.
+				return nil, info, fmt.Errorf("%w: uvarint overflow", ErrCorruptFrame)
+			}
+			if err != nil {
+				return nil, info, unexpectedEOF(err)
+			}
+			// Cut short: read the least the rest of the header can be, one
+			// more byte of this uvarint, one per field left and the CRC.
+			err = fr.fill(1 + len(v) - 1 - i + 4)
+		}
+		if i == 1 && (v[0] > MaxFrameLen || v[1] > MaxFrameLen) {
+			return nil, info, ErrFrameSize
+		}
 	}
-	origLen, err := fr.readUvarint()
-	if err != nil {
-		return nil, info, unexpectedEOF(err)
-	}
-	compLen, err := fr.readUvarint()
-	if err != nil {
-		return nil, info, unexpectedEOF(err)
-	}
-	if origLen > MaxFrameLen || compLen > MaxFrameLen {
+	info.OrigLen, info.CompLen = int(v[0]), int(v[1])
+	info.Seq, info.HasSeq = v[2], v[2] != 0
+	if v[3] > MaxAnnoLen {
 		return nil, info, ErrFrameSize
 	}
-	info.OrigLen, info.CompLen = int(origLen), int(compLen)
-	seq, err := fr.readUvarint()
-	if err != nil {
+	if err != nil { // a short read always leaves the CRC unread
 		return nil, info, unexpectedEOF(err)
 	}
-	info.Seq, info.HasSeq = seq, seq != 0
-	annoLen, err := fr.readUvarint()
-	if err != nil {
+	// The rest of the annotation and CRC, then the payload, in one read; the
+	// header part joins fr.hdr for the CRC and for Resync.
+	tail := off + int(v[3]) + 4 - len(fr.hdr)
+	if cap(fr.buf) < tail+info.CompLen {
+		fr.buf = make([]byte, tail+info.CompLen)
+	}
+	if _, err := fr.readFull(fr.buf[:tail+info.CompLen]); err != nil {
 		return nil, info, unexpectedEOF(err)
 	}
-	if annoLen > MaxAnnoLen {
-		return nil, info, ErrFrameSize
-	}
-	if annoLen > 0 {
+	fr.hdr = append(fr.hdr, fr.buf[:tail]...)
+	payload := fr.buf[tail : tail+info.CompLen]
+	fr.payOff, fr.payLen = tail, info.CompLen
+	if v[3] > 0 {
 		// Copied out: fr.hdr is scratch reused by the next ReadBlock,
 		// but BlockInfo.Anno must outlive it.
-		anno := make([]byte, annoLen)
-		if err := fr.readFull(anno); err != nil {
-			return nil, info, unexpectedEOF(err)
-		}
-		fr.hdr = append(fr.hdr, anno...) // CRC + Resync cover the annotation
-		info.Anno = anno
+		info.Anno = append([]byte(nil), fr.hdr[off:off+int(v[3])]...)
 	}
-	// The CRC covers exactly the header bytes consumed so far…
-	hdrCRC := crc32.Update(0, castagnoli, fr.hdr)
-	var crcBuf [4]byte
-	if err := fr.readFull(crcBuf[:]); err != nil {
-		return nil, info, unexpectedEOF(err)
-	}
-	fr.hdr = append(fr.hdr, crcBuf[:]...) // kept only for Resync scanning
-	wantCRC := binary.LittleEndian.Uint32(crcBuf[:])
-	if cap(fr.buf) < info.CompLen {
-		fr.buf = make([]byte, info.CompLen)
-	}
-	payload := fr.buf[:info.CompLen]
-	if err := fr.readFull(payload); err != nil {
-		return nil, info, unexpectedEOF(err)
-	}
-	fr.payLen = info.CompLen
-	if crc32.Update(hdrCRC, castagnoli, payload) != wantCRC { // …then the payload
+	// The CRC covers every header byte before it, then the payload.
+	crcAt := len(fr.hdr) - 4
+	crc := crc32.Update(crc32.Update(0, castagnoli, fr.hdr[:crcAt]), castagnoli, payload)
+	if crc != binary.LittleEndian.Uint32(fr.hdr[crcAt:]) {
 		return nil, info, ErrChecksum
 	}
 	c, err := fr.reg.Get(info.Method)
@@ -410,21 +404,34 @@ func (fr *FrameReader) Resync() error {
 	if len(fr.hdr) > 1 {
 		back = append(back, fr.hdr[1:]...)
 	}
-	back = append(back, fr.buf[:fr.payLen]...)
+	back = append(back, fr.buf[fr.payOff:fr.payOff+fr.payLen]...)
 	fr.pending = append(back, fr.pending...)
 	fr.hdr = fr.hdr[:0]
 	fr.payLen = 0
 
+	// Scan the pushed-back bytes, then one stream Read's worth at a time;
+	// whatever follows the boundary stays pending for the next ReadBlock.
 	var win [3]byte // the zero bytes it starts with match no boundary
+	var chunk []byte
+	var err error
 	for {
-		if err := fr.readFull(fr.one[:]); err != nil {
+		for i, b := range fr.pending {
+			win[0], win[1], win[2] = win[1], win[2], b
+			if win == [3]byte{magic0, magic1, FrameVersion} {
+				fr.pending = append(win[:len(win):len(win)], fr.pending[i+1:]...)
+				return nil
+			}
+		}
+		fr.pending = nil
+		if err != nil {
 			return err
 		}
-		win[0], win[1], win[2] = win[1], win[2], fr.one[0]
-		if win == [3]byte{magic0, magic1, FrameVersion} {
-			fr.pending = append(win[:len(win):len(win)], fr.pending...)
-			return nil
+		if chunk == nil {
+			chunk = make([]byte, resyncChunk)
 		}
+		var n int
+		n, err = fr.r.Read(chunk)
+		fr.pending = chunk[:n]
 	}
 }
 

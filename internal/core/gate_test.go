@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -361,5 +363,39 @@ func TestFastPathAllocs(t *testing.T) {
 	}
 	if reused < 200 {
 		t.Fatalf("only %d of 256 checked encodes reused a probe", reused)
+	}
+}
+
+// TestWriterSequentialAllocs is the same ceiling through a one-worker Writer:
+// once TransmitBlock returns, the block has been sent, so the Writer fills
+// the same buffer again instead of allocating a block-sized one per block.
+func TestWriterSequentialAllocs(t *testing.T) {
+	e := gateEngine(t, Config{Now: virtualNow(gateTick), Workers: 1})
+	var res BlockResult
+	w := NewWriter(io.Discard, e, func(r BlockResult) { res = r })
+	blocks := gateBlocks(8)
+	var before, after runtime.MemStats
+	var allocated uint64
+	reused := 0
+	for i := 0; i < 256; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := w.Write(blocks[i%len(blocks)]); err != nil { // exactly one block
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if res.Index != i || res.Info.Method != codec.None {
+			t.Fatalf("write %d sent block %d as %v, want block %d raw", i, res.Index, res.Info.Method, i)
+		}
+		if res.Decision.Inputs.ProbeAge == 0 {
+			continue // a measured block pays for its probe
+		}
+		reused++
+		allocated += after.TotalAlloc - before.TotalAlloc
+	}
+	if reused < 200 {
+		t.Fatalf("only %d of 256 blocks reused a probe", reused)
+	}
+	if b := allocated / uint64(reused); b >= 1<<10 {
+		t.Fatalf("%d bytes allocated per raw %d-byte block, want < 1024", b, gateBlock)
 	}
 }

@@ -79,15 +79,17 @@ func (w *Writer) Write(p []byte) (int, error) {
 
 func (w *Writer) flushBlock() error {
 	block := w.buf
-	w.buf = make([]byte, 0, w.e.BlockSize())
 	if w.pipe != nil {
-		// Ownership of block transfers to the pipeline (a fresh buffer was
-		// just allocated above, so the Writer never mutates it again).
+		// Ownership of block transfers to the pipeline, so the Writer
+		// fills a fresh buffer and never mutates this one again.
+		w.buf = make([]byte, 0, w.e.BlockSize())
 		return w.pipe.Submit(Job{Block: block})
 	}
 	// The next block is unknown in streaming mode, so the probe runs at
-	// Decide time for each block (the synchronous fallback).
+	// Decide time for each block (the synchronous fallback). The block is
+	// sent when TransmitBlock returns, so the Writer refills it in place.
 	res, err := w.s.TransmitBlock(block, nil, w.send)
+	w.buf = block[:0]
 	if err != nil {
 		return err
 	}

@@ -265,3 +265,57 @@ func TestReaderRawFrameAllocs(t *testing.T) {
 		t.Errorf("%.0f bytes allocated per raw 16 KiB frame, want < 256", b)
 	}
 }
+
+// countingReader counts the Read calls that reach the stream.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReaderRawFrameReads counts the stream reads a raw 16 KiB frame costs
+// through the Reader: one for the shortest possible header, one more only
+// when a long uvarint runs past it, and one for the rest of the header with
+// the payload. Each is a syscall, and a deadline re-arm under a timeout conn.
+func TestReaderRawFrameReads(t *testing.T) {
+	const frames = 16
+	block := datagen.OISTransactions(16<<10, 0.9, 2)
+	anno := bytes.Repeat([]byte{0x7F}, 30)
+	for _, tc := range []struct {
+		name     string
+		opts     codec.FrameOpts
+		maxReads int
+	}{
+		{"unsequenced", codec.FrameOpts{}, 2},
+		{"seq 100000", codec.FrameOpts{Seq: 100000, HasSeq: true}, 3},
+		{"seq 100000, 30-byte annotation", codec.FrameOpts{Seq: 100000, HasSeq: true, Anno: anno}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wire []byte
+			for i := 0; i < frames; i++ {
+				var err error
+				if wire, _, err = codec.AppendFrameOpts(wire, nil, codec.None, block, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cr := &countingReader{r: bytes.NewReader(wire)}
+			r := NewReader(cr, nil, nil)
+			p := make([]byte, len(block))
+			for i := 0; i < frames; i++ {
+				if _, err := io.ReadFull(r, p); err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if !bytes.Equal(p, block) {
+					t.Fatalf("frame %d differs", i)
+				}
+			}
+			if n := float64(cr.reads) / frames; n > float64(tc.maxReads) {
+				t.Fatalf("%.2f reads per raw frame, want at most %d", n, tc.maxReads)
+			}
+		})
+	}
+}
