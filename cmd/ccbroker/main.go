@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"ccx/internal/broker"
-	"ccx/internal/faultnet"
 	"ccx/internal/governor"
 	"ccx/internal/metrics"
 	"ccx/internal/obs"
@@ -73,7 +72,6 @@ func run(args []string, stop chan struct{}) error {
 		queueLen = fs.Int("queue", broker.DefaultQueueLen, "bounded outbound queue per subscriber, in events")
 		policy   = fs.String("policy", "drop", "slow-subscriber policy: drop (oldest) | evict")
 		placemnt = fs.String("placement", "publisher", "default compression placement for subscriber paths: publisher (broker-side encode, the default), receiver (ship raw, consumers decompress nothing), auto (per-path break-even); a subscriber hello that names a placement overrides this per session")
-		block    = fs.Int("block", 64<<10, "block size hint for per-subscriber selection engines")
 		workers  = fs.Int("workers", 0, "encode worker goroutines in the shared encode plane, per channel; distinct (block, method) pairs compress in parallel but hit the wire in order (0 = GOMAXPROCS, 1 = sequential)")
 		cache    = fs.Int64("cache", 0, "per-channel encoded-frame cache budget in bytes, serving resume replays and post-migration re-encodes (0 = default)")
 		hb       = fs.Duration("hb", broker.DefaultHeartbeat, "idle-link heartbeat interval (negative disables)")
@@ -81,11 +79,9 @@ func run(args []string, stop chan struct{}) error {
 		rbytes   = fs.Int64("replay-bytes", broker.DefaultReplayBytes, "per-channel replay window for resuming subscribers, in bytes (0 with -replay-blocks 0 disables replay)")
 		rto      = fs.Duration("rtimeout", 0, "per-read idle deadline on connections (0 = none)")
 		wto      = fs.Duration("wtimeout", 0, "per-write deadline on subscriber links (0 = none)")
-		speed    = fs.Float64("speedscale", 0, "divide measured reducing speeds by this factor (0 = off)")
 		obsFlags = obs.AddFlags(fs)
 		traceLen = fs.Int("trace", tracing.DefaultRingSize, "span ring capacity (served at /debug/spans)")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		fault    = fs.String("fault", "", `inject faults on every accepted connection for chaos testing, e.g. "flip=65536,seed=7" (see internal/faultnet)`)
 		govern   = fs.Bool("governor", false, "enable the overload governor: sample memory/CPU pressure, degrade compression, shed load, and refuse new subscribers under critical memory pressure (implied by the -mem-budget/-bytes-budget/-governor-interval flags)")
 		memBudg  = fs.Int64("mem-budget", 0, "governor heap budget in bytes (0 = inherit GOMEMLIMIT, negative = disable the heap dimension)")
 		byteBudg = fs.Int64("bytes-budget", 0, "governor budget for aggregate queued+cached bytes — subscriber queues, replay rings, frame cache (0 = default)")
@@ -95,10 +91,6 @@ func run(args []string, stop chan struct{}) error {
 		rAfter   = fs.Duration("retry-after", 0, "retry delay suggested to subscribers refused by governor admission control (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	plan, err := faultnet.ParsePlan(*fault)
-	if err != nil {
 		return err
 	}
 
@@ -152,9 +144,6 @@ func run(args []string, stop chan struct{}) error {
 			Interval:    *govIntvl,
 		}
 	}
-	cfg.Engine.Selector = selector.DefaultConfig()
-	cfg.Engine.Selector.BlockSize = *block
-	cfg.Engine.SpeedScale = *speed
 	cfg.Engine.Workers = *workers
 	if cfg.Engine.Workers <= 0 {
 		cfg.Engine.Workers = runtime.GOMAXPROCS(0)
@@ -167,10 +156,6 @@ func run(args []string, stop chan struct{}) error {
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
-	}
-	if plan.Enabled() {
-		fmt.Fprintf(os.Stderr, "ccbroker: injecting faults on accepted connections: %s\n", plan)
-		ln = faultnet.WrapListener(ln, plan)
 	}
 	fmt.Fprintf(os.Stderr, "ccbroker: serving %s on %s (policy=%s queue=%d)\n",
 		strings.Join(names, ","), ln.Addr(), pol, *queueLen)

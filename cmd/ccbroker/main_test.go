@@ -20,7 +20,6 @@ func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-channels", ""},
 		{"-policy", "wedge"},
-		{"-block", "999999999"},
 		{"-queue", "-3"},
 		{"-nope"},
 	}
@@ -69,7 +68,6 @@ func TestPublishFanOutSession(t *testing.T) {
 			"-channels", "md, audit",
 			"-policy", "evict",
 			"-hb", "-1s",
-			"-block", "8192",
 		}, stop)
 	}()
 

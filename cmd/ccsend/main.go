@@ -31,7 +31,6 @@ import (
 	"ccx/internal/broker"
 	"ccx/internal/codec"
 	"ccx/internal/core"
-	"ccx/internal/faultnet"
 	"ccx/internal/netutil"
 	"ccx/internal/obs"
 	"ccx/internal/selector"
@@ -53,15 +52,10 @@ func run(args []string) error {
 		blockSize = fs.Int("block", selector.DefaultBlockSize, "block size in bytes")
 		workers   = fs.Int("workers", 0, "encode worker goroutines; blocks are compressed in parallel but framed in order (0 = GOMAXPROCS, 1 = the sequential loop)")
 		timeout   = fs.Duration("timeout", 0, "dial timeout and per-operation I/O deadline (0 = none)")
-		fault     = fs.String("fault", "", `inject faults on the outbound stream for chaos testing, e.g. "flip=65536,seed=7" (see internal/faultnet)`)
 		obsFlags  = obs.AddFlags(fs)
 		verbose   = fs.Bool("v", false, "log every block's decision")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	plan, err := faultnet.ParsePlan(*fault)
-	if err != nil {
 		return err
 	}
 	if *blockSize > codec.MaxFrameLen {
@@ -122,12 +116,6 @@ func run(args []string) error {
 		if err := broker.HandshakePublishPlacement(wire, *channel, pl); err != nil {
 			return fmt.Errorf("publish to %q: %w", *channel, err)
 		}
-	}
-	if plan.Enabled() {
-		// Wrap after the handshake so faults land on data frames, not on
-		// connection setup — the interesting failure mode for the receiver.
-		fmt.Fprintf(os.Stderr, "ccsend: injecting faults: %s\n", plan)
-		wire = netutil.WithTimeout(faultnet.Wrap(conn, plan), *timeout)
 	}
 
 	var blocks, wireBytes, orig int64

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ccx/internal/bwmon"
 	"ccx/internal/codec"
 	"ccx/internal/core"
 	"ccx/internal/encplane"
@@ -136,11 +137,12 @@ type Config struct {
 	// plane (0 = encplane.DefaultCacheBytes); resume replays are served
 	// from it instead of re-encoding.
 	CacheBytes int64
-	// Engine is the adaptation template: every subscriber gets its own
-	// core.Engine built from this config for *selection* (goodput EWMA,
-	// thresholds, block size apply per path), while encoding itself runs on
-	// the shared plane — Workers sets the plane's per-channel encode pool.
-	// The Registry is shared; nil means the built-in codec set.
+	// Engine configures adaptation. The broker builds one core.Engine from
+	// it that decides for every subscriber path, each from the block's probe
+	// and the path's own goodput monitor (Alpha sets its EWMA weight) and
+	// placement. Encoding runs on the shared plane — Workers sets the
+	// plane's per-channel encode pool. The Registry is shared; nil means the
+	// built-in codec set.
 	Engine core.Config
 	// Placement is the default compression placement for subscriber paths:
 	// where each subscriber's blocks get compressed relative to this broker
@@ -187,7 +189,8 @@ type Config struct {
 	// the frame cache, admission control (RETRY-AFTER refusals of new
 	// subscribes while memory-critical), and shedding of the slowest
 	// subscriber queues. The broker fills in QueuedBytes, Metrics, Tracer,
-	// and Logf when unset, wires Engine.Limiter, and owns Start/Stop.
+	// and Logf when unset, makes the governor the Limiter of the engine that
+	// decides for every path, and owns Start/Stop.
 	Governor *governor.Config
 	// RetryAfter is the delay suggested to subscribers refused by admission
 	// control (DefaultRetryAfter if 0).
@@ -206,6 +209,7 @@ type Broker struct {
 	reg     *codec.Registry
 	met     *metrics.Registry
 	plane   *encplane.Plane
+	engine  *core.Engine       // decides for every subscriber path; never encodes
 	smp     sampling.Sampler   // takes each published block's one probe
 	gov     *governor.Governor // nil unless Config.Governor was set
 	hbFrame []byte             // precomputed zero-length None frame (heartbeats)
@@ -368,11 +372,6 @@ func New(cfg Config) (*Broker, error) {
 	if cfg.Engine.Registry == nil {
 		cfg.Engine.Registry = codec.NewRegistry()
 	}
-	// Build one engine up front so a bad template fails at New, not at the
-	// first subscriber.
-	if _, err := core.NewEngine(cfg.Engine); err != nil {
-		return nil, fmt.Errorf("broker: engine template: %w", err)
-	}
 	met := cfg.Metrics
 	if met == nil {
 		met = metrics.NewRegistry()
@@ -423,9 +422,17 @@ func New(cfg Config) (*Broker, error) {
 			}
 		}
 		gov = governor.New(gcfg)
-		// Every subscriber engine built from this template now demotes
-		// selections down the method ladder under CPU pressure.
+		// The deciding engine demotes selections down the method ladder
+		// under CPU pressure.
 		cfg.Engine.Limiter = gov
+	}
+	// The one engine that decides for every subscriber path; it counts each
+	// block a path writes into the ccx.tx_* metrics.
+	ecfg := cfg.Engine
+	ecfg.Telemetry = core.Telemetry{Metrics: met}
+	engine, err := core.NewEngine(ecfg)
+	if err != nil {
+		return nil, fmt.Errorf("broker: engine config: %w", err)
 	}
 
 	pcfg := encplane.Config{
@@ -454,6 +461,7 @@ func New(cfg Config) (*Broker, error) {
 		reg:     cfg.Engine.Registry,
 		met:     met,
 		plane:   plane,
+		engine:  engine,
 		smp:     sampling.Sampler{ProbeSize: cfg.Engine.ProbeSize, SpeedScale: cfg.Engine.SpeedScale, Now: cfg.Engine.Now},
 		gov:     gov,
 		hbFrame: hb,
@@ -893,15 +901,18 @@ func (b *Broker) handlePublisher(conn net.Conn, channel string) {
 	}
 }
 
-// subscriber is one consumer connection. Selection state (goodput EWMA,
-// current method) is private; encoded frames arrive ready-made from the
-// shared encode plane through the outbound queue.
+// subscriber is one consumer connection. Its selection state is its goodput
+// monitor, its placement policy and its latest decision; the broker's engine
+// decides from them. Encoded frames arrive ready-made from the shared encode
+// plane through the outbound queue.
 type subscriber struct {
 	id      int
 	channel string
-	conn    net.Conn     // raw; Close unblocks both loops
-	wc      net.Conn     // write side with rolling deadline
-	engine  *core.Engine // selection + per-path telemetry; never encodes
+	stream  string   // "sub.<id>": the path's span label
+	conn    net.Conn // raw; Close unblocks both loops
+	wc      net.Conn // write side with rolling deadline
+	mon     *bwmon.Monitor
+	plc     selector.PlacementPolicy
 	member  *encplane.Member
 	st      *channelState
 
@@ -939,10 +950,11 @@ type subscriber struct {
 	// lastDec is the path's latest decision (write-loop only): its Method is
 	// the class the member sits in, its Placement where the path compresses.
 	lastDec      selector.Decision
-	blocks       int                 // blocks written so far; 0 marks the path's first decision
-	batchScratch []encplane.Delivery // write-loop scratch for vectored batches
-	frameScratch []*encplane.Frame   // sendBatch's frames, in batch order
-	bufScratch   net.Buffers         // sendBatch's wire views of frameScratch
+	blocks       int                  // blocks written so far; 0 marks the path's first decision
+	batchScratch []encplane.Delivery  // write-loop scratch for vectored batches
+	frameScratch []*encplane.Frame    // sendBatch's frames, in batch order
+	plcScratch   []selector.Placement // the placement each of frameScratch was decided at
+	bufScratch   net.Buffers          // sendBatch's wire views of frameScratch
 	// inflight counts frames collected into an in-progress batch write.
 	// They are off the queue but not yet on the wire, so backlog-depth
 	// readers (shedding) must add them back or a stalled subscriber hiding
@@ -966,8 +978,8 @@ type subscriber struct {
 // channel-state lock), so no block can fall between the replay window and
 // the live stream.
 func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placement, resume bool, lastSeq uint64) (*subscriber, uint64, error) {
-	// Reserve the subscriber's id first: the engine's telemetry stream
-	// label ("sub.<id>") needs it before the engine is built.
+	// Reserve the subscriber's id first: its metric names and stream label
+	// ("sub.<id>") need it.
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -977,33 +989,25 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 	id := b.nextID
 	b.mu.Unlock()
 
-	ecfg := b.cfg.Engine
-	ecfg.Telemetry = core.Telemetry{
-		Metrics: b.met,
-		Stream:  fmt.Sprintf("sub.%d", id),
-	}
-	// The broker is the deciding node on every subscriber path: "publisher"
-	// placement here means broker-side (inline) encoding, "receiver" ships
-	// raw and offloads downstream, "auto" flips between the two from this
-	// path's own goodput/reducing-speed balance.
-	ecfg.Placement = selector.PlacementPolicy{
-		Mode:          pl,
-		Node:          selector.PlacementBroker,
-		OffloadFactor: b.cfg.Engine.Placement.OffloadFactor,
-	}
-	engine, err := core.NewEngine(ecfg)
-	if err != nil {
-		return nil, 0, fmt.Errorf("broker: subscriber engine: %w", err)
-	}
 	s := &subscriber{
 		id:      id,
 		channel: channel,
+		stream:  fmt.Sprintf("sub.%d", id),
 		conn:    conn,
 		wc:      netutil.WithTimeouts(conn, 0, b.cfg.WriteTimeout),
-		engine:  engine,
-		queue:   make(chan encplane.Delivery, b.cfg.QueueLen),
-		drain:   make(chan struct{}),
-		quit:    make(chan struct{}),
+		mon:     bwmon.New(b.cfg.Engine.Alpha),
+		// The broker is the deciding node on every subscriber path:
+		// "publisher" placement here means broker-side (inline) encoding,
+		// "receiver" ships raw and offloads downstream, "auto" flips between
+		// the two from this path's own goodput/reducing-speed balance.
+		plc: selector.PlacementPolicy{
+			Mode:          pl,
+			Node:          selector.PlacementBroker,
+			OffloadFactor: b.cfg.Engine.Placement.OffloadFactor,
+		},
+		queue: make(chan encplane.Delivery, b.cfg.QueueLen),
+		drain: make(chan struct{}),
+		quit:  make(chan struct{}),
 
 		bytesIn:   b.met.Counter(fmt.Sprintf("sub.%d.bytes_in", id)),
 		bytesOut:  b.met.Counter(fmt.Sprintf("sub.%d.bytes_out", id)),
@@ -1018,7 +1022,7 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 	s.st = st
 	// An unmeasured path starts raw in the None class, at the placement its
 	// policy picks blind; adapt moves both from the first delivery on.
-	s.lastDec.Placement = engine.Placement().Decide(selector.Inputs{})
+	s.lastDec.Placement = s.plc.Decide(selector.Inputs{})
 	// Snapshot and plane join share one hold of the lock every publish
 	// stamps and fans out under: a block stamped before it is in the snapshot
 	// and was fanned out without this member, a block stamped after finds
@@ -1079,7 +1083,7 @@ func (b *Broker) noteResume(s *subscriber, lastSeq, firstSeq uint64, replayed in
 	// Resume handshakes are always-on traced anomalies: Bytes carries the
 	// replayed block count, Err the gap (blocks lost past the window).
 	sp := tracing.Span{
-		Stream:  s.engine.Telemetry().Stream,
+		Stream:  s.stream,
 		Seq:     firstSeq,
 		Stage:   tracing.StageResume,
 		Start:   time.Now().UnixNano(),
@@ -1297,14 +1301,13 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	s.inflight.Store(int32(len(batch)))
 	defer s.inflight.Store(0)
 	tr := b.cfg.Tracer
-	stream := s.engine.Telemetry().Stream
-	frames, bufs := s.frameScratch[:0], s.bufScratch[:0]
+	frames, placements, bufs := s.frameScratch[:0], s.plcScratch[:0], s.bufScratch[:0]
 	defer func() {
 		// The grown arrays are kept, what they point at is not: a stale entry
 		// would pin a released frame's buffer.
 		clear(frames)
 		clear(bufs)
-		s.frameScratch, s.bufScratch = frames[:0], bufs[:0]
+		s.frameScratch, s.plcScratch, s.bufScratch = frames[:0], placements[:0], bufs[:0]
 	}()
 	// abandon releases what the batch still holds from delivery i on:
 	// removeSub drains the queue, but these are already off it.
@@ -1332,7 +1335,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				tr.Record(tracing.Span{
 					Trace:      d.TC.Trace,
 					Seq:        d.Seq,
-					Stream:     stream,
+					Stream:     s.stream,
 					Stage:      tracing.StageQueue,
 					Start:      d.At.UnixNano(),
 					Dur:        time.Since(d.At).Nanoseconds(),
@@ -1340,7 +1343,7 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 				})
 			}
 		}
-		migrated := s.adapt(len(d.Data), d.Probe)
+		migrated := s.adapt(b, len(d.Data), d.Probe)
 		if f == nil || f.RequestedMethod() != s.lastDec.Method {
 			nf, err := s.st.plane.EncodeCached(d.Data, d.Seq, s.lastDec.Method, d.Anno)
 			switch {
@@ -1368,18 +1371,19 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 			tr.Record(tracing.Span{
 				Trace:      d.TC.Trace,
 				Seq:        d.Seq,
-				Stream:     stream,
+				Stream:     s.stream,
 				Stage:      stage,
 				Start:      time.Now().UnixNano(),
 				OriginWall: d.TC.WallNs,
 				Method:     f.Info().Method.String(),
 				Placement:  s.lastDec.Placement.String(),
 				Anomaly:    switched,
-				Decision:   s.engine.DecisionAttrs(&core.BlockResult{Decision: s.lastDec, Info: f.Info(), Workers: 1}),
+				Decision:   core.DecisionAttrs(&core.BlockResult{Decision: s.lastDec, Info: f.Info(), Workers: 1}, s.mon.Goodput()),
 			})
 		}
 		bufs = append(bufs, f.Bytes())
 		frames = append(frames, f)
+		placements = append(placements, s.lastDec.Placement)
 	}
 	start := time.Now()
 	s.wmu.Lock()
@@ -1398,35 +1402,35 @@ func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	}
 	share := batchDur / time.Duration(len(frames))
 	for k, f := range frames {
-		d := batch[k]
+		d, pl := batch[k], placements[k]
 		wire := len(f.Bytes())
 		if tr != nil && d.TC.Valid() {
 			tr.Record(tracing.Span{
 				Trace:      d.TC.Trace,
 				Seq:        d.Seq,
-				Stream:     stream,
+				Stream:     s.stream,
 				Stage:      tracing.StageWrite,
 				Start:      start.Add(time.Duration(k) * share).UnixNano(),
 				Dur:        share.Nanoseconds(),
 				OriginWall: d.TC.WallNs,
 				Method:     f.Info().Method.String(),
-				Placement:  s.lastDec.Placement.String(),
+				Placement:  pl.String(),
 				Bytes:      wire,
 			})
 		}
-		s.observeBlock(b, f.Info(), share, wire, len(d.Data))
+		s.observeBlock(b, f.Info(), pl, share, wire, len(d.Data))
 		f.Release()
 	}
 	return true
 }
 
 // observeBlock feeds one delivered block into this path's monitor and
-// metrics. Info is the wire truth (the class frame that was sent); Decision
-// is the selection that placed the subscriber in its current class.
-func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time.Duration, wire, origLen int) {
+// metrics. Info is the wire truth (the class frame that was sent); pl is
+// the placement the block was decided at.
+func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, pl selector.Placement, sendTime time.Duration, wire, origLen int) {
 	// End-to-end feedback: the write stalls under receiver backpressure,
 	// which is exactly the acceptance-rate signal the selector wants.
-	s.engine.Monitor().Observe(wire, sendTime)
+	s.mon.Observe(wire, sendTime)
 	s.bytesIn.Add(int64(origLen))
 	s.bytesOut.Add(int64(wire))
 	s.ratio.Observe(info.Ratio())
@@ -1436,8 +1440,8 @@ func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time
 		s.methods[info.Method] = c
 	}
 	c.Inc()
-	s.engine.ObserveBlock(core.BlockResult{
-		Decision:  s.lastDec,
+	b.engine.ObserveBlock(core.BlockResult{
+		Decision:  selector.Decision{Placement: pl},
 		Info:      info,
 		SendTime:  sendTime,
 		WireBytes: wire,
@@ -1454,9 +1458,9 @@ func (s *subscriber) observeBlock(b *Broker, info codec.BlockInfo, sendTime time
 // None with Decision.Offloaded set, so the member moves to the None class.
 // It reports whether the method or the placement changed, so the caller
 // records the decision as a migrate span.
-func (s *subscriber) adapt(blockLen int, probe sampling.ProbeResult) bool {
+func (s *subscriber) adapt(b *Broker, blockLen int, probe sampling.ProbeResult) bool {
 	prev := s.lastDec
-	s.lastDec = s.engine.DecideProbed(blockLen, probe)
+	s.lastDec = b.engine.DecideProbed(s.mon, s.plc, blockLen, probe)
 	if s.lastDec.Method != prev.Method {
 		s.member.Migrate(s.lastDec.Method)
 	}

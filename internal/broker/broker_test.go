@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -585,5 +586,55 @@ func TestPublishValidation(t *testing.T) {
 	}
 	if err := b.Publish("md", []byte("x")); err != ErrClosed {
 		t.Fatalf("publish after shutdown = %v, want ErrClosed", err)
+	}
+}
+
+// idleSubscriberMallocs is the ceiling on heap allocations one idle
+// subscriber costs to attach: both ends of its pipe, the handshake, the
+// session's state and its goroutines.
+const idleSubscriberMallocs = 72
+
+// TestIdleSubscriberAllocs counts what a subscriber costs: it attaches
+// pipe subscribers to a warm channel and divides the allocations, and the
+// heap still live once they sit idle, by their number. Only the count is
+// gated; the retained heap is logged.
+func TestIdleSubscriberAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const n = 1000
+	b := newTestBroker(t, nil)
+	warm := attachSubscriber(t, b, "md")
+	if err := b.Publish("md", bytes.Repeat([]byte("warm"), 1024)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := codec.NewFrameReader(warm, nil).ReadBlock(); err != nil {
+		t.Fatal(err)
+	}
+	clients := make([]net.Conn, 0, n)
+	t.Cleanup(func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		client, server := net.Pipe()
+		clients = append(clients, client)
+		b.HandleConn(server)
+		if err := HandshakeSubscribe(client, "md"); err != nil {
+			t.Fatalf("subscriber %d: %v", i, err)
+		}
+	}
+	testx.WaitUntil(t, "every subscriber registered", func() bool { return b.Subscribers() == n+1 })
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("per idle subscriber: %.1f allocations, %.1f KB retained heap", mallocs, heap/1e3)
+	if mallocs > idleSubscriberMallocs {
+		t.Fatalf("%.1f allocations per idle subscriber, want <= %d", mallocs, idleSubscriberMallocs)
 	}
 }

@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -260,5 +261,66 @@ func TestPlacementResumeCarriesPlacement(t *testing.T) {
 		if methods[i] != codec.None {
 			t.Fatalf("event %d shipped as %s, want None", i, methods[i])
 		}
+	}
+}
+
+// TestBatchCountsEachFramePlacement sends one vectored batch whose blocks
+// sit on either side of auto placement's break-even: the compressible
+// block is offloaded to the receiver, the incompressible one stays
+// broker-side. Each written frame must be counted under its own decision,
+// not under the last one the batch made.
+func TestBatchCountsEachFramePlacement(t *testing.T) {
+	b := newTestBroker(t, func(c *Config) {
+		c.Placement = selector.PlacementAuto
+		// Any compressible block outruns the codec on this link.
+		c.Engine.Placement.OffloadFactor = 1e9
+	})
+	conn := attachSubscriber(t, b, "md")
+	rng := rand.New(rand.NewSource(1))
+	random := func() []byte {
+		p := make([]byte, 4096)
+		rng.Read(p)
+		return p
+	}
+	// The first block is decided unmeasured (broker-side) and its write
+	// gives the path a goodput sample.
+	if err := b.Publish("md", random()); err != nil {
+		t.Fatal(err)
+	}
+	fr := codec.NewFrameReader(conn, nil)
+	if _, _, err := fr.ReadBlock(); err != nil {
+		t.Fatal(err)
+	}
+	// Nobody reads now, so the write loop blocks on the next frame while
+	// the two after it queue up behind it and go out as one batch.
+	blocks := [][]byte{random(), bytes.Repeat([]byte("abcd"), 1024), random()}
+	for _, p := range blocks {
+		if err := b.Publish("md", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	met := b.Metrics()
+	delivered := met.Counter("encplane.deliveries")
+	testx.WaitUntil(t, "every block in the subscriber's queue", func() bool { return delivered.Value() >= 4 })
+	done := make(chan struct{})
+	var events [][]byte
+	go func() {
+		defer close(done)
+		events, _ = readAllFrames(conn)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := b.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	<-done
+	if len(events) != len(blocks) {
+		t.Fatalf("%d events after the first, want %d", len(events), len(blocks))
+	}
+	if n := met.Counter("broker.writev_batches").Value(); n < 1 {
+		t.Fatal("no vectored batch written")
+	}
+	if rcv, brk := met.Counter("ccx.tx_placement.receiver").Value(), met.Counter("ccx.tx_placement.broker").Value(); rcv != 1 || brk != 3 {
+		t.Fatalf("placements counted receiver=%d broker=%d, want 1 and 3", rcv, brk)
 	}
 }

@@ -121,7 +121,7 @@ func TestSoakOverloadGovernor(t *testing.T) {
 	}
 
 	// Degradation: sustained pipeline waits push CPU critical, capping the
-	// method ladder at Huffman for every subscriber engine. The signal is
+	// method ladder at Huffman on every subscriber path. The signal is
 	// an EWMA, so it takes a short run of saturated observations.
 	for i := 0; i < 8; i++ {
 		gov.NotePipeWait(250 * time.Millisecond)

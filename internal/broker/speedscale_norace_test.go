@@ -11,3 +11,6 @@ const integrationSpeedScale = 25
 // integrationFastNoneFrac is the fraction of the fast link's blocks that
 // must ship uncompressed. Native builds hold the strict bar.
 const integrationFastNoneFrac = 0.8
+
+// raceEnabled reports a -race build, whose allocation counts differ.
+const raceEnabled = false

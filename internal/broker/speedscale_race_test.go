@@ -15,3 +15,6 @@ const integrationSpeedScale = 4
 // race build only requires a clear majority of raw blocks on the fast path;
 // the strict 0.8 bar is enforced by the native build.
 const integrationFastNoneFrac = 0.55
+
+// raceEnabled reports a -race build, whose allocation counts differ.
+const raceEnabled = true

@@ -59,7 +59,8 @@ type Config struct {
 	// time.Now. Experiments inject virtual clocks for determinism.
 	Now func() time.Time
 	// Workers sets the encode worker-pool size used by Session.Stream/
-	// StreamBlocks, core.Writer, and the broker's per-subscriber loops.
+	// StreamBlocks, core.Writer, and each channel of the broker's encode
+	// plane.
 	// 0 or 1 keeps the paper's sequential loop (probe-ahead overlap and
 	// all); >1 routes blocks through a core.Pipeline, which compresses
 	// them concurrently while emitting frames strictly in block order.
@@ -323,23 +324,24 @@ func (e *Engine) takeProbe(block []byte) sampling.ProbeResult {
 // Decide selects the compression method for block, consuming the pending
 // probe when one was started (the probe must have been for this block).
 func (e *Engine) Decide(block []byte) selector.Decision {
-	return e.DecideProbed(len(block), e.takeProbe(block))
+	return e.DecideProbed(e.mon, e.plc, len(block), e.takeProbe(block))
 }
 
-// DecideProbed selects a method for a block of blockLen bytes from an
+// DecideProbed selects a method for a block of blockLen bytes on the path
+// whose goodput mon measures and whose placement plc decides, from an
 // already-computed sampling probe. The probe depends only on the block's
-// bytes, so the shared encode plane computes it once and amortizes it across
-// every subscriber of a channel; SendTime still comes from this engine's own
-// goodput monitor, keeping the paper's per-path decision intact.
+// bytes, so the broker takes it once per block and every subscriber path
+// decides from it with its own monitor and placement: the paper's per-path
+// decision, with one engine for all paths.
 //
 // Placement runs first: when the policy offloads the block downstream,
 // this hop ships it raw (Method None) and the method selector never runs —
 // the downstream hop, seeing its own placement decision, compresses (or
 // doesn't) with its own measurements.
-func (e *Engine) DecideProbed(blockLen int, probe sampling.ProbeResult) selector.Decision {
+func (e *Engine) DecideProbed(mon *bwmon.Monitor, plc selector.PlacementPolicy, blockLen int, probe sampling.ProbeResult) selector.Decision {
 	in := selector.Inputs{
 		BlockLen:      blockLen,
-		SendTime:      e.mon.SendTime(blockLen),
+		SendTime:      mon.SendTime(blockLen),
 		ProbeRatio:    probe.Ratio,
 		ReducingSpeed: probe.ReducingSpeed,
 		Entropy:       probe.Entropy,
@@ -347,8 +349,8 @@ func (e *Engine) DecideProbed(blockLen int, probe sampling.ProbeResult) selector
 		ProbeTime:     probe.Duration,
 		ProbeAge:      probe.Age,
 	}
-	pl := e.plc.Decide(in)
-	if !e.plc.Encodes(pl) {
+	pl := plc.Decide(in)
+	if !plc.Encodes(pl) {
 		return selector.Decision{
 			Method:       codec.None,
 			Inputs:       in,
@@ -368,9 +370,6 @@ func (e *Engine) DecideProbed(blockLen int, probe sampling.ProbeResult) selector
 	}
 	return d
 }
-
-// Placement returns the engine's placement policy.
-func (e *Engine) Placement() selector.PlacementPolicy { return e.plc }
 
 // BlockResult records one transmitted block for the experiment plots
 // (Figures 8-12 all read these fields).

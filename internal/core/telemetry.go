@@ -78,15 +78,13 @@ func newTxInstruments(reg *metrics.Registry, codecs *codec.Registry) *txInstrume
 	return ins
 }
 
-// Telemetry returns the engine's telemetry wiring (zero value when none).
-func (e *Engine) Telemetry() Telemetry { return e.tel }
-
 // ObserveBlock feeds one transmitted block into the engine's metrics:
 // histograms for encode/send latency, block and wire sizes, per-method
 // realized ratio. No-op without a registry.
 //
-// Session.TransmitBlock calls this for every block; transports that frame
-// blocks themselves (the broker's per-subscriber loop) call it directly.
+// Session.TransmitBlock calls this for every block; the broker calls it for
+// every block a subscriber path writes, on the one engine that decides for
+// all of its paths.
 func (e *Engine) ObserveBlock(res BlockResult) {
 	ins := e.tx
 	if ins == nil {
@@ -114,12 +112,13 @@ func (e *Engine) ObserveBlock(res BlockResult) {
 }
 
 // DecisionAttrs words one block's decision for a decide or migrate span:
-// the inputs the selector saw beside the realized outcome.
-func (e *Engine) DecisionAttrs(res *BlockResult) *tracing.Decision {
+// the inputs the selector saw beside the realized outcome, and the goodput
+// of the path the block was decided for.
+func DecisionAttrs(res *BlockResult, goodput float64) *tracing.Decision {
 	in := res.Decision.Inputs
 	return &tracing.Decision{
 		BlockLen:     in.BlockLen,
-		GoodputBps:   e.mon.Goodput(),
+		GoodputBps:   goodput,
 		ProbeRatio:   in.ProbeRatio,
 		ProbeAge:     in.ProbeAge,
 		ReduceSpeed:  in.ReducingSpeed,
@@ -173,7 +172,7 @@ func (e *Engine) recordTxSpans(j *Job, res *BlockResult) {
 	// The decision sits where the probe ends and the encode starts, with no
 	// length of its own: the critical path reads as it did without it.
 	s.Stage, s.Start, s.Anomaly = tracing.StageDecide, endNs-wr-wait-enc, switched
-	s.Decision = e.DecisionAttrs(res)
+	s.Decision = DecisionAttrs(res, e.mon.Goodput())
 	tr.Record(s)
 	if !tc.Valid() {
 		return

@@ -244,7 +244,7 @@ func TestTelemetryOffCostsNothing(t *testing.T) {
 	if e.tx != nil {
 		t.Fatal("instruments resolved without a registry")
 	}
-	if e.Telemetry().enabled() {
+	if e.tel.enabled() {
 		t.Fatal("zero telemetry reports enabled")
 	}
 	// ObserveBlock with telemetry off must be a no-op, not a panic.

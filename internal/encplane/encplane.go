@@ -57,8 +57,8 @@ const DefaultCacheBytes = 8 << 20
 type Config struct {
 	// Engine supplies the registry, clock and speed scale the plane's encode
 	// pipelines run with. Telemetry is ignored (the plane emits its own
-	// encplane.* instrumentation); per-subscriber engines stay outside the
-	// plane, owned by the broker.
+	// encplane.* instrumentation); the engine that decides for subscriber
+	// paths stays outside the plane, owned by the broker.
 	Engine core.Config
 	// Workers sets each channel pipeline's encode pool (<= 0: GOMAXPROCS).
 	Workers int
@@ -298,7 +298,8 @@ type Block struct {
 	// Probe is the block's sampling probe, taken once by the publisher. The
 	// plane never reads it; it rides along to every Delivery, where a
 	// member's own goodput monitor combines with it into the paper's
-	// per-path selection inputs (core.Engine.DecideProbed).
+	// per-path selection inputs (the broker passes both to
+	// core.Engine.DecideProbed).
 	Probe sampling.ProbeResult
 }
 

@@ -4,10 +4,10 @@
 // the chaos half of the repo's integrity story — internal/codec's CRC'd
 // frames detect the damage, faultnet manufactures it deterministically.
 //
-// The same plans drive the fault-matrix integration tests (tests/) and the
-// -fault flag on cmd/ccsend and cmd/ccbroker for manual chaos runs:
+// The plans drive the fault-matrix, placement and swarm-identity
+// integration tests (tests/), which wrap their connections in process:
 //
-//	ccsend -addr host:9900 -fault "flip=65536,seed=7" big.dat
+//	go test ./tests -run 'FaultMatrix|ReconnectResume'
 //
 // All faults apply to the write path, modelling a damaging link between
 // the writer and its peer; reads pass through untouched. A Conn is safe
@@ -73,7 +73,7 @@ func (p Plan) Enabled() bool {
 		p.ReorderEvery > 0 || p.Stall > 0 || p.ResetAt > 0
 }
 
-// String renders the plan in ParsePlan's flag syntax.
+// String renders the plan in ParsePlan's syntax.
 func (p Plan) String() string {
 	var parts []string
 	if p.FlipPer > 0 {
@@ -103,7 +103,7 @@ func (p Plan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParsePlan reads the -fault flag syntax: comma-separated key=value pairs
+// ParsePlan reads the plan syntax: comma-separated key=value pairs
 //
 //	flip=N          one random bit flip per N-byte window
 //	drop=OFF:LEN    swallow LEN bytes at offset OFF

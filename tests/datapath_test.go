@@ -23,9 +23,17 @@ var reproductionPkgs = map[string]bool{
 	"ccx/internal/experiments": true,
 }
 
-// TestDataPathDeps holds the line between the system and the reproduction:
-// no data-path binary links a reproduction-only package. A failure names the
-// data-path package that pulled one in.
+// harnessPkgs are test harness: the seeded fault injector and the test
+// helpers. Tests wrap connections in process; no daemon takes a flag that
+// links either.
+var harnessPkgs = map[string]bool{
+	"ccx/internal/faultnet": true,
+	"ccx/internal/testx":    true,
+}
+
+// TestDataPathDeps holds the line between the system and the rest: no
+// data-path binary links a reproduction-only package or the test harness. A
+// failure names the data-path package that pulled one in.
 func TestDataPathDeps(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -39,7 +47,7 @@ func TestDataPathDeps(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		fields := strings.Fields(line)
 		for _, imp := range fields[1:] {
-			if reproductionPkgs[imp] {
+			if reproductionPkgs[imp] || harnessPkgs[imp] {
 				t.Errorf("%s imports %s", fields[0], imp)
 			}
 		}
