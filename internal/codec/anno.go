@@ -20,6 +20,11 @@ const (
 	// subscriber, so the client can tell "evicted: overload" apart from a
 	// generic transport error (and back off accordingly).
 	AnnoKindClose = 0x02
+	// AnnoKindAck carries an acknowledgement (internal/core owns it). An
+	// empty body asks the receiver to acknowledge what it reads; a body is
+	// the receiver's answer, the uvarint count of stream bytes it has
+	// consumed. Both ride zero-length unsequenced frames.
+	AnnoKindAck = 0x03
 )
 
 // AppendAnnoRecord appends one TLV record to the annotation block dst.

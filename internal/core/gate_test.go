@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -396,6 +397,48 @@ func TestWriterSequentialAllocs(t *testing.T) {
 		t.Fatalf("only %d of 256 blocks reused a probe", reused)
 	}
 	if b := allocated / uint64(reused); b >= 1<<10 {
+		t.Fatalf("%d bytes allocated per raw %d-byte block, want < 1024", b, gateBlock)
+	}
+}
+
+// TestWriterPipelinedAllocs is the ceiling through a two-worker Writer. A
+// block handed to the pipeline stays the pipeline's until its frame is sent;
+// the sink then puts the buffer back on the Writer's free list, so once the
+// list is warm the Writer refills recycled buffers instead of allocating a
+// block-sized one per block.
+func TestWriterPipelinedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled frame buffers at random")
+	}
+	const warm, n = 64, 512
+	e := gateEngine(t, Config{Workers: 2})
+	e.Monitor().Observe(gateBlock, time.Microsecond)
+	w := NewWriter(io.Discard, e, nil)
+	blocks := gateBlocks(8)
+	for i := 0; i < warm; i++ {
+		if _, err := w.Write(blocks[i%len(blocks)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// From here on every decision reuses the remembered probe: what a
+	// measured one allocates is the sampler's, not the Writer's.
+	e.gate.mu.Lock()
+	e.gate.nextAt = math.MaxUint64
+	e.gate.mu.Unlock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := w.Write(blocks[i%len(blocks)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes allocated per raw %d-byte block", b, gateBlock)
+	if b >= 1<<10 {
 		t.Fatalf("%d bytes allocated per raw %d-byte block, want < 1024", b, gateBlock)
 	}
 }

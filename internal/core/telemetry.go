@@ -45,6 +45,7 @@ type txInstruments struct {
 	probesReused   *metrics.Counter        // ccx.tx_probes_reused
 	pipeDepth      *metrics.Gauge          // ccx.pipeline_depth (blocks in flight)
 	pipeWait       *metrics.Histogram      // ccx.pipeline_wait_seconds
+	windowWait     *metrics.Histogram      // ccx.window_wait_seconds
 	ratio          [256]*metrics.Histogram // ccx.ratio.<method>
 	methods        [256]*metrics.Counter   // ccx.tx_method.<method>
 
@@ -67,6 +68,7 @@ func newTxInstruments(reg *metrics.Registry, codecs *codec.Registry) *txInstrume
 		probesReused:   reg.Counter("ccx.tx_probes_reused"),
 		pipeDepth:      reg.Gauge("ccx.pipeline_depth"),
 		pipeWait:       reg.Histogram("ccx.pipeline_wait_seconds", metrics.LatencyBuckets),
+		windowWait:     reg.Histogram("ccx.window_wait_seconds", metrics.LatencyBuckets),
 	}
 	for _, m := range codecs.Methods() {
 		ins.ratio[m] = reg.Histogram(fmt.Sprintf("ccx.ratio.%s", m), metrics.RatioBuckets)

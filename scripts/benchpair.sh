@@ -5,8 +5,9 @@
 # seed runs both sides back to back, alternating which goes first — this
 # machine's speed moves in episodes as long as a run, and interleaving is
 # the only thing that cancels them. The --out records land in
-# OUT/{parent,change}/, which `bash benchmark/run.sh compare OUT/parent
-# OUT/change` reads as they are.
+# OUT/{parent,change}/, and each side's are also appended, one record per
+# line, to OUT/{parent,change}.jsonl; `bash benchmark/run.sh compare`
+# reads either form (commit the two .jsonl files, not the directories).
 #
 #   scripts/benchpair.sh <shaA> <shaB> [--pairs N] [--seconds S]
 #       [--workloads a,b,…] [--traced a,b,…] [--out DIR]
@@ -65,6 +66,7 @@ run() {
 	mkdir -p "$out/$1/$5"
 	(cd "$root/.benchpair/$sha" && benchmark/.build/ccxbench --workload "$2" --seed "$3" \
 		--seconds "$seconds" --trace "$4" --out "$out/$1/$5/$2.$3.json") >/dev/null
+	cat "$out/$1/$5/$2.$3.json" >>"$out/$1.jsonl"
 }
 
 for w in ${workloads//,/ }; do
@@ -82,4 +84,4 @@ for w in ${traced//,/ }; do
 	run change "$w" 1 1 traced
 done
 echo "benchpair: $shaA (parent) vs $shaB (change): records in $out" >&2
-bash benchmark/run.sh compare "$out/parent" "$out/change"
+bash benchmark/run.sh compare "$out/parent.jsonl" "$out/change.jsonl"

@@ -268,6 +268,77 @@ func TestReceiverSlowdownOverTCP(t *testing.T) {
 	}
 }
 
+// TestWriterCloseDrains closes the socket the moment Writer.Close returns,
+// with a slow reader still behind: Close has waited until every byte was
+// acknowledged, so nothing is left for a reset to destroy and the reader
+// gets every byte and a clean end of stream, twenty times over.
+func TestWriterCloseDrains(t *testing.T) {
+	const blockSize = 16 << 10
+	data := datagen.OISTransactions(1<<20, 0.9, 11)
+	cfg := selector.DefaultConfig()
+	cfg.BlockSize = blockSize
+	for i := 0; i < 20; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			got []byte
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				done <- result{err: err}
+				return
+			}
+			defer conn.Close()
+			r := core.NewReader(conn, nil, nil)
+			var out bytes.Buffer
+			buf := make([]byte, 4<<10)
+			for reads := 1; ; reads++ {
+				n, err := r.Read(buf)
+				out.Write(buf[:n])
+				if err != nil {
+					if err == io.EOF {
+						err = nil
+					}
+					done <- result{out.Bytes(), err}
+					return
+				}
+				if reads%8 == 0 {
+					time.Sleep(100 * time.Microsecond) // a slow consumer
+				}
+			}
+		}()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.NewEngine(core.Config{Selector: cfg, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := core.NewWriter(conn, e, nil)
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("iteration %d: Close: %v", i, err)
+		}
+		conn.Close()
+		res := <-done
+		ln.Close()
+		if res.err != nil {
+			t.Fatalf("iteration %d: reader: %v", i, res.err)
+		}
+		if !bytes.Equal(res.got, data) {
+			t.Fatalf("iteration %d: %d bytes received, want %d", i, len(res.got), len(data))
+		}
+	}
+}
+
 // TestChannelSwitchover reproduces §3.2's operational story end to end: a
 // consumer starts on the raw channel, decides the exchange is too slow,
 // derives a compressed channel, subscribes to it and cancels its raw
