@@ -119,21 +119,20 @@ type Engine struct {
 // sampled byte (the sample's ratio cancels out of expected-reduction /
 // reducing-speed), so the fastest time per byte any probe has shown bounds
 // from below what a fresh probe could predict. While the predicted send time
-// times gateMargin is still under SendVsReduce times that bound, the block is
-// decided from the remembered probe instead of a measured one.
-const (
-	// gateMargin is how many times faster than the break-even the line must
-	// be: a fresh probe would have to beat the fastest one on record by this
-	// factor to change a send-vs-reduce answer.
-	gateMargin = 4
-	// gateMaxEvery caps the re-measure cadence at one block in 64, which also
-	// bounds a reused probe's age (plus the few blocks that pass concurrent
-	// workers while the next measurement runs).
-	gateMaxEvery = 64
-)
+// times gateMargin is still under SendVsReduce times that bound, no fresh
+// probe can change the answer, and the block is decided from the remembered
+// probe instead of a measured one. Only the floor still learns from a
+// measurement, so the gate measures the blocks whose ordinal is a power of
+// two: the floor becomes a minimum over several samples (seven in the first
+// 127 blocks) and keeps being lowered log₂ N times over N blocks.
+//
+// gateMargin is how many times faster than the break-even the line must be:
+// a fresh probe would have to beat the fastest one on record by this factor
+// to change a send-vs-reduce answer.
+const gateMargin = 4
 
-// probeGate is the remembered measurement and the cadence it is refreshed
-// on. Blocks are numbered as the gate sees them.
+// probeGate is the remembered measurement. Blocks are numbered as the gate
+// sees them.
 type probeGate struct {
 	// off disables reuse: the policy samples every block. Set at build.
 	off bool
@@ -143,10 +142,8 @@ type probeGate struct {
 	lastAt uint64               // ordinal of the block it was measured on
 	// floor is the fastest Lempel-Ziv time per sampled byte seen, in
 	// nanoseconds with SpeedScale applied; 0 until a probe has been timed.
-	floor  float64
-	seen   uint64 // ordinal of the newest block decided
-	nextAt uint64 // ordinal at which the next measurement is due
-	every  uint64 // blocks between measurements: doubles from 1 to gateMaxEvery while the line stays fast
+	floor float64
+	seen  uint64 // ordinal of the newest block decided
 }
 
 // NewEngine validates cfg and builds an Engine.
@@ -192,7 +189,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		workers: cfg.Workers,
 		lim:     cfg.Limiter,
 	}
-	e.gate.every = 1
 	if p, ok := policy.(selector.PerBlockSampler); ok {
 		e.gate.off = p.SamplesEveryBlock()
 	}
@@ -215,11 +211,10 @@ func (e *Engine) Registry() *codec.Registry { return e.reg }
 // the remembered probe, and returns it aged and with no time spent. That
 // needs the line to outrun the codec by gateMargin at the current goodput
 // (never before the first goodput sample or the first timed probe) and the
-// cadence not to ask for a measurement. Otherwise the caller owes the gate a
-// measure for the returned ordinal. A line that slows is therefore measured
-// on the very block the margin stops holding for and on every block until it
-// holds again; the cadence is left where it was, because the floor it ramped
-// up to establish still stands.
+// block's ordinal not to be a power of two. Otherwise the caller owes the
+// gate a measure for the returned ordinal. A line that slows is therefore
+// measured on the very block the margin stops holding for and on every
+// block until it holds again, however long it was fast before.
 //
 // peek asks without consuming the block: StartProbe uses it to decide
 // whether to fork, and leaves the block to the Decide that follows.
@@ -237,7 +232,7 @@ func (e *Engine) reuseProbe(n int, peek bool) (p sampling.ProbeResult, ordinal u
 	k := g.seen + 1
 	fast := g.floor > 0 && send > 0 &&
 		send*gateMargin < e.sel.SendVsReduce*g.floor*float64(n)
-	if fast && k < g.nextAt {
+	if fast && k&(k-1) != 0 {
 		if !peek {
 			g.seen = k
 			if e.tx != nil {
@@ -249,10 +244,6 @@ func (e *Engine) reuseProbe(n int, peek bool) (p sampling.ProbeResult, ordinal u
 		return p, 0, true
 	}
 	g.seen = k
-	if fast && g.every < gateMaxEvery {
-		g.every *= 2
-	}
-	g.nextAt = k + g.every
 	return p, k, false
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
+	"math/bits"
 	"runtime"
 	"strings"
 	"sync"
@@ -85,8 +85,8 @@ type everyBlockPolicy struct{ selector.RatioPolicy }
 func (everyBlockPolicy) SamplesEveryBlock() bool { return true }
 
 // TestGateSteadyFastLine streams over a line that takes 1 µs per frame: the
-// sequential loop (StartProbe's peek) and the worker pool must both settle
-// on the 1-in-64 cadence, send everything raw, and mark exactly the reused
+// sequential loop (StartProbe's peek) and the worker pool must both measure
+// only now and then, send everything raw, and mark exactly the reused
 // decisions. A policy wrapped in another type is gated just the same.
 func TestGateSteadyFastLine(t *testing.T) {
 	const n = 1024
@@ -120,11 +120,13 @@ func TestGateSteadyFastLine(t *testing.T) {
 					t.Fatalf("block %d sent %v on a fast line", i, r.Decision.Method)
 				}
 				reused := checkReuseMarks(t, i, r.Decision)
-				// Concurrent workers decide a few more blocks from the old
-				// probe while the next measurement runs; the pipeline depth
-				// (2×workers in the order queue, a block per worker and one in
-				// the sequencer) bounds how many.
-				if max := gateMaxEvery + 4*tc.workers; r.Decision.Inputs.ProbeAge >= max {
+				// The newest power of two at or below a block's ordinal was
+				// measured, so a reused probe is less than half the ordinal
+				// old. Concurrent workers decide a few more blocks from the
+				// old probe while the next measurement runs; the pipeline
+				// depth (2×workers in the order queue, a block per worker and
+				// one in the sequencer) bounds how many.
+				if max := (i+1)/2 + 4*tc.workers; r.Decision.Inputs.ProbeAge >= max {
 					t.Fatalf("block %d: probe age %d, bound %d", i, r.Decision.Inputs.ProbeAge, max)
 				}
 				if i >= 8 && !reused {
@@ -141,55 +143,169 @@ func TestGateSteadyFastLine(t *testing.T) {
 	}
 }
 
+// TestGateMeasuresPowersOfTwo counts the probes of a long stream over a
+// 1 µs line: the gate measures the blocks whose ordinal is a power of two
+// (13 of 4096) and, besides those, only blocks decided before the first
+// goodput sample. The sequential loop has two of those, ordinals 1 and 2;
+// the worker pool at most the blocks in flight before the first send, and
+// none after the ramp.
+func TestGateMeasuresPowersOfTwo(t *testing.T) {
+	const n = 4096
+	pow := bits.Len(n) // the powers of two 1, 2, 4, …, n
+	blocks := gateBlocks(n)
+	fastSend := func([]byte) (time.Duration, error) { return time.Microsecond, nil }
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			e := gateEngine(t, Config{Workers: workers, Telemetry: Telemetry{Metrics: reg}})
+			results, err := NewSession(e).StreamBlocks(blocks, fastSend, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			measured, afterRamp := 0, 0
+			for i, r := range results {
+				if checkReuseMarks(t, i, r.Decision) {
+					continue
+				}
+				measured++
+				// Ordinal 64 is decided within the pipeline's depth of block
+				// index 63, so past index 96 only 128, 256, …, n remain.
+				if i >= 96 {
+					afterRamp++
+				}
+			}
+			snap := reg.Snapshot()
+			if got := snap["ccx.tx_probes_measured"]; got != float64(measured) {
+				t.Fatalf("tx_probes_measured = %v, decisions say %d", got, measured)
+			}
+			if got := snap["ccx.tx_probes_reused"]; got != float64(n-measured) {
+				t.Fatalf("tx_probes_reused = %v, want %d", got, n-measured)
+			}
+			early := 0 // blocks in flight before the first goodput sample
+			if workers > 1 {
+				early = 4 * workers
+			}
+			if measured < pow || measured > pow+early {
+				t.Fatalf("%d of %d blocks measured, want %d powers of two plus at most %d decided before the first goodput sample",
+					measured, n, pow, early)
+			}
+			if want := pow - 7; afterRamp != want {
+				t.Fatalf("%d blocks measured past the ramp, want %d (ordinals 128 … %d)", afterRamp, want, n)
+			}
+		})
+	}
+}
+
 // TestGateBreaksOnSlowingLine feeds the monitor slow samples in the middle of
 // a fast stream: the very next Decide must measure, and must decide what an
-// engine that probes every block decides from the same inputs.
+// engine that probes every block decides from the same inputs — after 40
+// fast blocks and after 10,000, whose remembered probe is thousands of
+// blocks old.
 func TestGateBreaksOnSlowingLine(t *testing.T) {
-	gated := gateEngine(t, Config{Now: virtualNow(gateTick)})
+	for _, fast := range []int{40, 10000} {
+		t.Run(fmt.Sprintf("after=%d", fast), func(t *testing.T) {
+			gated := gateEngine(t, Config{Now: virtualNow(gateTick)})
+			ungated := gateEngine(t, Config{
+				Now:    virtualNow(gateTick),
+				Policy: everyBlockPolicy{selector.RatioPolicy{Config: gated.sel}},
+			})
+			blocks := gateBlocks(8)
+			decideBoth := func(i int) (g, u selector.Decision) {
+				b := blocks[i%len(blocks)]
+				return gated.Decide(b), ungated.Decide(b)
+			}
+			observeBoth := func(d time.Duration) {
+				gated.Monitor().Observe(gateBlock, d)
+				ungated.Monitor().Observe(gateBlock, d)
+			}
+
+			observeBoth(time.Microsecond)
+			reused := 0
+			for i := 0; i < fast; i++ {
+				// The ungated engine keeps no state but its monitor, so
+				// comparing the first blocks with it is enough (and keeps
+				// 10,000 probes out of the race build).
+				if i >= 64 {
+					if g := gated.Decide(blocks[i%len(blocks)]); g.Method != codec.None {
+						t.Fatalf("block %d sent %v on a fast line", i, g.Method)
+					} else if checkReuseMarks(t, i, g) {
+						reused++
+					}
+					continue
+				}
+				g, u := decideBoth(i)
+				if checkReuseMarks(t, i, g) {
+					reused++
+				}
+				if checkReuseMarks(t, i, u) {
+					t.Fatalf("block %d: the opted-out engine reused a probe", i)
+				}
+				if g.Method != u.Method {
+					t.Fatalf("block %d: gated %v, ungated %v", i, g.Method, u.Method)
+				}
+			}
+			// Every ordinal but the powers of two reuses the probe.
+			if want := fast - bits.Len(uint(fast)); reused != want {
+				t.Fatalf("%d of %d fast-line decisions reused the probe, want %d", reused, fast, want)
+			}
+
+			for i := 0; i < 6; i++ {
+				observeBoth(200 * time.Millisecond) // the EWMA is now far past the break-even
+			}
+			for i := fast; i < fast+8; i++ {
+				g, u := decideBoth(i)
+				if checkReuseMarks(t, i, g) {
+					t.Fatalf("block %d: reused a probe on a slow line", i)
+				}
+				if g != u {
+					t.Fatalf("block %d on the slowed line:\n gated   %+v\n ungated %+v", i, g, u)
+				}
+				if g.Method == codec.None {
+					t.Fatalf("block %d stayed raw on a slow line: %s", i, g.Reason())
+				}
+			}
+		})
+	}
+}
+
+// coldNow is a virtual clock whose first probe takes 16 ticks and every
+// later one a single tick: a cold first measurement (page faults, a cold
+// cache) that overstates the Lempel-Ziv time per byte sixteenfold. A probe
+// reads the clock twice, so the second reading is the slow one.
+func coldNow() func() time.Time {
+	t, reads := time.Unix(0, 0), 0
+	return func() time.Time {
+		reads++
+		step := gateTick
+		if reads == 2 {
+			step = 16 * gateTick
+		}
+		t = t.Add(step)
+		return t
+	}
+}
+
+// TestGateColdFirstProbe: a line that outruns the codec only against a cold
+// first probe cannot open the gate for good. Block 2's probe lowers the
+// floor, the margin stops holding, and from then on every block is measured
+// and decided as an engine that probes every block decides it.
+func TestGateColdFirstProbe(t *testing.T) {
+	gated := gateEngine(t, Config{Now: coldNow()})
 	ungated := gateEngine(t, Config{
-		Now:    virtualNow(gateTick),
+		Now:    coldNow(),
 		Policy: everyBlockPolicy{selector.RatioPolicy{Config: gated.sel}},
 	})
-	blocks := gateBlocks(48)
-	decideBoth := func(i int) (g, u selector.Decision) {
-		return gated.Decide(blocks[i]), ungated.Decide(blocks[i])
+	// Four times under the cold floor's gate, four times over the warm one's.
+	for _, e := range []*Engine{gated, ungated} {
+		e.Monitor().Observe(gateBlock, gateBreakEven)
 	}
-	observeBoth := func(d time.Duration) {
-		gated.Monitor().Observe(gateBlock, d)
-		ungated.Monitor().Observe(gateBlock, d)
-	}
-
-	observeBoth(time.Microsecond)
-	reused := 0
-	for i := 0; i < 40; i++ {
-		g, u := decideBoth(i)
+	for i, b := range gateBlocks(200) {
+		g, u := gated.Decide(b), ungated.Decide(b)
 		if checkReuseMarks(t, i, g) {
-			reused++
-		}
-		if checkReuseMarks(t, i, u) {
-			t.Fatalf("block %d: the opted-out engine reused a probe", i)
-		}
-		if g.Method != u.Method {
-			t.Fatalf("block %d: gated %v, ungated %v", i, g.Method, u.Method)
-		}
-	}
-	if reused < 30 {
-		t.Fatalf("only %d of 40 fast-line decisions reused the probe", reused)
-	}
-
-	for i := 0; i < 6; i++ {
-		observeBoth(200 * time.Millisecond) // the EWMA is now far past the break-even
-	}
-	for i := 40; i < 48; i++ {
-		g, u := decideBoth(i)
-		if checkReuseMarks(t, i, g) {
-			t.Fatalf("block %d: reused a probe on a slow line", i)
+			t.Fatalf("block %d reused a probe: %s", i, g.Reason())
 		}
 		if g != u {
-			t.Fatalf("block %d on the slowed line:\n gated   %+v\n ungated %+v", i, g, u)
-		}
-		if g.Method == codec.None {
-			t.Fatalf("block %d stayed raw on a slow line: %s", i, g.Reason())
+			t.Fatalf("block %d:\n gated   %+v\n ungated %+v", i, g, u)
 		}
 	}
 }
@@ -421,9 +537,11 @@ func TestWriterPipelinedAllocs(t *testing.T) {
 		}
 	}
 	// From here on every decision reuses the remembered probe: what a
-	// measured one allocates is the sampler's, not the Writer's.
+	// measured one allocates is the sampler's, not the Writer's. The gate
+	// measures power-of-two ordinals, so move the count where the next n
+	// blocks hold none.
 	e.gate.mu.Lock()
-	e.gate.nextAt = math.MaxUint64
+	e.gate.seen = 1 << 40
 	e.gate.mu.Unlock()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

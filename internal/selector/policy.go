@@ -14,9 +14,10 @@ import "ccx/internal/codec"
 // describe that block's own sample when ProbeAge is 0. While the predicted
 // send time is several times below what the fastest Lempel-Ziv probe seen so
 // far predicts for reducing the block, core.Engine skips the measurement and
-// passes the sample fields of a block up to 64 blocks older (ProbeAge says
-// how many, ProbeTime is 0): a policy that weighs send time against the
-// probe's reduce time answers "none" from either sample, so nothing is lost.
+// passes the sample fields of an earlier block (ProbeAge says how many
+// blocks earlier, ProbeTime is 0): a policy that weighs send time against
+// the probe's reduce time answers "none" from either sample, so nothing is
+// lost.
 // The engine cannot tell that from the outside — a policy wrapped for timing
 // or logging has another concrete type — so every policy gets remembered
 // samples on such a line unless it implements PerBlockSampler, and a wrapper
