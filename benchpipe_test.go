@@ -93,7 +93,7 @@ func benchmarkTransmitTraced(b *testing.B, rate float64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TransmitBlock(block, nil, send); err != nil {
+		if _, err := s.TransmitBlock(block, send); err != nil {
 			b.Fatal(err)
 		}
 	}

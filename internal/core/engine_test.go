@@ -87,25 +87,6 @@ func TestDecideIncompressibleData(t *testing.T) {
 	}
 }
 
-func TestProbeOverlap(t *testing.T) {
-	e := newTestEngine(t, Config{})
-	blockA := datagen.OISTransactions(64*1024, 0.9, 1)
-	blockB := datagen.Random(64*1024, 2)
-	e.StartProbe(blockB)
-	// Decide must consume the probe for blockB (which is random), not probe
-	// blockA: so even on a slow line the decision is None.
-	e.Monitor().Observe(64*1024, 10*time.Second)
-	dec := e.Decide(blockA)
-	if dec.Method != codec.None {
-		t.Fatalf("probe overlap broken: got %v", dec.Method)
-	}
-	// Next decide has no pending probe: falls back to probing blockA itself.
-	dec = e.Decide(blockA)
-	if dec.Method == codec.None {
-		t.Fatalf("synchronous probe fallback broken: got %v", dec.Method)
-	}
-}
-
 // fakeLimiter is a scripted MethodLimiter standing in for the overload
 // governor.
 type fakeLimiter struct {

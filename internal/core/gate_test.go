@@ -85,9 +85,10 @@ type everyBlockPolicy struct{ selector.RatioPolicy }
 func (everyBlockPolicy) SamplesEveryBlock() bool { return true }
 
 // TestGateSteadyFastLine streams over a line that takes 1 µs per frame: the
-// sequential loop (StartProbe's peek) and the worker pool must both measure
-// only now and then, send everything raw, and mark exactly the reused
-// decisions. A policy wrapped in another type is gated just the same.
+// sequential loop and the worker pool, which take their probes the same way,
+// must both measure only now and then, send everything raw, and mark exactly
+// the reused decisions. A policy wrapped in another type is gated just the
+// same.
 func TestGateSteadyFastLine(t *testing.T) {
 	const n = 1024
 	blocks := gateBlocks(n)

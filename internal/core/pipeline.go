@@ -31,13 +31,12 @@ import (
 // encoded into a pooled buffer that the worker hands, through the
 // sequencer, to the sink together with its ownership (see Sink).
 //
-// Probing: workers do not use the paper's probe-ahead overlap (Engine's
-// pending-probe slot is a per-stream scalar, meaningless with several
-// blocks in flight). Each Decide takes its probe synchronously on the worker
-// — a fresh measurement of its own block, or, while the line outruns the
+// Probing: each worker's Decide takes its block's probe exactly as the
+// sequential loop does — a fresh measurement, or, while the line outruns the
 // codec, the engine's remembered one (see the probe gate in engine.go; its
-// state is shared by all workers) — so probe cost parallelizes along with the
-// encode.
+// state is shared by all workers). This is where the paper's overlap of
+// probe and send lives: workers probe and encode later blocks while the sink
+// sends earlier ones, and probe cost parallelizes along with the encode.
 type Pipeline struct {
 	e       *Engine
 	sink    Sink

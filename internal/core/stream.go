@@ -119,10 +119,9 @@ func (w *Writer) flushBlock() error {
 		}
 		return w.pipe.Submit(Job{Block: block})
 	}
-	// The next block is unknown in streaming mode, so the probe runs at
-	// Decide time for each block (the synchronous fallback). The block is
-	// sent when TransmitBlock returns, so the Writer refills it in place.
-	res, err := w.s.TransmitBlock(block, nil, w.send)
+	// The block is sent when TransmitBlock returns, so the Writer refills
+	// it in place.
+	res, err := w.s.TransmitBlock(block, w.send)
 	w.buf = block[:0]
 	if err != nil {
 		return err

@@ -132,7 +132,7 @@ func TestSwitchIsAlwaysRecorded(t *testing.T) {
 	send := func([]byte) (time.Duration, error) { return time.Millisecond, nil }
 	spansAfter := make([]int, 0, 8)
 	for i := 0; i < 8; i++ {
-		if _, err := s.TransmitBlock(block, nil, send); err != nil {
+		if _, err := s.TransmitBlock(block, send); err != nil {
 			t.Fatal(err)
 		}
 		spansAfter = append(spansAfter, len(tracer.Ring().Recent(0)))
@@ -267,7 +267,7 @@ func BenchmarkTransmitBlock(b *testing.B) {
 		send := func(frame []byte) (dur time.Duration, _ error) { return time.Millisecond, nil }
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.TransmitBlock(block, nil, send); err != nil {
+			if _, err := s.TransmitBlock(block, send); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -52,14 +52,14 @@ func AblationMethods(o Options) (*Report, error) {
 
 	links := []netsim.Profile{netsim.Gigabit, netsim.Fast100, netsim.Slow1M, netsim.International}
 	modes := []struct {
-		name  string
-		fixed *codec.Method
+		name   string
+		policy func(selector.Config) selector.Policy
 	}{
 		{"adaptive", nil},
-		{"fixed none", fixedMethod(codec.None)},
-		{"fixed huffman", fixedMethod(codec.Huffman)},
-		{"fixed lempel-ziv", fixedMethod(codec.LempelZiv)},
-		{"fixed burrows-wheeler", fixedMethod(codec.BurrowsWheeler)},
+		{"fixed none", fixed(codec.None)},
+		{"fixed huffman", fixed(codec.Huffman)},
+		{"fixed lempel-ziv", fixed(codec.LempelZiv)},
+		{"fixed burrows-wheeler", fixed(codec.BurrowsWheeler)},
 	}
 	tbl := stats.Table{
 		Title:   "Ablation: total exchange time (s) per link, fixed methods vs adaptive",
@@ -73,7 +73,7 @@ func AblationMethods(o Options) (*Report, error) {
 		for _, mode := range modes {
 			sc := base
 			sc.link = link
-			sc.fixed = mode.fixed
+			sc.policy = mode.policy
 			run, err := runAdaptive(o, sc)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", link.Name, mode.name, err)

@@ -85,10 +85,6 @@ type scenario struct {
 	data     []byte        // block source, cycled as needed
 	duration time.Duration // virtual time budget
 	maxBytes int64         // stop after this many original bytes (0 = none)
-	// fixed disables adaptation and uses one method for every block — the
-	// non-adaptive baselines (codec.None reproduces the paper's
-	// "without compression" runs). nil means adapt normally.
-	fixed *codec.Method
 	// heavyLoad saturates the link above 14 connections instead of 20 —
 	// the §5 conclusion regime, where the ×4 MBone load consumes ~90 % of
 	// the 100 MBit link on average.
@@ -103,12 +99,24 @@ type scenario struct {
 	thresholdScale float64 // multiplies SendVsReduce and StrongVsReduce
 	probeSize      int
 	// policy overrides the decision policy (nil = the published ratio
-	// algorithm).
+	// algorithm; fixed(m) = the non-adaptive baselines).
 	policy func(selector.Config) selector.Policy
 }
 
-// fixedMethod returns a pointer for scenario.fixed.
-func fixedMethod(m codec.Method) *codec.Method { return &m }
+// fixedPolicy disables adaptation: every block is sent with one method.
+// fixed(codec.None) reproduces the paper's "without compression" runs.
+type fixedPolicy struct{ m codec.Method }
+
+func (p fixedPolicy) Name() string { return "fixed " + p.m.String() }
+
+func (p fixedPolicy) Select(in selector.Inputs) selector.Decision {
+	return selector.Decision{Method: p.m, Inputs: in}
+}
+
+// fixed returns a scenario policy that sends every block with m.
+func fixed(m codec.Method) func(selector.Config) selector.Policy {
+	return func(selector.Config) selector.Policy { return fixedPolicy{m} }
+}
 
 // loadConfigFor builds the background-load mapping for a scenario.
 func loadConfigFor(sc scenario, prof netsim.Profile, start time.Time) trace.LoadConfig {
@@ -208,43 +216,19 @@ func runAdaptive(o Options, sc scenario) (*adaptiveRun, error) {
 		off += bs
 		return b
 	}
-	var fw *codec.FrameWriter
-	var rawBuf writerBuffer
-	if sc.fixed != nil {
-		fw = codec.NewFrameWriter(&rawBuf, nil)
+	send := func(frame []byte) (time.Duration, error) {
+		return link.Send(len(frame)), nil
 	}
-
-	block := nextBlock()
-	for block != nil {
+	for block := nextBlock(); block != nil; block = nextBlock() {
 		if clk.Now().Sub(start) >= sc.duration {
 			break
 		}
 		if sc.maxBytes > 0 && run.Orig >= sc.maxBytes {
 			break
 		}
-		var res core.BlockResult
-		if sc.fixed != nil {
-			rawBuf.Reset()
-			info, err := fw.WriteBlock(*sc.fixed, block)
-			if err != nil {
-				return nil, err
-			}
-			res = core.BlockResult{
-				Index: len(run.Samples),
-				Info:  info, WireBytes: rawBuf.Len(),
-			}
-			res.Decision.Method = info.Method
-			res.SendTime = link.Send(res.WireBytes)
-		} else {
-			next := nextBlock()
-			r, err := session.TransmitBlock(block, next, func(frame []byte) (time.Duration, error) {
-				return link.Send(len(frame)), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			res = r
-			block = next
+		res, err := session.TransmitBlock(block, send)
+		if err != nil {
+			return nil, err
 		}
 		charged := chargeCompress(res.Info, k)
 		clk.Advance(charged)
@@ -257,23 +241,10 @@ func runAdaptive(o Options, sc scenario) (*adaptiveRun, error) {
 			Result:          res,
 			ChargedCompress: charged,
 		})
-		if sc.fixed != nil {
-			block = nextBlock()
-		}
 	}
 	run.Total = clk.Now().Sub(start)
 	return run, nil
 }
-
-// writerBuffer is a minimal resettable byte sink.
-type writerBuffer struct{ buf []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-func (w *writerBuffer) Reset()   { w.buf = w.buf[:0] }
-func (w *writerBuffer) Len() int { return len(w.buf) }
 
 // commercialAdaptive runs the §4.2 commercial scenario once (shared by
 // Figures 8, 9 and 10).

@@ -49,13 +49,13 @@ func Conclusion(o Options) (*Report, error) {
 	longRun := 24 * time.Hour // byte-bounded, not time-bounded
 
 	commRaw := base
-	commRaw.data, commRaw.duration, commRaw.maxBytes, commRaw.fixed = commercial, longRun, rawVolume, fixedMethod(codec.None)
+	commRaw.data, commRaw.duration, commRaw.maxBytes, commRaw.policy = commercial, longRun, rawVolume, fixed(codec.None)
 	rawRun, err := runAdaptive(o, commRaw)
 	if err != nil {
 		return nil, err
 	}
 	commAdapt := commRaw
-	commAdapt.fixed = nil
+	commAdapt.policy = nil
 	adaptRun, err := runAdaptive(o, commAdapt)
 	if err != nil {
 		return nil, err
@@ -70,13 +70,13 @@ func Conclusion(o Options) (*Report, error) {
 	}
 	molVolume := volume
 	molRawSc := base
-	molRawSc.data, molRawSc.duration, molRawSc.maxBytes, molRawSc.fixed = molBatch, longRun, molVolume, fixedMethod(codec.None)
+	molRawSc.data, molRawSc.duration, molRawSc.maxBytes, molRawSc.policy = molBatch, longRun, molVolume, fixed(codec.None)
 	molRaw, err := runAdaptive(o, molRawSc)
 	if err != nil {
 		return nil, err
 	}
 	molAdaptSc := molRawSc
-	molAdaptSc.fixed = nil
+	molAdaptSc.policy = nil
 	molAdaptive, err := runAdaptive(o, molAdaptSc)
 	if err != nil {
 		return nil, err

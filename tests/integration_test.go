@@ -458,7 +458,7 @@ func TestMBoneScenarioEndToEnd(t *testing.T) {
 	s := core.NewSession(engine)
 	blocks := 0
 	for off := 0; clk.Now().Sub(start) < 160*time.Second; off = (off + cfg.BlockSize) % (len(data) - cfg.BlockSize) {
-		res, err := s.TransmitBlock(data[off:off+cfg.BlockSize], nil, func(frame []byte) (time.Duration, error) {
+		res, err := s.TransmitBlock(data[off:off+cfg.BlockSize], func(frame []byte) (time.Duration, error) {
 			wire.Write(frame)
 			return link.Send(len(frame)), nil
 		})
