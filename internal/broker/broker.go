@@ -209,8 +209,7 @@ type Broker struct {
 	reg     *codec.Registry
 	met     *metrics.Registry
 	plane   *encplane.Plane
-	engine  *core.Engine       // decides for every subscriber path; never encodes
-	smp     sampling.Sampler   // takes each published block's one probe
+	engine  *core.Engine       // probes each block once, decides every path; never encodes
 	gov     *governor.Governor // nil unless Config.Governor was set
 	hbFrame []byte             // precomputed zero-length None frame (heartbeats)
 	logf    func(string, ...any)
@@ -312,7 +311,7 @@ func (b *Broker) submit(st *channelState, data, anno []byte) error {
 			Bytes:      len(data),
 		})
 	}
-	blk := encplane.Block{Data: data, Anno: anno, Probe: b.smp.Probe(data)}
+	blk := encplane.Block{Data: data, Anno: anno, Probe: b.engine.Probe(data)}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var evBlocks int
@@ -462,7 +461,6 @@ func New(cfg Config) (*Broker, error) {
 		met:     met,
 		plane:   plane,
 		engine:  engine,
-		smp:     sampling.Sampler{ProbeSize: cfg.Engine.ProbeSize, SpeedScale: cfg.Engine.SpeedScale, Now: cfg.Engine.Now},
 		gov:     gov,
 		hbFrame: hb,
 		logf:    logf,

@@ -589,6 +589,22 @@ func TestPublishValidation(t *testing.T) {
 	}
 }
 
+// TestBrokerCountsEachProbe publishes n events in process: the broker
+// probes each one once, through its engine, so ccx.tx_probes_measured reads
+// n with no subscriber attached.
+func TestBrokerCountsEachProbe(t *testing.T) {
+	const n = 16
+	b := newTestBroker(t, func(c *Config) { c.Channels = []string{"md"} })
+	for i := 0; i < n; i++ {
+		if err := b.Publish("md", bytes.Repeat([]byte{byte(i)}, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Metrics().Counter("ccx.tx_probes_measured").Value(); got != n {
+		t.Fatalf("ccx.tx_probes_measured = %d after %d publishes, want %d", got, n, n)
+	}
+}
+
 // idleSubscriberMallocs is the ceiling on heap allocations one idle
 // subscriber costs to attach: both ends of its pipe, the handshake, the
 // session's state and its goroutines.
