@@ -25,6 +25,10 @@ const (
 	// the receiver's answer, the uvarint count of stream bytes it has
 	// consumed. Both ride zero-length unsequenced frames.
 	AnnoKindAck = 0x03
+	// AnnoKindEcho carries an ECho bridge message header (internal/echo
+	// owns it): the message-type byte followed by the channel name. The
+	// frame's payload is the message body.
+	AnnoKindEcho = 0x04
 )
 
 // AppendAnnoRecord appends one TLV record to the annotation block dst.
