@@ -16,11 +16,12 @@
 // can reconnect and resynchronise.
 //
 // Every block published through a channel is stamped with a monotonically
-// increasing sequence number and retained in a bounded per-channel replay
-// ring (-replay-blocks / -replay-bytes; set both to 0 to disable). A
+// increasing sequence number and retained, with the frames encoded from it,
+// in a bounded per-channel replay window (-replay-blocks / -replay-bytes). A
 // subscriber that reconnects with ccrecv -resume presents its last
 // delivered sequence and the broker replays everything newer it still
-// holds; blocks evicted past the window are reported as an explicit gap.
+// holds, without re-encoding what the window kept; blocks evicted past the
+// window are reported as an explicit gap.
 //
 // Observability: -metrics-interval dumps a metrics snapshot (bytes in/out,
 // per-method histograms, queue depths, drops, evictions) to stderr at a
@@ -73,10 +74,9 @@ func run(args []string, stop chan struct{}) error {
 		policy   = fs.String("policy", "drop", "slow-subscriber policy: drop (oldest) | evict")
 		placemnt = fs.String("placement", "publisher", "default compression placement for subscriber paths: publisher (broker-side encode, the default), receiver (ship raw, consumers decompress nothing), auto (per-path break-even); a subscriber hello that names a placement overrides this per session")
 		workers  = fs.Int("workers", 0, "encode worker goroutines in the shared encode plane, per channel; distinct (block, method) pairs compress in parallel but hit the wire in order (0 = GOMAXPROCS, 1 = sequential)")
-		cache    = fs.Int64("cache", 0, "per-channel encoded-frame cache budget in bytes, serving resume replays and post-migration re-encodes (0 = default)")
 		hb       = fs.Duration("hb", broker.DefaultHeartbeat, "idle-link heartbeat interval (negative disables)")
-		rblocks  = fs.Int("replay-blocks", broker.DefaultReplayBlocks, "per-channel replay window for resuming subscribers, in blocks (0 with -replay-bytes 0 disables replay)")
-		rbytes   = fs.Int64("replay-bytes", broker.DefaultReplayBytes, "per-channel replay window for resuming subscribers, in bytes (0 with -replay-blocks 0 disables replay)")
+		rblocks  = fs.Int("replay-blocks", broker.DefaultReplayBlocks, "per-channel replay window, in blocks: recent blocks kept with their encoded frames for resuming subscribers and migrated dequeues (0 = default)")
+		rbytes   = fs.Int64("replay-bytes", broker.DefaultReplayBytes, "per-channel replay window, in raw payload bytes (0 = default)")
 		rto      = fs.Duration("rtimeout", 0, "per-read idle deadline on connections (0 = none)")
 		wto      = fs.Duration("wtimeout", 0, "per-write deadline on subscriber links (0 = none)")
 		obsFlags = obs.AddFlags(fs)
@@ -84,7 +84,7 @@ func run(args []string, stop chan struct{}) error {
 		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		govern   = fs.Bool("governor", false, "enable the overload governor: sample memory/CPU pressure, degrade compression, shed load, and refuse new subscribers under critical memory pressure (implied by the -mem-budget/-bytes-budget/-governor-interval flags)")
 		memBudg  = fs.Int64("mem-budget", 0, "governor heap budget in bytes (0 = inherit GOMEMLIMIT, negative = disable the heap dimension)")
-		byteBudg = fs.Int64("bytes-budget", 0, "governor budget for aggregate queued+cached bytes — subscriber queues, replay rings, frame cache (0 = default)")
+		byteBudg = fs.Int64("bytes-budget", 0, "governor budget for aggregate held bytes — subscriber queues and the replay windows' blocks and frames (0 = default)")
 		govIntvl = fs.Duration("governor-interval", 0, "governor sampling interval (0 = default)")
 		brkWait  = fs.Duration("breaker-wait", 0, "slow-subscriber circuit breaker: evict a subscriber whose queue wait stays over this for -breaker-window (0 disables)")
 		brkWin   = fs.Duration("breaker-window", 0, "how long queue wait must stay over -breaker-wait before the breaker trips (0 = default)")
@@ -122,7 +122,6 @@ func run(args []string, stop chan struct{}) error {
 		QueueLen:     *queueLen,
 		Policy:       pol,
 		Placement:    pl,
-		CacheBytes:   *cache,
 		Heartbeat:    *hb,
 		ReplayBlocks: *rblocks,
 		ReplayBytes:  *rbytes,

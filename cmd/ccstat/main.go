@@ -11,7 +11,7 @@
 // Broker endpoints additionally render the shared encode plane's health:
 // "cls" is the live method-class count, "dedup" the interval's deliveries
 // per encode (fan-out width the plane served per compression), and "hit"
-// the frame-cache hit rate.
+// the replay window's frame hit rate.
 //
 // It works against any of ccbroker, ccsend, and ccrecv: the line renders
 // whichever of the tx/rx/broker metric families the endpoint exposes and
@@ -155,7 +155,8 @@ func renderLine(now time.Time, prev, cur map[string]float64, dt time.Duration) s
 	}
 	// Shared encode plane: live class count across channels, the interval's
 	// encode-dedup ratio (deliveries per encode — the encode-once payoff),
-	// and the frame-cache hit rate feeding replays and migrations.
+	// and the hit rate of the frames the replay windows keep for replays and
+	// migrations.
 	if _, ok := cur["encplane.encodes"]; ok {
 		var classes float64
 		for key, v := range cur {

@@ -95,10 +95,9 @@ const (
 	DefaultHeartbeat        = 10 * time.Second
 	DefaultHandshakeTimeout = 10 * time.Second
 	// DefaultReplayBlocks and DefaultReplayBytes bound a channel's replay
-	// ring when exactly one of the two limits is configured; with both zero,
-	// replay is disabled entirely.
-	DefaultReplayBlocks = 256
-	DefaultReplayBytes  = 8 << 20
+	// window when the configuration leaves a bound zero.
+	DefaultReplayBlocks = encplane.DefaultWindowBlocks
+	DefaultReplayBytes  = encplane.DefaultWindowBytes
 	// DefaultRetryAfter is the retry delay suggested to subscribers refused
 	// by overload admission control.
 	DefaultRetryAfter = time.Second
@@ -123,20 +122,16 @@ type Config struct {
 	QueueLen int
 	// Policy picks the slow-subscriber behaviour on queue overflow.
 	Policy Policy
-	// ReplayBlocks and ReplayBytes bound each channel's replay ring: the
-	// window of recent blocks retained for loss-free resume (see
-	// HandshakeResume). A resuming subscriber whose last delivered sequence
-	// still falls inside the window is replayed every missed block; past the
-	// window it gets an explicit gap. Both zero disables replay (resumes are
-	// still accepted but can only join live); if exactly one is set the
-	// other takes its Default. Sequence numbers are stamped regardless, so
-	// receivers can always detect loss.
+	// ReplayBlocks and ReplayBytes bound each channel's replay window on
+	// the encode plane, in blocks and raw payload bytes (0 = the Default
+	// for that bound): the recent blocks retained for loss-free resume (see
+	// HandshakeResume), each with the frames encoded from it, so replays
+	// and migrated dequeues are served without re-encoding. A resuming
+	// subscriber whose last delivered sequence still falls inside the
+	// window is replayed every missed block; past the window it gets an
+	// explicit gap, which receivers also see in the sequence numbers.
 	ReplayBlocks int
 	ReplayBytes  int64
-	// CacheBytes bounds each channel's shared-frame cache on the encode
-	// plane (0 = encplane.DefaultCacheBytes); resume replays are served
-	// from it instead of re-encoding.
-	CacheBytes int64
 	// Engine configures adaptation. The broker builds one core.Engine from
 	// it that decides for every subscriber path, each from the block's probe
 	// and the path's own goodput monitor (Alpha sets its EWMA weight) and
@@ -185,8 +180,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// Governor, when non-nil, enables the overload governor (see
 	// internal/governor): its levels drive CPU-pressure method demotion on
-	// every subscriber path, memory-pressure shrinking of replay rings and
-	// the frame cache, admission control (RETRY-AFTER refusals of new
+	// every subscriber path, memory-pressure shrinking of the replay
+	// windows, admission control (RETRY-AFTER refusals of new
 	// subscribes while memory-critical), and shedding of the slowest
 	// subscriber queues. The broker fills in QueuedBytes, Metrics, Tracer,
 	// and Logf when unset, makes the governor the Limiter of the engine that
@@ -214,8 +209,8 @@ type Broker struct {
 	hbFrame []byte             // precomputed zero-length None frame (heartbeats)
 	logf    func(string, ...any)
 
-	// memFactor is the replay/cache scale last applied by the governor's
-	// memory dimension, in percent (100 = full budgets). The sampler
+	// memFactor is the replay-window scale last applied by the governor's
+	// memory dimension, in percent (100 = full bounds). The sampler
 	// compares-and-applies so shrink/restore runs once per level change.
 	memFactor atomic.Int64
 
@@ -241,17 +236,19 @@ type Broker struct {
 }
 
 // channelState is the one place a channel is serialized (DESIGN.md §15): the
-// sequence counter and replay window, the encode-plane channel blocks fan
-// out on, and the channel's subscribers. st.mu serializes publishes (stamp +
-// plane publish) with joins (resume snapshot + plane join), which makes a
-// join atomic: every block is either in the replay snapshot or delivered
-// live, never both, never neither. Lock order is st.mu → plane locks; code
-// on the plane's sequencer (deliver, removeSub) never takes st.mu, because a
-// publisher may hold it while blocked on the pipeline the sequencer drains.
+// sequence counter, the encode-plane channel that keeps the replay window
+// and fans blocks out, and the channel's subscribers. st.mu serializes
+// publishes (stamp + plane publish) with joins (resume snapshot + plane
+// join), which makes a join atomic: every block is either in the replay
+// snapshot or delivered live, never both, never neither. Lock order is
+// channelState.mu → pipeMu → Channel.mu (the last two are the plane
+// channel's); code on the plane's sequencer (deliver, removeSub) never
+// takes st.mu, because a publisher may hold it while blocked on the
+// pipeline the sequencer drains.
 type channelState struct {
 	mu    sync.Mutex
 	name  string
-	ring  replayRing
+	seq   uint64 // last assigned sequence number (0 = none yet)
 	plane *encplane.Channel
 
 	// smu guards subs only. It is a leaf lock, separate from mu so teardown
@@ -259,9 +256,7 @@ type channelState struct {
 	smu  sync.Mutex
 	subs map[int]*subscriber
 
-	seqGauge    *metrics.Gauge // chan.<name>.seq — last assigned sequence
-	depthBlocks *metrics.Gauge // chan.<name>.replay_blocks
-	depthBytes  *metrics.Gauge // chan.<name>.replay_bytes
+	seqGauge *metrics.Gauge // chan.<name>.seq — last assigned sequence
 }
 
 // state returns (creating on first use) the named channel's session state.
@@ -272,21 +267,18 @@ func (b *Broker) state(name string) *channelState {
 		return st
 	}
 	st := &channelState{
-		name:        name,
-		plane:       b.plane.Channel(name),
-		subs:        make(map[int]*subscriber),
-		seqGauge:    b.met.Gauge(fmt.Sprintf("chan.%s.seq", name)),
-		depthBlocks: b.met.Gauge(fmt.Sprintf("chan.%s.replay_blocks", name)),
-		depthBytes:  b.met.Gauge(fmt.Sprintf("chan.%s.replay_bytes", name)),
+		name:     name,
+		plane:    b.plane.Channel(name),
+		subs:     make(map[int]*subscriber),
+		seqGauge: b.met.Gauge(fmt.Sprintf("chan.%s.seq", name)),
 	}
-	st.ring.setBounds(b.cfg.ReplayBlocks, b.cfg.ReplayBytes)
 	b.chans[name] = st
 	return st
 }
 
 // submit probes one event, stamps it with the channel's next sequence
-// number, retains it in the replay window, and fans it out on the encode
-// plane — one encode per method class. The probe is the block's one sample:
+// number, and publishes it on the encode plane, which retains it in the
+// replay window and fans it out — one encode per method class. The probe is the block's one sample:
 // every subscriber decides from it, live or replayed. Stamp and fan-out run
 // under the channel lock, so the plane sees blocks in sequence order and a
 // join under the same lock splits the stream exactly: earlier blocks are in
@@ -314,16 +306,9 @@ func (b *Broker) submit(st *channelState, data, anno []byte) error {
 	blk := encplane.Block{Data: data, Anno: anno, Probe: b.engine.Probe(data)}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var evBlocks int
-	var evBytes int64
-	blk.Seq, evBlocks, evBytes = st.ring.stamp(blk)
-	if evBlocks > 0 {
-		b.met.Counter("broker.replay_evicted_blocks").Add(int64(evBlocks))
-		b.met.Counter("broker.replay_evicted_bytes").Add(evBytes)
-	}
+	st.seq++
+	blk.Seq = st.seq
 	st.seqGauge.Set(int64(blk.Seq))
-	st.depthBlocks.Set(int64(st.ring.len()))
-	st.depthBytes.Set(st.ring.bytes)
 	if !st.plane.PublishBlock(blk) {
 		return ErrClosed
 	}
@@ -352,18 +337,6 @@ func New(cfg Config) (*Broker, error) {
 		if name == "" || len(name) > MaxChannelName {
 			return nil, fmt.Errorf("broker: invalid channel name %q", name)
 		}
-	}
-	if cfg.ReplayBlocks < 0 || cfg.ReplayBytes < 0 {
-		return nil, fmt.Errorf("broker: negative replay bounds (%d blocks, %d bytes)",
-			cfg.ReplayBlocks, cfg.ReplayBytes)
-	}
-	// One configured bound enables replay with the other defaulted; both
-	// zero keeps replay off.
-	if cfg.ReplayBlocks > 0 && cfg.ReplayBytes == 0 {
-		cfg.ReplayBytes = DefaultReplayBytes
-	}
-	if cfg.ReplayBytes > 0 && cfg.ReplayBlocks == 0 {
-		cfg.ReplayBlocks = DefaultReplayBlocks
 	}
 	if !cfg.Placement.Valid() {
 		return nil, fmt.Errorf("broker: invalid placement %s", cfg.Placement)
@@ -435,12 +408,13 @@ func New(cfg Config) (*Broker, error) {
 	}
 
 	pcfg := encplane.Config{
-		Engine:     cfg.Engine,
-		Workers:    cfg.Engine.Workers,
-		CacheBytes: cfg.CacheBytes,
-		Metrics:    met,
-		Tracer:     cfg.Tracer,
-		Logf:       logf,
+		Engine:       cfg.Engine,
+		Workers:      cfg.Engine.Workers,
+		WindowBlocks: cfg.ReplayBlocks,
+		WindowBytes:  cfg.ReplayBytes,
+		Metrics:      met,
+		Tracer:       cfg.Tracer,
+		Logf:         logf,
 	}
 	if gov != nil {
 		pcfg.PipeWait = gov.NotePipeWait
@@ -494,17 +468,9 @@ func (b *Broker) states() []*channelState {
 }
 
 // queuedBytes is the aggregate-bytes ledger the governor samples: wire bytes
-// held by live shared frames (queued deliveries, the frame cache, in-flight
-// encodes) plus every replay ring's retained payload.
-func (b *Broker) queuedBytes() int64 {
-	total := b.plane.LiveBytes()
-	for _, st := range b.states() {
-		st.mu.Lock()
-		total += st.ring.bytes
-		st.mu.Unlock()
-	}
-	return total
-}
+// held by live shared frames (queued deliveries, frames kept in the replay
+// windows, in-flight encodes) plus every replay window's retained payload.
+func (b *Broker) queuedBytes() int64 { return b.plane.HeldBytes() }
 
 // allSubs snapshots every live subscriber across the channels.
 func (b *Broker) allSubs() []*subscriber {
@@ -519,7 +485,7 @@ func (b *Broker) allSubs() []*subscriber {
 	return out
 }
 
-// memScale maps a memory-pressure level to the replay/cache budget scale in
+// memScale maps a memory-pressure level to the replay-window scale in
 // percent.
 func memScale(l governor.Level) int64 {
 	switch l {
@@ -546,27 +512,11 @@ func (b *Broker) onPressureSample(snap governor.Snapshot) {
 	}
 }
 
-// applyMemFactor rescales the frame cache and every replay ring to
-// factor percent of their configured budgets (floored; 100 restores).
+// applyMemFactor rescales every replay window to factor percent of its
+// configured bounds (floored; 100 restores).
 func (b *Broker) applyMemFactor(factor int64) {
-	f := float64(factor) / 100
-	b.plane.SetCacheScale(f, ringFloorBytes)
-	var evBlocks int
-	var evBytes int64
-	for _, st := range b.states() {
-		st.mu.Lock()
-		blocks, bytes := st.ring.setPressure(f)
-		st.depthBlocks.Set(int64(st.ring.len()))
-		st.depthBytes.Set(st.ring.bytes)
-		st.mu.Unlock()
-		evBlocks += blocks
-		evBytes += bytes
-	}
-	if evBlocks > 0 {
-		b.met.Counter("broker.replay_evicted_blocks").Add(int64(evBlocks))
-		b.met.Counter("broker.replay_evicted_bytes").Add(evBytes)
-	}
-	b.logf("broker: governor scaled retention to %d%% (shrink evicted %d blocks)", factor, evBlocks)
+	evicted := b.plane.SetPressure(float64(factor) / 100)
+	b.logf("broker: governor scaled retention to %d%% (shrink evicted %d blocks)", factor, evicted)
 }
 
 // maxShedPerSample bounds one sampling interval's evictions so a single
@@ -1032,7 +982,7 @@ func (b *Broker) addSubscriber(conn net.Conn, channel string, pl selector.Placem
 	st.mu.Lock()
 	var firstSeq uint64
 	if resume {
-		s.replay, firstSeq = st.ring.replayFrom(lastSeq)
+		s.replay, firstSeq = st.plane.ReplayFrom(lastSeq)
 		b.noteResume(s, lastSeq, firstSeq, len(s.replay))
 	}
 	s.member = st.plane.Join(codec.None, func(d encplane.Delivery) bool {
@@ -1074,7 +1024,7 @@ func (b *Broker) noteResume(s *subscriber, lastSeq, firstSeq uint64, replayed in
 	b.met.Counter("broker.resume_replayed_blocks").Add(int64(replayed))
 	var gap uint64
 	// want wraps to 0 only for an absurd lastSeq of MaxUint64, which
-	// replayFrom already treats as fully caught up — no gap to report.
+	// ReplayFrom already treats as fully caught up — no gap to report.
 	if want := lastSeq + 1; want != 0 && firstSeq > want {
 		gap = firstSeq - want
 	}
@@ -1208,7 +1158,7 @@ func (s *subscriber) run(b *Broker) {
 	// Resume backlog first: replayed blocks all precede any live delivery
 	// in sequence order (the snapshot was atomic with the plane join). Each
 	// goes out as a delivery without a frame — sendBatch fetches it from the
-	// shared frame cache at the method the path has selected by then — and
+	// replay window at the method the path has selected by then — and
 	// alone in its batch: a batch is decided whole before any of it is
 	// written, and a path that resumes unmeasured would ship its whole first
 	// batch raw for want of the goodput sample its first write provides.
@@ -1291,14 +1241,14 @@ func (s *subscriber) collectBatch(first encplane.Delivery) []encplane.Delivery {
 // selection runs at dequeue with this block's shared probe and the path's
 // live goodput, the same instant a per-subscriber encode loop would
 // decide. When a decision differs from the class a frame was encoded for
-// at publish time, the frame is swapped through the shared (seq, method)
-// cache: however many subscribers migrated the same way, the block is
-// re-encoded at most once. A resume-backlog entry arrives with no frame
-// and takes its first from that cache; it never sat in the queue, so it
-// skips the wait and breaker accounting. Only the wire write is coalesced;
-// its measured duration is attributed evenly across the batch for spans
-// and the goodput monitor. It reports false when the subscriber was torn
-// down (breaker trip, encode or write failure).
+// at publish time, the frame is swapped through the replay window, which
+// keeps one frame per (block, method): however many subscribers migrated the
+// same way, the block is re-encoded at most once. A resume-backlog entry
+// arrives with no frame and takes its first from the window; it never sat
+// in the queue, so it skips the wait and breaker accounting. Only the wire
+// write is coalesced; its measured duration is attributed evenly across the
+// batch for spans and the goodput monitor. It reports false when the
+// subscriber was torn down (breaker trip, encode or write failure).
 func (s *subscriber) sendBatch(b *Broker, batch []encplane.Delivery) bool {
 	s.inflight.Store(int32(len(batch)))
 	defer s.inflight.Store(0)

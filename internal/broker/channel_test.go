@@ -162,10 +162,7 @@ func TestChannelRoutingProperties(t *testing.T) {
 		testx.WaitUntil(t, label+": channel ledgers sum to the broker ledger", func() bool {
 			var sum int64
 			for _, st := range b.states() {
-				st.mu.Lock()
-				sum += st.ring.bytes
-				st.mu.Unlock()
-				sum += st.plane.LiveBytes()
+				sum += b.met.Gauge("chan."+st.name+".replay_bytes").Value() + st.plane.LiveBytes()
 			}
 			return sum == b.queuedBytes()
 		})

@@ -139,7 +139,7 @@ func TestBreakerEvictsSlowConsumer(t *testing.T) {
 }
 
 // TestAdmissionRefusesAndRecovers drives the memory dimension critical
-// through the replay ring, asserts new subscribes get the RETRY-AFTER
+// through the replay window, asserts new subscribes get the RETRY-AFTER
 // refusal, and then — after the governor's own retention shrink relieves
 // the pressure — recovers admission within one sample (Hold = 1).
 func TestAdmissionRefusesAndRecovers(t *testing.T) {
@@ -150,8 +150,8 @@ func TestAdmissionRefusesAndRecovers(t *testing.T) {
 		c.RetryAfter = 750 * time.Millisecond
 		c.Governor = &governor.Config{MemBudget: -1, BytesBudget: budget, Interval: time.Hour}
 	})
-	// 64 × 64 KiB fills the ring to the full budget — past the 85% critical
-	// fraction.
+	// 64 × 64 KiB fills the window to the full budget — past the 85%
+	// critical fraction. Nobody subscribes, so no frame is encoded.
 	for i := 0; i < 64; i++ {
 		if err := b.Publish("md", make([]byte, 64<<10)); err != nil {
 			t.Fatal(err)
@@ -184,21 +184,14 @@ func TestAdmissionRefusesAndRecovers(t *testing.T) {
 	}
 
 	// The critical sample shrank retention to 25% of the configured budget:
-	// the ring must hold exactly 2 MiB now, with its byte ledger matching
+	// the window must hold exactly 2 MiB now, with its byte ledger matching
 	// the surviving entries to the byte.
-	st := b.state("md")
-	st.mu.Lock()
-	var sum int64
-	for _, e := range st.ring.entries[st.ring.head:] {
-		sum += int64(len(e.Data))
-	}
-	ringBytes, ringLen := st.ring.bytes, st.ring.len()
-	st.mu.Unlock()
+	ringLen, ringBytes, sum := windowLedger(b, b.state("md"))
 	if ringBytes != 2<<20 || ringLen != 32 {
-		t.Fatalf("ring after shrink = %d bytes / %d blocks, want 2MiB / 32", ringBytes, ringLen)
+		t.Fatalf("window after shrink = %d bytes / %d blocks, want 2MiB / 32", ringBytes, ringLen)
 	}
 	if sum != ringBytes {
-		t.Fatalf("ring ledger %d != entry sum %d after pressure eviction", ringBytes, sum)
+		t.Fatalf("window ledger %d != entry sum %d after pressure eviction", ringBytes, sum)
 	}
 
 	// One calm sample later (queued 2 MiB, well under the down threshold)
@@ -215,16 +208,16 @@ func TestAdmissionRefusesAndRecovers(t *testing.T) {
 
 // TestChurnStormExactAccounting hammers subscribe/evict churn against a
 // live publish storm with a fast-sampling governor shedding alongside the
-// Evict policy, then proves nothing leaked: the replay ring's byte ledger
-// matches its entries exactly, and after shutdown (which purges the frame
-// cache) not one shared frame reference is still alive. Run under -race.
+// Evict policy, then proves nothing leaked: the replay window's byte ledger
+// matches its entries exactly, and after shutdown (which purges the window
+// and the frames it keeps) not one shared frame reference is still alive.
+// Run under -race.
 func TestChurnStormExactAccounting(t *testing.T) {
 	b := newTestBroker(t, func(c *Config) {
 		c.QueueLen = 8
 		c.Policy = Evict
 		c.ReplayBlocks = 32
 		c.ReplayBytes = 256 << 10
-		c.CacheBytes = 128 << 10
 		c.Governor = &governor.Config{MemBudget: -1, BytesBudget: 384 << 10, Interval: 2 * time.Millisecond}
 	})
 	stop := make(chan struct{})
@@ -287,25 +280,18 @@ func TestChurnStormExactAccounting(t *testing.T) {
 	readers.Wait()
 	testx.WaitUntil(t, "all churned subscribers torn down", func() bool { return b.Subscribers() == 0 })
 
-	st := b.state("md")
-	st.mu.Lock()
-	var sum int64
-	for _, e := range st.ring.entries[st.ring.head:] {
-		sum += int64(len(e.Data))
-	}
-	ringBytes, ringLen := st.ring.bytes, st.ring.len()
-	maxBlocks, maxBytes := st.ring.maxBlocks, st.ring.maxBytes
-	st.mu.Unlock()
+	ringLen, ringBytes, sum := windowLedger(b, b.state("md"))
 	if sum != ringBytes {
-		t.Fatalf("ring ledger %d != entry sum %d after churn", ringBytes, sum)
+		t.Fatalf("window ledger %d != entry sum %d after churn", ringBytes, sum)
 	}
-	if ringLen > maxBlocks || ringBytes > maxBytes {
-		t.Fatalf("ring over bounds after churn: %d blocks / %d bytes (max %d / %d)",
+	// Pressure only ever scales the configured bounds down.
+	if maxBlocks, maxBytes := 32, int64(256<<10); ringLen > maxBlocks || ringBytes > maxBytes {
+		t.Fatalf("window over bounds after churn: %d blocks / %d bytes (max %d / %d)",
 			ringLen, ringBytes, maxBlocks, maxBytes)
 	}
 
-	// Shutdown flushes the plane and purges the frame cache; any reference
-	// the churn failed to release would survive as a live frame.
+	// Shutdown flushes the plane and purges the windows; any reference the
+	// churn failed to release would survive as a live frame.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := b.Shutdown(ctx); err != nil {

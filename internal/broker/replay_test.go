@@ -9,121 +9,23 @@ import (
 	"time"
 
 	"ccx/internal/codec"
-	"ccx/internal/encplane"
 	"ccx/internal/testx"
 )
 
-// --- replayRing unit tests ---------------------------------------------
-
-func TestReplayRingZeroValueStampsOnly(t *testing.T) {
-	var r replayRing
-	if r.enabled() {
-		t.Fatal("zero ring reports enabled")
+// windowLedger reads a channel's replay window under the channel lock: its
+// block count and byte ledger as its gauges show them, and the payload
+// bytes summed over the blocks a resume from the start would replay.
+func windowLedger(b *Broker, st *channelState) (blocks int, bytes, sum int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	blocks = int(b.met.Gauge("chan." + st.name + ".replay_blocks").Value())
+	bytes = b.met.Gauge("chan." + st.name + ".replay_bytes").Value()
+	replay, _ := st.plane.ReplayFrom(0)
+	for _, e := range replay {
+		sum += int64(len(e.Data))
 	}
-	for i := 1; i <= 3; i++ {
-		seq, evB, evBy := r.stamp(encplane.Block{Data: []byte("x")})
-		if seq != uint64(i) || evB != 0 || evBy != 0 {
-			t.Fatalf("stamp #%d = (%d, %d, %d)", i, seq, evB, evBy)
-		}
-	}
-	if r.len() != 0 {
-		t.Fatalf("disabled ring retained %d entries", r.len())
-	}
-	if got, first := r.replayFrom(1); got != nil || first != 4 {
-		t.Fatalf("replayFrom(1) = (%v, %d), want (nil, 4)", got, first)
-	}
+	return blocks, bytes, sum
 }
-
-func TestReplayRingBlockBound(t *testing.T) {
-	var r replayRing
-	r.setBounds(3, 1<<20)
-	var evicted int
-	for i := 0; i < 5; i++ {
-		_, evB, _ := r.stamp(encplane.Block{Data: []byte{byte(i)}})
-		evicted += evB
-	}
-	if evicted != 2 || r.len() != 3 {
-		t.Fatalf("evicted %d, len %d; want 2, 3", evicted, r.len())
-	}
-	replay, first := r.replayFrom(0)
-	if first != 3 || len(replay) != 3 {
-		t.Fatalf("replayFrom(0) = %d entries from %d, want 3 from 3", len(replay), first)
-	}
-	for i, e := range replay {
-		if e.Seq != uint64(3+i) {
-			t.Fatalf("replay[%d].Seq = %d", i, e.Seq)
-		}
-	}
-}
-
-func TestReplayRingByteBound(t *testing.T) {
-	var r replayRing
-	r.setBounds(1000, 10) // ten payload bytes total
-	for i := 0; i < 6; i++ {
-		r.stamp(encplane.Block{Data: []byte("abcd")}) // 4 bytes each; at most 2 fit under 10
-	}
-	if r.len() != 2 || r.bytes != 8 {
-		t.Fatalf("len %d bytes %d; want 2, 8", r.len(), r.bytes)
-	}
-	if _, first := r.replayFrom(0); first != 5 {
-		t.Fatalf("firstSeq = %d, want 5", first)
-	}
-}
-
-func TestReplayRingOversizedBlockNeverRetained(t *testing.T) {
-	var r replayRing
-	r.setBounds(8, 10)
-	r.stamp(encplane.Block{Data: []byte("ok")})
-	seq, evB, evBy := r.stamp(encplane.Block{Data: make([]byte, 64)}) // alone exceeds the byte budget
-	if seq != 2 {
-		t.Fatalf("seq = %d", seq)
-	}
-	if evB != 1 || evBy != 0 {
-		t.Fatalf("oversized stamp evicted (%d, %d), want (1, 0)", evB, evBy)
-	}
-	// The window skips the oversized block: a resume over it reports it via
-	// firstSeq/sequence accounting, never replays it.
-	replay, first := r.replayFrom(0)
-	if first != 1 || len(replay) != 1 || replay[0].Seq != 1 {
-		t.Fatalf("replayFrom(0) = %d entries from %d", len(replay), first)
-	}
-}
-
-func TestReplayRingCaughtUpAndAbsurdResume(t *testing.T) {
-	var r replayRing
-	r.setBounds(8, 1<<20)
-	for i := 0; i < 4; i++ {
-		r.stamp(encplane.Block{Data: []byte("x")})
-	}
-	if replay, first := r.replayFrom(4); replay != nil || first != 5 {
-		t.Fatalf("caught-up resume = (%v, %d), want (nil, 5)", replay, first)
-	}
-	if replay, first := r.replayFrom(1 << 40); replay != nil || first != 5 {
-		t.Fatalf("absurd resume = (%v, %d), want (nil, 5)", replay, first)
-	}
-}
-
-func TestReplayRingCompaction(t *testing.T) {
-	var r replayRing
-	r.setBounds(10, 1<<20)
-	for i := 0; i < 500; i++ {
-		r.stamp(encplane.Block{Data: []byte{byte(i)}})
-	}
-	if r.len() != 10 {
-		t.Fatalf("len = %d, want 10", r.len())
-	}
-	// Compaction must keep the backing array proportional to the window,
-	// not the stream.
-	if len(r.entries) > 64 {
-		t.Fatalf("backing array grew to %d entries for a 10-block window", len(r.entries))
-	}
-	replay, first := r.replayFrom(490)
-	if first != 491 || len(replay) != 10 {
-		t.Fatalf("replayFrom(490) = %d entries from %d", len(replay), first)
-	}
-}
-
-// --- resume integration over the live broker ---------------------------
 
 // readSeqEvents reads events from a subscriber connection until n data
 // frames arrived (heartbeats skipped), returning payloads and sequence
@@ -152,7 +54,8 @@ func readSeqEvents(t *testing.T, conn net.Conn, n int) (payloads [][]byte, seqs 
 // TestResumeReplaysMissedBlocks is the acceptance scenario: a subscriber
 // consumes part of the stream, its connection dies, more blocks are
 // published, and the resumed session delivers every missed block exactly
-// once, in order, byte-identical.
+// once, in order, byte-identical — served from the frames the window kept,
+// without a single encode.
 func TestResumeReplaysMissedBlocks(t *testing.T) {
 	b := newTestBroker(t, func(c *Config) {
 		c.ReplayBlocks = 64
@@ -162,6 +65,9 @@ func TestResumeReplaysMissedBlocks(t *testing.T) {
 		blocks[i] = []byte(fmt.Sprintf("block-%d-payload", i+1))
 	}
 
+	// The witness stays attached throughout, so every block is encoded for
+	// the None class as it is published, and the window keeps that frame.
+	witness := attachSubscriber(t, b, "md")
 	sub1 := attachSubscriber(t, b, "md")
 	for _, blk := range blocks[:5] {
 		if err := b.Publish("md", blk); err != nil {
@@ -175,13 +81,17 @@ func TestResumeReplaysMissedBlocks(t *testing.T) {
 		}
 	}
 	sub1.Close() // the outage: connection dies after delivering seq 3
-	testx.WaitUntil(t, "dead subscriber detached", func() bool { return b.Subscribers() == 0 })
+	testx.WaitUntil(t, "dead subscriber detached", func() bool { return b.Subscribers() == 1 })
 
 	for _, blk := range blocks[5:] {
 		if err := b.Publish("md", blk); err != nil {
 			t.Fatal(err)
 		}
 	}
+	readSeqEvents(t, witness, len(blocks))
+	met := b.Metrics()
+	encodes, hits := met.Counter("encplane.encodes"), met.Counter("encplane.cache_hits")
+	encodes0, hits0 := encodes.Value(), hits.Value()
 
 	client, server := net.Pipe()
 	defer client.Close()
@@ -204,7 +114,14 @@ func TestResumeReplaysMissedBlocks(t *testing.T) {
 		}
 	}
 
-	met := b.Metrics()
+	// The replay ships raw on a pipe this fast, as the witness did: every
+	// replayed block is served from the frame the window kept.
+	if v := encodes.Value() - encodes0; v != 0 {
+		t.Fatalf("encplane.encodes grew by %d across the in-window resume, want 0", v)
+	}
+	if v := hits.Value() - hits0; v != 5 {
+		t.Fatalf("encplane.cache_hits grew by %d across the resume, want 5 (one per replayed block)", v)
+	}
 	if v := met.Counter("broker.resumes").Value(); v != 1 {
 		t.Fatalf("broker.resumes = %d", v)
 	}
@@ -292,12 +209,12 @@ func TestResumePastWindowReportsGap(t *testing.T) {
 	}
 }
 
-// TestResumeWithReplayDisabled: resumes are still accepted, but the session
-// can only join live — the whole distance to the stream head is the gap.
-func TestResumeWithReplayDisabled(t *testing.T) {
+// TestResumeAtZeroConfigReplays: zero replay bounds mean the defaults, so
+// a resume inside the window replays what it missed before joining live.
+func TestResumeAtZeroConfigReplays(t *testing.T) {
 	b := newTestBroker(t, nil) // both replay bounds zero
 	for i := 1; i <= 3; i++ {
-		if err := b.Publish("md", []byte("x")); err != nil {
+		if err := b.Publish("md", []byte(fmt.Sprintf("x%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,15 +225,16 @@ func TestResumeWithReplayDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume handshake: %v", err)
 	}
-	if firstSeq != 4 {
-		t.Fatalf("firstSeq = %d, want 4 (nothing retained)", firstSeq)
+	if firstSeq != 2 {
+		t.Fatalf("firstSeq = %d, want 2 (the default window retains seqs 1-3)", firstSeq)
 	}
 	if err := b.Publish("md", []byte("live")); err != nil {
 		t.Fatal(err)
 	}
-	got, seqs := readSeqEvents(t, client, 1)
-	if string(got[0]) != "live" || seqs[0] != 4 {
-		t.Fatalf("live event = %q seq %d", got[0], seqs[0])
+	got, seqs := readSeqEvents(t, client, 3)
+	if string(got[0]) != "x2" || string(got[1]) != "x3" || string(got[2]) != "live" ||
+		seqs[0] != 2 || seqs[1] != 3 || seqs[2] != 4 {
+		t.Fatalf("events = %q seqs %v, want replayed x2, x3 then live at 4", got, seqs)
 	}
 }
 

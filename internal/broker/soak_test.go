@@ -47,11 +47,14 @@ func TestSoakOverloadGovernor(t *testing.T) {
 
 	const budget = 2 << 20
 	b := newTestBroker(t, func(c *Config) {
-		c.QueueLen = 16
+		// The replay window keeps each block's frame beside it, so eight
+		// 64 KiB blocks hold 1 MiB: under the ok threshold once the swarm is
+		// shed. The 24-deep queues pin enough frames to pass the critical
+		// fraction before that.
+		c.QueueLen = 24
 		c.Policy = DropOldest // shedding is the governor's job here
-		c.ReplayBlocks = 16
-		c.ReplayBytes = 1 << 20
-		c.CacheBytes = 64 << 10
+		c.ReplayBlocks = 8
+		c.ReplayBytes = 512 << 10
 		c.RetryAfter = 500 * time.Millisecond
 		c.Governor = &governor.Config{MemBudget: -1, BytesBudget: budget, Interval: time.Hour}
 	})
@@ -79,7 +82,7 @@ func TestSoakOverloadGovernor(t *testing.T) {
 	}
 
 	// Phase 2: drive past the budget. Incompressible 64 KiB blocks pin
-	// shared frames in every stalled queue and fill the replay ring.
+	// shared frames in every stalled queue and fill the replay window.
 	rng := testx.Rand(t)
 	block := make([]byte, 64<<10)
 	for i := 0; i < 40; i++ {
@@ -179,7 +182,7 @@ func TestSoakOverloadGovernor(t *testing.T) {
 	testx.WaitUntil(t, "recovery subscriber torn down", func() bool { return b.Subscribers() == 0 })
 
 	// Phase 6: teardown proves nothing leaked — no goroutines beyond the
-	// baseline, no live shared-frame references once the cache is purged.
+	// baseline, no live shared-frame references once the windows are purged.
 	for _, c := range clients {
 		c.Close()
 	}

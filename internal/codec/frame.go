@@ -263,8 +263,9 @@ func (fw *FrameWriter) WriteBlock(m Method, data []byte) (BlockInfo, error) {
 // corrupt frame (errors.Is(err, ErrCorruptFrame)) the reader is positioned
 // past the damaged bytes; call Resync to scan for the next frame boundary
 // and keep decoding the survivors. A frame costs two or three exact-size
-// reads, none past its last byte (DESIGN.md §5), so the reader needs no
-// read-ahead buffer and leaves the next frame in the stream.
+// reads (more while the payload buffer grows to a new size), none past its
+// last byte (DESIGN.md §5), so the reader needs no read-ahead buffer and
+// leaves the next frame in the stream.
 type FrameReader struct {
 	r       io.Reader
 	reg     *Registry
@@ -390,10 +391,7 @@ func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	// The rest of the annotation and CRC, then the payload, in one read; the
 	// header part joins fr.hdr for the CRC and for Resync.
 	tail := off + int(v[3]) + 4 - len(fr.hdr)
-	if cap(fr.buf) < tail+info.CompLen {
-		fr.buf = make([]byte, tail+info.CompLen)
-	}
-	if _, err := fr.readFull(fr.buf[:tail+info.CompLen]); err != nil {
+	if err := fr.readPayload(tail + info.CompLen); err != nil {
 		return nil, info, unexpectedEOF(err)
 	}
 	fr.hdr = append(fr.hdr, fr.buf[:tail]...)
@@ -430,6 +428,35 @@ func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	fr.hdr = fr.hdr[:0]
 	fr.payLen = 0
 	return data, info, nil
+}
+
+// minPayloadBuf is where readPayload starts growing a buffer too small for
+// the frame it reads.
+const minPayloadBuf = 64 << 10
+
+// readPayload reads the next n bytes into fr.buf. A buffer that already fits
+// takes them in one read; a smaller one grows as the bytes arrive, doubling
+// from minPayloadBuf, and goes straight to n once the next size would pass
+// half of it. So a header that declares a large frame and stalls holds at
+// most four times what its peer has sent (at least minPayloadBuf), and the
+// first frame of a new size allocates at most twice its length on the way
+// up; later ones reuse the buffer.
+func (fr *FrameReader) readPayload(n int) error {
+	fr.buf = fr.buf[:0]
+	for size := max(cap(fr.buf), minPayloadBuf); len(fr.buf) < n; size *= 2 {
+		have, want := len(fr.buf), size
+		if want > n/2 {
+			want = n
+		}
+		if cap(fr.buf) < want {
+			fr.buf = append(make([]byte, 0, want), fr.buf...)
+		}
+		fr.buf = fr.buf[:want]
+		if _, err := fr.readFull(fr.buf[have:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Resync abandons the current (corrupt) frame and scans forward for the

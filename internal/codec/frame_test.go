@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"runtime"
 	"testing"
 )
 
@@ -52,5 +54,41 @@ func TestResyncRecoversSwallowedFrame(t *testing.T) {
 				t.Fatalf("recovered %d blocks, want the second and third", len(got))
 			}
 		})
+	}
+}
+
+// TestReaderStalledHeadersHoldLittle: eight peers each send a 19-byte frame
+// header that declares a MaxFrameLen payload, then stall. The readers'
+// payload buffers grow only with the bytes that arrive, so together they
+// hold well under 1 MiB, not eight declared frames.
+func TestReaderStalledHeadersHoldLittle(t *testing.T) {
+	hdr := []byte{magic0, magic1, FrameVersion, byte(None), 0}
+	hdr = binary.AppendUvarint(hdr, MaxFrameLen) // origLen
+	hdr = binary.AppendUvarint(hdr, MaxFrameLen) // compLen
+	hdr = append(hdr, 0, 0, 0, 0, 0, 0)          // seq, annoLen, CRC
+	if len(hdr) != 19 {
+		t.Fatalf("header is %d bytes, want 19", len(hdr))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	done := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		c1, c2 := net.Pipe()
+		defer c2.Close()
+		go func() {
+			_, _, err := NewFrameReader(c1, nil).ReadBlock()
+			done <- err
+		}()
+		// A pipe write returns once the reader has taken every byte: the
+		// last of them are read into the payload buffer.
+		if _, err := c2.Write(hdr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew >= 1<<20 {
+		t.Fatalf("eight stalled headers hold %d bytes of heap, want < 1 MiB", grew)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"ccx/internal/codec"
 )
@@ -44,8 +45,9 @@ type Bridge struct {
 	watches map[string]*AttrWatch
 	closed  bool
 
-	done chan struct{}
-	err  error
+	done    chan struct{}
+	err     error
+	refused atomic.Int64 // exported events dropped unframed (Refused)
 }
 
 // Message type bytes (2 is unassigned).
@@ -59,7 +61,8 @@ const (
 // on its DeriveCompressed channel alike. A bridged event is one frame of at
 // most codec.MaxFrameLen bytes that also holds the event's attributes and,
 // on a derived channel, the data's own frame header (at most about 1 KiB);
-// 4 KiB is kept for those. An event the bridge cannot frame ends it.
+// 4 KiB is kept for those. An event the bridge cannot frame is dropped and
+// counted in Bridge.Refused.
 const MaxEventData = codec.MaxFrameLen - 4<<10
 
 // maxAttrs bounds the attribute count a peer's event may declare.
@@ -103,7 +106,8 @@ func (b *Bridge) Done() <-chan struct{} { return b.done }
 
 // Err reports why the bridge stopped: nil after a clean Close or peer
 // hangup at a message boundary, else the failed read, the malformed
-// message, or the failed send on the export or attribute path.
+// message, the failed write on the export path, or the failed send on the
+// attribute path.
 func (b *Bridge) Err() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -162,6 +166,15 @@ func (b *Bridge) watchChannel(ch *EventChannel) {
 	b.mu.Unlock()
 }
 
+// Refused reports how many exported events the bridge dropped because one
+// frame cannot carry them. Each is refused before any of its bytes is
+// written, so the stream stays whole and the bridge carries on.
+func (b *Bridge) Refused() int64 { return b.refused.Load() }
+
+// errUnframed marks a message send refused before writing a byte: one frame
+// cannot carry it.
+var errUnframed = errors.New("echo: message cannot be framed")
+
 // send writes one message as one frame whose body is head then data. The
 // header and head go out in one buffer and data in a second, uncopied (one
 // writev on a TCP connection).
@@ -169,7 +182,7 @@ func (b *Bridge) send(typ byte, channel string, head, data []byte) error {
 	anno := codec.AppendAnnoRecord(nil, codec.AnnoKindEcho, append([]byte{typ}, channel...))
 	frame, err := codec.AppendFrameHeader(nil, codec.FrameOpts{Anno: anno}, head, data)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errUnframed, err)
 	}
 	bufs := net.Buffers{append(frame, head...)}
 	if len(data) > 0 {
@@ -182,14 +195,18 @@ func (b *Bridge) send(typ byte, channel string, head, data []byte) error {
 }
 
 // forward sends a message on the export or attribute path, where no caller
-// can take the error: a failed send ends the bridge, and Err names it.
+// can take the error. An event one frame cannot carry is dropped and
+// counted; any other failed send ends the bridge, and Err names it.
 func (b *Bridge) forward(typ byte, channel string, head, data []byte) {
 	err := b.send(typ, channel, head, data)
-	if err == nil {
-		return
+	switch {
+	case err == nil:
+	case typ == msgEvent && errors.Is(err, errUnframed):
+		b.refused.Add(1)
+	default:
+		b.setErr(fmt.Errorf("echo: forwarding on %q: %w", channel, err))
+		b.conn.Close()
 	}
-	b.setErr(fmt.Errorf("echo: forwarding on %q: %w", channel, err))
-	b.conn.Close()
 }
 
 // setErr records why the bridge ends: the first cause wins, and none is

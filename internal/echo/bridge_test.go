@@ -313,9 +313,12 @@ func TestBridgeHostileLength(t *testing.T) {
 		// A type byte and a 64 MiB uvarint length: no frame magic.
 		{"uvarint header", binary.AppendUvarint([]byte{msgEvent}, 64<<20), codec.MaxFrameLen + 1<<20},
 		// A frame header whose payload is MaxFrameLen bytes, none sent.
-		{"frame header", full[:len(full)-codec.MaxFrameLen], codec.MaxFrameLen + 1<<20},
-		// A whole frame is read into the reader's scratch and copied out.
-		{"attribute count", message(t, msgEvent, "c", pairs), 2*codec.MaxFrameLen + 1<<20},
+		// The reader's payload buffer grows only with what arrives.
+		{"frame header", full[:len(full)-codec.MaxFrameLen], 256 << 10},
+		// A whole frame is read into the reader's scratch, which doubles its
+		// way up to the frame (about twice its length allocated in all), and
+		// copied out.
+		{"attribute count", message(t, msgEvent, "c", pairs), 3*codec.MaxFrameLen + 1<<20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -341,9 +344,10 @@ func TestBridgeHostileLength(t *testing.T) {
 	}
 }
 
-// TestBridgeForwardFailureEndsBridge holds that a message the bridge cannot
-// send on the export or the attribute path ends the bridge, and that Err
-// names the cause instead of the failure passing silently.
+// TestBridgeForwardFailureEndsBridge holds that an attribute the bridge
+// cannot send ends the bridge, and that Err names the cause instead of the
+// failure passing silently, while an event it cannot frame is dropped,
+// counted in Refused, and leaves the bridge running.
 func TestBridgeForwardFailureEndsBridge(t *testing.T) {
 	check := func(t *testing.T, b *Bridge) {
 		t.Helper()
@@ -362,9 +366,29 @@ func TestBridgeForwardFailureEndsBridge(t *testing.T) {
 		if _, err := b2.ImportChannel("big"); err != nil {
 			t.Fatal(err)
 		}
-		testx.WaitUntil(t, "export subscription", func() bool { return prod.Subscribers() > 0 })
+		small, err := b2.ImportChannel("small")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got collector
+		small.Subscribe(got.add)
+		testx.WaitUntil(t, "export subscriptions", func() bool {
+			return prod.Subscribers() > 0 && d1.OpenChannel("small").Subscribers() > 0
+		})
 		prod.Submit(Event{Data: make([]byte, codec.MaxFrameLen+1)})
-		check(t, b1)
+		if n := b1.Refused(); n != 1 {
+			t.Fatalf("Refused() = %d after one unframable event, want 1", n)
+		}
+		d1.OpenChannel("small").Submit(Event{Data: []byte("still flowing")})
+		testx.WaitUntil(t, "an event on the second channel", func() bool { return got.len() == 1 })
+		if string(got.at(0).Data) != "still flowing" {
+			t.Fatalf("event = %q", got.at(0).Data)
+		}
+		select {
+		case <-b1.Done():
+			t.Fatalf("bridge ended on an unframable event: %v", b1.Err())
+		default:
+		}
 	})
 	t.Run("attribute", func(t *testing.T) {
 		_, _, _, b2 := bridgePair(t)

@@ -28,8 +28,9 @@ const (
 // engine picks a method per event payload (events are the natural block
 // unit in middleware use). A payload longer than codec.MaxFrameLen cannot
 // be framed; within a domain it travels raw, flagged codec.None, and
-// DecodeEvent passes it through. It cannot cross a Bridge: a bridge carries
-// at most MaxEventData bytes of event data, and a longer event ends it.
+// DecodeEvent passes it through. It cannot cross a Bridge: a bridge is sure
+// to carry MaxEventData bytes of event data, and drops an event it cannot
+// frame, counting it in Bridge.Refused.
 //
 // The producer-side engine listens for AttrGoodput feedback on the derived
 // channel, completing the end-to-end loop across address spaces.

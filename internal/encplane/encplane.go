@@ -29,10 +29,11 @@
 // core.Pipeline whose in-order sequencer preserves the channel's delivery
 // order: each member sees a subsequence of the channel's blocks, so every
 // subscriber's sequence stream stays strictly monotonic through class
-// migrations. Encoded frames also land in a bounded per-channel cache keyed
-// by (sequence, method), which resume replays hit instead of re-encoding —
-// a reconnect storm after a network blip costs one encode per method, not
-// one per returning subscriber.
+// migrations. Each channel keeps one bounded retention window of its recent
+// blocks, and every frame encoded from a block stays beside it there, so
+// resume replays and migrated dequeues are served without re-encoding — a
+// reconnect storm after a network blip costs one encode per method, not one
+// per returning subscriber.
 package encplane
 
 import (
@@ -48,11 +49,6 @@ import (
 	"ccx/internal/tracing"
 )
 
-// DefaultCacheBytes bounds each channel's encoded-frame cache when the
-// configuration leaves it zero. It matches the broker's default replay-ring
-// byte budget, so a resume inside the replay window usually hits the cache.
-const DefaultCacheBytes = 8 << 20
-
 // Config assembles a Plane.
 type Config struct {
 	// Engine supplies the registry, clock and speed scale the plane's encode
@@ -62,8 +58,11 @@ type Config struct {
 	Engine core.Config
 	// Workers sets each channel pipeline's encode pool (<= 0: GOMAXPROCS).
 	Workers int
-	// CacheBytes bounds each channel's frame cache (0 = DefaultCacheBytes).
-	CacheBytes int64
+	// WindowBlocks and WindowBytes bound each channel's retention window, in
+	// blocks and in raw payload bytes (0 = DefaultWindowBlocks and
+	// DefaultWindowBytes).
+	WindowBlocks int
+	WindowBytes  int64
 	// Metrics receives encplane.* and chan.<name>.* instrumentation
 	// (nil = a private registry).
 	Metrics *metrics.Registry
@@ -71,7 +70,7 @@ type Config struct {
 	// whose frame annotation carries a trace context — with the class
 	// label, why the class was encoded and how many subscribers shared it —
 	// and a cache-hit span when a replay or migration is served from the
-	// frame cache. nil disables.
+	// window. nil disables.
 	Tracer *tracing.Tracer
 	// Logf logs encode failures (nil = silent).
 	Logf func(format string, args ...any)
@@ -87,12 +86,12 @@ type Plane struct {
 	tracer *tracing.Tracer
 	logf   func(string, ...any)
 
-	engine     *core.Engine // shared by every channel pipeline
-	workers    int
-	cacheBytes int64        // configured per-channel cache budget
-	effCache   atomic.Int64 // pressure-scaled budget new channels start from
-	pipeWait   func(time.Duration)
-	liveBytes  atomic.Int64 // wire bytes across all live shared frames
+	engine    *core.Engine // shared by every channel pipeline
+	workers   int
+	winBlocks int   // configured window bound in blocks
+	winBytes  int64 // configured window bound in payload bytes
+	pipeWait  func(time.Duration)
+	liveBytes atomic.Int64 // wire bytes across all live shared frames
 
 	bufs sync.Pool // *[]byte frame buffers, shared across channels
 
@@ -109,16 +108,21 @@ type Plane struct {
 
 	mu     sync.Mutex
 	chans  map[string]*Channel
+	factor float64 // pressure scale of the window bounds (SetPressure)
 	closed bool
 }
 
 // New validates cfg and builds a Plane.
 func New(cfg Config) (*Plane, error) {
-	if cfg.CacheBytes < 0 {
-		return nil, fmt.Errorf("encplane: negative cache budget %d", cfg.CacheBytes)
+	if cfg.WindowBlocks < 0 || cfg.WindowBytes < 0 {
+		return nil, fmt.Errorf("encplane: negative replay window bounds (%d blocks, %d bytes)",
+			cfg.WindowBlocks, cfg.WindowBytes)
 	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = DefaultCacheBytes
+	if cfg.WindowBlocks == 0 {
+		cfg.WindowBlocks = DefaultWindowBlocks
+	}
+	if cfg.WindowBytes == 0 {
+		cfg.WindowBytes = DefaultWindowBytes
 	}
 	ecfg := cfg.Engine
 	ecfg.Telemetry = core.Telemetry{}
@@ -135,13 +139,14 @@ func New(cfg Config) (*Plane, error) {
 		logf = func(string, ...any) {}
 	}
 	p := &Plane{
-		met:        met,
-		tracer:     cfg.Tracer,
-		logf:       logf,
-		engine:     engine,
-		workers:    cfg.Workers,
-		cacheBytes: cfg.CacheBytes,
-		pipeWait:   cfg.PipeWait,
+		met:       met,
+		tracer:    cfg.Tracer,
+		logf:      logf,
+		engine:    engine,
+		workers:   cfg.Workers,
+		winBlocks: cfg.WindowBlocks,
+		winBytes:  cfg.WindowBytes,
+		pipeWait:  cfg.PipeWait,
 
 		encodes:    met.Counter("encplane.encodes"),
 		encBytes:   met.Counter("encplane.encoded_bytes"),
@@ -154,56 +159,61 @@ func New(cfg Config) (*Plane, error) {
 		framesLive: met.Gauge("encplane.frames_live"),
 		encLat:     met.Histogram("encplane.encode_seconds", metrics.LatencyBuckets),
 
-		chans: make(map[string]*Channel),
+		chans:  make(map[string]*Channel),
+		factor: 1,
 	}
 	p.bufs.New = func() any { return new([]byte) }
-	p.effCache.Store(cfg.CacheBytes)
 	return p, nil
 }
 
 // LiveFrames reports how many shared frames currently hold references —
-// zero after every member left, the cache was purged, and all deliveries
+// zero after every member left, the windows were purged, and all deliveries
 // were released. The churn race test asserts on this.
 func (p *Plane) LiveFrames() int64 { return p.framesLive.Value() }
 
 // LiveBytes reports the total wire bytes held by live shared frames across
-// every channel — queued, cached, or in flight. The overload governor's
-// queued-bytes source sums this with the broker's replay rings.
+// every channel — queued, kept in a window, or in flight.
 func (p *Plane) LiveBytes() int64 { return p.liveBytes.Load() }
 
-// SetCacheScale rescales every channel's frame-cache budget to
-// configured*factor, clamped below at floor — the memory-pressure
-// degradation knob. Shrinking evicts immediately (oldest first); factor 1
-// restores the configured budget. Channels created later inherit the
-// current scaled budget.
-func (p *Plane) SetCacheScale(factor float64, floor int64) {
-	if factor <= 0 {
-		factor = 1
-	}
-	budget := int64(float64(p.cacheBytes) * factor)
-	if budget < floor {
-		budget = floor
-	}
-	if budget > p.cacheBytes {
-		budget = p.cacheBytes
-	}
-	p.effCache.Store(budget)
-	p.mu.Lock()
-	chans := make([]*Channel, 0, len(p.chans))
-	for _, c := range p.chans {
-		chans = append(chans, c)
-	}
-	p.mu.Unlock()
-	for _, c := range chans {
+// HeldBytes is the aggregate-bytes ledger the overload governor samples:
+// LiveBytes plus the raw payload bytes every channel's window retains.
+func (p *Plane) HeldBytes() int64 {
+	total := p.LiveBytes()
+	for _, c := range p.channels() {
 		c.mu.Lock()
-		c.cache.maxBytes = budget
-		evicted := c.cache.trimTo(budget)
+		total += c.win.bytes
 		c.mu.Unlock()
-		for _, f := range evicted {
-			p.evictions.Inc()
-			f.Release()
-		}
 	}
+	return total
+}
+
+// SetPressure rescales every channel's window bounds to the configured ones
+// times factor, clamped below at the pressure floors — the memory-pressure
+// degradation knob. Shrinking evicts immediately (oldest first); factor 1
+// restores the configured bounds. Channels created later start at the
+// current scale. It reports how many blocks the shrink evicted.
+func (p *Plane) SetPressure(factor float64) (evicted int) {
+	p.mu.Lock()
+	p.factor = factor
+	p.mu.Unlock()
+	for _, c := range p.channels() {
+		c.mu.Lock()
+		c.win.scale(factor)
+		evicted += c.win.dropBlocks
+		c.unlockWindow()
+	}
+	return evicted
+}
+
+// channels snapshots the channel map.
+func (p *Plane) channels() []*Channel {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]*Channel, 0, len(p.chans))
+	for _, c := range p.chans {
+		out = append(out, c)
+	}
+	return out
 }
 
 // Channel returns (creating on first use) the named channel's encode state.
@@ -221,8 +231,11 @@ func (p *Plane) Channel(name string) *Channel {
 		classesGauge: p.met.Gauge(fmt.Sprintf("chan.%s.classes", name)),
 		queuedBytes:  p.met.Gauge(fmt.Sprintf("chan.%s.queued_bytes", name)),
 		queuedHWM:    p.met.Gauge(fmt.Sprintf("chan.%s.queued_bytes_hwm", name)),
+		depthBlocks:  p.met.Gauge(fmt.Sprintf("chan.%s.replay_blocks", name)),
+		depthBytes:   p.met.Gauge(fmt.Sprintf("chan.%s.replay_bytes", name)),
 	}
-	c.cache.maxBytes = p.effCache.Load()
+	c.win.baseBlocks, c.win.baseBytes = p.winBlocks, p.winBytes
+	c.win.scale(p.factor)
 	if p.closed {
 		// Born closed: a publisher that raced Close onto a channel nobody
 		// used before is refused like any other, and no pipeline is started
@@ -235,41 +248,37 @@ func (p *Plane) Channel(name string) *Channel {
 	return c
 }
 
-// Close flushes and stops every channel pipeline and purges the frame
-// caches. In-flight blocks are still delivered to their classes before the
+// Close flushes and stops every channel pipeline and purges the windows.
+// In-flight blocks are still delivered to their classes before the
 // corresponding pipelines wind down.
 func (p *Plane) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	closed := p.closed
+	p.closed = true
+	p.mu.Unlock()
+	if closed {
 		return nil
 	}
-	p.closed = true
-	chans := make([]*Channel, 0, len(p.chans))
-	for _, c := range p.chans {
-		chans = append(chans, c)
-	}
-	p.mu.Unlock()
-	for _, c := range chans {
+	for _, c := range p.channels() {
 		c.close()
 	}
 	return nil
 }
 
 // Channel is one named channel's encode state: method classes, the encode
-// pipeline, and the frame cache.
+// pipeline, and the retention window.
 type Channel struct {
 	p    *Plane
 	name string
 
-	// mu guards membership and the frame cache. It is a leaf lock: nothing
-	// is called while holding it that can block on the pipeline, so
-	// publishers and the delivery sequencer never deadlock against joins,
-	// leaves, or migrations.
+	// mu guards membership and the window. It is a leaf lock: nothing is
+	// called while holding it that can block on the pipeline, so publishers
+	// and the delivery sequencer never deadlock against joins, leaves, or
+	// migrations.
 	mu         sync.Mutex
 	members    map[*Member]struct{}
 	classCount map[codec.Method]int // members per method; len = live classes
-	cache      frameCache
+	win        window
 
 	// pipeMu serializes pipeline submissions (Publish) against close —
 	// core.Pipeline's Submit/Close are single-owner calls. Membership
@@ -282,6 +291,8 @@ type Channel struct {
 	classesGauge *metrics.Gauge // chan.<name>.classes
 	queuedBytes  *metrics.Gauge // chan.<name>.queued_bytes (once per class)
 	queuedHWM    *metrics.Gauge // chan.<name>.queued_bytes_hwm
+	depthBlocks  *metrics.Gauge // chan.<name>.replay_blocks
+	depthBytes   *metrics.Gauge // chan.<name>.replay_bytes
 }
 
 // Block is one stamped block as a publisher hands it to the plane.
@@ -353,7 +364,7 @@ type Member struct {
 // Join adds a member with an initial method (the paper's first-block
 // convention is None). Publishes after Join include the member; blocks
 // already in flight do not — they predate the join and, when the caller is
-// resuming, are covered by the replay window instead.
+// resuming, are covered by the window instead (ReplayFrom).
 func (c *Channel) Join(m codec.Method, deliver DeliverFunc) *Member {
 	mb := &Member{ch: c, deliver: deliver, method: m}
 	c.mu.Lock()
@@ -412,8 +423,9 @@ func (c *Channel) classDelta(k codec.Method, d int) {
 	c.classesGauge.Set(int64(len(c.classCount)))
 }
 
-// Publish fans one stamped block out: snapshot the method classes and
-// submit one pre-decided encode job per distinct method. Delivery happens
+// Publish fans one stamped block out: retain it in the window, snapshot the
+// method classes and submit one pre-decided encode job per distinct method.
+// The block is retained even when nobody subscribes. Delivery happens
 // asynchronously on the pipeline's in-order sequencer. The caller
 // serializes Publish per channel (the broker holds its channel-state lock),
 // which satisfies the pipeline's single-owner submit contract.
@@ -435,16 +447,22 @@ func (c *Channel) PublishBlock(b Block) bool {
 	if c.pipeClosed {
 		return false
 	}
+	// Retention and the membership snapshot share one hold of mu, so a
+	// resume snapshot (ReplayFrom) taken with a Join splits the stream
+	// exactly when the caller serializes both against Publish.
 	c.mu.Lock()
-	if len(c.members) == 0 {
-		c.mu.Unlock()
+	c.win.push(b)
+	var classes map[codec.Method][]*Member
+	if len(c.members) > 0 {
+		classes = make(map[codec.Method][]*Member, 4)
+		for m := range c.members {
+			classes[m.method] = append(classes[m.method], m)
+		}
+	}
+	c.unlockWindow()
+	if classes == nil {
 		return true
 	}
-	classes := make(map[codec.Method][]*Member, 4)
-	for m := range c.members {
-		classes[m.method] = append(classes[m.method], m)
-	}
-	c.mu.Unlock()
 
 	job := core.Job{Block: b.Data, Seq: b.Seq, HasSeq: true, PreDecided: true, Anno: b.Anno, TC: tracing.ParseAnno(b.Anno),
 		Ctx: &publication{classes: classes, probe: b.Probe, at: time.Now()}}
@@ -467,7 +485,7 @@ func (c *Channel) sink(enc core.Encoded) (bool, error) {
 	if c.p.pipeWait != nil {
 		c.p.pipeWait(enc.Result.PipelineWait)
 	}
-	c.putCache(c.admit(enc.Buf, &enc.Job, &enc.Result, "encoded once for the class"))
+	c.keep(c.admit(enc.Buf, &enc.Job, &enc.Result, "encoded once for the class"))
 	return true, nil
 }
 
@@ -525,15 +543,15 @@ func (c *Channel) admit(buf *[]byte, j *core.Job, res *core.BlockResult, reason 
 	return f
 }
 
-// EncodeCached returns the (seq, method) frame, serving from the cache when
-// possible and encoding synchronously otherwise. The caller owns one frame
-// reference. Resume replays and post-migration dequeues use this: however
-// many subscribers need the same (block, method) pair, it is encoded at most
-// once while the frame stays cached.
+// EncodeCached returns the (seq, method) frame, serving it from the window
+// when the block's entry holds one and encoding synchronously otherwise.
+// The caller owns one frame reference. Resume replays and post-migration
+// dequeues use this: however many subscribers need the same (block, method)
+// pair, it is encoded at most once while the block stays in the window.
 func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []byte) (*Frame, error) {
 	job := core.Job{Block: data, Seq: seq, HasSeq: true, Method: m, PreDecided: true, Anno: anno, TC: tracing.ParseAnno(anno)}
 	c.mu.Lock()
-	if f, ok := c.cache.get(seq, m); ok {
+	if _, f := c.win.lookup(seq, m); f != nil {
 		f.Retain()
 		c.mu.Unlock()
 		c.p.hits.Inc()
@@ -565,9 +583,18 @@ func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []b
 		return nil, err
 	}
 	f := c.admit(buf, &job, &res, "encoded on demand (replay or migration)")
-	f.Retain()    // the caller's reference
-	c.putCache(f) // transfers the creator reference
+	f.Retain() // the caller's reference
+	c.keep(f)  // transfers the creator reference
 	return f, nil
+}
+
+// ReplayFrom resolves a resume from lastSeq against the window (see
+// window.replayFrom). Serialized against Publish and followed by Join, it
+// hands every block to exactly one of the replay and the live stream.
+func (c *Channel) ReplayFrom(lastSeq uint64) (replay []Block, firstSeq uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.win.replayFrom(lastSeq)
 }
 
 // LiveBytes reports this channel's live shared-frame wire bytes. Frame
@@ -575,22 +602,45 @@ func (c *Channel) EncodeCached(data []byte, seq uint64, m codec.Method, anno []b
 // per-channel values summed across channels equal Plane.LiveBytes exactly.
 func (c *Channel) LiveBytes() int64 { return c.liveBytes.Load() }
 
-// putCache hands the caller's frame reference to the cache (or straight
-// back to the pool if the cache refuses it).
-func (c *Channel) putCache(f *Frame) {
+// keep hands the caller's frame reference to its block's window entry, or
+// releases it when the block has left the window or its entry already
+// holds a frame for the method.
+func (c *Channel) keep(f *Frame) {
 	c.mu.Lock()
-	evicted := c.cache.put(f)
+	e, dup := c.win.lookup(f.seq, f.method)
+	kept := e != nil && dup == nil
+	if kept {
+		e.frames = append(e.frames, f)
+	}
 	c.mu.Unlock()
-	for _, e := range evicted {
-		if e != f {
-			c.p.evictions.Inc()
-		}
-		e.Release()
+	if !kept {
+		f.Release()
+	}
+}
+
+// unlockWindow ends a hold of c.mu that changed the window: it updates the
+// window gauges, unlocks, and then releases what the change evicted,
+// counting each frame as an encplane.cache_evictions and each block (and
+// its payload bytes) under the broker.replay_evicted_* names.
+func (c *Channel) unlockWindow() {
+	w := &c.win
+	drop, blocks, bytes := w.drop, w.dropBlocks, w.dropBytes
+	w.drop, w.dropBlocks, w.dropBytes = nil, 0, 0
+	c.depthBlocks.Set(int64(w.len()))
+	c.depthBytes.Set(w.bytes)
+	c.mu.Unlock()
+	if blocks > 0 {
+		c.p.met.Counter("broker.replay_evicted_blocks").Add(int64(blocks))
+		c.p.met.Counter("broker.replay_evicted_bytes").Add(bytes)
+	}
+	c.p.evictions.Add(int64(len(drop)))
+	for _, f := range drop {
+		f.Release()
 	}
 }
 
 // close flushes the pipeline (in-flight blocks still reach their classes)
-// and purges the cache.
+// and purges the window.
 func (c *Channel) close() {
 	c.pipeMu.Lock()
 	closed := c.pipeClosed
@@ -603,7 +653,7 @@ func (c *Channel) close() {
 		c.p.logf("encplane: %s: close: %v", c.name, err)
 	}
 	c.mu.Lock()
-	purged := c.cache.purge()
+	purged := c.win.purge()
 	c.mu.Unlock()
 	for _, f := range purged {
 		f.Release()

@@ -133,12 +133,13 @@ func TestByteIdentityAllMethods(t *testing.T) {
 
 // TestEncodeCachedIdentityAndDedup checks the replay path: EncodeCached
 // returns bytes identical to a direct encode, and a second request for the
-// same (seq, method) is a cache hit, not a second encode.
+// same (seq, method) is served from the window, not a second encode.
 func TestEncodeCachedIdentityAndDedup(t *testing.T) {
 	reg := allCodecs()
 	p, met := newTestPlane(t, func(c *Config) { c.Engine = core.Config{Registry: reg} })
 	ch := p.Channel("md")
 	data := bytes.Repeat([]byte("replay me "), 300)
+	ch.Publish(data, 42) // no members: retained, not encoded
 
 	for _, m := range allMethods {
 		f1, err := ch.EncodeCached(data, 42, m, nil)
@@ -265,13 +266,14 @@ func TestMemberSeqMonotonicThroughMigrations(t *testing.T) {
 func TestFrameRefcountGuards(t *testing.T) {
 	p, _ := newTestPlane(t, nil)
 	ch := p.Channel("md")
+	ch.Publish([]byte("x"), 1)
 	f, err := ch.EncodeCached([]byte("x"), 1, codec.None, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Release() // caller ref gone; cache still holds one
+	f.Release() // caller ref gone; the window still holds one
 
-	// Pull the cached frame out and release past zero.
+	// Pull the kept frame out of the window again.
 	f2, err := ch.EncodeCached([]byte("x"), 1, codec.None, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -287,8 +289,8 @@ func TestFrameRefcountGuards(t *testing.T) {
 	}
 	_ = f2
 	// A frame fully released must reject Retain. Build standalone frames on
-	// their own channels and purge the caches so the counts actually reach
-	// zero. (Retain's panic fires after its increment, so each guard needs
+	// their own channels, whose windows hold no block to keep them, so the
+	// counts actually reach zero. (Retain's panic fires after its increment, so each guard needs
 	// its own pristine zero-count frame.)
 	deadFrame := func(name string) *Frame {
 		ch := p.Channel(name)
@@ -310,7 +312,7 @@ func TestFrameRefcountGuards(t *testing.T) {
 // reference must be gone — zero leaks, and any use-after-release would have
 // panicked via the refcount guards. Run with -race.
 func TestRefcountChurnStorm(t *testing.T) {
-	p, met := newTestPlane(t, func(c *Config) { c.CacheBytes = 64 << 10 }) // small: force evictions
+	p, met := newTestPlane(t, func(c *Config) { c.WindowBlocks = 16 }) // small: force evictions
 	ch := p.Channel("md")
 
 	const (
@@ -392,8 +394,9 @@ func TestRefcountChurnStorm(t *testing.T) {
 }
 
 // TestClosedChannelCachesNothing pins the teardown leak: a write loop that
-// outlives the plane can still encode on demand after the final cache purge,
-// and that frame must not be parked in a cache nobody will purge again.
+// outlives the plane can still encode on demand after the final window
+// purge, and that frame must not be parked in a window nobody will purge
+// again.
 func TestClosedChannelCachesNothing(t *testing.T) {
 	p, _ := newTestPlane(t, nil)
 	ch := p.Channel("md")

@@ -14,8 +14,8 @@ import (
 //
 // Ownership is reference counted:
 //
-//   - the creator holds one reference, which putCache either transfers to
-//     the frame cache or releases;
+//   - the creator holds one reference, which keep either transfers to the
+//     block's window entry or releases;
 //   - every queue delivery holds one reference (Retain before handing the
 //     frame to a subscriber, Release after the frame is written, dropped,
 //     or the subscriber is torn down);
@@ -31,7 +31,7 @@ type Frame struct {
 	ch   *Channel
 
 	seq    uint64
-	method codec.Method // requested method (cache key); Info.Method is the wire truth
+	method codec.Method // requested method (window lookup key); Info.Method is the wire truth
 	info   codec.BlockInfo
 
 	// waitSeen gates the queue-wait observation: the frame's time in queue
@@ -51,9 +51,10 @@ func (f *Frame) Len() int { return len(f.b) }
 // payload sizes, sequence).
 func (f *Frame) Info() codec.BlockInfo { return f.info }
 
-// RequestedMethod returns the method the frame was encoded for — the cache
-// key, before any expansion fallback. Consumers compare it against their own
-// current selection to detect a migration that outran their queue backlog.
+// RequestedMethod returns the method the frame was encoded for — its key in
+// the window, before any expansion fallback. Consumers compare it against
+// their own current selection to detect a migration that outran their queue
+// backlog.
 func (f *Frame) RequestedMethod() codec.Method { return f.method }
 
 // FirstWait reports true exactly once across all holders — the first
@@ -106,83 +107,4 @@ func (c *Channel) noteBytes(delta int64) {
 	c.queuedBytes.Set(n)
 	c.queuedHWM.SetMax(n)
 	c.p.liveBytes.Add(delta)
-}
-
-// cacheKey identifies a frame: the stamped sequence number plus the
-// requested method (the encode outcome for a given pair is deterministic,
-// expansion fallback included).
-type cacheKey struct {
-	seq uint64
-	m   codec.Method
-}
-
-// frameCache retains recently encoded frames, bounded by total wire bytes,
-// evicting oldest-inserted first (sequence numbers are monotonic, so FIFO
-// is age order). It holds one reference per entry. Guarded by Channel.mu.
-type frameCache struct {
-	maxBytes int64
-	bytes    int64
-	entries  map[cacheKey]*Frame
-	fifo     []cacheKey
-	// closed is set by the final purge: a write loop that outlives the
-	// channel may still encode on demand, and a frame cached after the last
-	// purge would hold its reference forever.
-	closed bool
-}
-
-func (fc *frameCache) get(seq uint64, m codec.Method) (*Frame, bool) {
-	f, ok := fc.entries[cacheKey{seq, m}]
-	return f, ok
-}
-
-// put inserts f, transferring the caller's reference to the cache, and
-// returns the frames evicted to stay within budget. When f cannot be
-// retained (closed cache, duplicate key, zero budget, or alone over budget)
-// it is returned among the evicted, i.e. the reference comes straight back.
-func (fc *frameCache) put(f *Frame) (evicted []*Frame) {
-	k := cacheKey{f.seq, f.method}
-	if _, dup := fc.entries[k]; fc.closed || dup || int64(f.Len()) > fc.maxBytes {
-		return []*Frame{f}
-	}
-	if fc.entries == nil {
-		fc.entries = make(map[cacheKey]*Frame)
-	}
-	fc.entries[k] = f
-	fc.fifo = append(fc.fifo, k)
-	fc.bytes += int64(f.Len())
-	for fc.bytes > fc.maxBytes && len(fc.fifo) > 0 {
-		old := fc.fifo[0]
-		fc.fifo = fc.fifo[1:]
-		e := fc.entries[old]
-		delete(fc.entries, old)
-		fc.bytes -= int64(e.Len())
-		evicted = append(evicted, e)
-	}
-	return evicted
-}
-
-// trimTo evicts oldest-first until retained bytes fit budget, returning
-// the evicted frames for release outside the channel lock (the pressure
-// shrink path; put's eviction loop handles the steady state).
-func (fc *frameCache) trimTo(budget int64) (evicted []*Frame) {
-	for fc.bytes > budget && len(fc.fifo) > 0 {
-		old := fc.fifo[0]
-		fc.fifo = fc.fifo[1:]
-		e := fc.entries[old]
-		delete(fc.entries, old)
-		fc.bytes -= int64(e.Len())
-		evicted = append(evicted, e)
-	}
-	return evicted
-}
-
-// purge empties and closes the cache, returning every retained frame for
-// release.
-func (fc *frameCache) purge() []*Frame {
-	out := make([]*Frame, 0, len(fc.entries))
-	for _, f := range fc.entries {
-		out = append(out, f)
-	}
-	fc.entries, fc.fifo, fc.bytes, fc.closed = nil, nil, 0, true
-	return out
 }
