@@ -278,14 +278,15 @@ func (b *Broker) state(name string) *channelState {
 
 // submit probes one event, stamps it with the channel's next sequence
 // number, and publishes it on the encode plane, which retains it in the
-// replay window and fans it out — one encode per method class. The probe is the block's one sample:
-// every subscriber decides from it, live or replayed. Stamp and fan-out run
-// under the channel lock, so the plane sees blocks in sequence order and a
-// join under the same lock splits the stream exactly: earlier blocks are in
-// its snapshot, later ones arrive live. The plane publish blocks while the
-// channel's pipeline is full — that is the publisher backpressure (a network
-// publisher stops reading, and TCP pushes it upstream). It reports ErrClosed
-// for a block that lost the race with Shutdown.
+// replay window and fans it out — one encode per method class. The probe
+// is the block's one sample: every subscriber decides from it, live or
+// replayed. Stamp and fan-out run under the channel lock, so the plane sees
+// blocks in sequence order and a join under the same lock splits the stream
+// exactly: earlier blocks are in its snapshot, later ones arrive live. The
+// plane publish blocks while the channel's pipeline is full — that is the
+// publisher backpressure (a network publisher stops reading, and TCP pushes
+// it upstream). It reports ErrClosed for a block that lost the race with
+// Shutdown.
 //
 // anno is the block's frame annotation as it arrived from the publisher
 // (nil for in-process publishes). An unannotated block may be head-sampled
