@@ -209,11 +209,6 @@ type Broker struct {
 	hbFrame []byte             // precomputed zero-length None frame (heartbeats)
 	logf    func(string, ...any)
 
-	// memFactor is the replay-window scale last applied by the governor's
-	// memory dimension, in percent (100 = full bounds). The sampler
-	// compares-and-applies so shrink/restore runs once per level change.
-	memFactor atomic.Int64
-
 	// mu guards lifecycle state only; subscribers are registered on their
 	// channel's state.
 	mu     sync.Mutex
@@ -382,7 +377,7 @@ func New(cfg Config) (*Broker, error) {
 				if b == nil {
 					return 0
 				}
-				return b.queuedBytes()
+				return b.plane.HeldBytes()
 			}
 		}
 		userSample := gcfg.OnSample
@@ -443,7 +438,6 @@ func New(cfg Config) (*Broker, error) {
 		lns:     make(map[net.Listener]struct{}),
 		chans:   make(map[string]*channelState),
 	}
-	b.memFactor.Store(100)
 	if gov != nil {
 		gov.Start()
 	}
@@ -468,11 +462,6 @@ func (b *Broker) states() []*channelState {
 	return out
 }
 
-// queuedBytes is the aggregate-bytes ledger the governor samples: wire bytes
-// held by live shared frames (queued deliveries, frames kept in the replay
-// windows, in-flight encodes) plus every replay window's retained payload.
-func (b *Broker) queuedBytes() int64 { return b.plane.HeldBytes() }
-
 // allSubs snapshots every live subscriber across the channels.
 func (b *Broker) allSubs() []*subscriber {
 	var out []*subscriber
@@ -486,16 +475,15 @@ func (b *Broker) allSubs() []*subscriber {
 	return out
 }
 
-// memScale maps a memory-pressure level to the replay-window scale in
-// percent.
-func memScale(l governor.Level) int64 {
+// memScale maps a memory-pressure level to the replay-window scale.
+func memScale(l governor.Level) float64 {
 	switch l {
 	case governor.LevelElevated:
-		return 50
+		return 0.5
 	case governor.LevelCritical:
-		return 25
+		return 0.25
 	}
-	return 100
+	return 1
 }
 
 // onPressureSample runs on the governor's sampling goroutine after every
@@ -504,20 +492,10 @@ func memScale(l governor.Level) int64 {
 // needs no push — every subscriber's next selection reads the method cap
 // through the engine's limiter.
 func (b *Broker) onPressureSample(snap governor.Snapshot) {
-	factor := memScale(snap.Mem)
-	if b.memFactor.Swap(factor) != factor {
-		b.applyMemFactor(factor)
-	}
+	b.plane.SetPressure(memScale(snap.Mem))
 	if snap.Mem == governor.LevelCritical {
 		b.shedSlowest()
 	}
-}
-
-// applyMemFactor rescales every replay window to factor percent of its
-// configured bounds (floored; 100 restores).
-func (b *Broker) applyMemFactor(factor int64) {
-	evicted := b.plane.SetPressure(float64(factor) / 100)
-	b.logf("broker: governor scaled retention to %d%% (shrink evicted %d blocks)", factor, evicted)
 }
 
 // maxShedPerSample bounds one sampling interval's evictions so a single

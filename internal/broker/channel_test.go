@@ -164,9 +164,9 @@ func TestChannelRoutingProperties(t *testing.T) {
 			for _, st := range b.states() {
 				sum += b.met.Gauge("chan."+st.name+".replay_bytes").Value() + st.plane.LiveBytes()
 			}
-			return sum == b.queuedBytes()
+			return sum == b.plane.HeldBytes()
 		})
-		if b.queuedBytes() == 0 {
+		if b.plane.HeldBytes() == 0 {
 			t.Fatalf("%s: broker ledger is 0 — the invariant check is vacuous", label)
 		}
 	}

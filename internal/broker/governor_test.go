@@ -280,12 +280,18 @@ func TestChurnStormExactAccounting(t *testing.T) {
 	readers.Wait()
 	testx.WaitUntil(t, "all churned subscribers torn down", func() bool { return b.Subscribers() == 0 })
 
+	// With the sampler stopped, the bounds in force are the configured ones
+	// scaled for the last memory level, clamped as the plane clamps them:
+	// min(max(base × scale, floor), base), floors 16 blocks / 1 MiB.
+	b.Governor().Stop()
+	f := memScale(b.Governor().Memory())
+	maxBlocks := min(max(int(32*f), 16), 32)
+	maxBytes := min(max(int64(float64(256<<10)*f), 1<<20), 256<<10)
 	ringLen, ringBytes, sum := windowLedger(b, b.state("md"))
 	if sum != ringBytes {
 		t.Fatalf("window ledger %d != entry sum %d after churn", ringBytes, sum)
 	}
-	// Pressure only ever scales the configured bounds down.
-	if maxBlocks, maxBytes := 32, int64(256<<10); ringLen > maxBlocks || ringBytes > maxBytes {
+	if ringLen > maxBlocks || ringBytes > maxBytes {
 		t.Fatalf("window over bounds after churn: %d blocks / %d bytes (max %d / %d)",
 			ringLen, ringBytes, maxBlocks, maxBytes)
 	}

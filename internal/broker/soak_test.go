@@ -47,14 +47,10 @@ func TestSoakOverloadGovernor(t *testing.T) {
 
 	const budget = 2 << 20
 	b := newTestBroker(t, func(c *Config) {
-		// The replay window keeps each block's frame beside it, so eight
-		// 64 KiB blocks hold 1 MiB: under the ok threshold once the swarm is
-		// shed. The 24-deep queues pin enough frames to pass the critical
-		// fraction before that.
-		c.QueueLen = 24
+		c.QueueLen = 16
 		c.Policy = DropOldest // shedding is the governor's job here
-		c.ReplayBlocks = 8
-		c.ReplayBytes = 512 << 10
+		c.ReplayBlocks = 16
+		c.ReplayBytes = 1 << 20
 		c.RetryAfter = 500 * time.Millisecond
 		c.Governor = &governor.Config{MemBudget: -1, BytesBudget: budget, Interval: time.Hour}
 	})
@@ -95,7 +91,7 @@ func TestSoakOverloadGovernor(t *testing.T) {
 	// own (tiny) pipeline wait, and one landing among the saturated waits
 	// noted below would pull the CPU signal back under critical.
 	testx.WaitUntil(t, "queued bytes past the critical fraction", func() bool {
-		return b.queuedBytes() >= budget*9/10 && met.Counter("encplane.encodes").Value() >= 40
+		return b.plane.HeldBytes() >= budget*9/10 && met.Counter("encplane.encodes").Value() >= 40
 	})
 
 	// Phase 3: overload. One sample flips the governor critical.
@@ -154,7 +150,7 @@ func TestSoakOverloadGovernor(t *testing.T) {
 	// not merely under the budget — the recovery phase asserts the very
 	// next sample steps to ok.
 	testx.WaitUntil(t, "queued bytes back under the ok threshold", func() bool {
-		return b.queuedBytes() <= budget*117/200
+		return b.plane.HeldBytes() <= budget*117/200
 	})
 
 	// Phase 5: recovery. The memory dimension steps down on the first calm

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -142,5 +143,64 @@ func TestFrameReaderScratchReuse(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("block %d was clobbered by a later frame's decode", i)
 		}
+	}
+}
+
+// TestFrameReaderHandsOverGrownBuffer: a raw frame that outgrows the
+// reader's scratch is returned in the buffer grown for it, and the reader
+// goes on with the buffer it outgrew, so no block a ReadBlock returned is
+// overwritten by a later frame, larger or smaller.
+func TestFrameReaderHandsOverGrownBuffer(t *testing.T) {
+	var wire []byte
+	var want [][]byte
+	for i, n := range []int{300 << 10, 300 << 10, 16 << 10, 1 << 20, 200 << 10} {
+		b := bytes.Repeat([]byte{byte(i + 1)}, n)
+		want = append(want, b)
+		var err error
+		if wire, _, err = AppendFrameOpts(wire, nil, None, b, FrameOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(bytes.NewReader(wire), nil)
+	var got [][]byte
+	for range want {
+		data, _, err := fr.ReadBlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, data) // deliberately no copy
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("block %d (%d bytes) was overwritten by a later frame", i, len(want[i]))
+		}
+	}
+}
+
+// TestFrameReaderResyncAfterHandOver: damage right after a handed-over
+// frame resyncs onto the next one; the reader's scratch is then smaller
+// than the frame before it.
+func TestFrameReaderResyncAfterHandOver(t *testing.T) {
+	block := bytes.Repeat([]byte("handed over "), 1<<10)
+	wire, _, err := AppendFrameOpts(nil, nil, None, block, FrameOpts{Seq: 1, HasSeq: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire = append(wire, bytes.Repeat([]byte{0xEE}, 64)...)
+	if wire, _, err = AppendFrameOpts(wire, nil, None, block[:100], FrameOpts{Seq: 2, HasSeq: true}); err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(bytes.NewReader(wire), nil)
+	if _, _, err := fr.ReadBlock(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fr.ReadBlock(); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("garbage read as %v, want a corrupt frame", err)
+	}
+	if err := fr.Resync(); err != nil {
+		t.Fatal(err)
+	}
+	if data, info, err := fr.ReadBlock(); err != nil || info.Seq != 2 || !bytes.Equal(data, block[:100]) {
+		t.Fatalf("after resync: seq %d, %d bytes, %v; want seq 2", info.Seq, len(data), err)
 	}
 }

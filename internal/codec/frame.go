@@ -340,7 +340,7 @@ func (fr *FrameReader) ReadBlockBorrowed() ([]byte, BlockInfo, error) {
 func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	var info BlockInfo
 	fr.hdr = fr.hdr[:0]
-	fr.payLen = 0
+	fr.payOff, fr.payLen = 0, 0 // fr.buf may be a smaller buffer than the last frame's
 	// Whatever bytes arrive are checked before a short read is reported,
 	// so each damaged header fails on the same field it would byte by byte.
 	err := fr.fill(minHeader)
@@ -391,7 +391,8 @@ func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	// The rest of the annotation and CRC, then the payload, in one read; the
 	// header part joins fr.hdr for the CRC and for Resync.
 	tail := off + int(v[3]) + 4 - len(fr.hdr)
-	if err := fr.readPayload(tail + info.CompLen); err != nil {
+	outgrown, grew, err := fr.readPayload(tail + info.CompLen)
+	if err != nil {
 		return nil, info, unexpectedEOF(err)
 	}
 	fr.hdr = append(fr.hdr, fr.buf[:tail]...)
@@ -416,7 +417,12 @@ func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	}
 	start := time.Now()
 	var data []byte
-	if _, raw := c.(rawCodec); raw && borrow {
+	// A raw block is the payload itself for a borrowing caller, and for any
+	// caller when the buffer was made for this frame: ReadBlock takes that
+	// buffer over instead of copying it, and the reader keeps the one it
+	// outgrew.
+	_, raw := c.(rawCodec)
+	if raw && (borrow || grew) {
 		data, err = payload, rawLenCheck(len(payload), info.OrigLen)
 	} else {
 		data, err = c.Decompress(payload, info.OrigLen)
@@ -424,6 +430,9 @@ func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	info.DecodeTime = time.Since(start)
 	if err != nil {
 		return nil, info, fmt.Errorf("%w: decompress %v: %w", ErrCorruptFrame, info.Method, err)
+	}
+	if raw && grew && !borrow {
+		fr.buf = outgrown
 	}
 	fr.hdr = fr.hdr[:0]
 	fr.payLen = 0
@@ -440,8 +449,9 @@ const minPayloadBuf = 64 << 10
 // half of it. So a header that declares a large frame and stalls holds at
 // most four times what its peer has sent (at least minPayloadBuf), and the
 // first frame of a new size allocates at most twice its length on the way
-// up; later ones reuse the buffer.
-func (fr *FrameReader) readPayload(n int) error {
+// up; later ones reuse the buffer. It reports whether fr.buf grew, in which
+// case it was made for exactly these n bytes, and the buffer it outgrew.
+func (fr *FrameReader) readPayload(n int) (outgrown []byte, grew bool, err error) {
 	fr.buf = fr.buf[:0]
 	for size := max(cap(fr.buf), minPayloadBuf); len(fr.buf) < n; size *= 2 {
 		have, want := len(fr.buf), size
@@ -449,14 +459,15 @@ func (fr *FrameReader) readPayload(n int) error {
 			want = n
 		}
 		if cap(fr.buf) < want {
+			outgrown, grew = fr.buf, true
 			fr.buf = append(make([]byte, 0, want), fr.buf...)
 		}
 		fr.buf = fr.buf[:want]
 		if _, err := fr.readFull(fr.buf[have:]); err != nil {
-			return err
+			return nil, false, err
 		}
 	}
-	return nil
+	return outgrown, grew, nil
 }
 
 // Resync abandons the current (corrupt) frame and scans forward for the

@@ -315,10 +315,9 @@ func TestBridgeHostileLength(t *testing.T) {
 		// A frame header whose payload is MaxFrameLen bytes, none sent.
 		// The reader's payload buffer grows only with what arrives.
 		{"frame header", full[:len(full)-codec.MaxFrameLen], 256 << 10},
-		// A whole frame is read into the reader's scratch, which doubles its
-		// way up to the frame (about twice its length allocated in all), and
-		// copied out.
-		{"attribute count", message(t, msgEvent, "c", pairs), 3*codec.MaxFrameLen + 1<<20},
+		// A whole frame climbs into a buffer of its own through the reader's
+		// doubling steps, and the reader hands that buffer over.
+		{"attribute count", message(t, msgEvent, "c", pairs), 2*codec.MaxFrameLen + 1<<20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

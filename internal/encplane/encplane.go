@@ -106,6 +106,8 @@ type Plane struct {
 	framesLive *metrics.Gauge
 	encLat     *metrics.Histogram
 
+	// mu guards the channel map and the pressure factor, and is held while
+	// SetPressure rescales the windows (so it is taken before Channel.mu).
 	mu     sync.Mutex
 	chans  map[string]*Channel
 	factor float64 // pressure scale of the window bounds (SetPressure)
@@ -189,20 +191,26 @@ func (p *Plane) HeldBytes() int64 {
 
 // SetPressure rescales every channel's window bounds to the configured ones
 // times factor, clamped below at the pressure floors — the memory-pressure
-// degradation knob. Shrinking evicts immediately (oldest first); factor 1
-// restores the configured bounds. Channels created later start at the
-// current scale. It reports how many blocks the shrink evicted.
-func (p *Plane) SetPressure(factor float64) (evicted int) {
+// degradation knob. Below factor 1 the windows keep no frames. Shrinking
+// evicts immediately (oldest first); factor 1 restores the configured
+// bounds. A factor already in force changes nothing, so a sampler may call
+// it on every sample. Channels created later start at the current scale.
+func (p *Plane) SetPressure(factor float64) {
 	p.mu.Lock()
+	if factor == p.factor {
+		p.mu.Unlock()
+		return
+	}
 	p.factor = factor
-	p.mu.Unlock()
-	for _, c := range p.channels() {
+	var evicted int
+	for _, c := range p.chans {
 		c.mu.Lock()
 		c.win.scale(factor)
 		evicted += c.win.dropBlocks
 		c.unlockWindow()
 	}
-	return evicted
+	p.mu.Unlock()
+	p.logf("encplane: memory pressure scaled the replay windows to %.0f%% (shrink evicted %d blocks)", factor*100, evicted)
 }
 
 // channels snapshots the channel map.
@@ -430,10 +438,14 @@ func (c *Channel) classDelta(k codec.Method, d int) {
 // serializes Publish per channel (the broker holds its channel-state lock),
 // which satisfies the pipeline's single-owner submit contract.
 //
-// It reports whether the plane accepted the block: false only once the
-// channel is closed, so a publisher that lost the race with Close learns
-// its block will never be delivered. A block nobody subscribes to, or whose
-// encode fails (logged and counted), is still accepted.
+// After the channel's first block, each must carry the next sequence number
+// (the window finds a block by its distance from the oldest).
+//
+// It reports whether the plane accepted the block: false for a block out of
+// turn, and once the channel is closed, so a publisher that lost the race
+// with Close learns its block will never be delivered. A block nobody
+// subscribes to, or whose encode fails (logged and counted), is still
+// accepted.
 func (c *Channel) Publish(data []byte, seq uint64) bool {
 	return c.PublishBlock(Block{Data: data, Seq: seq})
 }
@@ -451,7 +463,10 @@ func (c *Channel) PublishBlock(b Block) bool {
 	// resume snapshot (ReplayFrom) taken with a Join splits the stream
 	// exactly when the caller serializes both against Publish.
 	c.mu.Lock()
-	c.win.push(b)
+	if !c.win.push(b) {
+		c.mu.Unlock()
+		return false
+	}
 	var classes map[codec.Method][]*Member
 	if len(c.members) > 0 {
 		classes = make(map[codec.Method][]*Member, 4)
@@ -603,12 +618,12 @@ func (c *Channel) ReplayFrom(lastSeq uint64) (replay []Block, firstSeq uint64) {
 func (c *Channel) LiveBytes() int64 { return c.liveBytes.Load() }
 
 // keep hands the caller's frame reference to its block's window entry, or
-// releases it when the block has left the window or its entry already
-// holds a frame for the method.
+// releases it when the block has left the window, its entry already holds
+// a frame for the method, or the window is pressed.
 func (c *Channel) keep(f *Frame) {
 	c.mu.Lock()
 	e, dup := c.win.lookup(f.seq, f.method)
-	kept := e != nil && dup == nil
+	kept := e != nil && dup == nil && !c.win.pressed
 	if kept {
 		e.frames = append(e.frames, f)
 	}

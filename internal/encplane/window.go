@@ -20,9 +20,10 @@ const (
 // with the frames encoded from it, at most one per method. Resumes replay
 // from it, and an on-demand encode (a replay or a migrated dequeue) looks
 // in it before it encodes. It is bounded by block count and raw payload
-// bytes; frames ride with their block and leave with it. The live entries
-// hold one contiguous run of sequence numbers, so a sequence number finds
-// its entry by subtraction. Guarded by Channel.mu.
+// bytes; frames ride with their block and leave with it (under memory
+// pressure none are kept). The live entries hold one contiguous run of
+// sequence numbers, so a sequence number finds its entry by subtraction.
+// Guarded by Channel.mu.
 type window struct {
 	maxBlocks int
 	maxBytes  int64
@@ -34,6 +35,10 @@ type window struct {
 	head    int     // index of the oldest live entry
 	bytes   int64   // sum of live entry payload sizes
 	last    uint64  // sequence number of the most recent push (0 = none yet)
+	// pressed is set while memory pressure scales the bounds down: the
+	// window then keeps no frames, which can be encoded again, and spends
+	// its shrunken byte bound on blocks, which cannot.
+	pressed bool
 
 	// What evictions discarded since the channel last took it: the frames
 	// are released, and the counts reported, outside the lock.
@@ -48,33 +53,42 @@ type entry struct {
 	frames []*Frame
 }
 
-// push retains b as the newest entry and evicts to fit. A block that breaks
-// the run of sequence numbers restarts the window, and so does one that
-// alone exceeds the byte bound, which is delivered live but never retained
+// push retains b as the newest entry and evicts to fit. After the first
+// push, each must carry the next sequence number, so the live entries stay
+// one run; push refuses a block out of turn. A block that alone exceeds the
+// byte bound restarts the window: it is delivered live but never retained,
 // and counts as evicted itself.
-func (w *window) push(b Block) {
-	w.last = b.Seq
-	if n := len(w.entries); n > w.head && w.entries[n-1].Seq+1 != b.Seq {
-		w.evictTo(0, 0)
+func (w *window) push(b Block) bool {
+	if w.last != 0 && b.Seq != w.last+1 {
+		return false
 	}
+	w.last = b.Seq
 	if int64(len(b.Data)) > w.maxBytes {
 		w.evictTo(0, 0)
 		w.dropBlocks++
-		return
+		return true
 	}
 	w.entries = append(w.entries, entry{Block: b})
 	w.bytes += int64(len(b.Data))
 	w.evictTo(w.maxBlocks, w.maxBytes)
+	return true
 }
 
 // scale sets the bounds to the configured ones times factor, clamped to the
-// floors (factor 1 restores them exactly), and evicts to fit.
+// floors (factor 1 restores them exactly), and evicts to fit. Below factor
+// 1 the window is pressed: it first lets go of every frame it keeps.
 func (w *window) scale(factor float64) {
 	if factor <= 0 || factor > 1 {
 		factor = 1
 	}
 	w.maxBlocks = min(max(int(float64(w.baseBlocks)*factor), windowFloorBlocks), w.baseBlocks)
 	w.maxBytes = min(max(int64(float64(w.baseBytes)*factor), windowFloorBytes), w.baseBytes)
+	if w.pressed = factor < 1; w.pressed {
+		for i := w.head; i < len(w.entries); i++ {
+			w.drop = append(w.drop, w.entries[i].frames...)
+			w.entries[i].frames = nil
+		}
+	}
 	w.evictTo(w.maxBlocks, w.maxBytes)
 }
 

@@ -96,22 +96,27 @@ func TestWindowOversizedBlockNeverRetained(t *testing.T) {
 	}
 }
 
-// TestWindowRestartsOnBrokenRun: a publisher that skips or repeats
-// sequence numbers restarts the window instead of breaking the
-// subtraction that finds an entry.
-func TestWindowRestartsOnBrokenRun(t *testing.T) {
-	w := newWindow(8, 1<<20)
-	pushSeqs(w, 1, 3, []byte("x"))
-	w.push(Block{Data: []byte("y"), Seq: 7})
-	if e7, _ := w.lookup(7, codec.None); w.len() != 1 || e7 == nil {
-		t.Fatalf("after a skip: len %d, seq 7 retained: %v", w.len(), e7 != nil)
+// TestWindowRefusesBrokenRun: the first block may start the run anywhere,
+// but after it a publish that skips or repeats a sequence number is
+// refused, so the window stays one run that a sequence number indexes by
+// subtraction.
+func TestWindowRefusesBrokenRun(t *testing.T) {
+	p, _ := newTestPlane(t, nil)
+	ch := p.Channel("md")
+	for seq := uint64(5); seq <= 7; seq++ {
+		if !ch.Publish([]byte("x"), seq) {
+			t.Fatalf("seq %d refused", seq)
+		}
 	}
-	if e3, _ := w.lookup(3, codec.None); e3 != nil {
-		t.Fatal("seq 3 still retained after the run broke")
+	if ch.Publish([]byte("y"), 9) || ch.Publish([]byte("y"), 7) {
+		t.Fatal("a skip or a repeat was accepted")
 	}
-	w.push(Block{Data: []byte("z"), Seq: 7})
-	if e7, _ := w.lookup(7, codec.None); w.len() != 1 || !bytes.Equal(e7.Data, []byte("z")) {
-		t.Fatalf("after a repeat: len %d, want the newest seq 7 alone", w.len())
+	if !ch.Publish([]byte("z"), 8) {
+		t.Fatal("seq 8 refused")
+	}
+	replay, first := ch.ReplayFrom(4)
+	if first != 5 || len(replay) != 4 || !bytes.Equal(replay[3].Data, []byte("z")) {
+		t.Fatalf("ReplayFrom(4) = %d blocks from %d, want seqs 5-8 ending in the accepted 8", len(replay), first)
 	}
 }
 
@@ -210,5 +215,39 @@ func TestWindowKeepsAndReleasesFrames(t *testing.T) {
 	}
 	if n := met.Counter("broker.replay_evicted_blocks").Value(); n != 1 {
 		t.Fatalf("replay_evicted_blocks = %d, want 1", n)
+	}
+}
+
+// TestWindowPressedKeepsNoFrames: memory pressure lets go of the frames a
+// window keeps and keeps none while it lasts (they can be encoded again,
+// the blocks cannot); factor 1 keeps them once more.
+func TestWindowPressedKeepsNoFrames(t *testing.T) {
+	p, met := newTestPlane(t, nil)
+	ch := p.Channel("md")
+	data := bytes.Repeat([]byte("pressed "), 100)
+	ch.Publish(data, 1)
+	encode := func() {
+		t.Helper()
+		f, err := ch.EncodeCached(data, 1, codec.LempelZiv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	encode() // kept beside block 1
+	p.SetPressure(0.5)
+	if n := met.Counter("encplane.cache_evictions").Value(); n != 1 || p.LiveFrames() != 0 {
+		t.Fatalf("after the shrink: %d evictions, %d frames live; want 1, 0", n, p.LiveFrames())
+	}
+	encode()
+	encode()
+	if n := met.Counter("encplane.encodes").Value(); n != 3 || p.LiveFrames() != 0 {
+		t.Fatalf("pressed: %d encodes, %d frames live; want 3, 0", n, p.LiveFrames())
+	}
+	p.SetPressure(1)
+	encode()
+	encode()
+	if enc, hits := met.Counter("encplane.encodes").Value(), met.Counter("encplane.cache_hits").Value(); enc != 4 || hits != 1 {
+		t.Fatalf("restored: %d encodes, %d hits; want 4, 1", enc, hits)
 	}
 }
