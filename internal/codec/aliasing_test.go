@@ -181,7 +181,7 @@ func TestFrameReaderHandsOverGrownBuffer(t *testing.T) {
 // frame resyncs onto the next one; the reader's scratch is then smaller
 // than the frame before it.
 func TestFrameReaderResyncAfterHandOver(t *testing.T) {
-	block := bytes.Repeat([]byte("handed over "), 1<<10)
+	block := bytes.Repeat([]byte("handed over "), 8<<10) // past minPayloadBuf
 	wire, _, err := AppendFrameOpts(nil, nil, None, block, FrameOpts{Seq: 1, HasSeq: true})
 	if err != nil {
 		t.Fatal(err)

@@ -418,9 +418,9 @@ func (fr *FrameReader) readBlock(borrow bool) ([]byte, BlockInfo, error) {
 	start := time.Now()
 	var data []byte
 	// A raw block is the payload itself for a borrowing caller, and for any
-	// caller when the buffer was made for this frame: ReadBlock takes that
-	// buffer over instead of copying it, and the reader keeps the one it
-	// outgrew.
+	// caller when the buffer climbed past minPayloadBuf for this frame:
+	// ReadBlock takes that buffer over instead of copying it, and the reader
+	// keeps the one it outgrew. Smaller frames reuse the scratch as before.
 	_, raw := c.(rawCodec)
 	if raw && (borrow || grew) {
 		data, err = payload, rawLenCheck(len(payload), info.OrigLen)
@@ -449,8 +449,9 @@ const minPayloadBuf = 64 << 10
 // half of it. So a header that declares a large frame and stalls holds at
 // most four times what its peer has sent (at least minPayloadBuf), and the
 // first frame of a new size allocates at most twice its length on the way
-// up; later ones reuse the buffer. It reports whether fr.buf grew, in which
-// case it was made for exactly these n bytes, and the buffer it outgrew.
+// up; later ones reuse the buffer. It reports whether fr.buf grew past
+// minPayloadBuf, in which case it was made for exactly these n bytes, and
+// the buffer it outgrew.
 func (fr *FrameReader) readPayload(n int) (outgrown []byte, grew bool, err error) {
 	fr.buf = fr.buf[:0]
 	for size := max(cap(fr.buf), minPayloadBuf); len(fr.buf) < n; size *= 2 {
@@ -459,7 +460,7 @@ func (fr *FrameReader) readPayload(n int) (outgrown []byte, grew bool, err error
 			want = n
 		}
 		if cap(fr.buf) < want {
-			outgrown, grew = fr.buf, true
+			outgrown, grew = fr.buf, want > minPayloadBuf
 			fr.buf = append(make([]byte, 0, want), fr.buf...)
 		}
 		fr.buf = fr.buf[:want]
